@@ -269,22 +269,6 @@ def disjoint_union(fas: Sequence[FiniteAutomaton]) -> FiniteAutomaton:
     )
 
 
-def zero_relabel(fa: FiniteAutomaton) -> FiniteAutomaton:
-    """Relabel every transition with the single symbol ``0``.
-
-    Parallel edges collapse (transitions form a set); only reachability
-    layers survive, which is all the linear-chain construction needs.
-    """
-    return FiniteAutomaton(
-        alphabet=Alphabet(("0",)),
-        state_count=fa.state_count,
-        starts=fa.starts,
-        finals=fa.finals,
-        transitions=frozenset((s, 0, d) for (s, _sym, d) in fa.transitions),
-        state_tags=fa.state_tags,
-    )
-
-
 def universal(alphabet: Alphabet) -> FiniteAutomaton:
     """One-state automaton accepting every string over ``alphabet``."""
     return FiniteAutomaton(

@@ -11,6 +11,7 @@ import os
 import sys
 from pathlib import Path
 
+from .automata import reverse_domain
 from .ca import (
     SpaceTimeDiagram,
     evolve,
@@ -129,7 +130,9 @@ def _cmd_run(args) -> int:
                 "warning: filter was built from a different domain file",
                 file=sys.stderr,
             )
-        out = bidirectional([pd.domain for pd in parsed], sigma, mode)
+        domains = [pd.domain for pd in parsed]
+        reverse = build_filter([reverse_domain(d) for d in domains])
+        out = bidirectional(domains, sigma, mode, filters=(t, reverse))
         table = None
     else:
         out = transduce(t, sigma, mode)
@@ -143,15 +146,22 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _parse_int(text: str, init: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"bad --init {init!r}: {text!r} is not an integer") from None
+
+
 def _parse_init(init: str, k: int, width: int | None) -> tuple[int, ...]:
     if init.startswith("random:"):
         if width is None:
             raise UsageError("random initial conditions need --width")
-        return random_row(k, width, int(init.split(":", 1)[1]))
+        return random_row(k, width, _parse_int(init.split(":", 1)[1], init))
     if init.startswith("word:"):
         body = init.split(":", 1)[1]
         word, _, reps = body.partition("^")
-        row = tuple(int(c) for c in word) * (int(reps) if reps else 1)
+        row = tuple(_parse_int(c, init) for c in word) * (_parse_int(reps, init) if reps else 1)
     elif init.startswith("@"):
         row = tuple(int(c) for c in _read_text(init[1:]).strip())
     else:
@@ -238,7 +248,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="string or @file")
     p.add_argument("--circular", action="store_true")
     p.add_argument("--bidi", action="store_true")
-    p.add_argument("--domains", help="domain file (required for --bidi)")
+    p.add_argument("--domains", help="domain file the --bidi reverse filter is built from")
     p.add_argument("--format", choices=("csv", "pgm"), default="csv")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_run)

@@ -4,7 +4,9 @@ A string is scanned once while a stack of (tracker state, start index)
 pairs follows every suffix still consistent with some domain.  When the
 oldest pair dies its interval is emitted; younger pairs dying at the same
 step are contained in it and emit nothing.  The global variant handles
-periodic two-way infinite strings through a pumping-bound window.
+periodic two-way infinite strings through a pumping-bound window.  The
+domain set of each emitted interval comes from running every domain over
+the interval's text.
 """
 
 from __future__ import annotations

@@ -2,11 +2,12 @@
 
 The filter is the deterministic tracker of all domains at once, with every
 forbidden (state, letter) pair filled in by a resynchronization transition.
-The resynchronization target is found by intersecting the automaton of
-"imagined pasts plus the forbidden letter" with the tracker and scanning
-candidate sets ordered first by how specific a state is (subset-tag size)
-and then by how much imagined past supports it (path length), taking the
-first singleton.
+The resynchronization target comes from a table of candidate tracker
+states indexed by (specificity, imagined past length): the states the
+tracker reaches on an imagined past that ends in the forbidden state,
+plus the forbidden letter.  One layered walk over the tracker's own
+transitions fills the table, and the first singleton in the order
+specificity (subset-tag size) first, then past length, wins.
 """
 
 from __future__ import annotations
@@ -21,11 +22,8 @@ from .automata import (
     FiniteAutomaton,
     determinize,
     disjoint_union,
-    forbidden_extension,
     forbidden_pairs,
-    intersect,
     reverse_domain,
-    zero_relabel,
 )
 
 
@@ -140,12 +138,6 @@ class TransduceStats:
     lookups: int = 0
 
 
-def _assemble_tracker(domains: Sequence[Domain]) -> FiniteAutomaton:
-    if not domains:
-        raise ValueError("need at least one domain")
-    return determinize(disjoint_union([d.fa for d in domains]))
-
-
 def _domain_of_tag(tag: frozenset[int], union_tags) -> int | None:
     """1-based domain index when every tagged state comes from one domain."""
     origins = {union_tags[member][0] for member in tag}
@@ -175,52 +167,45 @@ def base_transducer(domains: Sequence[Domain]) -> Transducer:
     )
 
 
-def _linear_chain(single_symbol_dfa: FiniteAutomaton) -> list[int]:
-    """States of a deterministic one-letter automaton in walk order.
-
-    Such an automaton is a chain that either dead-ends or closes into a
-    loop; the walk from the start visits every state once.
-    """
-    state = next(iter(single_symbol_dfa.starts))
-    chain = []
-    seen = set()
-    while state is not None and state not in seen:
-        chain.append(state)
-        seen.add(state)
-        state = single_symbol_dfa.step_det(state, 0)
-    return chain
-
-
 def resync(tracker: FiniteAutomaton, state: int, symbol: str) -> ResyncReport:
     """Choose the state to jump to for a forbidden (state, letter) pair.
 
-    Builds the resynchronization automaton (determinized pasts-plus-letter
-    intersected with the tracker), reads off candidate target states per
-    imagined-past length from the one-letter squashed chain, and returns
-    the first singleton in the (specificity, past length) dictionary order.
+    The candidates for imagined-past length l are the tracker states
+    reached from the start by the words w + letter of length l whose
+    imagined past w ends in ``state`` (some path labeled w leads from some
+    tracker state to ``state``); length 0 holds the start state alone.
+    They come from one walk over layers of (past subset, flag, tracker
+    state) elements, one per word u of that length: the tracker states
+    some path labeled u reaches, whether u is such a w + letter, and the
+    state the tracker reaches by u from its start.  The walk stops at the
+    first empty or repeated layer.  The first singleton in the
+    (specificity, past length) dictionary order wins.
     """
     sym = tracker.alphabet.index(symbol)
-    if sym in tracker.transition_table[state]:
+    table = tracker.transition_table
+    if sym in table[state]:
         raise ValueError(f"({state}, {symbol!r}) is not forbidden")
-    extension = forbidden_extension(tracker, state, sym)
-    resync_fa = intersect(determinize(extension), tracker)
-    squashed = determinize(zero_relabel(resync_fa))
-    chain = _linear_chain(squashed)
-    # candidate tracker states per past length: project the final
-    # resynchronization states found at each chain position
+    start = next(iter(tracker.starts))
+    layer = frozenset([(frozenset(range(tracker.state_count)), True, start)])
+    seen = set()
     per_length: list[frozenset[int]] = []
-    for chain_state in chain:
-        members = squashed.state_tags[chain_state]
-        per_length.append(
-            frozenset(
-                resync_fa.state_tags[r][1] for r in members if r in resync_fa.finals
-            )
-        )
+    while layer and layer not in seen:
+        seen.add(layer)
+        per_length.append(frozenset(t for (_past, flagged, t) in layer if flagged))
+        nxt = set()
+        for past, _flagged, t in layer:
+            for a, dsts in table[t].items():
+                step = tracker.step(past, a)
+                flagged = a == sym and state in past
+                # a word no path reads lives on only as a flagged candidate
+                if step or flagged:
+                    nxt.update((step, flagged, d) for d in dsts)
+        layer = frozenset(nxt)
     # candidate tracker states per specificity: subset-tag size
     by_size: dict[int, set[int]] = {}
     for s, tag in enumerate(tracker.state_tags):
         by_size.setdefault(len(tag), set()).add(s)
-    max_specificity = len(tracker.state_tags[next(iter(tracker.starts))])
+    max_specificity = len(tracker.state_tags[start])
     examined = []
     winner = None
     for i in range(1, max_specificity + 1):

@@ -25,21 +25,13 @@ def language(fa: FiniteAutomaton, max_len: int) -> frozenset[str]:
     return frozenset(w for w in all_words(fa.alphabet, max_len) if accepts(fa, w))
 
 
-def layer_sets(fa: FiniteAutomaton, depth: int) -> list[frozenset[int]]:
-    """States reachable by paths of exactly 0, 1, ..., depth steps (any symbol)."""
-    layers = [frozenset(fa.starts)]
-    table = fa.transition_table
-    for _ in range(depth):
-        nxt: set[int] = set()
-        for s in layers[-1]:
-            for dsts in table[s].values():
-                nxt.update(dsts)
-        layers.append(frozenset(nxt))
-    return layers
-
-
 def accepted_by_any(domains, word) -> bool:
     return any(accepts(d.fa, word) for d in domains)
+
+
+def accepting_domains(domains, word) -> frozenset[int]:
+    """1-based indices of the domains that accept ``word``."""
+    return frozenset(i + 1 for i, d in enumerate(domains) if accepts(d.fa, word))
 
 
 def brute_maximal_cover(domains, sigma: str) -> list[tuple[int, int]]:
@@ -62,6 +54,40 @@ def brute_maximal_cover(domains, sigma: str) -> list[tuple[int, int]]:
     return out
 
 
+def brute_resync_candidates(
+    tracker: FiniteAutomaton, state: int, symbol: str, max_len: int = 8
+) -> tuple[list[frozenset[int]], int | None]:
+    """Candidate resynchronization targets per imagined-past length, and the
+    length at which the candidate table ends.
+
+    Every word u with |u| <= max_len is simulated on its own, one letter at
+    a time: the tracker states some path labeled u reaches, the run from
+    the start, and whether u is flagged.  The empty word is flagged; a
+    longer word is flagged when it is w + symbol and some path labeled w
+    ends in ``state``.  Entry l of the list holds the runs of the flagged
+    words of length l.  The table ends at the first length whose set of
+    live word summaries is empty or equals an earlier one; the returned
+    end is None when that lies beyond ``max_len``.
+    """
+    sym = tracker.alphabet.index(symbol)
+    out: list[frozenset[int]] = []
+    seen = []
+    # (states some path labeled u reaches, run from the start, flag) per word u
+    words = [(frozenset(range(tracker.state_count)), frozenset(tracker.starts), True)]
+    for length in range(max_len + 1):
+        live = frozenset(w for w in words if w[1] and (w[0] or w[2]))
+        if not live or live in seen:
+            return out, length
+        seen.append(live)
+        out.append(frozenset(t for (_reach, run, flag) in live if flag for t in run))
+        words = [
+            (tracker.step(reach, a), tracker.step(run, a), a == sym and state in reach)
+            for reach, run, _flag in words
+            for a in range(len(tracker.alphabet))
+        ]
+    return out, None
+
+
 def random_nfa(rng: Random, alphabet: Alphabet = ALPHA01, max_states: int = 5) -> FiniteAutomaton:
     n = rng.randint(1, max_states)
     k = len(alphabet)
@@ -80,6 +106,18 @@ def random_nfa(rng: Random, alphabet: Alphabet = ALPHA01, max_states: int = 5) -
         finals=finals,
         transitions=frozenset(transitions),
     )
+
+
+def random_domain(rng: Random, alphabet: Alphabet = ALPHA01, max_states: int = 4) -> Domain:
+    """Random semi-deterministic domain, not necessarily strongly connected."""
+    n = rng.randint(1, max_states)
+    transitions = frozenset(
+        (s, sym, rng.randrange(n))
+        for s in range(n)
+        for sym in range(len(alphabet))
+        if rng.random() < 0.6
+    )
+    return Domain(FiniteAutomaton(alphabet, n, range(n), range(n), transitions))
 
 
 def d18_domain() -> Domain:

@@ -1,7 +1,7 @@
 from random import Random
 
 import pytest
-from helpers import ALPHA01, all_words, language, layer_sets, random_nfa
+from helpers import ALPHA01, all_words, language, random_nfa
 
 from apdfilter.automata import (
     Alphabet,
@@ -26,7 +26,6 @@ from apdfilter.automata import (
     sigma_star_prefix,
     unconcat_last,
     universal,
-    zero_relabel,
 )
 
 
@@ -147,30 +146,6 @@ class TestDisjointUnion:
         u = disjoint_union([c.fa, c.fa])
         assert u.state_count == 2
         assert language(u, 6) == {"0" * n for n in range(7)}
-
-
-class TestZeroRelabel:
-    def test_d18_merges_parallel_edges(self, d18):
-        z = zero_relabel(d18.fa)
-        assert z.transitions == frozenset([(0, 0, 1), (1, 0, 0)])
-
-    def test_single_symbol_fixpoint(self):
-        c = cyclic_domain("0")
-        assert zero_relabel(c.fa).transitions == c.fa.transitions
-
-    def test_layer_tags(self):
-        rng = Random(3)
-        for _ in range(20):
-            fa = random_nfa(rng)
-            det = determinize(zero_relabel(fa))
-            layers = layer_sets(fa, 6)
-            state = 0
-            for depth in range(7):
-                if state is None:
-                    assert not layers[depth]
-                    continue
-                assert det.state_tags[state] == layers[depth]
-                state = det.step_det(state, 0)
 
 
 class TestBooleanOperations:

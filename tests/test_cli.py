@@ -1,9 +1,11 @@
 import pytest
 
+from apdfilter.automata import reverse_domain
 from apdfilter.cli import main
 from apdfilter.domspec import parse_domain_spec
-from apdfilter.render import parse_pgm
+from apdfilter.render import parse_pgm, symbol_code
 from apdfilter.tdx import load_transducer
+from apdfilter.transducer import bidirectional, build_filter
 
 D18_ONLY = """\
 alphabet 0 1
@@ -109,12 +111,20 @@ class TestBuildRun:
     def test_bidi_warns_on_digest_mismatch(self, tmp_path, capsys, d18_file, runs_file):
         out = tmp_path / "f.tdx"
         run_cli(capsys, "build", "--domains", d18_file, "-o", str(out))
-        code, _o, err = run_cli(
+        code, stdout, err = run_cli(
             capsys,
-            "run", "--filter", str(out), "--input", "01",
+            "run", "--filter", str(out), "--input", "0100100",
             "--bidi", "--domains", runs_file,
         )
         assert "different domain file" in err
+        # the loaded filter runs forward; --domains only supplies the reverse pass
+        loaded, _digest = load_transducer(out.read_text())
+        _alphabet, parsed = parse_domain_spec(RUNS)
+        domains = [pd.domain for pd in parsed]
+        reverse = build_filter([reverse_domain(d) for d in domains])
+        expected = bidirectional(domains, "0100100", filters=(loaded, reverse))
+        assert code == 0
+        assert stdout == ",".join(str(symbol_code(s)) for s in expected) + "\n"
 
 
 class TestStack:
@@ -233,13 +243,20 @@ class TestCa:
         assert all(c in ("1", "0", "-1") for row in rows for c in row.split(","))
 
     def test_ca_word_width_mismatch(self, capsys):
-        code, _o, err = run_cli(
-            capsys,
-            "ca", "--rule", "110", "--width", "10", "--steps", "2",
-            "--init", "word:01",
-        )
-        assert code == 1
-        assert "does not match" in err
+        # malformed --init values are usage errors as well
+        for init, message in (
+            ("word:01", "does not match"),
+            ("word:01x", "not an integer"),
+            ("word:01^x", "not an integer"),
+            ("random:abc", "not an integer"),
+        ):
+            code, _o, err = run_cli(
+                capsys,
+                "ca", "--rule", "110", "--width", "10", "--steps", "2",
+                "--init", init,
+            )
+            assert code == 1, init
+            assert message in err, init
 
 
 class TestErrors:

@@ -1,7 +1,7 @@
 from random import Random
 
 import pytest
-from helpers import ALPHA01, brute_maximal_cover
+from helpers import ALPHA01, accepting_domains, brute_maximal_cover
 
 from apdfilter.automata import cyclic_domain
 from apdfilter.stackfilter import (
@@ -51,8 +51,12 @@ class TestFilterLocal:
             n = rng.randint(0, 16)
             sigma = "".join(rng.choice("01") for _ in range(n))
             for domains in sets:
-                got = filter_local(domains, sigma).intervals
-                assert list(got) == brute_maximal_cover(domains, sigma), (sigma, len(domains))
+                cover = filter_local(domains, sigma)
+                brute = brute_maximal_cover(domains, sigma)
+                assert list(cover.intervals) == brute, (sigma, len(domains))
+                assert cover.domain_sets == tuple(
+                    accepting_domains(domains, sigma[a - 1 : b]) for (a, b) in cover.intervals
+                ), (sigma, len(domains))
 
     def test_antichain_validated(self):
         with pytest.raises(ValueError, match="antichain"):
@@ -109,7 +113,11 @@ class TestFilterGlobal:
                 cover = filter_global(domains, word)
                 if cover.whole_string:
                     assert brute == [(1, 5 * n)]
+                    assert cover.whole_domains == accepting_domains(domains, window)
                     continue
+                assert cover.domain_sets == tuple(
+                    accepting_domains(domains, window[a - 1 : b]) for (a, b) in cover.intervals
+                ), (word, len(domains))
                 unrolled = sorted(
                     (a + q * n, b + q * n)
                     for (a, b) in cover.intervals

@@ -1,9 +1,15 @@
 from random import Random
 
 import pytest
-from helpers import ALPHA01
+from helpers import ALPHA01, brute_resync_candidates, random_domain
 
-from apdfilter.automata import FiniteAutomaton, cyclic_domain, determinize
+from apdfilter.automata import (
+    Alphabet,
+    FiniteAutomaton,
+    cyclic_domain,
+    determinize,
+    forbidden_pairs,
+)
 from apdfilter.stackfilter import filter_local
 from apdfilter.transducer import (
     AMBIGUOUS,
@@ -88,6 +94,38 @@ class TestResync:
         tracker = determinize(d18.fa)
         with pytest.raises(ValueError, match="not forbidden"):
             resync(tracker, 0, "0")
+
+    def test_candidates_match_brute_oracle(self):
+        rng = Random(53)
+        for alphabet in (ALPHA01, Alphabet(("0", "1", "2"))):
+            for n in range(40):
+                if n % 2:
+                    domains = [random_domain(rng, alphabet) for _ in range(rng.randint(1, 2))]
+                else:
+                    domains = [
+                        cyclic_domain(
+                            "".join(rng.choice(alphabet.symbols) for _ in range(rng.randint(1, 6))),
+                            alphabet,
+                        )
+                        for _ in range(rng.randint(1, 3))
+                    ]
+                tracker = determinize(disjoint([d.fa for d in domains]))
+                sizes = {len(tag) for tag in tracker.state_tags}
+                for (s, sym) in forbidden_pairs(tracker):
+                    symbol = alphabet.symbols[sym]
+                    report = resync(tracker, s, symbol)
+                    oracle, end = brute_resync_candidates(tracker, s, symbol)
+                    table = dict(report.candidates)
+                    if end is not None:
+                        assert all(l < end for (_i, l) in table)
+                    for i in sizes:
+                        if i > report.specificity:
+                            continue
+                        tagged = {t for t, tag in enumerate(tracker.state_tags) if len(tag) == i}
+                        for l in range(len(oracle)):
+                            assert table.get((i, l), frozenset()) == oracle[l] & tagged, (
+                                domains, s, symbol, i, l
+                            )
 
     def test_deterministic_reports(self, d18):
         tracker = determinize(d18.fa)
