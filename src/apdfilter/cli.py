@@ -163,7 +163,7 @@ def _parse_init(init: str, k: int, width: int | None) -> tuple[int, ...]:
         word, _, reps = body.partition("^")
         row = tuple(_parse_int(c, init) for c in word) * (_parse_int(reps, init) if reps else 1)
     elif init.startswith("@"):
-        row = tuple(int(c) for c in _read_text(init[1:]).strip())
+        row = tuple(_parse_int(c, init) for c in _read_text(init[1:]).strip())
     else:
         raise UsageError(f"bad --init {init!r}; use random:SEED, word:W[^N], or @FILE")
     if width is not None and width != len(row):

@@ -3,10 +3,14 @@
 A string is scanned once while a stack of (tracker state, start index)
 pairs follows every suffix still consistent with some domain.  When the
 oldest pair dies its interval is emitted; younger pairs dying at the same
-step are contained in it and emit nothing.  The global variant handles
-periodic two-way infinite strings through a pumping-bound window.  The
-domain set of each emitted interval comes from running every domain over
-the interval's text.
+step are contained in it and emit nothing.  Pairs in the same tracker
+state advance and die together, so only the oldest is kept: the stack
+holds at most one pair per tracker state and the scan does O(n*m) work
+(m tracker states), not the O(n^2) of the unmerged scan.  The domain set
+of an emitted interval is read off the subset tag of the dying pair's
+state.  The global variant handles periodic two-way infinite strings
+through a pumping-bound window; it runs every domain over the text of its
+few representatives to get their domain sets.
 """
 
 from __future__ import annotations
@@ -74,7 +78,6 @@ class FilterStats:
     """Work counters for the scan; advancing one pair is the unit of work."""
 
     pair_advances: int = 0
-    evictions: int = 0
 
 
 def _accepting_domains(domains: Sequence[Domain], word: str) -> frozenset[int]:
@@ -89,71 +92,88 @@ def filter_local(
     Implements the single left-to-right scan: at step j a fresh pair
     (start state, j) is pushed, every live pair is advanced by the input
     letter or evicted, and an eviction of the bottom pair emits its
-    interval.  The surviving bottom pair is flushed at the end.
+    interval.  The surviving bottom pair is flushed at the end.  Pairs
+    that land in the same tracker state are merged into the oldest, so
+    ``stats.pair_advances`` counts at most ``len(sigma)`` times the
+    tracker's state count.  Every domain state is final, so domain i
+    accepts an emitted interval iff the bottom pair's subset tag holds a
+    state of domain i.
     """
     if not domains:
         raise ValueError("need at least one domain")
     if not sigma:
         return MaximalCover(())
-    tracker = determinize(disjoint_union([d.fa for d in domains]))
+    union = disjoint_union([d.fa for d in domains])
+    tracker = determinize(union)
     table = tracker.transition_table
+    # successor per (symbol, state), None where the pair dies
+    step = [
+        [table[s][sym][0] if sym in table[s] else None for s in range(tracker.state_count)]
+        for sym in range(len(tracker.alphabet))
+    ]
+    state_domains = [
+        frozenset(union.state_tags[u][0] + 1 for u in tag) for tag in tracker.state_tags
+    ]
     start_state = next(iter(tracker.starts))
-    stack: list[tuple[int, int]] = []  # (state, start index), oldest first
+    live: dict[int, int] = {}  # state -> oldest start index, oldest first
     emitted: list[tuple[int, int]] = []
-    for j, token in enumerate(sigma, start=1):
-        sym = tracker.alphabet.index(token)
-        stack.append((start_state, j))
-        survivors: list[tuple[int, int]] = []
-        for idx, (state, begin) in enumerate(stack):
-            dsts = table[state].get(sym)
-            if dsts is None:
-                if stats is not None:
-                    stats.evictions += 1
-                if idx == 0 and begin <= j - 1:
-                    emitted.append((begin, j - 1))
+    domain_sets: list[frozenset[int]] = []
+    advances = 0
+    for j, sym in enumerate(tracker.symbols_of(sigma), start=1):
+        row = step[sym]
+        live.setdefault(start_state, j)
+        survivors: dict[int, int] = {}
+        bottom = True
+        for state, begin in live.items():
+            nxt = row[state]
+            if nxt is None:
                 # non-bottom pairs die silently: their intervals are
                 # contained in the bottom pair's
-                continue
-            survivors.append((dsts[0], begin))
-            if stats is not None:
-                stats.pair_advances += 1
-        stack = survivors
-    if stack:
-        emitted.append((stack[0][1], len(sigma)))
-    emitted.sort()
-    return MaximalCover(
-        intervals=tuple(emitted),
-        domain_sets=tuple(_accepting_domains(domains, sigma[a - 1 : b]) for (a, b) in emitted),
-    )
+                if bottom and begin < j:
+                    emitted.append((begin, j - 1))
+                    domain_sets.append(state_domains[state])
+            else:
+                advances += 1
+                if nxt not in survivors:
+                    survivors[nxt] = begin
+            bottom = False
+        live = survivors
+    if live:
+        state, begin = next(iter(live.items()))
+        emitted.append((begin, len(sigma)))
+        domain_sets.append(state_domains[state])
+    if stats is not None:
+        stats.pair_advances += advances
+    return MaximalCover(intervals=tuple(emitted), domain_sets=tuple(domain_sets))
 
 
 def _canonical_representatives(
     intervals: Sequence[tuple[int, int]], period: int
 ) -> list[tuple[int, int]]:
     """Shift each interval so its start lies in 1..period, deduplicate the
-    orbits, and drop any representative whose orbit is contained in another."""
+    orbits, and drop any representative whose orbit is contained in another.
+
+    With every start in 1..period, the shift of (c, d) that starts at or
+    before a and reaches furthest right is (c, d) itself when c <= a and
+    (c - period, d - period) when c > a.  Sorting by start, longer first
+    on equal starts, reduces containment to a prefix maximum of the ends
+    and a suffix maximum of the ends one period down.
+    """
     shifted = set()
     for (a, b) in intervals:
         q = (a - 1) // period
         shifted.add((a - q * period, b - q * period))
+    reps = sorted(shifted, key=lambda iv: (iv[0], -iv[1]))
+    # furthest end, shifted one period down, among the later starts
+    reach_later = [0] * (len(reps) + 1)
+    for i in range(len(reps) - 1, -1, -1):
+        reach_later[i] = max(reach_later[i + 1], reps[i][1] - period)
     reduced = []
-    for (a, b) in sorted(shifted):
-        contained = False
-        for (c, d) in shifted:
-            if (c, d) == (a, b):
-                continue
-            # compare against every shift of (c, d) that could contain
-            # (a, b): both starts lie in 1..period, so the shift is at
-            # most one period up and (length // period) + 1 periods down
-            for q in range(-((d - c + 1) // period) - 2, 2):
-                if c + q * period <= a and b <= d + q * period:
-                    if (c + q * period, d + q * period) != (a, b):
-                        contained = True
-                        break
-            if contained:
-                break
-        if not contained:
+    reach_earlier = 0
+    for i, (a, b) in enumerate(reps):
+        if reach_earlier < b and reach_later[i + 1] < b:
             reduced.append((a, b))
+        reach_earlier = max(reach_earlier, b)
     return reduced
 
 

@@ -12,6 +12,7 @@ specificity (subset-tag size) first, then past length, wins.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
@@ -317,21 +318,27 @@ def _fill_gaps(
     circular: bool,
 ) -> None:
     """Mark everything between a right-to-left break and the next
-    left-to-right break; those cells sit inside an undetected defect."""
+    left-to-right break; those cells sit inside an undetected defect.
+
+    The next forward break is monotone in the backward break, so visiting
+    the backward breaks in order fills every cell at most twice.
+    """
     n = len(combined)
     fwd = sorted(forward_breaks)
-    for b in backward_breaks:
-        nxt = next((f for f in fwd if f >= b), None)
-        if nxt is None and circular and fwd:
+    filled = -1  # furthest position filled so far, unwrapped
+    for b in sorted(backward_breaks):
+        i = bisect_left(fwd, b)
+        if i < len(fwd):
+            nxt = fwd[i]
+        elif circular and fwd:
             nxt = fwd[0] + n  # wrap around
-        if nxt is None:
-            continue
-        for p in range(b, nxt + 1):
-            pos = p % n if circular else p
-            if pos >= n:
-                break
+        else:
+            break
+        for p in range(max(b, filled + 1), nxt + 1):
+            pos = p % n
             if not isinstance(combined[pos], DomainBreak):
                 combined[pos] = DomainBreak()
+        filled = nxt
 
 
 def bidirectional(

@@ -242,13 +242,16 @@ class TestCa:
         assert len(rows) == 7
         assert all(c in ("1", "0", "-1") for row in rows for c in row.split(","))
 
-    def test_ca_word_width_mismatch(self, capsys):
+    def test_ca_word_width_mismatch(self, tmp_path, capsys):
         # malformed --init values are usage errors as well
+        row_file = tmp_path / "row.txt"
+        row_file.write_text("01x0110100\n")
         for init, message in (
             ("word:01", "does not match"),
             ("word:01x", "not an integer"),
             ("word:01^x", "not an integer"),
             ("random:abc", "not an integer"),
+            (f"@{row_file}", "not an integer"),
         ):
             code, _o, err = run_cli(
                 capsys,

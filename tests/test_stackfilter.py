@@ -3,7 +3,7 @@ from random import Random
 import pytest
 from helpers import ALPHA01, accepting_domains, brute_maximal_cover
 
-from apdfilter.automata import cyclic_domain
+from apdfilter.automata import cyclic_domain, determinize, disjoint_union
 from apdfilter.stackfilter import (
     FilterStats,
     MaximalCover,
@@ -47,11 +47,16 @@ class TestFilterLocal:
     def test_matches_brute_force_random(self, d18, cyc001):
         rng = Random(101)
         sets = [[d18], [cyc001], [d18, cyc001]]
+        tracker_states = [
+            determinize(disjoint_union([d.fa for d in domains])).state_count for domains in sets
+        ]
         for _ in range(120):
             n = rng.randint(0, 16)
             sigma = "".join(rng.choice("01") for _ in range(n))
-            for domains in sets:
-                cover = filter_local(domains, sigma)
+            for domains, m in zip(sets, tracker_states):
+                stats = FilterStats()
+                cover = filter_local(domains, sigma, stats=stats)
+                assert stats.pair_advances <= len(sigma) * m, (sigma, len(domains))
                 brute = brute_maximal_cover(domains, sigma)
                 assert list(cover.intervals) == brute, (sigma, len(domains))
                 assert cover.domain_sets == tuple(
@@ -67,8 +72,8 @@ class TestFilterLocal:
         for n in (1, 5, 12):
             stats = FilterStats()
             filter_local([dom], "0" * n, stats=stats)
-            assert stats.pair_advances == n * (n + 1) // 2
-            assert stats.evictions == 0
+            # one merged pair per tracker state: n advances, not n(n+1)/2
+            assert stats.pair_advances == n
 
 
 class TestFilterGlobal:
