@@ -575,25 +575,6 @@ def replace_finals(fa: FiniteAutomaton, finals: Iterable[int]) -> FiniteAutomato
     )
 
 
-def forbidden_extension(fa: FiniteAutomaton, state: int, sym: int) -> FiniteAutomaton:
-    """Automaton of "imagined pasts plus the forbidden letter".
-
-    Adds a fresh state f and the transition state --sym--> f, makes every
-    state a start and f the only final.  It accepts w + a exactly when some
-    path labeled w ends in ``state``.
-    """
-    if not 0 <= state < fa.state_count:
-        raise ValueError(f"state {state} out of range")
-    f = fa.state_count
-    return FiniteAutomaton(
-        alphabet=fa.alphabet,
-        state_count=f + 1,
-        starts=frozenset(range(f + 1)),
-        finals=frozenset([f]),
-        transitions=frozenset(fa.transitions) | {(state, sym, f)},
-    )
-
-
 def forbidden_pairs(fa: FiniteAutomaton) -> list[tuple[int, int]]:
     """All (state, symbol index) pairs with no outgoing transition."""
     k = len(fa.alphabet)

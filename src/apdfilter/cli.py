@@ -184,10 +184,14 @@ def _cmd_ca(args) -> int:
 
 def _read_diagram(path: str) -> SpaceTimeDiagram:
     rows = []
-    for line in _read_text(path).splitlines():
+    for n, line in enumerate(_read_text(path).splitlines(), 1):
         line = line.strip()
-        if line:
+        if not line:
+            continue
+        try:
             rows.append(tuple(int(c) for c in line))
+        except ValueError:
+            raise UsageError(f"{path}: line {n}: {line!r} is not a row of digits") from None
     if not rows:
         raise UsageError(f"{path}: empty diagram")
     k = max(max(row) for row in rows) + 1

@@ -2,9 +2,13 @@
 
 Each domain state is split by a finite partition of its possible pasts:
 two past strings land in different classes when, extended by a forbidden
-letter, they would resynchronize to different tracker states.  The
-partitions are refined until they are compatible with the domain's own
-transitions, then the domain is rebuilt over (state, class) pairs.  The
+letter, they would resynchronize to different tracker states.  Those pasts
+are read off the tracker: its subset tags say which union states a past
+can end in, so each resync language is the tracker with other finals.
+The partitions are refined until they are compatible with the domain's own
+transitions, then the domain is rebuilt over (state, class) pairs.  Every
+coarsest common refinement on the way is one product of the minimized
+languages, its states grouped by which inputs they accept.  The
 rebuilt domains recognize the same languages but let the filter pick a
 unique resynchronization state where the originals could not.
 """
@@ -24,7 +28,6 @@ from .automata import (
     determinize,
     difference,
     disjoint_union,
-    forbidden_extension,
     intersect,
     is_empty,
     minimize,
@@ -74,58 +77,51 @@ def resync_pasts(
 
     The returned automaton accepts w exactly when some path labeled w ends
     in ``state`` and reading w plus the forbidden letter from scratch lands
-    the tracker in ``target``.  Most such languages are empty.
+    the tracker in ``target``.  Every union state is a start, so the
+    tracker state after w is tagged with exactly the union states some
+    w-path ends in: the pasts are the tracker itself with the states whose
+    tag holds ``state`` and whose letter successor is ``target`` as finals.
     """
+    if union.starts != frozenset(range(union.state_count)):
+        raise ValueError("every union state must be a start")
     sym = union.alphabet.index(symbol)
     if sym in union.transition_table[state]:
         raise ValueError(f"({state}, {symbol!r}) is not forbidden in the union")
     if not 0 <= target < tracker.state_count:
         raise ValueError(f"bad tracker state {target}")
-    extension = forbidden_extension(union, state, sym)
-    pinned = replace_finals(tracker, [target])
-    return unconcat_last(intersect(determinize(extension), pinned), symbol)
+    return replace_finals(
+        tracker,
+        [
+            q
+            for q, tag in enumerate(tracker.state_tags)
+            if state in tag and tracker.step_det(q, sym) == target
+        ],
+    )
 
 
 def disjoin(machines: Sequence[FiniteAutomaton]) -> list[FiniteAutomaton]:
     """Coarsest partition of the union of the given languages that is
     compatible with every input (each input is a union of output classes).
 
-    Computed inductively: split the head against the partition of the tail
-    into head-only, head-and-class, and class-only parts.  Empty classes
-    are pruned and duplicates merged; outputs are canonical minimal DFAs in
-    a deterministic order.
+    The minimized inputs are complete DFAs, so each subset of their
+    determinized disjoint union holds exactly one state of every input and
+    the subset construction is their product.  A class is the set of
+    product states whose tags meet the finals of the same non-empty set of
+    inputs; outputs are canonical minimal DFAs in a deterministic order.
     """
-    cleaned: list[FiniteAutomaton] = []
-    seen = set()
-    for fa in machines:
-        m = minimize(fa)
-        if is_empty(m) or m in seen:
-            continue
-        seen.add(m)
-        cleaned.append(m)
-
-    def go(items: list[FiniteAutomaton]) -> list[FiniteAutomaton]:
-        if not items:
-            return []
-        if len(items) == 1:
-            return [items[0]]
-        head, rest = items[0], items[1:]
-        tail = go(rest)
-        parts = [difference(head, disjoint_union(rest))]
-        for cls in tail:
-            parts.append(intersect(head, cls))
-            parts.append(difference(cls, head))
-        out = []
-        emitted = set()
-        for part in parts:
-            m = minimize(part)
-            if is_empty(m) or m in emitted:
-                continue
-            emitted.add(m)
-            out.append(m)
-        return out
-
-    return sorted(go(cleaned), key=canonical_key)
+    if not machines:
+        return []
+    union = disjoint_union([minimize(fa) for fa in machines])
+    product = determinize(union)
+    groups: dict[frozenset[int], list[int]] = {}
+    for q, tag in enumerate(product.state_tags):
+        inputs = frozenset(union.state_tags[u][0] for u in tag & union.finals)
+        if inputs:
+            groups.setdefault(inputs, []).append(q)
+    return sorted(
+        (minimize(replace_finals(product, group)) for group in groups.values()),
+        key=canonical_key,
+    )
 
 
 def initial_classes(domains: Sequence[Domain]) -> ClassMap:
@@ -150,12 +146,13 @@ def initial_classes(domains: Sequence[Domain]) -> ClassMap:
             out[s] = (everything,)
             continue
         pieces = []
+        holders = [q for q, tag in enumerate(tracker.state_tags) if s in tag]
         for sym in forbidden:
             token = alphabet.symbols[sym]
-            for target in range(tracker.state_count):
+            targets = {tracker.step_det(q, sym) for q in holders} - {None}
+            for target in sorted(targets):
                 pasts = resync_pasts(union, tracker, s, token, target)
-                if not is_empty(pasts):
-                    pieces.append(sigma_star_prefix(pasts))
+                pieces.append(sigma_star_prefix(pasts))
         classes = disjoin(pieces)
         covered = disjoint_union(classes) if classes else None
         leftovers = complement(covered) if covered is not None else universal(alphabet)
@@ -189,14 +186,13 @@ def refine_classes(
     changed: dict[int, bool] = {}
     for s in range(fa.state_count):
         pieces: list[FiniteAutomaton] = []
-        for (src, sym, dst) in sorted(fa.transitions):
-            if src != s:
-                continue
+        for sym, dsts in sorted(fa.transition_table[s].items()):
             token = alphabet.symbols[sym]
-            for cls in classes[s]:
-                extended = concat_letter(cls, token)
-                for nxt in classes[dst]:
-                    pieces.append(unconcat_last(intersect(extended, nxt), token))
+            for dst in dsts:
+                for cls in classes[s]:
+                    extended = concat_letter(cls, token)
+                    for nxt in classes[dst]:
+                        pieces.append(unconcat_last(intersect(extended, nxt), token))
         if not pieces:
             new[s] = classes[s]
             changed[s] = False
@@ -281,13 +277,10 @@ def optimize(
     return out
 
 
-def check_partition(
-    classes: Sequence[FiniteAutomaton], alphabet=None
-) -> bool:
+def check_partition(classes: Sequence[FiniteAutomaton]) -> bool:
     """True iff the class languages are pairwise disjoint and exhaustive."""
     if not classes:
         return False
-    alphabet = alphabet or classes[0].alphabet
     for i, a in enumerate(classes):
         for b in classes[i + 1 :]:
             if not is_empty(intersect(a, b)):

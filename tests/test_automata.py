@@ -16,7 +16,6 @@ from apdfilter.automata import (
     disjoint_union,
     empty_language,
     equivalent,
-    forbidden_extension,
     intersect,
     is_empty,
     is_strongly_connected,
@@ -314,28 +313,6 @@ class TestDomains:
     def test_reverse_domain(self, d18):
         rev = reverse_domain(d18)
         assert language(rev.fa, 7) == {w[::-1] for w in language(d18.fa, 7)}
-
-
-class TestForbiddenExtension:
-    def test_accepts_pasts_plus_letter(self, d18):
-        ext = forbidden_extension(d18.fa, 0, 1)  # pair boundary, letter "1"
-        # accepts w1 exactly when some path labeled w ends at state 0
-        for w in all_words(ALPHA01, 5):
-            path_ends = any(
-                0 in layer
-                for layer in [_walk(d18.fa, w)]
-            )
-            assert accepts(ext, w + "1") == path_ends
-        # the fresh final is itself a start, so the empty string is accepted
-        assert accepts(ext, "")
-        assert not accepts(ext, "0")
-
-
-def _walk(fa, word):
-    cur = frozenset(range(fa.state_count))
-    for tok in word:
-        cur = fa.step(cur, fa.alphabet.index(tok))
-    return cur
 
 
 class TestPropertySuite:

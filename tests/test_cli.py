@@ -261,6 +261,17 @@ class TestCa:
             assert code == 1, init
             assert message in err, init
 
+    def test_ca_filter_non_digit_cell(self, tmp_path, capsys, d18_file):
+        diagram = tmp_path / "diagram.txt"
+        diagram.write_text("0110\n\n01x0\n")
+        code, _o, err = run_cli(
+            capsys,
+            "ca-filter", "--method", "stack", "--domains", d18_file,
+            "--input", str(diagram), "--format", "csv",
+        )
+        assert code == 1
+        assert f"{diagram}: line 3" in err
+
 
 class TestErrors:
     def test_unknown_flag(self, capsys):

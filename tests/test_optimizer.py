@@ -1,13 +1,19 @@
+from random import Random
+
 import pytest
-from helpers import ALPHA01, all_words, language
+from helpers import ALPHA01, all_words, language, random_domain, random_nfa
 
 from apdfilter.automata import (
     Alphabet,
+    FiniteAutomaton,
     accepts,
+    canonical_key,
     cyclic_domain,
     determinize,
     disjoint_union,
+    empty_language,
     equivalent,
+    forbidden_pairs,
     is_empty,
     minimize,
     universal,
@@ -61,28 +67,49 @@ class TestResyncPasts:
         assert accepts(b, "")
 
     def test_oracle_contract(self):
-        # w is a past iff some w-path ends at the state and w1 drives the
-        # tracker from its start to the target
-        for target in range(self.tracker.state_count):
-            b = resync_pasts(self.union, self.tracker, 0, "1", target)
-            got = language(b, 6)
-            want = set()
-            for w in all_words(ALPHA01, 6):
-                ends = frozenset(range(self.union.state_count))
-                for tok in w:
-                    ends = self.union.step(ends, ALPHA01.index(tok))
-                if 0 not in ends:
-                    continue
-                state = 0
-                ok = True
-                for tok in w + "1":
-                    state = self.tracker.step_det(state, ALPHA01.index(tok))
-                    if state is None:
-                        ok = False
-                        break
-                if ok and state == target:
-                    want.add(w)
-            assert got == want, target
+        # w is a past iff some w-path ends at the state and w + letter drives
+        # the tracker from its start to the target
+        rng = Random(31)
+        for alphabet, max_len in ((ALPHA01, 5), (Alphabet(("0", "1", "2")), 3)):
+            for _ in range(8):
+                doms = [random_domain(rng, alphabet) for _ in range(rng.randint(1, 3))]
+                union = disjoint_union([d.fa for d in doms])
+                tracker = determinize(union)
+                self.check_oracle(union, tracker, alphabet, max_len)
+        self.check_oracle(self.union, self.tracker, ALPHA01, 6)
+
+    @staticmethod
+    def check_oracle(union, tracker, alphabet, max_len):
+        # per word: the union states some path labeled it ends in, and the
+        # tracker run from the start
+        walks = []
+        for w in all_words(alphabet, max_len):
+            ends = frozenset(range(union.state_count))
+            run = 0
+            for tok in w:
+                sym = alphabet.index(tok)
+                ends = union.step(ends, sym)
+                run = None if run is None else tracker.step_det(run, sym)
+            walks.append((w, ends, run))
+        for (state, sym) in forbidden_pairs(union):
+            token = alphabet.symbols[sym]
+            for target in range(tracker.state_count):
+                b = resync_pasts(union, tracker, state, token, target)
+                want = {
+                    w
+                    for w, ends, run in walks
+                    if state in ends
+                    and run is not None
+                    and tracker.step_det(run, sym) == target
+                }
+                assert language(b, max_len) == want, (state, token, target)
+
+    def test_needs_every_union_state_as_start(self):
+        union = FiniteAutomaton(
+            ALPHA01, 2, frozenset([0]), frozenset([0, 1]), self.union.transitions
+        )
+        with pytest.raises(ValueError, match="every union state must be a start"):
+            resync_pasts(union, determinize(union), 0, "1", 0)
 
     def test_not_forbidden_rejected(self):
         with pytest.raises(ValueError, match="not forbidden"):
@@ -127,6 +154,32 @@ class TestDisjoin:
 
     def test_duplicates_merge(self, d18):
         assert disjoin([d18.fa, d18.fa]) == [minimize(d18.fa)]
+
+    def test_membership_signature_oracle(self):
+        # the classes are exactly the non-empty sets of words that share
+        # which inputs accept them
+        rng = Random(17)
+        for alphabet in (ALPHA01, Alphabet(("0", "1", "2"))):
+            for _ in range(40):
+                machines = [
+                    random_nfa(rng, alphabet, max_states=3)
+                    for _ in range(rng.randint(0, 5))
+                ]
+                if machines:
+                    machines.append(rng.choice(machines))
+                    machines.insert(rng.randrange(len(machines)), empty_language(alphabet))
+                max_len = 6 if len(alphabet) == 2 else 5
+                signatures: dict[tuple[bool, ...], set[str]] = {}
+                for w in all_words(alphabet, max_len):
+                    sig = tuple(accepts(fa, w) for fa in machines)
+                    if any(sig):
+                        signatures.setdefault(sig, set()).add(w)
+                classes = disjoin(machines)
+                assert classes == sorted(classes, key=canonical_key)
+                assert all(cls == minimize(cls) for cls in classes)
+                assert sorted(sorted(language(cls, max_len)) for cls in classes) == sorted(
+                    sorted(words) for words in signatures.values()
+                )
 
 
 class TestInitialClasses:
