@@ -23,6 +23,7 @@ from .automata import (
 )
 from .ca import (
     CARule,
+    CodedDiagram,
     LabeledDiagram,
     SpaceTimeDiagram,
     evolve,
@@ -52,6 +53,7 @@ from .transducer import (
     build_filter,
     resync,
     transduce,
+    transduce_codes,
 )
 
 __version__ = "0.1.0"

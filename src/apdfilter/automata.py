@@ -42,17 +42,18 @@ class Alphabet:
         return len(self.symbols)
 
     @cached_property
-    def _index(self) -> dict[str, int]:
+    def indices(self) -> dict[str, int]:
+        """Token -> symbol index."""
         return {tok: i for i, tok in enumerate(self.symbols)}
 
     def index(self, token: str) -> int:
         try:
-            return self._index[token]
+            return self.indices[token]
         except KeyError:
             raise ValueError(f"unknown symbol {token!r}") from None
 
     def __contains__(self, token: str) -> bool:
-        return token in self._index
+        return token in self.indices
 
 
 @dataclass(frozen=True)

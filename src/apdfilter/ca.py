@@ -9,7 +9,8 @@ any of the three methods.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Mapping, Sequence
 
 from .automata import Alphabet, Domain
 from .stackfilter import MaximalCover, filter_global, orbit_multiplicity
@@ -21,7 +22,7 @@ from .transducer import (
     Transducer,
     bidirectional,
     bidirectional_filters,
-    transduce,
+    walk_codes,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -88,6 +89,23 @@ class LabeledDiagram:
     covers: tuple[MaximalCover, ...] | None = None
 
 
+@dataclass(frozen=True)
+class CodedDiagram:
+    """A diagram labeled by a filter: one wire code per cell (see
+    ``symbol_code``) and the filter's map from each code to its shared
+    output symbol.  ``rows`` decodes the codes on first use, so it reads
+    like a ``LabeledDiagram``.
+    """
+
+    codes: tuple[tuple[int, ...], ...]
+    symbols: Mapping[int, OutputSymbol]
+
+    @cached_property
+    def rows(self) -> tuple[tuple[OutputSymbol, ...], ...]:
+        decode = self.symbols.__getitem__
+        return tuple(tuple(map(decode, row)) for row in self.codes)
+
+
 def rule_from_number(k: int, r: int, number: int) -> CARule:
     """Decode a rule number into its lookup table.
 
@@ -123,15 +141,16 @@ def evolve(rule: CARule, initial: Sequence[int], steps: int) -> SpaceTimeDiagram
     if any(not 0 <= v < rule.k for v in row):
         raise ValueError("symbol out of range")
     rows = [row]
-    span = 2 * rule.r + 1
+    k, r, table = rule.k, rule.r, rule.table
+    size = k ** (2 * r + 1)
     for _ in range(steps):
         prev = rows[-1]
-        rows.append(
-            tuple(
-                rule.apply([prev[(i + d - rule.r) % n] for d in range(span)])
-                for i in range(n)
-            )
-        )
+        ext = [prev[j % n] for j in range(-r, n + r)]  # the row with its wrap-around
+        idx = 0
+        for v in ext[: 2 * r]:
+            idx = idx * k + v
+        # rolling neighborhood index: drop the leftmost cell, append the next
+        rows.append(tuple([table[idx := idx * k % size + v] for v in ext[2 * r :]]))
     return SpaceTimeDiagram(k=rule.k, rows=tuple(rows))
 
 
@@ -185,25 +204,30 @@ def filter_diagram(
     method: str,
     source: Transducer | Sequence[Domain],
     diagram: SpaceTimeDiagram,
-) -> LabeledDiagram:
+) -> LabeledDiagram | CodedDiagram:
     """Filter every row of a diagram independently.
 
-    ``transducer`` takes a built filter and runs it circularly per row;
-    ``bidi`` combines circular passes in both directions; ``stack``
-    covers each row as one period of an infinite string and marks cells
-    by their cover multiplicity (one cover: its label; overlap or no
-    cover: a break).
+    ``transducer`` takes a built filter and runs it circularly per row on
+    the cells' symbol indices, giving a ``CodedDiagram``; ``bidi``
+    combines circular passes in both directions; ``stack`` covers each
+    row as one period of an infinite string and marks cells by their
+    cover multiplicity (one cover: its label; overlap or no cover: a
+    break).
     """
     if method == "transducer":
         t = source
         if not isinstance(t, Transducer):
             raise ValueError("transducer method needs a built filter")
-        alphabet = t.alphabet
-        rows = tuple(
-            tuple(transduce(t, _row_tokens(row, alphabet), "circular"))
-            for row in diagram.rows
-        )
-        return LabeledDiagram(rows=rows)
+        indices = t.alphabet.indices
+        sym_of = {v: indices[str(v)] for v in range(diagram.k) if str(v) in indices}
+        codes = []
+        for row in diagram.rows:
+            try:
+                symbols = list(map(sym_of.__getitem__, row))
+            except KeyError as e:
+                raise ValueError(f"diagram symbol {e.args[0]} not in the filter alphabet") from None
+            codes.append(tuple(walk_codes(t, symbols, circular=True)))
+        return CodedDiagram(codes=tuple(codes), symbols=t.table.symbols)
     if method == "bidi":
         domains = list(source)
         alphabet = domains[0].alphabet

@@ -13,6 +13,8 @@ from pathlib import Path
 
 from .automata import reverse_domain
 from .ca import (
+    CodedDiagram,
+    LabeledDiagram,
     SpaceTimeDiagram,
     evolve,
     filter_diagram,
@@ -24,7 +26,7 @@ from .optimizer import DEFAULT_MAX_PASSES, optimize
 from .render import RenderPalette, emit_pgm, symbol_code
 from .stackfilter import filter_global, filter_local
 from .tdx import load_transducer, save_transducer
-from .transducer import bidirectional, break_table, build_filter, transduce
+from .transducer import bidirectional, build_filter, transduce_codes
 
 PASS_CAP_VAR = "APDFILTER_MAX_OPTIMIZE_PASSES"
 
@@ -66,7 +68,15 @@ def _write(path: str | None, data: str | bytes):
 
 def _max_passes() -> int:
     raw = os.environ.get(PASS_CAP_VAR)
-    return int(raw) if raw else DEFAULT_MAX_PASSES
+    if not raw:
+        return DEFAULT_MAX_PASSES
+    try:
+        passes = int(raw)
+    except ValueError:
+        passes = 0
+    if passes < 1:
+        raise UsageError(f"{PASS_CAP_VAR}={raw!r} is not a positive integer")
+    return passes
 
 
 def _split_to_parsed(split_domains, originals) -> list[ParsedDomain]:
@@ -133,17 +143,25 @@ def _cmd_run(args) -> int:
         domains = [pd.domain for pd in parsed]
         reverse = build_filter([reverse_domain(d) for d in domains])
         out = bidirectional(domains, sigma, mode, filters=(t, reverse))
-        table = None
+        labeled = LabeledDiagram((tuple(out),))
     else:
-        out = transduce(t, sigma, mode)
-        table = break_table(t)
+        labeled = CodedDiagram((tuple(transduce_codes(t, sigma, mode)),), t.table.symbols)
     if args.format == "pgm":
-        from .ca import LabeledDiagram
-
-        _write(args.output, emit_pgm(LabeledDiagram((tuple(out),)), RenderPalette(t.domain_count)))
+        _write(args.output, emit_pgm(labeled, RenderPalette(t.domain_count)))
     else:
-        _write(args.output, ",".join(str(symbol_code(s, table)) for s in out) + "\n")
+        _write(args.output, _csv(labeled))
     return 0
+
+
+def _csv(labeled: LabeledDiagram | CodedDiagram) -> str:
+    """One line of wire codes per row; a coded diagram writes one
+    precomputed string per code, so breaks keep their filter ids."""
+    if isinstance(labeled, CodedDiagram):
+        text = {c: str(c) for c in labeled.symbols}
+        lines = [",".join(map(text.__getitem__, row)) for row in labeled.codes]
+    else:
+        lines = [",".join(str(symbol_code(s)) for s in row) for row in labeled.rows]
+    return "\n".join(lines) + "\n"
 
 
 def _parse_int(text: str, init: str) -> int:
@@ -200,14 +218,12 @@ def _read_diagram(path: str) -> SpaceTimeDiagram:
 
 def _cmd_ca_filter(args) -> int:
     diagram = _read_diagram(args.input)
-    table = None
     if args.method == "transducer":
         if not args.filter:
             raise UsageError("--method transducer needs --filter")
         t, _digest = load_transducer(_read_text(args.filter))
         labeled = filter_diagram("transducer", t, diagram)
         domain_count = t.domain_count
-        table = break_table(t)
     else:
         if not args.domains:
             raise UsageError(f"--method {args.method} needs --domains")
@@ -216,10 +232,7 @@ def _cmd_ca_filter(args) -> int:
         labeled = filter_diagram(args.method, domains, diagram)
         domain_count = len(domains)
     if args.format == "csv":
-        text = "\n".join(
-            ",".join(str(symbol_code(s, table)) for s in row) for row in labeled.rows
-        )
-        _write(args.output, text + "\n")
+        _write(args.output, _csv(labeled))
     else:
         _write(args.output, emit_pgm(labeled, RenderPalette(domain_count)))
     return 0

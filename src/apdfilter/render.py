@@ -1,16 +1,19 @@
-"""Gray-level rendering of diagrams and CSV symbol codes.
+"""Gray-level rendering of diagrams.
 
 Domain labels spread over light grays (domain 1 is white), breaks are
 black, ambiguity is mid gray.  Raw diagrams render with 0 white and the
-highest symbol black, matching the usual space-time convention.
+highest symbol black, matching the usual space-time convention.  The
+CSV wire code, ``symbol_code``, lives with the filter table in
+``transducer`` and is re-exported here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ca import LabeledDiagram, SpaceTimeDiagram
+from .ca import CodedDiagram, LabeledDiagram, SpaceTimeDiagram
 from .transducer import Ambiguous, DomainBreak, DomainLabel, OutputSymbol
+from .transducer import symbol_code  # noqa: F401  (re-exported: the CSV wire code)
 
 
 @dataclass(frozen=True)
@@ -28,21 +31,29 @@ class RenderPalette:
         raise ValueError(f"not an output symbol: {symbol!r}")
 
 
-def emit_pgm(diagram: LabeledDiagram | SpaceTimeDiagram, palette: RenderPalette | None = None) -> bytes:
-    """Plain (P2) PGM; byte-identical output for identical input."""
-    if isinstance(diagram, LabeledDiagram):
-        if palette is None:
-            raise ValueError("labeled diagrams need a palette")
-        grid = [[palette.gray(s) for s in row] for row in diagram.rows]
+def emit_pgm(
+    diagram: LabeledDiagram | CodedDiagram | SpaceTimeDiagram,
+    palette: RenderPalette | None = None,
+) -> bytes:
+    """Plain (P2) PGM; byte-identical output for identical input.
+
+    A coded diagram is shaded per distinct code, not per cell."""
+    if isinstance(diagram, (LabeledDiagram, CodedDiagram)) and palette is None:
+        raise ValueError("labeled diagrams need a palette")
+    if isinstance(diagram, CodedDiagram):
+        shade = {c: str(palette.gray(s)) for c, s in diagram.symbols.items()}
+        grid = [list(map(shade.__getitem__, row)) for row in diagram.codes]
+    elif isinstance(diagram, LabeledDiagram):
+        grid = [[str(palette.gray(s)) for s in row] for row in diagram.rows]
     else:
         top = diagram.k - 1
-        grid = [[255 - v * 255 // top for v in row] for row in diagram.rows]
+        grid = [[str(255 - v * 255 // top) for v in row] for row in diagram.rows]
     height = len(grid)
     width = len(grid[0]) if grid else 0
     if not height or not width:
         raise ValueError("empty grid")
     lines = ["P2", f"{width} {height}", "255"]
-    lines.extend(" ".join(str(v) for v in row) for row in grid)
+    lines.extend(" ".join(row) for row in grid)
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -60,18 +71,3 @@ def parse_pgm(data: bytes) -> list[list[int]]:
     if any(v > maxval for v in values):
         raise ValueError("pixel exceeds maxval")
     return [values[r * width : (r + 1) * width] for r in range(height)]
-
-
-def symbol_code(symbol: OutputSymbol, table: dict[tuple[int, int], int] | None = None) -> int:
-    """Integer wire code: positive = domain index, 0 = ambiguity,
-    negative = break code.  Without a break table every break maps to -1
-    (break identity is not preserved for stack and two-pass outputs)."""
-    if isinstance(symbol, DomainLabel):
-        return symbol.index
-    if isinstance(symbol, Ambiguous):
-        return 0
-    if isinstance(symbol, DomainBreak):
-        if table is None:
-            return -1
-        return table.get((symbol.source, symbol.target), -1)
-    raise ValueError(f"not an output symbol: {symbol!r}")

@@ -6,6 +6,10 @@ count; each transition line is ``trans s a OUT s'`` with OUT one of
 A trailing table maps each ``brk<j>`` back to its state pair.  An optional
 ``hash`` line carries the digest of the domain file the filter was built
 from, so later runs can flag a mismatched domain set.
+
+Loading checks that every state, label and break pair is in range and
+that each ``brk<j>`` is declared once, so a loaded filter runs on its
+dense table without a range check per letter.
 """
 
 from __future__ import annotations
@@ -74,7 +78,10 @@ def load_transducer(text: str) -> tuple[Transducer, str | None]:
                 s, tok, code, d = fields[1], fields[2], fields[3], fields[4]
                 raw_transitions.append((int(s), tok, code, int(d)))
             elif word.startswith("brk"):
-                pairs[int(word[3:])] = (int(fields[1]), int(fields[2]))
+                number = int(word[3:])
+                if number in pairs:
+                    raise TdxError(f"line {line_no}: duplicate {word!r} declaration")
+                pairs[number] = (int(fields[1]), int(fields[2]))
             else:
                 raise TdxError(f"line {line_no}: unknown directive {word!r}")
         except (IndexError, ValueError) as e:
@@ -83,8 +90,16 @@ def load_transducer(text: str) -> tuple[Transducer, str | None]:
             raise TdxError(f"line {line_no}: malformed {word!r} line") from None
     if alphabet is None or state_count is None or start is None:
         raise TdxError("missing header line")
+    top = state_count - 1
+    if not 0 <= start <= top:
+        raise TdxError(f"start state {start} outside the states 0..{top}")
+    for number, (source, target) in sorted(pairs.items()):
+        if not (0 <= source <= top and 0 <= target <= top):
+            raise TdxError(f"brk{number} {source} {target}: outside the states 0..{top}")
     transitions = set()
     for (s, tok, code, d) in raw_transitions:
+        if not (0 <= s <= top and 0 <= d <= top):
+            raise TdxError(f"trans {s} {tok} {code} {d}: outside the states 0..{top}")
         if code == "lam":
             out = AMBIGUOUS
         elif code.startswith("brk"):
@@ -97,17 +112,21 @@ def load_transducer(text: str) -> tuple[Transducer, str | None]:
         else:
             raise TdxError(f"bad output code {code!r}")
         transitions.add((s, alphabet.index(tok), out, d))
+    labels = {out.index for (_s, _a, out, _d) in transitions if isinstance(out, DomainLabel)}
     if domains is None:
-        domains = max(
-            (out.index for (_s, _a, out, _d) in transitions if isinstance(out, DomainLabel)),
-            default=1,
+        domains = max(labels, default=1)
+    for index in sorted(labels):
+        if not 1 <= index <= domains:
+            raise TdxError(f"domain label d{index} outside the domains 1..{domains}")
+    try:
+        t = Transducer(
+            alphabet=alphabet,
+            state_count=state_count,
+            start=start,
+            finals=frozenset(range(state_count)),
+            transitions=frozenset(transitions),
+            domain_count=domains,
         )
-    t = Transducer(
-        alphabet=alphabet,
-        state_count=state_count,
-        start=start,
-        finals=frozenset(range(state_count)),
-        transitions=frozenset(transitions),
-        domain_count=domains,
-    )
+    except ValueError as e:
+        raise TdxError(str(e)) from None
     return t, digest

@@ -8,6 +8,12 @@ tracker reaches on an imagined past that ends in the forbidden state,
 plus the forbidden letter.  One layered walk over the tracker's own
 transitions fills the table, and the first singleton in the order
 specificity (subset-tag size) first, then past length, wins.
+
+A filter runs on one dense integer table (``Transducer.table``), built
+once per filter from its transitions: for ``i = state*k + symbol``,
+``next[i]`` is the target state times k and ``code[i]`` the wire code of
+the arc's output (``symbol_code``).  ``walk_codes`` is the one loop over
+it; ``transduce`` maps its codes to the filter's shared output symbols.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .automata import (
     Alphabet,
@@ -88,13 +94,32 @@ class ResyncError(RuntimeError):
         )
 
 
+class FilterTable(NamedTuple):
+    """Dense integer form of a filter, indexed by ``state*k + symbol``.
+
+    ``next`` holds the target state times k (None where the filter has no
+    arc) and ``code`` the arc's wire code; ``symbols`` maps every code to
+    the filter's one output symbol for it, and ``breaks`` every break's
+    (source, target) pair to its code.  ``start`` is the start state
+    times k.
+    """
+
+    start: int
+    next: list[int | None]
+    code: list[int]
+    symbols: dict[int, OutputSymbol]
+    breaks: dict[tuple[int, int], int]
+
+
 @dataclass(frozen=True)
 class Transducer:
     """Finite-state filter over ``(input letter, output symbol)`` pairs.
 
     The input projection is deterministic by construction; a fully built
     filter is also input-complete, so it transduces any string.  State tags
-    are the subset tags of the underlying tracker when known.
+    are the subset tags of the underlying tracker when known.  States,
+    letters and domain labels lie in their ranges (``load_transducer``
+    checks this for files), so the dense ``table`` needs no checks.
     """
 
     alphabet: Alphabet
@@ -114,8 +139,25 @@ class Transducer:
             seen.add((s, sym))
 
     @cached_property
-    def arcs(self) -> dict[tuple[int, int], tuple[OutputSymbol, int]]:
-        return {(s, sym): (out, d) for (s, sym, out, d) in self.transitions}
+    def table(self) -> FilterTable:
+        n, k = self.state_count, len(self.alphabet)
+        nxt: list[int | None] = [None] * (n * k)
+        outs: list[OutputSymbol | None] = [None] * (n * k)
+        for (s, sym, out, d) in self.transitions:
+            nxt[s * k + sym] = d * k
+            outs[s * k + sym] = out
+        # table order is (state, symbol) order: break ids go by first use in it
+        breaks: dict[tuple[int, int], int] = {}
+        code = [0] * (n * k)
+        symbols: dict[int, OutputSymbol] = {}
+        for i, out in enumerate(outs):
+            if out is None:
+                continue
+            if isinstance(out, DomainBreak):
+                breaks.setdefault((out.source, out.target), -(len(breaks) + 1))
+            code[i] = c = symbol_code(out, breaks)
+            symbols[c] = out
+        return FilterTable(self.start * k, nxt, code, symbols, breaks)
 
     def input_automaton(self) -> FiniteAutomaton:
         return FiniteAutomaton(
@@ -128,10 +170,7 @@ class Transducer:
         )
 
     def input_complete(self) -> bool:
-        arcs = self.arcs
-        return all(
-            (s, sym) in arcs for s in range(self.state_count) for sym in range(len(self.alphabet))
-        )
+        return None not in self.table.next
 
 
 @dataclass
@@ -260,15 +299,74 @@ def build_filter(domains: Sequence[Domain]) -> Transducer:
 def break_table(t: Transducer) -> dict[tuple[int, int], int]:
     """Stable negative codes for break outputs, assigned in first-use order
     over transitions sorted by (state, symbol)."""
-    table: dict[tuple[int, int], int] = {}
-    for (s, sym, out, d) in sorted(
-        t.transitions, key=lambda tr: (tr[0], tr[1])
-    ):
-        if isinstance(out, DomainBreak):
-            key = (out.source, out.target)
-            if key not in table:
-                table[key] = -(len(table) + 1)
-    return table
+    return dict(t.table.breaks)
+
+
+def symbol_code(symbol: OutputSymbol, table: dict[tuple[int, int], int] | None = None) -> int:
+    """Integer wire code: positive = domain index, 0 = ambiguity,
+    negative = break code.  Without a break table every break maps to -1
+    (break identity is not preserved for stack and two-pass outputs)."""
+    if isinstance(symbol, DomainLabel):
+        return symbol.index
+    if isinstance(symbol, Ambiguous):
+        return 0
+    if isinstance(symbol, DomainBreak):
+        if table is None:
+            return -1
+        return table.get((symbol.source, symbol.target), -1)
+    raise ValueError(f"not an output symbol: {symbol!r}")
+
+
+def walk_codes(t: Transducer, symbols: Sequence[int], circular: bool = False) -> list[int]:
+    """Wire codes of one run over symbol indices (each in ``0..k-1``).
+
+    Circular mode first walks the string once without output (the
+    warm-up lap), then records the second lap.  A missing arc leaves
+    ``None`` as the state, which fails the next step or the final check.
+    """
+    table = t.table
+    nxt, code = table.next, table.code
+    state = table.start
+    out: list[int] = []
+    push = out.append
+    try:
+        if circular:
+            for a in symbols:
+                state = nxt[state + a]
+        for a in symbols:
+            i = state + a
+            push(code[i])
+            state = nxt[i]
+    except TypeError:  # None + a: the walk ran off a missing arc
+        state = None
+    if state is None:
+        _raise_missing_arc(t, symbols, circular)
+    return out
+
+
+def _raise_missing_arc(t: Transducer, symbols: Sequence[int], circular: bool):
+    k, nxt = len(t.alphabet), t.table.next
+    state = t.table.start
+    for a in list(symbols) * (2 if circular else 1):
+        if nxt[state + a] is None:
+            raise ValueError(
+                f"transducer has no transition from state {state // k} on "
+                f"{t.alphabet.symbols[a]!r}"
+            )
+        state = nxt[state + a]
+
+
+def transduce_codes(t: Transducer, sigma: str | Sequence[str], mode: str = "linear") -> list[int]:
+    """Run the filter over a string: one wire code per input letter."""
+    if mode not in ("linear", "circular"):
+        raise ValueError(f"bad mode {mode!r}")
+    try:
+        symbols = list(map(t.alphabet.indices.__getitem__, sigma))
+    except KeyError as e:
+        raise ValueError(f"unknown symbol {e.args[0]!r}") from None
+    if mode == "circular" and not symbols:
+        raise ValueError("circular mode needs a non-empty string")
+    return walk_codes(t, symbols, mode == "circular")
 
 
 def transduce(
@@ -281,34 +379,13 @@ def transduce(
 
     Circular mode reads the string twice from the start state and keeps
     only the second pass, so the state has synchronized to the periodic
-    content before any output is recorded.
+    content before any output is recorded.  The symbols are the filter's
+    shared output objects, one per wire code.
     """
-    if mode not in ("linear", "circular"):
-        raise ValueError(f"bad mode {mode!r}")
-    symbols = [t.alphabet.index(tok) for tok in sigma]
-    if mode == "circular" and not symbols:
-        raise ValueError("circular mode needs a non-empty string")
-    arcs = t.arcs
-    state = t.start
-    passes = 2 if mode == "circular" else 1
-    outputs: list[OutputSymbol] = []
-    for p in range(passes):
-        record = p == passes - 1
-        if record:
-            outputs = []
-        for sym in symbols:
-            arc = arcs.get((state, sym))
-            if arc is None:
-                raise ValueError(
-                    f"transducer has no transition from state {state} on "
-                    f"{t.alphabet.symbols[sym]!r}"
-                )
-            if stats is not None and record:
-                stats.lookups += 1
-            out, state = arc
-            if record:
-                outputs.append(out)
-    return outputs
+    codes = transduce_codes(t, sigma, mode)
+    if stats is not None:
+        stats.lookups += len(codes)
+    return list(map(t.table.symbols.__getitem__, codes))
 
 
 def _fill_gaps(

@@ -120,6 +120,25 @@ def random_domain(rng: Random, alphabet: Alphabet = ALPHA01, max_states: int = 4
     return Domain(FiniteAutomaton(alphabet, n, range(n), range(n), transitions))
 
 
+def walk_transitions(t, tokens, circular: bool = False):
+    """Outputs of a filter over ``tokens`` by a direct walk over its
+    transition set, and the (state, token) of the first missing arc (None
+    when every arc exists; the outputs then stop there).  Circular mode
+    walks twice from the start and keeps the second lap.
+    """
+    arcs = {(s, t.alphabet.symbols[a]): (out, d) for (s, a, out, d) in t.transitions}
+    state = t.start
+    outputs = []
+    for _lap in range(2 if circular else 1):
+        outputs = []
+        for tok in tokens:
+            if (state, tok) not in arcs:
+                return outputs, (state, tok)
+            out, state = arcs[(state, tok)]
+            outputs.append(out)
+    return outputs, None
+
+
 def d18_domain() -> Domain:
     """Two-state domain of the rule-18 pattern: pairs of 0-then-anything."""
     fa = FiniteAutomaton(

@@ -86,6 +86,21 @@ class TestEvolve:
                 cur = tuple(nxt)
                 assert diag.rows[t] == cur
 
+    def test_k3_r2_matches_rule_apply(self):
+        # the rolling neighborhood index against one apply call per cell,
+        # rows narrower than the neighborhood included
+        rng = Random(79)
+        rule = rule_from_number(3, 2, rng.randrange(3**243))
+        for n in (1, 2, 4, 5, 6, 17):
+            row = tuple(rng.randrange(3) for _ in range(n))
+            diag = evolve(rule, row, 6)
+            for t in range(1, 7):
+                prev = diag.rows[t - 1]
+                expected = tuple(
+                    rule.apply([prev[(i + d) % n] for d in range(-2, 3)]) for i in range(n)
+                )
+                assert diag.rows[t] == expected
+
     def test_period_doubling(self):
         rule = rule_from_number(2, 1, 110)
         rng = Random(73)

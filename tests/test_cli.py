@@ -175,12 +175,26 @@ class TestOptimize:
         t, _digest = load_transducer(out.read_text())
         assert t.input_complete()
 
-    def test_pass_cap_env(self, tmp_path, capsys, runs_file, monkeypatch):
-        monkeypatch.setenv("APDFILTER_MAX_OPTIMIZE_PASSES", "0")
+    def test_pass_cap_env(self, tmp_path, capsys, monkeypatch):
+        # these two domains need two refinement passes
+        dom = tmp_path / "two.dom"
+        dom.write_text("alphabet 0 1\ndomain a cyclic 01\ndomain b cyclic 001\n")
+        monkeypatch.setenv("APDFILTER_MAX_OPTIMIZE_PASSES", "1")
         out = tmp_path / "split.dom"
-        code, _o, err = run_cli(capsys, "optimize", "--domains", runs_file, "-o", str(out))
+        code, _o, err = run_cli(capsys, "optimize", "--domains", str(dom), "-o", str(out))
         assert code == 2
-        assert "did not stabilize" in err
+        assert "did not stabilize within 1 passes" in err
+
+    def test_pass_cap_env_must_be_positive_integer(self, tmp_path, capsys, runs_file, monkeypatch):
+        for value in ("abc", "0", "-2", "1.5"):
+            monkeypatch.setenv("APDFILTER_MAX_OPTIMIZE_PASSES", value)
+            for argv in (
+                ["optimize", "--domains", runs_file, "-o", str(tmp_path / "split.dom")],
+                ["build", "--optimize", "--domains", runs_file, "-o", str(tmp_path / "f.tdx")],
+            ):
+                code, _o, err = run_cli(capsys, *argv)
+                assert code == 1, (value, argv[0])
+                assert "APDFILTER_MAX_OPTIMIZE_PASSES" in err and "Traceback" not in err
 
 
 class TestCa:
@@ -284,6 +298,26 @@ class TestErrors:
         code, _o, err = run_cli(capsys, "stack", "--domains", str(bad), "--input", "0")
         assert code == 2
         assert "line 4" in err
+
+    def test_invalid_tdx_exit_2(self, tmp_path, capsys):
+        valid = (
+            "alphabet 0 1\nstates 2\nstart 0\ndomains 1\ntrans 0 0 d1 1\n"
+            "trans 0 1 brk1 0\ntrans 1 0 d1 0\ntrans 1 1 d1 0\nbrk1 0 0\n"
+        )
+        bad = tmp_path / "bad.tdx"
+        for old, new in (
+            ("start 0", "start 5"),
+            ("trans 0 0 d1 1", "trans 0 0 d1 7"),
+            ("trans 1 0 d1 0", "trans 1 0 d9 0"),
+            ("brk1 0 0", "brk1 4 9"),
+            ("brk1 0 0", "brk1 0 0\nbrk1 1 1"),
+        ):
+            bad.write_text(valid.replace(old, new))
+            code, out, err = run_cli(
+                capsys, "run", "--filter", str(bad), "--input", "0101", "--format", "pgm"
+            )
+            assert code == 2, new
+            assert out == "" and err.count("\n") == 1 and err.startswith("error: "), new
 
     def test_missing_file_exit_2(self, capsys):
         code, _o, err = run_cli(capsys, "stack", "--domains", "missing.dom", "--input", "0")

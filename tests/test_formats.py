@@ -141,6 +141,49 @@ class TestTdx:
             load_transducer("alphabet 0\nstates 1\nstart 0\ntrans 0 0 brk9 0\n")
 
 
+VALID_TDX = """\
+alphabet 0 1
+states 2
+start 0
+domains 1
+trans 0 0 d1 1
+trans 0 1 brk1 0
+trans 1 0 d1 0
+trans 1 1 d1 0
+brk1 0 0
+"""
+
+
+class TestTdxValidation:
+    """Malformed filters fail at load time, not while running."""
+
+    def test_valid_filter_loads(self):
+        t, _digest = load_transducer(VALID_TDX)
+        assert t.input_complete()
+
+    def test_start_out_of_range(self):
+        with pytest.raises(TdxError, match="start state 5"):
+            load_transducer(VALID_TDX.replace("start 0", "start 5"))
+
+    def test_state_out_of_range(self):
+        for old, new in (("trans 0 0 d1 1", "trans 0 0 d1 7"), ("trans 1 1 d1 0", "trans 2 1 d1 0")):
+            with pytest.raises(TdxError, match="outside the states 0..1"):
+                load_transducer(VALID_TDX.replace(old, new))
+
+    def test_label_out_of_range(self):
+        for label in ("d9", "d0"):
+            with pytest.raises(TdxError, match="outside the domains 1..1"):
+                load_transducer(VALID_TDX.replace("trans 1 0 d1 0", f"trans 1 0 {label} 0"))
+
+    def test_break_pair_out_of_range(self):
+        with pytest.raises(TdxError, match="brk1 4 9"):
+            load_transducer(VALID_TDX.replace("brk1 0 0", "brk1 4 9"))
+
+    def test_duplicate_break_declaration(self):
+        with pytest.raises(TdxError, match="duplicate 'brk1'"):
+            load_transducer(VALID_TDX + "brk1 1 1\n")
+
+
 class TestRender:
     def test_palette_values(self):
         one = RenderPalette(1)

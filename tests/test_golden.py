@@ -1,0 +1,76 @@
+"""Golden CLI outputs: every case reruns one command through ``cli.main``
+and compares its output file byte for byte with ``tests/data/golden/``.
+
+The ``.dom`` files there are inputs; every other file is an output of a
+case below and is also the input of later cases (the ``.tdx`` filters and
+the ``ca`` diagrams).  To re-record after an intended output change, run
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+"""
+
+from __future__ import annotations
+
+import shutil
+import sys
+from pathlib import Path
+
+import pytest
+
+from apdfilter.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+
+# rule-110 string with two defects between stretches of its domain
+R110_STRING = "00010011011111" * 2 + "0110" + "00010011011111" * 2 + "1" + "00010011011111"
+
+# (output file, argv); ``{g}`` is the golden directory
+CASES = [
+    ("d18.tdx", ["build", "--domains", "{g}/d18.dom"]),
+    ("runs.tdx", ["build", "--domains", "{g}/runs.dom"]),
+    ("rule110.tdx", ["build", "--domains", "{g}/rule110.dom"]),
+    ("run-d18.csv", ["run", "--filter", "{g}/d18.tdx", "--input", "0100100110001011010000100111"]),
+    ("run-runs-circular.csv",
+     ["run", "--filter", "{g}/runs.tdx", "--input", "0001110101011000011010", "--circular"]),
+    ("run-rule110.csv", ["run", "--filter", "{g}/rule110.tdx", "--input", R110_STRING]),
+    ("run-rule110-circular.csv",
+     ["run", "--filter", "{g}/rule110.tdx", "--input", R110_STRING, "--circular"]),
+    ("run-runs.pgm",
+     ["run", "--filter", "{g}/runs.tdx", "--input", "0001110101011000011010", "--format", "pgm"]),
+    ("run-d18-bidi.csv",
+     ["run", "--filter", "{g}/d18.tdx", "--input", "0100100110001011010000100111",
+      "--bidi", "--domains", "{g}/d18.dom"]),
+    ("ca-rule110.txt",
+     ["ca", "--rule", "110", "--width", "28", "--steps", "14", "--init", "random:7"]),
+    ("ca-k3r2.txt",
+     ["ca", "--k", "3", "--r", "2", "--rule", "98765432109876543210987654321",
+      "--width", "20", "--steps", "8", "--init", "random:3"]),
+    ("ca-filter-rule110.pgm",
+     ["ca-filter", "--method", "transducer", "--filter", "{g}/rule110.tdx",
+      "--input", "{g}/ca-rule110.txt"]),
+    ("ca-filter-rule110.csv",
+     ["ca-filter", "--method", "transducer", "--filter", "{g}/rule110.tdx",
+      "--input", "{g}/ca-rule110.txt", "--format", "csv"]),
+]
+
+
+def _argv(argv: list[str], out: Path) -> list[str]:
+    return [a.replace("{g}", str(GOLDEN)) for a in argv] + ["-o", str(out)]
+
+
+@pytest.mark.parametrize("name, argv", CASES, ids=[name for name, _argv in CASES])
+def test_golden_output(tmp_path, name, argv):
+    out = tmp_path / name
+    assert main(_argv(argv, out)) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def record():
+    for name, argv in CASES:
+        staged = GOLDEN / (name + ".new")
+        if main(_argv(argv, staged)) != 0:
+            raise SystemExit(f"{name}: command failed")
+        shutil.move(staged, GOLDEN / name)
+        print(f"recorded {name}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    record()

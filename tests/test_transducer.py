@@ -1,7 +1,7 @@
 from random import Random
 
 import pytest
-from helpers import ALPHA01, brute_resync_candidates, random_domain
+from helpers import ALPHA01, brute_resync_candidates, random_domain, walk_transitions
 
 from apdfilter.automata import (
     Alphabet,
@@ -10,11 +10,13 @@ from apdfilter.automata import (
     determinize,
     forbidden_pairs,
 )
+from apdfilter.optimizer import OptimizeError, optimize
 from apdfilter.stackfilter import filter_local
 from apdfilter.transducer import (
     AMBIGUOUS,
     DomainBreak,
     DomainLabel,
+    ResyncError,
     TransduceStats,
     Transducer,
     base_transducer,
@@ -22,12 +24,19 @@ from apdfilter.transducer import (
     break_table,
     build_filter,
     resync,
+    symbol_code,
     transduce,
+    transduce_codes,
 )
 
 
 def tag_state(t, tag):
     return t.state_tags.index(frozenset(tag))
+
+
+def arc(t, state, sym):
+    """(output, target) of the transition from ``state`` on ``sym``."""
+    return next((out, d) for (s, a, out, d) in t.transitions if (s, a) == (state, sym))
 
 
 class TestBaseTransducer:
@@ -38,14 +47,13 @@ class TestBaseTransducer:
 
     def test_two_runs_label_by_domain(self, runs01):
         base = base_transducer(runs01)
-        arcs = base.arcs
-        assert arcs[(base.start, 0)][0] == DomainLabel(1)
-        assert arcs[(base.start, 1)][0] == DomainLabel(2)
+        assert arc(base, base.start, 0)[0] == DomainLabel(1)
+        assert arc(base, base.start, 1)[0] == DomainLabel(2)
 
     def test_overlapping_domains_emit_ambiguity(self):
         doms = [cyclic_domain("01", ALPHA01), cyclic_domain("0011", ALPHA01)]
         base = base_transducer(doms)
-        out, target = base.arcs[(base.start, 0)]
+        out, target = arc(base, base.start, 0)
         assert out == AMBIGUOUS
         # after one 0 both domains are still live
         assert len(base.state_tags[target]) > 1
@@ -250,6 +258,81 @@ class TestTransduce:
             assert all(
                 sym == label for sym in interior if not isinstance(sym, DomainBreak)
             )
+
+
+def random_filters(rng, alphabet, count):
+    """Seeded filters of random domain sets, plain and (for sets of at
+    most five states, to bound the optimizer's time) optimized; sets whose
+    construction fails (no singleton resync, optimizer pass cap) are
+    skipped."""
+    filters = []
+    while len(filters) < count:
+        domains = [random_domain(rng, alphabet) for _ in range(rng.randint(1, 3))]
+        try:
+            filters.append(build_filter(domains))
+            if sum(d.fa.state_count for d in domains) <= 5:
+                filters.append(build_filter([sd.domain for sd in optimize(domains)]))
+        except (ResyncError, OptimizeError):
+            continue
+    return filters
+
+
+class TestIntegerLoop:
+    """``transduce`` against a direct walk over the transition set."""
+
+    @pytest.mark.parametrize("symbols", [("0", "1"), ("0", "1", "2"), ("ab", "c", "dd")])
+    def test_matches_transition_walk(self, symbols):
+        alphabet = Alphabet(symbols)
+        rng = Random(len(symbols) * 101 + len(symbols[0]))
+        for t in random_filters(rng, alphabet, 24):
+            assert t.input_complete()
+            table = break_table(t)
+            for _ in range(10):
+                tokens = [rng.choice(symbols) for _ in range(rng.randint(1, 30))]
+                # a string of one-character tokens runs as a str too
+                sigma = "".join(tokens) if len(symbols[-1]) == 1 else tokens
+                for mode in ("linear", "circular"):
+                    expected, missing = walk_transitions(t, tokens, mode == "circular")
+                    assert missing is None
+                    assert transduce(t, sigma, mode) == expected
+                    assert transduce_codes(t, sigma, mode) == [
+                        symbol_code(o, table) for o in expected
+                    ]
+
+    def test_outputs_are_shared_symbols(self, d18):
+        t = build_filter([d18])
+        out = transduce(t, "0110100101")
+        assert all(o is t.table.symbols[symbol_code(o, break_table(t))] for o in out)
+
+    def test_missing_arc_names_state_and_letter(self):
+        rng = Random(53)
+        for symbols in (("0", "1"), ("0", "1", "2"), ("ab", "c")):
+            alphabet = Alphabet(symbols)
+            raised = 0
+            for _ in range(20):
+                base = base_transducer([random_domain(rng, alphabet) for _ in range(rng.randint(1, 3))])
+                for _ in range(10):
+                    tokens = [rng.choice(symbols) for _ in range(rng.randint(1, 12))]
+                    for mode in ("linear", "circular"):
+                        expected, missing = walk_transitions(base, tokens, mode == "circular")
+                        if missing is None:
+                            assert transduce(base, tokens, mode) == expected
+                            continue
+                        raised += 1
+                        state, tok = missing
+                        message = f"no transition from state {state} on {tok!r}"
+                        with pytest.raises(ValueError, match=message):
+                            transduce(base, tokens, mode)
+            assert raised > 20
+
+    def test_unknown_letter_and_bad_mode(self, d18):
+        t = build_filter([d18])
+        with pytest.raises(ValueError, match="unknown symbol '2'"):
+            transduce(t, "0120")
+        with pytest.raises(ValueError, match="unknown symbol '01'"):
+            transduce(t, ["0", "01"])
+        with pytest.raises(ValueError, match="bad mode"):
+            transduce(t, "01", "spiral")
 
 
 class TestBidirectional:
