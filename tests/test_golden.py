@@ -1,9 +1,9 @@
 """Golden CLI outputs: every case reruns one command through ``cli.main``
 and compares its output file byte for byte with ``tests/data/golden/``.
 
-The ``.dom`` files there are inputs; every other file is an output of a
-case below and is also the input of later cases (the ``.tdx`` filters and
-the ``ca`` diagrams).  To re-record after an intended output change, run
+The ``d18``, ``runs`` and ``rule110`` ``.dom`` files there are inputs;
+every other file is an output of a case below, and some are also inputs of
+later cases (the ``.tdx`` filters and the ``ca`` diagrams).  To re-record after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 
@@ -27,6 +27,12 @@ CASES = [
     ("d18.tdx", ["build", "--domains", "{g}/d18.dom"]),
     ("runs.tdx", ["build", "--domains", "{g}/runs.dom"]),
     ("rule110.tdx", ["build", "--domains", "{g}/rule110.dom"]),
+    ("optimize-d18.dom", ["optimize", "--domains", "{g}/d18.dom"]),
+    ("optimize-runs.dom", ["optimize", "--domains", "{g}/runs.dom"]),
+    ("optimize-rule110.dom", ["optimize", "--domains", "{g}/rule110.dom"]),
+    ("optimized-d18.tdx", ["build", "--optimize", "--domains", "{g}/d18.dom"]),
+    ("optimized-runs.tdx", ["build", "--optimize", "--domains", "{g}/runs.dom"]),
+    ("optimized-rule110.tdx", ["build", "--optimize", "--domains", "{g}/rule110.dom"]),
     ("run-d18.csv", ["run", "--filter", "{g}/d18.tdx", "--input", "0100100110001011010000100111"]),
     ("run-runs-circular.csv",
      ["run", "--filter", "{g}/runs.tdx", "--input", "0001110101011000011010", "--circular"]),
