@@ -342,39 +342,6 @@ def difference(a: FiniteAutomaton, b: FiniteAutomaton) -> FiniteAutomaton:
     return intersect(a, complement(b))
 
 
-def concat_letter(fa: FiniteAutomaton, token: str) -> FiniteAutomaton:
-    """Language of ``fa`` with ``token`` appended to every word."""
-    sym = fa.alphabet.index(token)
-    z = fa.state_count
-    transitions = set(fa.transitions)
-    transitions.update((s, sym, z) for s in fa.finals)
-    return FiniteAutomaton(
-        alphabet=fa.alphabet,
-        state_count=z + 1,
-        starts=fa.starts,
-        finals=frozenset([z]),
-        transitions=frozenset(transitions),
-    )
-
-
-def unconcat_last(fa: FiniteAutomaton, token: str) -> FiniteAutomaton:
-    """Strip a trailing ``token``: accept w iff ``fa`` accepts w + token.
-
-    Same states and transitions; the new finals are the states with a
-    ``token`` transition into an old final state.
-    """
-    sym = fa.alphabet.index(token)
-    finals = frozenset(s for (s, y, d) in fa.transitions if y == sym and d in fa.finals)
-    return FiniteAutomaton(
-        alphabet=fa.alphabet,
-        state_count=fa.state_count,
-        starts=fa.starts,
-        finals=finals,
-        transitions=fa.transitions,
-        state_tags=fa.state_tags,
-    )
-
-
 def sigma_star_prefix(fa: FiniteAutomaton) -> FiniteAutomaton:
     """Allow an arbitrary prefix: accept u + w for any u whenever fa accepts w.
 

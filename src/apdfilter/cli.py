@@ -7,6 +7,7 @@ error (parse failures, invariant violations, failed resynchronization).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -238,6 +239,7 @@ def _cmd_ca_filter(args) -> int:
     return 0
 
 
+@functools.cache  # parsing does not mutate the parser; build it once per process
 def _build_parser() -> _Parser:
     parser = _Parser(prog="apdfilter", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

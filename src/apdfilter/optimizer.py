@@ -2,39 +2,43 @@
 
 Each domain state is split by a finite partition of its possible pasts:
 two past strings land in different classes when, extended by a forbidden
-letter, they would resynchronize to different tracker states.  Those pasts
-are read off the tracker: its subset tags say which union states a past
-can end in, so each resync language is the tracker with other finals.
-The partitions are refined until they are compatible with the domain's own
-transitions, then the domain is rebuilt over (state, class) pairs.  Every
-coarsest common refinement on the way is one product of the minimized
-languages, its states grouped by which inputs they accept.  The
-rebuilt domains recognize the same languages but let the filter pick a
-unique resynchronization state where the originals could not.
+letter, they would resynchronize to different tracker states.  Every such
+class is a set of states of one complete DFA, the past automaton
+P = determinize(sigma_star_prefix(tracker)): the state P reaches on a
+word x holds the tracker state of every suffix of x, with the hub
+standing for the empty suffix (the tracker start).  A past w of union
+state s that a forbidden letter a sends to tracker state t is a suffix
+whose tracker state q has s in its subset tag and steps to t on a, so the
+starting partition at s groups P's states by their set of such (a, t)
+pieces.
+
+The partitions are then refined until they are compatible with the
+domain's own transitions: each pass is one Moore refinement step over P,
+splitting the states at s by their block there and the blocks of their
+letter successors at every successor state of s.  Finally each domain is
+rebuilt over (state, class) pairs.  The rebuilt domains recognize the same
+languages but let the filter pick a unique resynchronization state where
+the originals could not.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import Iterable, Sequence
 
 from .automata import (
     Domain,
     FiniteAutomaton,
     canonical_key,
     complement,
-    concat_letter,
     determinize,
-    difference,
     disjoint_union,
     intersect,
     is_empty,
     minimize,
     replace_finals,
     sigma_star_prefix,
-    unconcat_last,
-    universal,
 )
 
 log = logging.getLogger(__name__)
@@ -65,154 +69,113 @@ class SplitDomain:
     classes: dict[int, tuple[FiniteAutomaton, ...]]
 
 
-def resync_pasts(
-    union: FiniteAutomaton,
-    tracker: FiniteAutomaton,
-    state: int,
-    symbol: str,
-    target: int,
-) -> FiniteAutomaton:
-    """Pasts of a domain-union state that a forbidden letter sends to one
-    tracker state.
+@dataclass(frozen=True)
+class PastPartition:
+    """Past classes of every union state as blocks of the past automaton.
 
-    The returned automaton accepts w exactly when some path labeled w ends
-    in ``state`` and reading w plus the forbidden letter from scratch lands
-    the tracker in ``target``.  Every union state is a start, so the
-    tracker state after w is tagged with exactly the union states some
-    w-path ends in: the pasts are the tracker itself with the states whose
-    tag holds ``state`` and whose letter successor is ``target`` as finals.
+    ``blocks[s][p]`` is the block of P-state ``p`` at union state ``s``,
+    numbered by first occurrence, so two stages hold the same partition
+    exactly when their blocks compare equal.
     """
-    if union.starts != frozenset(range(union.state_count)):
-        raise ValueError("every union state must be a start")
-    sym = union.alphabet.index(symbol)
-    if sym in union.transition_table[state]:
-        raise ValueError(f"({state}, {symbol!r}) is not forbidden in the union")
-    if not 0 <= target < tracker.state_count:
-        raise ValueError(f"bad tracker state {target}")
-    return replace_finals(
-        tracker,
-        [
-            q
-            for q, tag in enumerate(tracker.state_tags)
-            if state in tag and tracker.step_det(q, sym) == target
-        ],
-    )
+
+    union: FiniteAutomaton
+    past: FiniteAutomaton
+    blocks: tuple[tuple[int, ...], ...]
 
 
-def disjoin(machines: Sequence[FiniteAutomaton]) -> list[FiniteAutomaton]:
-    """Coarsest partition of the union of the given languages that is
-    compatible with every input (each input is a union of output classes).
-
-    The minimized inputs are complete DFAs, so each subset of their
-    determinized disjoint union holds exactly one state of every input and
-    the subset construction is their product.  A class is the set of
-    product states whose tags meet the finals of the same non-empty set of
-    inputs; outputs are canonical minimal DFAs in a deterministic order.
-    """
-    if not machines:
-        return []
-    union = disjoint_union([minimize(fa) for fa in machines])
-    product = determinize(union)
-    groups: dict[frozenset[int], list[int]] = {}
-    for q, tag in enumerate(product.state_tags):
-        inputs = frozenset(union.state_tags[u][0] for u in tag & union.finals)
-        if inputs:
-            groups.setdefault(inputs, []).append(q)
-    return sorted(
-        (minimize(replace_finals(product, group)) for group in groups.values()),
-        key=canonical_key,
-    )
+def _number(signatures: Iterable) -> tuple[int, ...]:
+    ids: dict = {}
+    return tuple(ids.setdefault(sig, len(ids)) for sig in signatures)
 
 
-def initial_classes(domains: Sequence[Domain]) -> ClassMap:
+def initial_partition(domains: Sequence[Domain]) -> PastPartition:
     """Starting partition per union state.
 
     States with no forbidden letter keep the single all-strings class.
-    Otherwise the pasts are split by which tracker state each forbidden
-    continuation resynchronizes to, prefixed by arbitrary strings.  The
-    union of the classes is checked to cover everything; a complement
-    class is appended (with a warning) if it does not.
+    Otherwise P's states are grouped by their (forbidden letter, tracker
+    target) pieces; the states with no piece form the complement class,
+    which is added with a warning.
     """
     union = disjoint_union([d.fa for d in domains])
     tracker = determinize(union)
-    alphabet = union.alphabet
-    everything = minimize(universal(alphabet))
-    out: ClassMap = {}
+    past = determinize(sigma_star_prefix(tracker))
+    k = len(union.alphabet)
+    blocks = []
     for s in range(union.state_count):
-        forbidden = [
-            sym for sym in range(len(alphabet)) if sym not in union.transition_table[s]
+        forbidden = [sym for sym in range(k) if sym not in union.transition_table[s]]
+        pieces = [
+            frozenset(
+                (sym, t) for sym in forbidden if (t := tracker.step_det(q, sym)) is not None
+            )
+            if s in tag
+            else frozenset()
+            for q, tag in enumerate(tracker.state_tags)
         ]
-        if not forbidden:
-            out[s] = (everything,)
-            continue
-        pieces = []
-        holders = [q for q, tag in enumerate(tracker.state_tags) if s in tag]
-        for sym in forbidden:
-            token = alphabet.symbols[sym]
-            targets = {tracker.step_det(q, sym) for q in holders} - {None}
-            for target in sorted(targets):
-                pasts = resync_pasts(union, tracker, s, token, target)
-                pieces.append(sigma_star_prefix(pasts))
-        classes = disjoin(pieces)
-        covered = disjoint_union(classes) if classes else None
-        leftovers = complement(covered) if covered is not None else universal(alphabet)
-        if not is_empty(leftovers):
+        pieces.append(pieces[0])  # the hub is the tracker start
+        signatures = [frozenset().union(*(pieces[q] for q in tag)) for tag in past.state_tags]
+        if forbidden and frozenset() in signatures:
             log.warning(
                 "state %d: past classes do not cover all strings; adding complement",
                 s,
             )
-            classes = sorted(classes + [minimize(leftovers)], key=canonical_key)
-        out[s] = tuple(classes)
-    return out
+        blocks.append(_number(signatures))
+    return PastPartition(union, past, tuple(blocks))
 
 
-def _same_partition(a: Sequence[FiniteAutomaton], b: Sequence[FiniteAutomaton]) -> bool:
-    return set(a) == set(b)  # classes are canonical forms
+def refine(part: PastPartition) -> PastPartition:
+    """One refinement pass over every union state.
 
-
-def refine_classes(
-    fa: FiniteAutomaton, classes: ClassMap
-) -> tuple[ClassMap, dict[int, bool]]:
-    """One refinement pass over every state of ``fa``.
-
-    For each transition s --a--> s' and each class pair (E at s, E' at s'),
-    the part of E whose a-extension lands in E' becomes a piece; the new
-    partition at s is the coarsest common refinement of all pieces.
-    States without outgoing transitions are unconstrained and keep their
+    The P-states at s are split by their block at s and, for every
+    transition s --a--> s', the block of their a-successor at s'.  States
+    without outgoing transitions are unconstrained and keep their
     partition.
     """
-    alphabet = fa.alphabet
-    new: ClassMap = {}
-    changed: dict[int, bool] = {}
-    for s in range(fa.state_count):
-        pieces: list[FiniteAutomaton] = []
-        for sym, dsts in sorted(fa.transition_table[s].items()):
-            token = alphabet.symbols[sym]
-            for dst in dsts:
-                for cls in classes[s]:
-                    extended = concat_letter(cls, token)
-                    for nxt in classes[dst]:
-                        pieces.append(unconcat_last(intersect(extended, nxt), token))
-        if not pieces:
-            new[s] = classes[s]
-            changed[s] = False
+    table = part.past.transition_table
+    blocks = []
+    for s, row in enumerate(part.blocks):
+        moves = sorted(
+            (sym, dst) for sym, dsts in part.union.transition_table[s].items() for dst in dsts
+        )
+        if not moves:
+            blocks.append(row)
             continue
-        refined = tuple(disjoin(pieces))
-        new[s] = refined
-        changed[s] = not _same_partition(refined, classes[s])
-    return new, changed
+        blocks.append(
+            _number(
+                (b, tuple(part.blocks[dst][table[p][sym][0]] for sym, dst in moves))
+                for p, b in enumerate(row)
+            )
+        )
+    return replace(part, blocks=tuple(blocks))
 
 
 def class_fixpoint(
-    fa: FiniteAutomaton, classes: ClassMap, max_passes: int = DEFAULT_MAX_PASSES
-) -> tuple[ClassMap, int]:
-    """Iterate refinement until nothing changes.  Exceeding the pass cap is
-    an error rather than a silent truncation."""
+    part: PastPartition, max_passes: int = DEFAULT_MAX_PASSES
+) -> tuple[PastPartition, int]:
+    """Refine until a pass splits nothing.  Exceeding the pass cap is an
+    error rather than a silent truncation."""
     for passes in range(1, max_passes + 1):
-        classes, changed = refine_classes(fa, classes)
-        if not any(changed.values()):
-            return classes, passes
+        refined = refine(part)
+        if refined.blocks == part.blocks:
+            return refined, passes
+        part = refined
     raise OptimizeError(f"class refinement did not stabilize within {max_passes} passes")
+
+
+def past_classes(part: PastPartition) -> tuple[ClassMap, list[list[int]]]:
+    """Class automata per union state in canonical order, and the ordinal
+    of every P-state's class at each union state."""
+    classes: ClassMap = {}
+    ordinals = []
+    for s, row in enumerate(part.blocks):
+        members: dict[int, list[int]] = {}
+        for p, b in enumerate(row):
+            members.setdefault(b, []).append(p)
+        fas = {b: minimize(replace_finals(part.past, ps)) for b, ps in members.items()}
+        order = sorted(fas, key=lambda b: canonical_key(fas[b]))
+        rank = {b: j for j, b in enumerate(order)}
+        classes[s] = tuple(fas[b] for b in order)
+        ordinals.append([rank[b] for b in row])
+    return classes, ordinals
 
 
 def optimize(
@@ -222,19 +185,16 @@ def optimize(
 
     Each split state is an (original state, class) pair; transitions
     follow the original transition while the class coordinate moves to the
-    unique class containing the extended language.  All split states are
-    start and final, so the language is unchanged.
+    class of the letter successor in P of any P-state of the source class
+    (the fixpoint makes it unique).  All split states are start and final,
+    so the language is unchanged.
     """
-    union = disjoint_union([d.fa for d in domains])
-    classes, _passes = class_fixpoint(union, initial_classes(domains), max_passes)
-    offsets = []
-    total = 0
-    for d in domains:
-        offsets.append(total)
-        total += d.fa.state_count
+    part, _passes = class_fixpoint(initial_partition(domains), max_passes)
+    classes, ordinals = past_classes(part)
+    table = part.past.transition_table
     out = []
-    for i, d in enumerate(domains):
-        off = offsets[i]
+    off = 0
+    for d in domains:
         members: list[tuple[int, int]] = [
             (s, j)
             for s in range(d.fa.state_count)
@@ -242,20 +202,11 @@ def optimize(
         ]
         ids = {pair: n for n, pair in enumerate(members)}
         transitions = set()
-        for (s, sym, s2) in sorted(d.fa.transitions):
-            token = d.alphabet.symbols[sym]
-            for j, cls in enumerate(classes[off + s]):
-                extended = concat_letter(cls, token)
-                targets = [
-                    j2
-                    for j2, nxt in enumerate(classes[off + s2])
-                    if is_empty(difference(extended, nxt))
-                ]
-                if len(targets) != 1:
-                    raise OptimizeError(
-                        f"refinement incomplete at state {s} class {j} on {token!r}"
-                    )
-                transitions.add((ids[(s, j)], sym, ids[(s2, targets[0])]))
+        for (s, sym, s2) in d.fa.transitions:
+            row = ordinals[off + s]
+            for j in range(len(classes[off + s])):
+                target = ordinals[off + s2][table[row.index(j)][sym][0]]
+                transitions.add((ids[(s, j)], sym, ids[(s2, target)]))
         fa = FiniteAutomaton(
             alphabet=d.alphabet,
             state_count=len(members),
@@ -269,11 +220,10 @@ def optimize(
                 domain=Domain(fa),
                 original=d,
                 members=tuple(members),
-                classes={
-                    s: classes[off + s] for s in range(d.fa.state_count)
-                },
+                classes={s: classes[off + s] for s in range(d.fa.state_count)},
             )
         )
+        off += d.fa.state_count
     return out
 
 

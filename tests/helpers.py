@@ -1,15 +1,46 @@
 """Brute-force oracles shared by the test modules.
 
 Everything here works by direct enumeration or simulation so it stays
-independent of the constructions under test.
+independent of the constructions under test.  The one exception is the
+reference optimizer at the end: it computes the optimizer's past classes
+by language algebra, one coarsest common refinement of minimized
+languages per union state and pass, which the optimizer itself replaced
+by block refinement over one past automaton.
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 from random import Random
+from typing import Sequence
 
-from apdfilter.automata import Alphabet, Domain, FiniteAutomaton, accepts
+from apdfilter.automata import (
+    Alphabet,
+    Domain,
+    FiniteAutomaton,
+    accepts,
+    canonical_key,
+    complement,
+    determinize,
+    disjoint_union,
+    intersect,
+    is_empty,
+    minimize,
+    replace_finals,
+    sigma_star_prefix,
+    universal,
+)
+from apdfilter.optimizer import (
+    DEFAULT_MAX_PASSES,
+    ClassMap,
+    OptimizeError,
+    initial_partition,
+    past_classes,
+    refine,
+)
+
+log = logging.getLogger(__name__)
 
 ALPHA01 = Alphabet(("0", "1"))
 
@@ -22,7 +53,22 @@ def all_words(alphabet: Alphabet, max_len: int, min_len: int = 0):
 
 
 def language(fa: FiniteAutomaton, max_len: int) -> frozenset[str]:
-    return frozenset(w for w in all_words(fa.alphabet, max_len) if accepts(fa, w))
+    """Accepted words of length <= max_len, by a walk over the word tree:
+    the state set is stepped once per tree edge, so prefixes are shared,
+    and a prefix with no live state is not extended."""
+    out = set()
+    level = [("", frozenset(fa.starts))]
+    for n in range(max_len + 1):
+        out.update(w for w, states in level if states & fa.finals)
+        if n == max_len:
+            break
+        level = [
+            (w + tok, nxt)
+            for w, states in level
+            for sym, tok in enumerate(fa.alphabet.symbols)
+            if (nxt := fa.step(states, sym))
+        ]
+    return frozenset(out)
 
 
 def accepted_by_any(domains, word) -> bool:
@@ -150,3 +196,176 @@ def d18_domain() -> Domain:
         transitions=frozenset([(0, 0, 1), (1, 0, 0), (1, 1, 0)]),
     )
     return Domain(fa)
+
+
+# Reference optimizer (language algebra).  Each class is a canonical
+# minimal DFA; a refinement piece {w in E : w + a in E'} is E intersected
+# with the letter preimage of E'.
+
+
+def unconcat_last(fa: FiniteAutomaton, token: str) -> FiniteAutomaton:
+    """Strip a trailing ``token``: accept w iff ``fa`` accepts w + token.
+
+    Same states and transitions; the new finals are the states with a
+    ``token`` transition into an old final state.
+    """
+    sym = fa.alphabet.index(token)
+    finals = frozenset(s for (s, y, d) in fa.transitions if y == sym and d in fa.finals)
+    return replace_finals(fa, finals)
+
+
+def resync_pasts(
+    union: FiniteAutomaton,
+    tracker: FiniteAutomaton,
+    state: int,
+    symbol: str,
+    target: int,
+) -> FiniteAutomaton:
+    """Pasts of a domain-union state that a forbidden letter sends to one
+    tracker state.
+
+    The returned automaton accepts w exactly when some path labeled w ends
+    in ``state`` and reading w plus the forbidden letter from scratch lands
+    the tracker in ``target``: the tracker itself with the states whose
+    tag holds ``state`` and whose letter successor is ``target`` as finals.
+    """
+    if union.starts != frozenset(range(union.state_count)):
+        raise ValueError("every union state must be a start")
+    sym = union.alphabet.index(symbol)
+    if sym in union.transition_table[state]:
+        raise ValueError(f"({state}, {symbol!r}) is not forbidden in the union")
+    if not 0 <= target < tracker.state_count:
+        raise ValueError(f"bad tracker state {target}")
+    return replace_finals(
+        tracker,
+        [
+            q
+            for q, tag in enumerate(tracker.state_tags)
+            if state in tag and tracker.step_det(q, sym) == target
+        ],
+    )
+
+
+def disjoin(machines: Sequence[FiniteAutomaton]) -> list[FiniteAutomaton]:
+    """Coarsest partition of the union of the given languages that is
+    compatible with every input (each input is a union of output classes).
+
+    The subset construction over the minimized (complete) inputs is their
+    product; a class is the set of product states whose tags meet the
+    finals of the same non-empty set of inputs.
+    """
+    if not machines:
+        return []
+    union = disjoint_union([minimize(fa) for fa in machines])
+    product = determinize(union)
+    groups: dict[frozenset[int], list[int]] = {}
+    for q, tag in enumerate(product.state_tags):
+        inputs = frozenset(union.state_tags[u][0] for u in tag & union.finals)
+        if inputs:
+            groups.setdefault(inputs, []).append(q)
+    return sorted(
+        (minimize(replace_finals(product, group)) for group in groups.values()),
+        key=canonical_key,
+    )
+
+
+def initial_classes(domains: Sequence[Domain]) -> ClassMap:
+    """Starting partition per union state: the pasts split by which tracker
+    state each forbidden continuation resynchronizes to, prefixed by
+    arbitrary strings, plus a complement class (with a warning) where
+    those do not cover every string."""
+    union = disjoint_union([d.fa for d in domains])
+    tracker = determinize(union)
+    alphabet = union.alphabet
+    everything = minimize(universal(alphabet))
+    out: ClassMap = {}
+    for s in range(union.state_count):
+        forbidden = [
+            sym for sym in range(len(alphabet)) if sym not in union.transition_table[s]
+        ]
+        if not forbidden:
+            out[s] = (everything,)
+            continue
+        pieces = []
+        holders = [q for q, tag in enumerate(tracker.state_tags) if s in tag]
+        for sym in forbidden:
+            token = alphabet.symbols[sym]
+            targets = {tracker.step_det(q, sym) for q in holders} - {None}
+            for target in sorted(targets):
+                pasts = resync_pasts(union, tracker, s, token, target)
+                pieces.append(sigma_star_prefix(pasts))
+        classes = disjoin(pieces)
+        covered = disjoint_union(classes) if classes else None
+        leftovers = complement(covered) if covered is not None else universal(alphabet)
+        if not is_empty(leftovers):
+            log.warning(
+                "state %d: past classes do not cover all strings; adding complement",
+                s,
+            )
+            classes = sorted(classes + [minimize(leftovers)], key=canonical_key)
+        out[s] = tuple(classes)
+    return out
+
+
+def refine_classes(
+    fa: FiniteAutomaton, classes: ClassMap
+) -> tuple[ClassMap, dict[int, bool]]:
+    """One refinement pass: for each transition s --a--> s' and each class
+    pair (E at s, E' at s'), the part of E whose a-extension lands in E'
+    is a piece; the new partition at s is the coarsest common refinement
+    of all pieces.  States without outgoing transitions keep theirs."""
+    new: ClassMap = {}
+    changed: dict[int, bool] = {}
+    for s in range(fa.state_count):
+        pieces: list[FiniteAutomaton] = []
+        for sym, dsts in sorted(fa.transition_table[s].items()):
+            token = fa.alphabet.symbols[sym]
+            for dst in dsts:
+                for nxt in classes[dst]:
+                    preimage = unconcat_last(nxt, token)
+                    pieces.extend(intersect(cls, preimage) for cls in classes[s])
+        if not pieces:
+            new[s] = classes[s]
+            changed[s] = False
+            continue
+        new[s] = tuple(disjoin(pieces))
+        changed[s] = set(new[s]) != set(classes[s])  # classes are canonical forms
+    return new, changed
+
+
+def class_fixpoint(
+    fa: FiniteAutomaton, classes: ClassMap, max_passes: int = 64
+) -> tuple[ClassMap, int]:
+    """Refine until nothing changes; the pass count includes the last,
+    unchanged pass."""
+    for passes in range(1, max_passes + 1):
+        classes, changed = refine_classes(fa, classes)
+        if not any(changed.values()):
+            return classes, passes
+    raise OptimizeError(f"class refinement did not stabilize within {max_passes} passes")
+
+
+def oracle_stages(domains: Sequence[Domain]) -> list[ClassMap]:
+    """Class map of every reference stage, from the initial classes to the
+    fixpoint; there is one stage more than refinement passes."""
+    union = disjoint_union([d.fa for d in domains])
+    stages = [initial_classes(domains)]
+    for _pass in range(DEFAULT_MAX_PASSES):
+        refined, changed = refine_classes(union, stages[-1])
+        stages.append(refined)
+        if not any(changed.values()):
+            return stages
+    raise OptimizeError("reference refinement did not stabilize")
+
+
+def refinement_stages(domains: Sequence[Domain]) -> list[ClassMap]:
+    """The same stages of the optimizer's block refinement."""
+    part = initial_partition(domains)
+    stages = [past_classes(part)[0]]
+    for _pass in range(DEFAULT_MAX_PASSES):
+        refined = refine(part)
+        stages.append(past_classes(refined)[0])
+        if refined.blocks == part.blocks:
+            return stages
+        part = refined
+    raise OptimizeError("block refinement did not stabilize")

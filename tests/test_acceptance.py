@@ -14,7 +14,9 @@ from helpers import (
     brute_maximal_cover,
     d18_domain,
     language,
+    oracle_stages,
     random_nfa,
+    refinement_stages,
 )
 
 from apdfilter.automata import (
@@ -27,12 +29,7 @@ from apdfilter.automata import (
     minimize,
 )
 from apdfilter.ca import evolve, filter_diagram, random_row, rule_from_number
-from apdfilter.optimizer import (
-    check_partition,
-    initial_classes,
-    optimize,
-    refine_classes,
-)
+from apdfilter.optimizer import check_partition, optimize
 from apdfilter.stackfilter import FilterStats, filter_global, filter_local
 from apdfilter.transducer import (
     DomainBreak,
@@ -206,14 +203,10 @@ def test_criterion_8_optimizer():
         [cyclic_domain("0", ALPHA01), cyclic_domain("1", ALPHA01)],
     ]
     for domains in fixtures:
-        union = disjoint_union([d.fa for d in domains])
-        stages = [initial_classes(domains)]
-        while True:
-            refined, changed = refine_classes(union, stages[-1])
-            stages.append(refined)
-            if not any(changed.values()):
-                break
-            assert len(stages) <= 64, "pass cap exceeded"
+        # every stage of the block refinement equals the language-algebra
+        # reference, up to the same fixpoint
+        stages = refinement_stages(domains)
+        assert stages == oracle_stages(domains)
         for stage in stages:
             for state, classes in stage.items():
                 assert check_partition(classes), state

@@ -1,7 +1,7 @@
 from random import Random
 
 import pytest
-from helpers import ALPHA01, all_words, language, random_nfa
+from helpers import ALPHA01, all_words, language, random_nfa, unconcat_last
 
 from apdfilter.automata import (
     Alphabet,
@@ -9,7 +9,6 @@ from apdfilter.automata import (
     FiniteAutomaton,
     accepts,
     complement,
-    concat_letter,
     cyclic_domain,
     determinize,
     difference,
@@ -23,7 +22,6 @@ from apdfilter.automata import (
     replace_finals,
     reverse_domain,
     sigma_star_prefix,
-    unconcat_last,
     universal,
 )
 
@@ -172,19 +170,7 @@ class TestBooleanOperations:
 
 
 class TestConcat:
-    def test_concat_epsilon(self):
-        eps = word_automaton([""])
-        assert language(concat_letter(eps, "0"), 4) == {"0"}
-
-    def test_concat_domain(self, d18):
-        ext = concat_letter(d18.fa, "1")
-        assert language(ext, 8) == {w + "1" for w in language(d18.fa, 7)}
-        assert accepts(ext, "0011")
-
-    def test_round_trip(self, d18):
-        for fa in (d18.fa, cyclic_domain("001", ALPHA01).fa):
-            back = unconcat_last(concat_letter(fa, "0"), "0")
-            assert language(back, 6) == language(fa, 6)
+    """The letter preimage the reference optimizer in helpers.py builds on."""
 
     def test_unconcat_word_sets(self):
         assert language(unconcat_last(word_automaton(["01"]), "1"), 4) == {"0"}

@@ -3,7 +3,8 @@ and compares its output file byte for byte with ``tests/data/golden/``.
 
 The ``d18``, ``runs`` and ``rule110`` ``.dom`` files there are inputs;
 every other file is an output of a case below, and some are also inputs of
-later cases (the ``.tdx`` filters and the ``ca`` diagrams).  To re-record after an intended output change, run
+later cases (the ``.tdx`` filters and the ``ca`` diagrams).  To re-record
+after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 

@@ -1,10 +1,24 @@
+import logging
 from random import Random
 
 import pytest
-from helpers import ALPHA01, all_words, language, random_domain, random_nfa
+from helpers import (
+    ALPHA01,
+    all_words,
+    class_fixpoint,
+    disjoin,
+    initial_classes,
+    language,
+    oracle_stages,
+    random_domain,
+    random_nfa,
+    refinement_stages,
+    resync_pasts,
+)
 
 from apdfilter.automata import (
     Alphabet,
+    Domain,
     FiniteAutomaton,
     accepts,
     canonical_key,
@@ -21,14 +35,16 @@ from apdfilter.automata import (
 from apdfilter.optimizer import (
     OptimizeError,
     check_partition,
-    class_fixpoint,
-    disjoin,
-    initial_classes,
+    initial_partition,
     optimize,
-    refine_classes,
-    resync_pasts,
+    past_classes,
+    refine,
 )
+from apdfilter.optimizer import class_fixpoint as block_fixpoint
 from apdfilter.transducer import DomainBreak, build_filter
+
+
+ALPHA012 = Alphabet(("0", "1", "2"))
 
 
 def in_exactly_one_class(classes, max_len=8):
@@ -185,56 +201,97 @@ class TestDisjoin:
 class TestInitialClasses:
     def test_single_letter_domain_trivial(self):
         zero = Alphabet(("0",))
-        classes = initial_classes([cyclic_domain("0", zero)])
+        classes = past_classes(initial_partition([cyclic_domain("0", zero)]))[0]
         assert classes[0] == (minimize(universal(zero)),)
 
     def test_d18_partitions(self, d18):
-        classes = initial_classes([d18])
+        classes = past_classes(initial_partition([d18]))[0]
+        assert classes == initial_classes([d18])
         for s, cls in classes.items():
             assert check_partition(cls)
             assert in_exactly_one_class(cls)
 
     def test_multi_domain_partitions(self, runs01):
         doms = runs01 + [cyclic_domain("01", ALPHA01)]
-        classes = initial_classes(doms)
+        classes = past_classes(initial_partition(doms))[0]
+        assert classes == initial_classes(doms)
         for s, cls in classes.items():
             assert check_partition(cls)
         # the two run states split by last-seen letter
         sizes = [len(classes[s]) for s in sorted(classes)]
         assert sizes == [2, 2, 2, 2]
 
+    @pytest.mark.parametrize(
+        "domains, warned",
+        [
+            ([cyclic_domain("0", ALPHA01)], [0]),
+            # the all-{0,1} shift forbids only 2, which no domain reads;
+            # the 01 cycle's states also forbid a letter that some domain reads
+            (
+                [
+                    cyclic_domain("01", ALPHA012),
+                    Domain(FiniteAutomaton(ALPHA012, 1, [0], [0], [(0, 0, 0), (0, 1, 0)])),
+                ],
+                [2],
+            ),
+        ],
+        ids=["zeros-over-01", "shift-over-012"],
+    )
+    def test_complement_warning(self, caplog, domains, warned):
+        with caplog.at_level(logging.WARNING):
+            got = past_classes(initial_partition(domains))[0]
+            want = initial_classes(domains)
+        assert got == want
+        by_logger: dict[str, list] = {"apdfilter.optimizer": [], "helpers": []}
+        for record in caplog.records:
+            assert "adding complement" in record.getMessage()
+            by_logger[record.name].append(record.args[0])
+        assert by_logger == {"apdfilter.optimizer": warned, "helpers": warned}
+
 
 class TestRefine:
     def test_fixpoint_unchanged(self, d18):
-        classes = initial_classes([d18])
-        refined, changed = refine_classes(disjoint_union([d18.fa]), classes)
-        assert not any(changed.values())
-        for s in classes:
-            assert set(refined[s]) == set(classes[s])
+        part = initial_partition([d18])
+        assert refine(part) == part
+        assert refinement_stages([d18]) == oracle_stages([d18])
 
     def test_multi_pass_refinement(self):
         doms = [cyclic_domain("01", ALPHA01), cyclic_domain("001", ALPHA01)]
-        union = disjoint_union([d.fa for d in doms])
-        classes = initial_classes(doms)
-        refined, changed = refine_classes(union, classes)
-        assert any(changed.values())
-        fixed, passes = class_fixpoint(union, classes)
-        assert passes == 2
+        stages = refinement_stages(doms)
+        assert stages == oracle_stages(doms)
+        part = initial_partition(doms)
+        assert refine(part) != part
+        _fixed, passes = block_fixpoint(part)
+        assert passes == len(stages) - 1 == 2
         # monotone class counts and valid partitions at every stage
-        for s in classes:
-            assert len(classes[s]) <= len(refined[s]) <= len(fixed[s])
-        for stage in (classes, refined, fixed):
+        for before, after in zip(stages, stages[1:]):
+            for s in before:
+                assert len(before[s]) <= len(after[s])
+        for stage in stages:
             for cls in stage.values():
                 assert check_partition(cls)
 
     def test_pass_cap_is_loud(self):
         doms = [cyclic_domain("01", ALPHA01), cyclic_domain("00101", ALPHA01)]
-        union = disjoint_union([d.fa for d in doms])
-        classes = initial_classes(doms)
+        part = initial_partition(doms)
         with pytest.raises(OptimizeError, match="did not stabilize within 2"):
-            class_fixpoint(union, classes, max_passes=2)
-        _fixed, passes = class_fixpoint(union, classes)
+            block_fixpoint(part, max_passes=2)
+        _fixed, passes = block_fixpoint(part)
         assert passes == 4
+        union = disjoint_union([d.fa for d in doms])
+        assert class_fixpoint(union, initial_classes(doms))[1] == 4
+
+    def test_random_sets_match_oracle(self):
+        # every stage's class map, hence also the pass count, equals the
+        # language-algebra reference on seeded random sets
+        rng = Random(60)
+        for alphabet, max_states, max_domains in ((ALPHA01, 4, 3), (ALPHA012, 3, 2)):
+            for _ in range(20):
+                doms = [
+                    random_domain(rng, alphabet, max_states)
+                    for _ in range(rng.randint(1, max_domains))
+                ]
+                assert refinement_stages(doms) == oracle_stages(doms)
 
 
 class TestOptimize:

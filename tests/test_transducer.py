@@ -261,17 +261,15 @@ class TestTransduce:
 
 
 def random_filters(rng, alphabet, count):
-    """Seeded filters of random domain sets, plain and (for sets of at
-    most five states, to bound the optimizer's time) optimized; sets whose
-    construction fails (no singleton resync, optimizer pass cap) are
+    """Seeded filters of random domain sets, plain and optimized; sets
+    whose construction fails (no singleton resync, optimizer pass cap) are
     skipped."""
     filters = []
     while len(filters) < count:
         domains = [random_domain(rng, alphabet) for _ in range(rng.randint(1, 3))]
         try:
             filters.append(build_filter(domains))
-            if sum(d.fa.state_count for d in domains) <= 5:
-                filters.append(build_filter([sd.domain for sd in optimize(domains)]))
+            filters.append(build_filter([sd.domain for sd in optimize(domains)]))
         except (ResyncError, OptimizeError):
             continue
     return filters
