@@ -56,6 +56,27 @@ CASES = [
     ("ca-filter-rule110.csv",
      ["ca-filter", "--method", "transducer", "--filter", "{g}/rule110.tdx",
       "--input", "{g}/ca-rule110.txt", "--format", "csv"]),
+    ("run-d18-bidi.pgm",
+     ["run", "--filter", "{g}/d18.tdx", "--input", "0100100110001011010000100111",
+      "--bidi", "--domains", "{g}/d18.dom", "--format", "pgm"]),
+    ("stack-d18.txt", ["stack", "--domains", "{g}/d18.dom", "--input", "0100100110001011010000100111"]),
+    ("stack-rule110.txt", ["stack", "--domains", "{g}/rule110.dom", "--input", R110_STRING]),
+    ("stack-rule110-periodic.txt",
+     ["stack", "--domains", "{g}/rule110.dom", "--input", "00010011011111", "--periodic"]),
+    ("stack-d18-periodic.txt",
+     ["stack", "--domains", "{g}/d18.dom", "--input", "0100100111", "--periodic"]),
+    ("ca-filter-rule110-stack.pgm",
+     ["ca-filter", "--method", "stack", "--domains", "{g}/rule110.dom",
+      "--input", "{g}/ca-rule110.txt"]),
+    ("ca-filter-rule110-stack.csv",
+     ["ca-filter", "--method", "stack", "--domains", "{g}/rule110.dom",
+      "--input", "{g}/ca-rule110.txt", "--format", "csv"]),
+    ("ca-filter-rule110-bidi.pgm",
+     ["ca-filter", "--method", "bidi", "--domains", "{g}/rule110.dom",
+      "--input", "{g}/ca-rule110.txt"]),
+    ("ca-filter-rule110-bidi.csv",
+     ["ca-filter", "--method", "bidi", "--domains", "{g}/rule110.dom",
+      "--input", "{g}/ca-rule110.txt", "--format", "csv"]),
 ]
 
 
