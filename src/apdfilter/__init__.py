@@ -10,7 +10,9 @@ from .automata import (
     Alphabet,
     Domain,
     FiniteAutomaton,
+    Tracker,
     accepts,
+    build_tracker,
     complement,
     cyclic_domain,
     determinize,
@@ -24,7 +26,6 @@ from .automata import (
 from .ca import (
     CARule,
     CodedDiagram,
-    LabeledDiagram,
     SpaceTimeDiagram,
     evolve,
     filter_diagram,
@@ -50,6 +51,7 @@ from .transducer import (
     Transducer,
     base_transducer,
     bidirectional,
+    bidirectional_filters,
     build_filter,
     resync,
     transduce,

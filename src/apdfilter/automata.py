@@ -121,18 +121,6 @@ class FiniteAutomaton:
             out.update(table[s].get(sym, ()))
         return frozenset(out)
 
-    def step_det(self, state: int, sym: int) -> int | None:
-        """Unique successor in a semi-deterministic automaton, or None."""
-        dsts = self.transition_table[state].get(sym)
-        if dsts is None:
-            return None
-        if len(dsts) != 1:
-            raise ValueError(f"state {state} is not semi-deterministic on symbol {sym}")
-        return dsts[0]
-
-    def symbols_of(self, word: str | Sequence[str]) -> list[int]:
-        return [self.alphabet.index(tok) for tok in word]
-
 
 @dataclass(frozen=True)
 class Domain:
@@ -199,6 +187,41 @@ def determinize(fa: FiniteAutomaton) -> FiniteAutomaton:
         transitions=frozenset(transitions),
         state_tags=tuple(order),
     )
+
+
+@dataclass(frozen=True)
+class Tracker:
+    """The deterministic tracker of a domain set, built once and shared.
+
+    ``dfa`` is the subset construction over the disjoint ``union`` of the
+    domains; its start is state 0 and its subset tags hold union states.
+    ``step[sym][q]`` is the successor of tracker state q, None where every
+    tracked path dies, and ``state_domains[q]`` the 1-based domains with a
+    state in q's subset tag.
+    """
+
+    domains: tuple[Domain, ...]
+    union: FiniteAutomaton
+    dfa: FiniteAutomaton
+    step: tuple[tuple[int | None, ...], ...]
+    state_domains: tuple[frozenset[int], ...]
+
+
+def build_tracker(domains: Sequence[Domain]) -> Tracker:
+    """The one subset construction over a domain set's disjoint union."""
+    if not domains:
+        raise ValueError("need at least one domain")
+    union = disjoint_union([d.fa for d in domains])
+    dfa = determinize(union)
+    table = dfa.transition_table
+    step = tuple(
+        tuple(row[sym][0] if sym in row else None for row in table.values())
+        for sym in range(len(dfa.alphabet))
+    )
+    state_domains = tuple(
+        frozenset(union.state_tags[u][0] + 1 for u in tag) for tag in dfa.state_tags
+    )
+    return Tracker(tuple(domains), union, dfa, step, state_domains)
 
 
 def intersect(a: FiniteAutomaton, b: FiniteAutomaton) -> FiniteAutomaton:
@@ -389,8 +412,11 @@ def minimize(fa: FiniteAutomaton) -> FiniteAutomaton:
     """
     if not fa.starts:
         return empty_language(fa.alphabet)
-    d = complete(determinize(fa))
-    k = len(d.alphabet)
+    k = len(fa.alphabet)
+    if fa.deterministic and len(fa.transitions) == fa.state_count * k:
+        d = fa  # already a complete DFA: no subset construction needed
+    else:
+        d = complete(determinize(fa))
     succ = [[d.transition_table[s][sym][0] for sym in range(k)] for s in range(d.state_count)]
     # Moore refinement from the final/non-final split
     block = [1 if s in d.finals else 0 for s in range(d.state_count)]
@@ -541,14 +567,3 @@ def replace_finals(fa: FiniteAutomaton, finals: Iterable[int]) -> FiniteAutomato
         transitions=fa.transitions,
         state_tags=fa.state_tags,
     )
-
-
-def forbidden_pairs(fa: FiniteAutomaton) -> list[tuple[int, int]]:
-    """All (state, symbol index) pairs with no outgoing transition."""
-    k = len(fa.alphabet)
-    return [
-        (s, sym)
-        for s in range(fa.state_count)
-        for sym in range(k)
-        if sym not in fa.transition_table[s]
-    ]

@@ -3,7 +3,10 @@
 Rules are numbered by reading the outputs over all neighborhoods, highest
 neighborhood first, as a base-k integer.  Evolution uses periodic
 boundaries; rows of the resulting diagram are filtered independently by
-any of the three methods.
+any of the three methods.  Every method returns a ``CodedDiagram``: wire
+codes per cell and one map from code to output symbol.  The stack method
+builds one tracker per diagram and codes its rows directly; the bidi
+method codes its two-pass outputs with ``symbol_code``.
 """
 
 from __future__ import annotations
@@ -12,16 +15,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .automata import Alphabet, Domain
-from .stackfilter import MaximalCover, filter_global, orbit_multiplicity
+from .automata import Domain, Tracker, build_tracker
+from .stackfilter import filter_global, orbit_multiplicity
 from .transducer import (
-    AMBIGUOUS,
-    DomainBreak,
-    DomainLabel,
     OutputSymbol,
     Transducer,
     bidirectional,
     bidirectional_filters,
+    plain_symbols,
+    symbol_code,
     walk_codes,
 )
 
@@ -78,23 +80,10 @@ class SpaceTimeDiagram:
 
 
 @dataclass(frozen=True)
-class LabeledDiagram:
-    """Filtered counterpart of a diagram: one output symbol per cell.
-
-    For the stack method the per-row covers are kept alongside the
-    rendered grid.
-    """
-
-    rows: tuple[tuple[OutputSymbol, ...], ...]
-    covers: tuple[MaximalCover, ...] | None = None
-
-
-@dataclass(frozen=True)
 class CodedDiagram:
-    """A diagram labeled by a filter: one wire code per cell (see
-    ``symbol_code``) and the filter's map from each code to its shared
-    output symbol.  ``rows`` decodes the codes on first use, so it reads
-    like a ``LabeledDiagram``.
+    """A filtered diagram: one wire code per cell (see ``symbol_code``)
+    and the map from each code to its shared output symbol, the filter's
+    own or ``plain_symbols``.  ``rows`` decodes the codes on first use.
     """
 
     codes: tuple[tuple[int, ...], ...]
@@ -171,82 +160,65 @@ def random_row(k: int, width: int, seed: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _row_tokens(row: Sequence[int], alphabet: Alphabet) -> list[str]:
-    tokens = []
-    for v in row:
-        tok = str(v)
-        if tok not in alphabet:
-            raise ValueError(f"diagram symbol {v} not in the filter alphabet")
-        tokens.append(tok)
-    return tokens
+def _cells(diagram: SpaceTimeDiagram, cell_of: Mapping[str, object]) -> list[list]:
+    """Every row with each cell v replaced by ``cell_of[str(v)]``: cell v
+    is the alphabet token ``str(v)``, and a cell that is no token fails."""
+    table = {v: cell_of[str(v)] for v in range(diagram.k) if str(v) in cell_of}
+    try:
+        return [list(map(table.__getitem__, row)) for row in diagram.rows]
+    except KeyError as e:
+        raise ValueError(f"diagram symbol {e.args[0]} not in the filter alphabet") from None
 
 
-def _stack_row(domains: Sequence[Domain], tokens: list[str]) -> tuple[tuple[OutputSymbol, ...], MaximalCover]:
-    cover = filter_global(domains, "".join(tokens))
-    n = len(tokens)
+def _label_code(doms: frozenset[int]) -> int:
+    """The one accepting domain's index, or 0 (ambiguity) for several."""
+    return next(iter(doms)) if len(doms) == 1 else 0
+
+
+def _stack_row(tracker: Tracker, text: str) -> tuple[int, ...]:
+    """Wire codes of one row: its owner's label where exactly one shifted
+    maximal substring covers a cell; a break (-1) where several overlap or
+    none covers it, a defect cell."""
+    cover = filter_global(tracker, text)
     if cover.whole_string:
-        doms = cover.whole_domains or frozenset()
-        label = DomainLabel(next(iter(doms))) if len(doms) == 1 else AMBIGUOUS
-        return tuple([label] * n), cover
-    out: list[OutputSymbol] = []
-    for pos in range(1, n + 1):
-        count, owners = orbit_multiplicity(cover, pos)
-        if count == 1:
-            doms = cover.domain_sets[owners[0]]
-            out.append(DomainLabel(next(iter(doms))) if len(doms) == 1 else AMBIGUOUS)
-        else:
-            # overlapping maximal substrings or none at all: a defect cell
-            out.append(DomainBreak())
-    return tuple(out), cover
+        return (_label_code(cover.whole_domains),) * len(text)
+    labels = [_label_code(doms) for doms in cover.domain_sets]
+    counts, owners = orbit_multiplicity(cover)
+    return tuple(labels[o] if c == 1 else -1 for c, o in zip(counts, owners))
 
 
 def filter_diagram(
     method: str,
     source: Transducer | Sequence[Domain],
     diagram: SpaceTimeDiagram,
-) -> LabeledDiagram | CodedDiagram:
+) -> CodedDiagram:
     """Filter every row of a diagram independently.
 
     ``transducer`` takes a built filter and runs it circularly per row on
-    the cells' symbol indices, giving a ``CodedDiagram``; ``bidi``
+    the cells' symbol indices, keeping the filter's break codes; ``bidi``
     combines circular passes in both directions; ``stack`` covers each
     row as one period of an infinite string and marks cells by their
     cover multiplicity (one cover: its label; overlap or no cover: a
-    break).
+    break).  Both take domains and code every break as -1.
     """
     if method == "transducer":
         t = source
         if not isinstance(t, Transducer):
             raise ValueError("transducer method needs a built filter")
-        indices = t.alphabet.indices
-        sym_of = {v: indices[str(v)] for v in range(diagram.k) if str(v) in indices}
-        codes = []
-        for row in diagram.rows:
-            try:
-                symbols = list(map(sym_of.__getitem__, row))
-            except KeyError as e:
-                raise ValueError(f"diagram symbol {e.args[0]} not in the filter alphabet") from None
-            codes.append(tuple(walk_codes(t, symbols, circular=True)))
-        return CodedDiagram(codes=tuple(codes), symbols=t.table.symbols)
-    if method == "bidi":
-        domains = list(source)
-        alphabet = domains[0].alphabet
-        filters = bidirectional_filters(domains)
-        rows = tuple(
-            tuple(
-                bidirectional(domains, _row_tokens(row, alphabet), "circular", filters=filters)
-            )
-            for row in diagram.rows
+        codes = tuple(
+            tuple(walk_codes(t, row, circular=True)) for row in _cells(diagram, t.alphabet.indices)
         )
-        return LabeledDiagram(rows=rows)
-    if method == "stack":
-        domains = list(source)
-        alphabet = domains[0].alphabet
-        labeled = []
-        covers = []
-        for row in diagram.rows:
-            symbols, cover = _stack_row(domains, _row_tokens(row, alphabet))
-            labeled.append(symbols)
-            covers.append(cover)
-        return LabeledDiagram(rows=tuple(labeled), covers=tuple(covers))
-    raise ValueError(f"unknown method {method!r}")
+        return CodedDiagram(codes=codes, symbols=t.table.symbols)
+    if method not in ("bidi", "stack"):
+        raise ValueError(f"unknown method {method!r}")
+    domains = list(source)
+    rows = _cells(diagram, {tok: tok for tok in domains[0].alphabet.symbols})
+    if method == "bidi":
+        filters = bidirectional_filters(domains)
+        codes = tuple(
+            tuple(map(symbol_code, bidirectional(filters, row, "circular"))) for row in rows
+        )
+    else:
+        tracker = build_tracker(domains)
+        codes = tuple(_stack_row(tracker, "".join(row)) for row in rows)
+    return CodedDiagram(codes=codes, symbols=plain_symbols(len(domains)))

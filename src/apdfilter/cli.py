@@ -12,10 +12,9 @@ import os
 import sys
 from pathlib import Path
 
-from .automata import reverse_domain
+from .automata import build_tracker, reverse_domain
 from .ca import (
     CodedDiagram,
-    LabeledDiagram,
     SpaceTimeDiagram,
     evolve,
     filter_diagram,
@@ -27,7 +26,7 @@ from .optimizer import DEFAULT_MAX_PASSES, optimize
 from .render import RenderPalette, emit_pgm, symbol_code
 from .stackfilter import filter_global, filter_local
 from .tdx import load_transducer, save_transducer
-from .transducer import bidirectional, build_filter, transduce_codes
+from .transducer import bidirectional, build_filter, plain_symbols, transduce_codes
 
 PASS_CAP_VAR = "APDFILTER_MAX_OPTIMIZE_PASSES"
 
@@ -115,14 +114,14 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_stack(args) -> int:
     _text, parsed = _load_domains(args.domains)
-    domains = [pd.domain for pd in parsed]
+    tracker = build_tracker([pd.domain for pd in parsed])
     sigma = _read_input(args.input)
     lines = []
     if args.periodic:
-        cover = filter_global(domains, sigma)
+        cover = filter_global(tracker, sigma)
         lines.append(f"whole_string={'true' if cover.whole_string else 'false'}")
     else:
-        cover = filter_local(domains, sigma)
+        cover = filter_local(tracker, sigma)
     lines.extend(f"{a},{b}" for (a, b) in cover.intervals)
     _write(args.output, "\n".join(lines) + "\n")
     return 0
@@ -141,10 +140,9 @@ def _cmd_run(args) -> int:
                 "warning: filter was built from a different domain file",
                 file=sys.stderr,
             )
-        domains = [pd.domain for pd in parsed]
-        reverse = build_filter([reverse_domain(d) for d in domains])
-        out = bidirectional(domains, sigma, mode, filters=(t, reverse))
-        labeled = LabeledDiagram((tuple(out),))
+        reverse = build_filter([reverse_domain(pd.domain) for pd in parsed])
+        out = bidirectional((t, reverse), sigma, mode)
+        labeled = CodedDiagram((tuple(map(symbol_code, out)),), plain_symbols(t.domain_count))
     else:
         labeled = CodedDiagram((tuple(transduce_codes(t, sigma, mode)),), t.table.symbols)
     if args.format == "pgm":
@@ -154,14 +152,10 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _csv(labeled: LabeledDiagram | CodedDiagram) -> str:
-    """One line of wire codes per row; a coded diagram writes one
-    precomputed string per code, so breaks keep their filter ids."""
-    if isinstance(labeled, CodedDiagram):
-        text = {c: str(c) for c in labeled.symbols}
-        lines = [",".join(map(text.__getitem__, row)) for row in labeled.codes]
-    else:
-        lines = [",".join(str(symbol_code(s)) for s in row) for row in labeled.rows]
+def _csv(labeled: CodedDiagram) -> str:
+    """One line of wire codes per row, one precomputed string per code."""
+    text = {c: str(c) for c in labeled.symbols}
+    lines = [",".join(map(text.__getitem__, row)) for row in labeled.codes]
     return "\n".join(lines) + "\n"
 
 

@@ -30,6 +30,7 @@ from typing import Iterable, Sequence
 from .automata import (
     Domain,
     FiniteAutomaton,
+    build_tracker,
     canonical_key,
     complement,
     determinize,
@@ -96,20 +97,18 @@ def initial_partition(domains: Sequence[Domain]) -> PastPartition:
     target) pieces; the states with no piece form the complement class,
     which is added with a warning.
     """
-    union = disjoint_union([d.fa for d in domains])
-    tracker = determinize(union)
-    past = determinize(sigma_star_prefix(tracker))
+    tracker = build_tracker(domains)
+    union, step = tracker.union, tracker.step
+    past = determinize(sigma_star_prefix(tracker.dfa))
     k = len(union.alphabet)
     blocks = []
     for s in range(union.state_count):
         forbidden = [sym for sym in range(k) if sym not in union.transition_table[s]]
         pieces = [
-            frozenset(
-                (sym, t) for sym in forbidden if (t := tracker.step_det(q, sym)) is not None
-            )
+            frozenset((sym, t) for sym in forbidden if (t := step[sym][q]) is not None)
             if s in tag
             else frozenset()
-            for q, tag in enumerate(tracker.state_tags)
+            for q, tag in enumerate(tracker.dfa.state_tags)
         ]
         pieces.append(pieces[0])  # the hub is the tracker start
         signatures = [frozenset().union(*(pieces[q] for q in tag)) for tag in past.state_tags]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ca import CodedDiagram, LabeledDiagram, SpaceTimeDiagram
+from .ca import CodedDiagram, SpaceTimeDiagram
 from .transducer import Ambiguous, DomainBreak, DomainLabel, OutputSymbol
 from .transducer import symbol_code  # noqa: F401  (re-exported: the CSV wire code)
 
@@ -32,19 +32,17 @@ class RenderPalette:
 
 
 def emit_pgm(
-    diagram: LabeledDiagram | CodedDiagram | SpaceTimeDiagram,
+    diagram: CodedDiagram | SpaceTimeDiagram,
     palette: RenderPalette | None = None,
 ) -> bytes:
     """Plain (P2) PGM; byte-identical output for identical input.
 
-    A coded diagram is shaded per distinct code, not per cell."""
-    if isinstance(diagram, (LabeledDiagram, CodedDiagram)) and palette is None:
-        raise ValueError("labeled diagrams need a palette")
+    A filtered diagram is shaded per distinct code, not per cell."""
     if isinstance(diagram, CodedDiagram):
+        if palette is None:
+            raise ValueError("filtered diagrams need a palette")
         shade = {c: str(palette.gray(s)) for c, s in diagram.symbols.items()}
         grid = [list(map(shade.__getitem__, row)) for row in diagram.codes]
-    elif isinstance(diagram, LabeledDiagram):
-        grid = [[str(palette.gray(s)) for s in row] for row in diagram.rows]
     else:
         top = diagram.k - 1
         grid = [[str(255 - v * 255 // top) for v in row] for row in diagram.rows]

@@ -6,19 +6,23 @@ oldest pair dies its interval is emitted; younger pairs dying at the same
 step are contained in it and emit nothing.  Pairs in the same tracker
 state advance and die together, so only the oldest is kept: the stack
 holds at most one pair per tracker state and the scan does O(n*m) work
-(m tracker states), not the O(n^2) of the unmerged scan.  The domain set
-of an emitted interval is read off the subset tag of the dying pair's
-state.  The global variant handles periodic two-way infinite strings
+(m tracker states), not the O(n^2) of the unmerged scan.  Both variants
+take a prebuilt ``Tracker``: the scan follows its step table, and the
+domain set of an emitted interval is the dying pair's ``state_domains``
+entry.  The global variant handles periodic two-way infinite strings
 through a pumping-bound window; it runs every domain over the text of its
-few representatives to get their domain sets.
+few representatives to get their domain sets.  ``orbit_multiplicity``
+counts, in one sweep, how many shifted representatives cover each
+position of the period.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
-from .automata import Domain, accepts, determinize, disjoint_union
+from .automata import Domain, Tracker, accepts
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,7 @@ def _accepting_domains(domains: Sequence[Domain], word: str) -> frozenset[int]:
 
 
 def filter_local(
-    domains: Sequence[Domain], sigma: str, stats: FilterStats | None = None
+    tracker: Tracker, sigma: str, stats: FilterStats | None = None
 ) -> MaximalCover:
     """Maximal substrings of a finite string, boundary effects ignored.
 
@@ -95,33 +99,19 @@ def filter_local(
     interval.  The surviving bottom pair is flushed at the end.  Pairs
     that land in the same tracker state are merged into the oldest, so
     ``stats.pair_advances`` counts at most ``len(sigma)`` times the
-    tracker's state count.  Every domain state is final, so domain i
-    accepts an emitted interval iff the bottom pair's subset tag holds a
-    state of domain i.
+    tracker's state count.  Every domain state is final, so the domains
+    accepting an emitted interval are the bottom pair's ``state_domains``.
     """
-    if not domains:
-        raise ValueError("need at least one domain")
     if not sigma:
         return MaximalCover(())
-    union = disjoint_union([d.fa for d in domains])
-    tracker = determinize(union)
-    table = tracker.transition_table
-    # successor per (symbol, state), None where the pair dies
-    step = [
-        [table[s][sym][0] if sym in table[s] else None for s in range(tracker.state_count)]
-        for sym in range(len(tracker.alphabet))
-    ]
-    state_domains = [
-        frozenset(union.state_tags[u][0] + 1 for u in tag) for tag in tracker.state_tags
-    ]
-    start_state = next(iter(tracker.starts))
+    step, state_domains = tracker.step, tracker.state_domains
     live: dict[int, int] = {}  # state -> oldest start index, oldest first
     emitted: list[tuple[int, int]] = []
     domain_sets: list[frozenset[int]] = []
     advances = 0
-    for j, sym in enumerate(tracker.symbols_of(sigma), start=1):
+    for j, sym in enumerate(map(tracker.dfa.alphabet.index, sigma), start=1):
         row = step[sym]
-        live.setdefault(start_state, j)
+        live.setdefault(0, j)  # the fresh pair at the tracker start
         survivors: dict[int, int] = {}
         bottom = True
         for state, begin in live.items():
@@ -178,7 +168,7 @@ def _canonical_representatives(
 
 
 def filter_global(
-    domains: Sequence[Domain],
+    tracker: Tracker,
     periodic: PeriodicString | str,
     stats: FilterStats | None = None,
 ) -> MaximalCover:
@@ -193,13 +183,12 @@ def filter_global(
     """
     if isinstance(periodic, str):
         periodic = PeriodicString(periodic)
-    if not domains:
-        raise ValueError("need at least one domain")
+    domains = tracker.domains
     n = periodic.period
     m = max(d.fa.state_count for d in domains)
     window_len = (m + 1) * n
     window = periodic.window(window_len)
-    local = filter_local(domains, window, stats=stats)
+    local = filter_local(tracker, window, stats=stats)
     if local.intervals == ((1, window_len),):
         return MaximalCover(
             (),
@@ -219,18 +208,30 @@ def filter_global(
     )
 
 
-def orbit_multiplicity(cover: MaximalCover, position: int) -> tuple[int, list[int]]:
-    """How many shifted cover intervals contain a 1-based position of the
-    period, and which representatives (by index) they come from."""
+def orbit_multiplicity(cover: MaximalCover) -> tuple[list[int], list[int]]:
+    """For each position 1..period (list index position-1): how many
+    shifted cover intervals contain it, and the sum of the indices of the
+    representatives they come from, which names the owner where the count
+    is one.
+
+    One sweep over a circular difference array: an interval of q*period + r
+    letters covers every position q times and an arc of r positions from
+    its start once more, so the work is O(period + representatives + laps),
+    not O(period * representatives).
+    """
     if cover.period is None:
         raise ValueError("cover has no period")
     n = cover.period
-    count = 0
-    owners = []
+    count_diff = [0] * (n + 1)
+    owner_diff = [0] * (n + 1)
     for idx, (a, b) in enumerate(cover.intervals):
-        lo = -(-(position - b) // n)  # ceil((position-b)/n)
-        hi = (position - a) // n
-        if hi >= lo:
-            count += hi - lo + 1
-            owners.append(idx)
-    return count, owners
+        laps, rest = divmod(b - a + 1, n)
+        end = a - 1 + rest
+        # the whole period per lap, then the rest as an arc from a that
+        # may wrap past the period's end (an empty arc is a no-op)
+        for lo, hi in [(0, n)] * laps + [(a - 1, min(end, n)), (0, max(end - n, 0))]:
+            count_diff[lo] += 1
+            count_diff[hi] -= 1
+            owner_diff[lo] += idx
+            owner_diff[hi] -= idx
+    return list(accumulate(count_diff[:n])), list(accumulate(owner_diff[:n]))

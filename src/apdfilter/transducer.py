@@ -1,8 +1,10 @@
 """Synchronizing filter transducers.
 
-The filter is the deterministic tracker of all domains at once, with every
-forbidden (state, letter) pair filled in by a resynchronization transition.
-The resynchronization target comes from a table of candidate tracker
+The filter is the deterministic tracker of all domains at once
+(``build_tracker``), its arcs labeled from the tracker's per-state domain
+sets, with every forbidden (state, letter) pair (a None in the tracker's
+step table) filled in by a resynchronization transition.  The
+resynchronization target comes from a table of candidate tracker
 states indexed by (specificity, imagined past length): the states the
 tracker reaches on an imagined past that ends in the forbidden state,
 plus the forbidden letter.  One layered walk over the tracker's own
@@ -14,6 +16,8 @@ once per filter from its transitions: for ``i = state*k + symbol``,
 ``next[i]`` is the target state times k and ``code[i]`` the wire code of
 the arc's output (``symbol_code``).  ``walk_codes`` is the one loop over
 it; ``transduce`` maps its codes to the filter's shared output symbols.
+Outputs without break identity (the two-pass combination and the stack
+cover) share the ``plain_symbols`` map, where every break is -1.
 """
 
 from __future__ import annotations
@@ -27,9 +31,8 @@ from .automata import (
     Alphabet,
     Domain,
     FiniteAutomaton,
-    determinize,
-    disjoint_union,
-    forbidden_pairs,
+    Tracker,
+    build_tracker,
     reverse_domain,
 )
 
@@ -178,32 +181,31 @@ class TransduceStats:
     lookups: int = 0
 
 
-def _domain_of_tag(tag: frozenset[int], union_tags) -> int | None:
-    """1-based domain index when every tagged state comes from one domain."""
-    origins = {union_tags[member][0] for member in tag}
-    if len(origins) == 1:
-        return next(iter(origins)) + 1
-    return None
+def plain_symbols(domain_count: int) -> dict[int, OutputSymbol]:
+    """Code-to-symbol map of outputs that carry no break identity (stack
+    and two-pass): every domain label, the ambiguity mark and one break."""
+    symbols: dict[int, OutputSymbol] = {i: DomainLabel(i) for i in range(1, domain_count + 1)}
+    symbols[0] = AMBIGUOUS
+    symbols[-1] = DomainBreak()
+    return symbols
 
 
-def base_transducer(domains: Sequence[Domain]) -> Transducer:
+def base_transducer(tracker: Tracker) -> Transducer:
     """Tracker transitions labeled with their domain, or the ambiguity mark
     when the target state straddles domains."""
-    union = disjoint_union([d.fa for d in domains])
-    tracker = determinize(union)
-    transitions = set()
-    for (s, sym, d) in tracker.transitions:
-        idx = _domain_of_tag(tracker.state_tags[d], union.state_tags)
-        out: OutputSymbol = DomainLabel(idx) if idx is not None else AMBIGUOUS
-        transitions.add((s, sym, out, d))
+    labels = [
+        DomainLabel(next(iter(doms))) if len(doms) == 1 else AMBIGUOUS
+        for doms in tracker.state_domains
+    ]
+    dfa = tracker.dfa
     return Transducer(
-        alphabet=tracker.alphabet,
-        state_count=tracker.state_count,
+        alphabet=dfa.alphabet,
+        state_count=dfa.state_count,
         start=0,
-        finals=tracker.finals,
-        transitions=frozenset(transitions),
-        domain_count=len(domains),
-        state_tags=tracker.state_tags,
+        finals=dfa.finals,
+        transitions=frozenset((s, sym, labels[d], d) for (s, sym, d) in dfa.transitions),
+        domain_count=len(tracker.domains),
+        state_tags=dfa.state_tags,
     )
 
 
@@ -276,14 +278,17 @@ def resync(tracker: FiniteAutomaton, state: int, symbol: str) -> ResyncReport:
 def build_filter(domains: Sequence[Domain]) -> Transducer:
     """Complete filter: the base transducer plus a break transition for
     every forbidden (state, letter) pair of the tracker."""
-    base = base_transducer(domains)
-    tracker = base.input_automaton()
+    tracker = build_tracker(domains)
+    base = base_transducer(tracker)
+    dfa, step = tracker.dfa, tracker.step
     transitions = set(base.transitions)
     reports = []
-    for (s, sym) in sorted(forbidden_pairs(tracker)):
-        report = resync(tracker, s, tracker.alphabet.symbols[sym])
-        reports.append(report)
-        transitions.add((s, sym, DomainBreak(s, report.target), report.target))
+    for s in range(dfa.state_count):
+        for sym, row in enumerate(step):
+            if row[s] is None:  # forbidden: every tracked path dies here
+                report = resync(dfa, s, dfa.alphabet.symbols[sym])
+                reports.append(report)
+                transitions.add((s, sym, DomainBreak(s, report.target), report.target))
     return Transducer(
         alphabet=base.alphabet,
         state_count=base.state_count,
@@ -419,20 +424,17 @@ def _fill_gaps(
 
 
 def bidirectional(
-    domains: Sequence[Domain],
+    filters: tuple[Transducer, Transducer],
     sigma: str | Sequence[str],
     mode: str = "linear",
-    filters: tuple[Transducer, Transducer] | None = None,
 ) -> list[OutputSymbol]:
-    """Combine a left-to-right and a right-to-left pass.
+    """Combine a left-to-right and a right-to-left pass of the
+    (forward, backward) filters, as ``bidirectional_filters`` builds them.
 
     Per position: the shared domain label when both passes agree, a break
     when either pass breaks there or the position lies in a filled gap,
-    and the ambiguity mark otherwise.  ``filters`` lets callers reuse
-    prebuilt (forward, backward) filters across many strings.
+    and the ambiguity mark otherwise.
     """
-    if filters is None:
-        filters = bidirectional_filters(domains)
     forward_t, backward_t = filters
     tokens = list(sigma)
     forward = transduce(forward_t, tokens, mode)

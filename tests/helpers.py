@@ -134,6 +134,43 @@ def brute_resync_candidates(
     return out, None
 
 
+def orbit_multiplicity_at(cover, position: int) -> tuple[int, list[int]]:
+    """How many shifted cover intervals contain a 1-based position of the
+    period, and which representatives (by index) they come from, by one
+    scan over the representatives for this position alone."""
+    n = cover.period
+    count = 0
+    owners = []
+    for idx, (a, b) in enumerate(cover.intervals):
+        lo = -(-(position - b) // n)  # ceil((position-b)/n)
+        hi = (position - a) // n
+        if hi >= lo:
+            count += hi - lo + 1
+            owners.append(idx)
+    return count, owners
+
+
+def step_det(fa: FiniteAutomaton, state: int, sym: int) -> int | None:
+    """Unique successor in a semi-deterministic automaton, or None."""
+    dsts = fa.transition_table[state].get(sym)
+    if dsts is None:
+        return None
+    if len(dsts) != 1:
+        raise ValueError(f"state {state} is not semi-deterministic on symbol {sym}")
+    return dsts[0]
+
+
+def forbidden_pairs(fa: FiniteAutomaton) -> list[tuple[int, int]]:
+    """All (state, symbol index) pairs with no outgoing transition."""
+    k = len(fa.alphabet)
+    return [
+        (s, sym)
+        for s in range(fa.state_count)
+        for sym in range(k)
+        if sym not in fa.transition_table[s]
+    ]
+
+
 def random_nfa(rng: Random, alphabet: Alphabet = ALPHA01, max_states: int = 5) -> FiniteAutomaton:
     n = rng.randint(1, max_states)
     k = len(alphabet)
@@ -241,7 +278,7 @@ def resync_pasts(
         [
             q
             for q, tag in enumerate(tracker.state_tags)
-            if state in tag and tracker.step_det(q, sym) == target
+            if state in tag and step_det(tracker, q, sym) == target
         ],
     )
 
@@ -290,7 +327,7 @@ def initial_classes(domains: Sequence[Domain]) -> ClassMap:
         holders = [q for q, tag in enumerate(tracker.state_tags) if s in tag]
         for sym in forbidden:
             token = alphabet.symbols[sym]
-            targets = {tracker.step_det(q, sym) for q in holders} - {None}
+            targets = {step_det(tracker, q, sym) for q in holders} - {None}
             for target in sorted(targets):
                 pasts = resync_pasts(union, tracker, s, token, target)
                 pieces.append(sigma_star_prefix(pasts))

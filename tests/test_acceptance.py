@@ -20,6 +20,7 @@ from helpers import (
 )
 
 from apdfilter.automata import (
+    build_tracker,
     complement,
     cyclic_domain,
     determinize,
@@ -37,6 +38,7 @@ from apdfilter.transducer import (
     ResyncError,
     TransduceStats,
     bidirectional,
+    bidirectional_filters,
     build_filter,
     transduce,
 )
@@ -54,10 +56,11 @@ def test_criterion_1_stack_oracle_equivalence():
     start = time.monotonic()
     rng = Random(20260808)
     sets = domain_sets()
+    trackers = [build_tracker(domains) for domains in sets]
     for _ in range(1000):
         sigma = "".join(rng.choice("01") for _ in range(rng.randint(0, 24)))
-        for domains in sets:
-            got = list(filter_local(domains, sigma).intervals)
+        for domains, tracker in zip(sets, trackers):
+            got = list(filter_local(tracker, sigma).intervals)
             assert got == brute_maximal_cover(domains, sigma)
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
@@ -67,18 +70,19 @@ def test_criterion_1_stack_oracle_equivalence():
 def test_criterion_2_global_filtering():
     start = time.monotonic()
     sets = domain_sets()
+    trackers = [build_tracker(domains) for domains in sets]
     for n in range(1, 7):
         for bits in range(2**n):
             word = format(bits, f"0{n}b")
             window = word * 5
             lo, hi = 2 * n + 1, 3 * n
-            for domains in sets:
+            for domains, tracker in zip(sets, trackers):
                 brute = [
                     (a, b)
                     for (a, b) in brute_maximal_cover(domains, window)
                     if a <= hi and b >= lo
                 ]
-                cover = filter_global(domains, word)
+                cover = filter_global(tracker, word)
                 if cover.whole_string:
                     assert brute == [(1, 5 * n)], (word, len(domains))
                     continue
@@ -94,7 +98,7 @@ def test_criterion_2_global_filtering():
                 assert unrolled == brute, (word, len(domains))
     # the all-zero string vs the 001 cycle: overlapping length-2 covers at
     # every offset (two zeros sit between consecutive 1s)
-    cover = filter_global([cyclic_domain("001", ALPHA01)], "0")
+    cover = filter_global(build_tracker([cyclic_domain("001", ALPHA01)]), "0")
     assert not cover.whole_string
     assert cover.intervals == ((1, 2),)
     elapsed = time.monotonic() - start
@@ -108,7 +112,7 @@ def test_criterion_3_quadratic_vs_linear_work():
     for n in (100, 200, 400):
         sigma = "0" * n
         stats = FilterStats()
-        cover = filter_local([zero_run], sigma, stats=stats)
+        cover = filter_local(build_tracker([zero_run]), sigma, stats=stats)
         assert cover.intervals == ((1, n),)
         # merged stack: one pair per tracker state, so n advances here; the
         # paper's unmerged scan does n(n+1)/2
@@ -140,6 +144,7 @@ def test_criterion_4_filter_totality():
 def test_criterion_5_rule18_right_edges():
     d18 = d18_domain()
     t = build_filter([d18])
+    filters = bidirectional_filters([d18])
     for n in range(1, 6):
         sigma = "01" + "0" * (2 * n) + "1" + "00"
         left_one = 1  # 0-based
@@ -147,7 +152,7 @@ def test_criterion_5_rule18_right_edges():
         out = transduce(t, sigma)
         for pos, sym in enumerate(out):
             assert isinstance(sym, DomainBreak) == (pos == right_one), (n, pos)
-        both = bidirectional([d18], sigma)
+        both = bidirectional(filters, sigma)
         for pos, sym in enumerate(both):
             expect_break = left_one <= pos <= right_one
             assert isinstance(sym, DomainBreak) == expect_break, (n, pos)

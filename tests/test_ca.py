@@ -1,9 +1,11 @@
+import sys
 from random import Random
 
 import pytest
-from helpers import ALPHA01
+from helpers import ALPHA01, orbit_multiplicity_at
 
-from apdfilter.automata import cyclic_domain
+from apdfilter import automata
+from apdfilter.automata import build_tracker, cyclic_domain
 from apdfilter.ca import (
     SpaceTimeDiagram,
     evolve,
@@ -12,6 +14,7 @@ from apdfilter.ca import (
     random_row,
     rule_from_number,
 )
+from apdfilter.stackfilter import filter_global
 from apdfilter.transducer import AMBIGUOUS, DomainBreak, DomainLabel, build_filter
 
 
@@ -144,19 +147,38 @@ class TestFilterDiagram:
         rule = rule_from_number(2, 1, 18)
         diag = evolve(rule, random_row(2, 24, 5), 12)
         labeled = filter_diagram("stack", [d18], diag)
-        assert labeled.covers is not None and len(labeled.covers) == 13
-        for row, cover in zip(labeled.rows, labeled.covers):
+        assert len(labeled.rows) == 13
+        tracker = build_tracker([d18])
+        for cells, row in zip(diag.rows, labeled.rows):
+            cover = filter_global(tracker, "".join(map(str, cells)))
             if cover.whole_string:
                 assert all(s == DomainLabel(1) for s in row)
                 continue
-            from apdfilter.stackfilter import orbit_multiplicity
-
             for pos, sym in enumerate(row, start=1):
-                count, owners = orbit_multiplicity(cover, pos)
+                count, _owners = orbit_multiplicity_at(cover, pos)
                 if count == 1:
                     assert sym in (DomainLabel(1), AMBIGUOUS)
                 else:
                     assert isinstance(sym, DomainBreak)
+
+    def test_one_tracker_per_call(self, d18, monkeypatch):
+        # count the subset constructions wherever a module holds determinize
+        calls = []
+        determinize = automata.determinize
+
+        def counted(fa):
+            calls.append(fa)
+            return determinize(fa)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("apdfilter") and getattr(mod, "determinize", None) is determinize:
+                monkeypatch.setattr(mod, "determinize", counted)
+        diag = evolve(rule_from_number(2, 1, 18), random_row(2, 24, 5), 12)
+        filter_diagram("stack", [d18], diag)
+        assert len(diag.rows) == 13 and len(calls) == 1
+        calls.clear()
+        build_filter([d18])
+        assert len(calls) == 1
 
     def test_rows_filtered_independently(self):
         dom = cyclic_domain("0", ALPHA01)

@@ -122,7 +122,7 @@ class TestBuildRun:
         _alphabet, parsed = parse_domain_spec(RUNS)
         domains = [pd.domain for pd in parsed]
         reverse = build_filter([reverse_domain(d) for d in domains])
-        expected = bidirectional(domains, "0100100", filters=(loaded, reverse))
+        expected = bidirectional((loaded, reverse), "0100100")
         assert code == 0
         assert stdout == ",".join(str(symbol_code(s)) for s in expected) + "\n"
 

@@ -9,7 +9,7 @@ from apdfilter.domspec import (
     spec_digest,
 )
 from apdfilter.render import RenderPalette, emit_pgm, parse_pgm, symbol_code
-from apdfilter.ca import LabeledDiagram, SpaceTimeDiagram
+from apdfilter.ca import CodedDiagram, SpaceTimeDiagram
 from apdfilter.tdx import TdxError, load_transducer, save_transducer
 from apdfilter.transducer import (
     AMBIGUOUS,
@@ -17,6 +17,7 @@ from apdfilter.transducer import (
     DomainLabel,
     break_table,
     build_filter,
+    plain_symbols,
     transduce,
 )
 
@@ -195,10 +196,13 @@ class TestRender:
         assert two.gray(DomainLabel(2)) == 95
 
     def test_pgm_exact_bytes(self):
-        single = LabeledDiagram(((DomainLabel(1),),))
+        symbols = plain_symbols(1)
+        single = CodedDiagram(((1,),), symbols)
         assert emit_pgm(single, RenderPalette(1)) == b"P2\n1 1\n255\n255\n"
-        pair = LabeledDiagram(((DomainBreak(0, 0), AMBIGUOUS),))
+        pair = CodedDiagram(((-1, 0),), symbols)
         assert emit_pgm(pair, RenderPalette(1)) == b"P2\n2 1\n255\n0 128\n"
+        with pytest.raises(ValueError, match="palette"):
+            emit_pgm(pair)
 
     def test_pgm_round_trip(self):
         diagram = SpaceTimeDiagram(k=2, rows=((0, 1, 0), (1, 1, 0)))

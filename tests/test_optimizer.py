@@ -7,6 +7,7 @@ from helpers import (
     all_words,
     class_fixpoint,
     disjoin,
+    forbidden_pairs,
     initial_classes,
     language,
     oracle_stages,
@@ -14,6 +15,7 @@ from helpers import (
     random_nfa,
     refinement_stages,
     resync_pasts,
+    step_det,
 )
 
 from apdfilter.automata import (
@@ -27,7 +29,6 @@ from apdfilter.automata import (
     disjoint_union,
     empty_language,
     equivalent,
-    forbidden_pairs,
     is_empty,
     minimize,
     universal,
@@ -78,7 +79,7 @@ class TestResyncPasts:
 
     def test_epsilon_membership(self):
         # the state reached by the letter alone always admits the empty past
-        after_one = self.tracker.step_det(0, 1)
+        after_one = step_det(self.tracker, 0, 1)
         b = resync_pasts(self.union, self.tracker, 0, "1", after_one)
         assert accepts(b, "")
 
@@ -105,7 +106,7 @@ class TestResyncPasts:
             for tok in w:
                 sym = alphabet.index(tok)
                 ends = union.step(ends, sym)
-                run = None if run is None else tracker.step_det(run, sym)
+                run = None if run is None else step_det(tracker, run, sym)
             walks.append((w, ends, run))
         for (state, sym) in forbidden_pairs(union):
             token = alphabet.symbols[sym]
@@ -116,7 +117,7 @@ class TestResyncPasts:
                     for w, ends, run in walks
                     if state in ends
                     and run is not None
-                    and tracker.step_det(run, sym) == target
+                    and step_det(tracker, run, sym) == target
                 }
                 assert language(b, max_len) == want, (state, token, target)
 

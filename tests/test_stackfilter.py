@@ -1,9 +1,15 @@
 from random import Random
 
 import pytest
-from helpers import ALPHA01, accepting_domains, brute_maximal_cover
+from helpers import (
+    ALPHA01,
+    accepting_domains,
+    brute_maximal_cover,
+    orbit_multiplicity_at,
+    random_domain,
+)
 
-from apdfilter.automata import cyclic_domain, determinize, disjoint_union
+from apdfilter.automata import build_tracker, cyclic_domain
 from apdfilter.stackfilter import (
     FilterStats,
     MaximalCover,
@@ -16,46 +22,45 @@ from apdfilter.stackfilter import (
 
 class TestFilterLocal:
     def test_cover_0011(self, d18):
-        cover = filter_local([d18], "0011")
+        cover = filter_local(build_tracker([d18]), "0011")
         assert cover.intervals == ((1, 3), (4, 4))
         assert cover.domain_sets == (frozenset({1}), frozenset({1}))
 
     def test_short_window_returns_whole(self):
         dom = cyclic_domain("0001", ALPHA01)  # three 0s then a 1
-        cover = filter_local([dom], "00")
+        cover = filter_local(build_tracker([dom]), "00")
         assert cover.intervals == ((1, 2),)
 
     def test_whole_string_inside_domain(self, d18):
-        cover = filter_local([d18], "010101")
+        cover = filter_local(build_tracker([d18]), "010101")
         assert cover.intervals == ((1, 6),)
 
     def test_empty_string(self, d18):
-        assert filter_local([d18], "").intervals == ()
+        assert filter_local(build_tracker([d18]), "").intervals == ()
 
     def test_unknown_symbol(self, d18):
         with pytest.raises(ValueError, match="unknown symbol"):
-            filter_local([d18], "012")
+            filter_local(build_tracker([d18]), "012")
 
     def test_letter_outside_every_domain(self):
         dom = cyclic_domain("0", ALPHA01)
-        cover = filter_local([dom], "010")
+        cover = filter_local(build_tracker([dom]), "010")
         assert cover.intervals == ((1, 1), (3, 3))
         # a leading dead letter produces only a dropped degenerate interval
-        cover = filter_local([dom], "110")
+        cover = filter_local(build_tracker([dom]), "110")
         assert cover.intervals == ((3, 3),)
 
     def test_matches_brute_force_random(self, d18, cyc001):
         rng = Random(101)
         sets = [[d18], [cyc001], [d18, cyc001]]
-        tracker_states = [
-            determinize(disjoint_union([d.fa for d in domains])).state_count for domains in sets
-        ]
+        trackers = [build_tracker(domains) for domains in sets]
         for _ in range(120):
             n = rng.randint(0, 16)
             sigma = "".join(rng.choice("01") for _ in range(n))
-            for domains, m in zip(sets, tracker_states):
+            for domains, tracker in zip(sets, trackers):
                 stats = FilterStats()
-                cover = filter_local(domains, sigma, stats=stats)
+                cover = filter_local(tracker, sigma, stats=stats)
+                m = tracker.dfa.state_count
                 assert stats.pair_advances <= len(sigma) * m, (sigma, len(domains))
                 brute = brute_maximal_cover(domains, sigma)
                 assert list(cover.intervals) == brute, (sigma, len(domains))
@@ -71,35 +76,35 @@ class TestFilterLocal:
         dom = cyclic_domain("0", ALPHA01)
         for n in (1, 5, 12):
             stats = FilterStats()
-            filter_local([dom], "0" * n, stats=stats)
+            filter_local(build_tracker([dom]), "0" * n, stats=stats)
             # one merged pair per tracker state: n advances, not n(n+1)/2
             assert stats.pair_advances == n
 
 
 class TestFilterGlobal:
     def test_whole_string(self, cyc001):
-        cover = filter_global([cyc001], "001")
+        cover = filter_global(build_tracker([cyc001]), "001")
         assert cover.whole_string
         assert cover.intervals == ()
         assert cover.whole_domains == frozenset({1})
 
     def test_zero_run_overlap_structure(self, cyc001):
         # all-zero string against the 001 cycle: length-2 windows everywhere
-        cover = filter_global([cyc001], "0")
+        cover = filter_global(build_tracker([cyc001]), "0")
         assert not cover.whole_string
         assert cover.intervals == ((1, 2),)
         assert cover.period == 1
-        count, owners = orbit_multiplicity(cover, 1)
-        assert count == 2  # heavily overlapping: two shifts cover each cell
-        assert owners == [0]
+        counts, owners = orbit_multiplicity(cover)
+        assert counts == [2]  # heavily overlapping: two shifts cover each cell
+        assert owners == [0]  # both shifts come from representative 0
 
     def test_all_ones_against_d18(self, d18):
-        cover = filter_global([d18], "11")
+        cover = filter_global(build_tracker([d18]), "11")
         assert cover.intervals == ((1, 1), (2, 2))
         assert cover.domain_sets == (frozenset({1}), frozenset({1}))
 
     def test_accepts_periodic_string_object(self, d18):
-        assert filter_global([d18], PeriodicString("01")).whole_string
+        assert filter_global(build_tracker([d18]), PeriodicString("01")).whole_string
 
     def test_global_local_center_consistency(self, d18, cyc001):
         # unroll five periods; center-touching brute intervals must equal the
@@ -109,13 +114,13 @@ class TestFilterGlobal:
             n = len(word)
             window = word * 5
             lo, hi = 2 * n + 1, 3 * n
-            for domains in sets:
+            for domains, tracker in zip(sets, map(build_tracker, sets)):
                 brute = [
                     (a, b)
                     for (a, b) in brute_maximal_cover(domains, window)
                     if a <= hi and b >= lo
                 ]
-                cover = filter_global(domains, word)
+                cover = filter_global(tracker, word)
                 if cover.whole_string:
                     assert brute == [(1, 5 * n)]
                     assert cover.whole_domains == accepting_domains(domains, window)
@@ -138,12 +143,30 @@ class TestFilterGlobal:
 class TestOrbitMultiplicity:
     def test_needs_period(self):
         with pytest.raises(ValueError, match="period"):
-            orbit_multiplicity(MaximalCover(((1, 2),)), 1)
+            orbit_multiplicity(MaximalCover(((1, 2),)))
 
     def test_multiplicity_counts_every_shift(self, cyc001):
-        cover = filter_global([cyc001], "00")  # period 2, zeros forever
+        cover = filter_global(build_tracker([cyc001]), "00")  # period 2, zeros forever
         assert cover.intervals == ((1, 2), (2, 3))
-        for p in (1, 2):
-            count, owners = orbit_multiplicity(cover, p)
-            assert count == 2
-            assert owners == [0, 1]
+        counts, owners = orbit_multiplicity(cover)
+        assert counts == [2, 2]
+        assert owners == [1, 1]  # representatives 0 and 1 at each position
+
+    def test_matches_per_position_oracle(self):
+        rng = Random(107)
+        seen = set()  # multiplicities met, so single and overlapping cells both occur
+        for _ in range(150):
+            tracker = build_tracker(
+                [random_domain(rng, ALPHA01) for _ in range(rng.randint(1, 3))]
+            )
+            for _ in range(4):
+                word = "".join(rng.choice("01") for _ in range(rng.randint(1, 12)))
+                cover = filter_global(tracker, word)
+                counts, owners = orbit_multiplicity(cover)
+                for pos in range(1, len(word) + 1):
+                    count, owned = orbit_multiplicity_at(cover, pos)
+                    assert counts[pos - 1] == count, (word, pos)
+                    if count == 1:
+                        assert owners[pos - 1] == owned[0], (word, pos)
+                    seen.add(min(count, 3))
+        assert seen == {0, 1, 2, 3}

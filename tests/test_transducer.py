@@ -1,14 +1,21 @@
 from random import Random
 
 import pytest
-from helpers import ALPHA01, brute_resync_candidates, random_domain, walk_transitions
+from helpers import (
+    ALPHA01,
+    brute_resync_candidates,
+    forbidden_pairs,
+    random_domain,
+    step_det,
+    walk_transitions,
+)
 
 from apdfilter.automata import (
     Alphabet,
     FiniteAutomaton,
+    build_tracker,
     cyclic_domain,
     determinize,
-    forbidden_pairs,
 )
 from apdfilter.optimizer import OptimizeError, optimize
 from apdfilter.stackfilter import filter_local
@@ -21,6 +28,7 @@ from apdfilter.transducer import (
     Transducer,
     base_transducer,
     bidirectional,
+    bidirectional_filters,
     break_table,
     build_filter,
     resync,
@@ -41,18 +49,18 @@ def arc(t, state, sym):
 
 class TestBaseTransducer:
     def test_single_domain_all_labeled(self, d18):
-        base = base_transducer([d18])
+        base = base_transducer(build_tracker([d18]))
         assert all(out == DomainLabel(1) for (_s, _a, out, _d) in base.transitions)
         assert not base.input_complete()
 
     def test_two_runs_label_by_domain(self, runs01):
-        base = base_transducer(runs01)
+        base = base_transducer(build_tracker(runs01))
         assert arc(base, base.start, 0)[0] == DomainLabel(1)
         assert arc(base, base.start, 1)[0] == DomainLabel(2)
 
     def test_overlapping_domains_emit_ambiguity(self):
         doms = [cyclic_domain("01", ALPHA01), cyclic_domain("0011", ALPHA01)]
-        base = base_transducer(doms)
+        base = base_transducer(build_tracker(doms))
         out, target = arc(base, base.start, 0)
         assert out == AMBIGUOUS
         # after one 0 both domains are still live
@@ -93,7 +101,7 @@ class TestResync:
 
     def test_repeated_symbol_resync(self):
         tracker = determinize(cyclic_domain("01", ALPHA01).fa)
-        after_zero = tracker.step_det(0, 0)
+        after_zero = step_det(tracker, 0, 0)
         report = resync(tracker, after_zero, "0")
         assert report.target == after_zero
         assert report.specificity == 1
@@ -248,7 +256,7 @@ class TestTransduce:
         # labels with that interval's domain
         t = build_filter([d18])
         sigma = "0100100"
-        cover = filter_local([d18], sigma)
+        cover = filter_local(build_tracker([d18]), sigma)
         out = transduce(t, sigma)
         for (a, b), doms in zip(cover.intervals, cover.domain_sets):
             if len(doms) != 1:
@@ -308,7 +316,8 @@ class TestIntegerLoop:
             alphabet = Alphabet(symbols)
             raised = 0
             for _ in range(20):
-                base = base_transducer([random_domain(rng, alphabet) for _ in range(rng.randint(1, 3))])
+                domains = [random_domain(rng, alphabet) for _ in range(rng.randint(1, 3))]
+                base = base_transducer(build_tracker(domains))
                 for _ in range(10):
                     tokens = [rng.choice(symbols) for _ in range(rng.randint(1, 12))]
                     for mode in ("linear", "circular"):
@@ -335,9 +344,10 @@ class TestIntegerLoop:
 
 class TestBidirectional:
     def test_gap_filled_both_edges(self, d18):
+        filters = bidirectional_filters([d18])
         for n in range(1, 4):
             sigma = "01" + "0" * (2 * n) + "1" + "00"
-            out = bidirectional([d18], sigma)
+            out = bidirectional(filters, sigma)
             left_one = 1
             right_one = len("01" + "0" * (2 * n))
             for pos, sym in enumerate(out):
@@ -349,10 +359,10 @@ class TestBidirectional:
     def test_pure_domain_matches_single_pass(self, d18):
         t = build_filter([d18])
         sigma = "00100010"
-        assert bidirectional([d18], sigma) == transduce(t, sigma)
+        assert bidirectional(bidirectional_filters([d18]), sigma) == transduce(t, sigma)
 
     def test_double_one_both_positions_break(self, d18):
-        out = bidirectional([d18], "11")
+        out = bidirectional(bidirectional_filters([d18]), "11")
         assert all(isinstance(sym, DomainBreak) for sym in out)
 
     def test_non_reversible_domain_rejected(self):
@@ -368,4 +378,4 @@ class TestBidirectional:
         from apdfilter.automata import Domain
 
         with pytest.raises(ValueError, match="not reversible"):
-            bidirectional([Domain(fa)], "00")
+            bidirectional_filters([Domain(fa)])
