@@ -7,6 +7,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from helpers import ALPHA01, d18_domain  # noqa: E402
 
+from apdfilter import automata  # noqa: E402
 from apdfilter.automata import cyclic_domain  # noqa: E402
 
 
@@ -28,3 +29,20 @@ def cyc001():
 @pytest.fixture(scope="session")
 def runs01():
     return [cyclic_domain("0", ALPHA01), cyclic_domain("1", ALPHA01)]
+
+
+@pytest.fixture
+def determinize_calls(monkeypatch):
+    """A list that records the input of every subset construction, wherever
+    an ``apdfilter`` module holds ``determinize``."""
+    calls = []
+    determinize = automata.determinize
+
+    def counted(fa):
+        calls.append(fa)
+        return determinize(fa)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("apdfilter") and getattr(mod, "determinize", None) is determinize:
+            monkeypatch.setattr(mod, "determinize", counted)
+    return calls

@@ -3,7 +3,6 @@ from random import Random
 import pytest
 from helpers import ALPHA01, all_words, language, random_nfa, unconcat_last
 
-from apdfilter import automata
 from apdfilter.automata import (
     Alphabet,
     Domain,
@@ -222,13 +221,11 @@ class TestMinimize:
         fa = FiniteAutomaton(ALPHA01, 2, frozenset(), frozenset([1]), frozenset())
         assert minimize(fa) == empty_language(ALPHA01)
 
-    def test_complete_dfa_skips_subset_construction(self, monkeypatch):
+    def test_complete_dfa_skips_subset_construction(self, determinize_calls):
         # a complete DFA is minimized as it stands; its doubled union has two
         # starts and goes through the subset construction, so the canonical
         # forms must agree
         rng = Random(17)
-        calls = []
-        monkeypatch.setattr(automata, "determinize", lambda fa: calls.append(fa) or determinize(fa))
         for alphabet in (ALPHA01, Alphabet(("a", "b", "c"))):
             k = len(alphabet)
             for _ in range(60):
@@ -240,11 +237,11 @@ class TestMinimize:
                     frozenset(s for s in range(n) if rng.random() < 0.4),
                     frozenset((s, sym, rng.randrange(n)) for s in range(n) for sym in range(k)),
                 )
-                calls.clear()
+                determinize_calls.clear()
                 once = minimize(d)
-                assert calls == []
+                assert determinize_calls == []
                 assert minimize(disjoint_union([d, d])) == once
-                assert len(calls) == 1
+                assert len(determinize_calls) == 1
                 assert language(once, 6) == language(d, 6)
 
 

@@ -1,10 +1,8 @@
-import sys
 from random import Random
 
 import pytest
 from helpers import ALPHA01, orbit_multiplicity_at
 
-from apdfilter import automata
 from apdfilter.automata import build_tracker, cyclic_domain
 from apdfilter.ca import (
     SpaceTimeDiagram,
@@ -161,24 +159,13 @@ class TestFilterDiagram:
                 else:
                     assert isinstance(sym, DomainBreak)
 
-    def test_one_tracker_per_call(self, d18, monkeypatch):
-        # count the subset constructions wherever a module holds determinize
-        calls = []
-        determinize = automata.determinize
-
-        def counted(fa):
-            calls.append(fa)
-            return determinize(fa)
-
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("apdfilter") and getattr(mod, "determinize", None) is determinize:
-                monkeypatch.setattr(mod, "determinize", counted)
+    def test_one_tracker_per_call(self, d18, determinize_calls):
         diag = evolve(rule_from_number(2, 1, 18), random_row(2, 24, 5), 12)
         filter_diagram("stack", [d18], diag)
-        assert len(diag.rows) == 13 and len(calls) == 1
-        calls.clear()
+        assert len(diag.rows) == 13 and len(determinize_calls) == 1
+        determinize_calls.clear()
         build_filter([d18])
-        assert len(calls) == 1
+        assert len(determinize_calls) == 1
 
     def test_rows_filtered_independently(self):
         dom = cyclic_domain("0", ALPHA01)
