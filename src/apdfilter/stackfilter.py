@@ -109,7 +109,7 @@ def filter_local(
     emitted: list[tuple[int, int]] = []
     domain_sets: list[frozenset[int]] = []
     advances = 0
-    for j, sym in enumerate(map(tracker.dfa.alphabet.index, sigma), start=1):
+    for j, sym in enumerate([tracker.dfa.alphabet.index(tok) for tok in sigma], start=1):
         row = step[sym]
         live.setdefault(0, j)  # the fresh pair at the tracker start
         survivors: dict[int, int] = {}
