@@ -46,7 +46,6 @@ from .transducer import (
     DomainBreak,
     DomainLabel,
     OutputSymbol,
-    ResyncError,
     ResyncReport,
     Transducer,
     base_transducer,

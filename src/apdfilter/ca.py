@@ -28,6 +28,7 @@ from .transducer import (
 )
 
 _MASK64 = (1 << 64) - 1
+MAX_RULE_TABLE = 2**20  # rule table entries: one per neighborhood, k**(2r+1)
 
 
 @dataclass(frozen=True)
@@ -99,20 +100,23 @@ def rule_from_number(k: int, r: int, number: int) -> CARule:
     """Decode a rule number into its lookup table.
 
     Neighborhoods are ordered lexicographically; the output for the
-    highest neighborhood is the most significant base-k digit.
+    highest neighborhood is the most significant base-k digit.  Tables of
+    more than ``MAX_RULE_TABLE`` entries are refused.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     if r < 1:
         raise ValueError("r must be at least 1")
-    width = k ** (2 * r + 1)
-    if not 0 <= number < k**width:
-        raise ValueError(f"rule number out of range for k={k}, r={r}")
+    # k >= 2, so a neighborhood longer than the limit's bit length is over it
+    if 2 * r + 1 >= MAX_RULE_TABLE.bit_length() or k ** (2 * r + 1) > MAX_RULE_TABLE:
+        raise ValueError(f"rule table for k={k}, r={r} exceeds {MAX_RULE_TABLE} entries")
     digits = []
     rest = number
-    for _ in range(width):
+    for _ in range(k ** (2 * r + 1)):
         digits.append(rest % k)
         rest //= k
+    if number < 0 or rest:
+        raise ValueError(f"rule number out of range for k={k}, r={r}")
     return CARule(k=k, r=r, table=tuple(digits), wolfram_number=number)
 
 

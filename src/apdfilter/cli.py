@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 domain or filter construction
-error (parse failures, invariant violations, failed resynchronization).
+error (parse failures, invariant violations, CA rule tables over the size
+limit).
 """
 
 from __future__ import annotations
@@ -185,9 +186,9 @@ def _parse_init(init: str, k: int, width: int | None) -> tuple[int, ...]:
 
 
 def _cmd_ca(args) -> int:
-    rule = rule_from_number(args.k, args.r, args.rule)
     if args.k > 10:
         raise UsageError("text output supports k up to 10")
+    rule = rule_from_number(args.k, args.r, args.rule)
     row = _parse_init(args.init, args.k, args.width)
     diagram = evolve(rule, row, args.steps)
     text = "\n".join("".join(str(v) for v in r) for r in diagram.rows) + "\n"

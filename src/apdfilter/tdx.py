@@ -20,7 +20,6 @@ from .transducer import (
     DomainBreak,
     DomainLabel,
     Transducer,
-    break_table,
 )
 
 
@@ -29,7 +28,7 @@ class TdxError(ValueError):
 
 
 def save_transducer(t: Transducer, domains_digest: str | None = None) -> str:
-    table = break_table(t)
+    table = t.table.breaks
     lines = [
         "alphabet " + " ".join(t.alphabet.symbols),
         f"states {t.state_count}",

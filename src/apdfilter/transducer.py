@@ -7,9 +7,10 @@ step table) filled in by a resynchronization transition.  The
 resynchronization target comes from a table of candidate tracker
 states indexed by (specificity, imagined past length): the states the
 tracker reaches on an imagined past that ends in the forbidden state,
-plus the forbidden letter.  One layered walk over the tracker's own
-transitions fills the table, and the first singleton in the order
-specificity (subset-tag size) first, then past length, wins.
+plus the forbidden letter.  One layered walk per filter over the
+tracker's own transitions fills the tables of all forbidden pairs
+(``resync``), and in each the first singleton in the order specificity
+(subset-tag size) first, then past length, wins.
 
 A filter runs on one dense integer table (``Transducer.table``), built
 once per filter from its transitions: for ``i = state*k + symbol``,
@@ -23,7 +24,7 @@ cover) share the ``plain_symbols`` map, where every break is -1.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple, Sequence, Union
 
@@ -81,20 +82,6 @@ class ResyncReport:
     specificity: int
     past_length: int
     candidates: tuple[tuple[tuple[int, int], frozenset[int]], ...]
-
-
-class ResyncError(RuntimeError):
-    """No singleton candidate set inside the bounded scan."""
-
-    def __init__(self, state, symbol, candidates):
-        self.state = state
-        self.symbol = symbol
-        self.candidates = candidates
-        table = ", ".join(f"({i},{l})={sorted(ss)}" for (i, l), ss in candidates)
-        super().__init__(
-            f"no unambiguous resynchronization state for ({state}, {symbol!r}); "
-            f"candidate sets: {table or 'none'}"
-        )
 
 
 class FilterTable(NamedTuple):
@@ -209,70 +196,93 @@ def base_transducer(tracker: Tracker) -> Transducer:
     )
 
 
-def resync(tracker: FiniteAutomaton, state: int, symbol: str) -> ResyncReport:
-    """Choose the state to jump to for a forbidden (state, letter) pair.
+def resync(tracker: Tracker) -> tuple[ResyncReport, ...]:
+    """Choose the state to jump to for every forbidden (state, letter)
+    pair of the tracker: one report per pair, in (state, letter) order.
 
-    The candidates for imagined-past length l are the tracker states
-    reached from the start by the words w + letter of length l whose
-    imagined past w ends in ``state`` (some path labeled w leads from some
-    tracker state to ``state``); length 0 holds the start state alone.
-    They come from one walk over layers of (past subset, flag, tracker
-    state) elements, one per word u of that length: the tracker states
-    some path labeled u reaches, whether u is such a w + letter, and the
-    state the tracker reaches by u from its start.  The walk stops at the
-    first empty or repeated layer.  The first singleton in the
-    (specificity, past length) dictionary order wins.
+    The candidates of a pair (q, a) for imagined-past length l are the
+    tracker states reached from the start by the words w + a of length l
+    whose imagined past w ends in q (some path labeled w leads from some
+    tracker state to q); length 0 holds the start state alone.  One walk
+    per filter goes over layers of (past subset, tracker state) elements,
+    one per word u of that length: the tracker states some path labeled u
+    reaches, and the state the tracker reaches by u from its start.  Entry
+    l of a pair holds the a-successors of the elements of layer l - 1
+    whose past subset holds q.  The walk stops at the first empty or
+    repeated layer r.
+
+    A pair's table ends where a walk of its own over (past subset, flag,
+    tracker state) elements would, the flag marking the words w + a: at
+    its first empty or repeated flagged layer.  Its flagged layer l + 1 is
+    a function of shared layer l and, flags dropped, is shared layer
+    l + 1, so that end is r or r + 1: entry r is kept unless the pair's
+    flagged layers at r and at the index layer r repeats are equal.  That
+    check costs two flagged layers per pair, not a whole walk per pair.
+
+    The first singleton in the (specificity, past length) dictionary order
+    wins; at the top specificity, the start alone at length 0 is one.
     """
-    sym = tracker.alphabet.index(symbol)
-    table = tracker.transition_table
-    if sym in table[state]:
-        raise ValueError(f"({state}, {symbol!r}) is not forbidden")
-    start = next(iter(tracker.starts))
-    layer = frozenset([(frozenset(range(tracker.state_count)), True, start)])
-    seen = set()
-    per_length: list[frozenset[int]] = []
-    while layer and layer not in seen:
-        seen.add(layer)
-        per_length.append(frozenset(t for (_past, flagged, t) in layer if flagged))
-        nxt = set()
-        for past, _flagged, t in layer:
-            for a, dsts in table[t].items():
-                step = tracker.step(past, a)
-                flagged = a == sym and state in past
-                # a word no path reads lives on only as a flagged candidate
-                if step or flagged:
-                    nxt.update((step, flagged, d) for d in dsts)
-        layer = frozenset(nxt)
+    dfa, step = tracker.dfa, tracker.step
+    root = (frozenset(range(dfa.state_count)), 0)
+    successors: dict = {}  # element -> [(letter, successor element)]
+    index: dict[frozenset, int] = {}  # layer -> its number, in walk order
+    layer = frozenset([root])
+    while layer and layer not in index:
+        index[layer] = len(index)
+        for past, t in layer - successors.keys():
+            successors[past, t] = [
+                (a, (dfa.step(past, a), row[t])) for a, row in enumerate(step) if row[t] is not None
+            ]
+        layer = frozenset(e for u in layer for _a, e in successors[u])
+    layers = list(index)
+    r, repeats = len(layers), index.get(layer)  # repeats is None after an empty layer
+
+    def flagged(l: int, q: int, a: int) -> frozenset:
+        if l == 0:
+            return frozenset([(root, True)])
+        return frozenset(
+            (e, b == a and q in past) for past, t in layers[l - 1] for b, e in successors[past, t]
+        )
+
     # candidate tracker states per specificity: subset-tag size
-    by_size: dict[int, set[int]] = {}
-    for s, tag in enumerate(tracker.state_tags):
-        by_size.setdefault(len(tag), set()).add(s)
-    max_specificity = len(tracker.state_tags[start])
-    examined = []
-    winner = None
-    for i in range(1, max_specificity + 1):
-        sized = by_size.get(i, set())
-        if not sized:
-            continue
-        for l, candidates in enumerate(per_length):
-            hit = frozenset(sized & candidates)
-            if hit:
-                examined.append(((i, l), hit))
-            if len(hit) == 1 and winner is None:
-                winner = (next(iter(hit)), i, l)
-        if winner is not None:
-            break
-    if winner is None:
-        raise ResyncError(state, symbol, tuple(examined))
-    target, specificity, past_length = winner
-    return ResyncReport(
-        state=state,
-        symbol=symbol,
-        target=target,
-        specificity=specificity,
-        past_length=past_length,
-        candidates=tuple(examined),
-    )
+    tags = dfa.state_tags
+    by_size = [
+        (i, frozenset(s for s, tag in enumerate(tags) if len(tag) == i))
+        for i in sorted({len(tag) for tag in tags})
+    ]
+    reports = []
+    for q in range(dfa.state_count):
+        for a, row in enumerate(step):
+            if row[q] is not None:
+                continue
+            end = r if repeats is None or flagged(r, q, a) == flagged(repeats, q, a) else r + 1
+            per_length = [frozenset([0])] + [
+                frozenset(row[t] for past, t in layers[l - 1] if q in past and row[t] is not None)
+                for l in range(1, end)
+            ]
+            examined = []
+            winner = None
+            for i, sized in by_size:
+                for l, candidates in enumerate(per_length):
+                    hit = sized & candidates
+                    if hit:
+                        examined.append(((i, l), hit))
+                    if len(hit) == 1 and winner is None:
+                        winner = (next(iter(hit)), i, l)
+                if winner is not None:
+                    break
+            target, specificity, past_length = winner
+            reports.append(
+                ResyncReport(
+                    state=q,
+                    symbol=dfa.alphabet.symbols[a],
+                    target=target,
+                    specificity=specificity,
+                    past_length=past_length,
+                    candidates=tuple(examined),
+                )
+            )
+    return tuple(reports)
 
 
 def build_filter(domains: Sequence[Domain]) -> Transducer:
@@ -280,31 +290,12 @@ def build_filter(domains: Sequence[Domain]) -> Transducer:
     every forbidden (state, letter) pair of the tracker."""
     tracker = build_tracker(domains)
     base = base_transducer(tracker)
-    dfa, step = tracker.dfa, tracker.step
-    transitions = set(base.transitions)
-    reports = []
-    for s in range(dfa.state_count):
-        for sym, row in enumerate(step):
-            if row[s] is None:  # forbidden: every tracked path dies here
-                report = resync(dfa, s, dfa.alphabet.symbols[sym])
-                reports.append(report)
-                transitions.add((s, sym, DomainBreak(s, report.target), report.target))
-    return Transducer(
-        alphabet=base.alphabet,
-        state_count=base.state_count,
-        start=base.start,
-        finals=base.finals,
-        transitions=frozenset(transitions),
-        domain_count=base.domain_count,
-        state_tags=base.state_tags,
-        resync_reports=tuple(reports),
+    reports = resync(tracker)
+    breaks = frozenset(
+        (r.state, base.alphabet.indices[r.symbol], DomainBreak(r.state, r.target), r.target)
+        for r in reports
     )
-
-
-def break_table(t: Transducer) -> dict[tuple[int, int], int]:
-    """Stable negative codes for break outputs, assigned in first-use order
-    over transitions sorted by (state, symbol)."""
-    return dict(t.table.breaks)
+    return replace(base, transitions=base.transitions | breaks, resync_reports=reports)
 
 
 def symbol_code(symbol: OutputSymbol, table: dict[tuple[int, int], int] | None = None) -> int:

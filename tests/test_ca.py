@@ -5,6 +5,7 @@ from helpers import ALPHA01, orbit_multiplicity_at
 
 from apdfilter.automata import build_tracker, cyclic_domain
 from apdfilter.ca import (
+    MAX_RULE_TABLE,
     SpaceTimeDiagram,
     evolve,
     filter_diagram,
@@ -45,6 +46,15 @@ class TestRules:
             rule_from_number(2, 0, 0)
         with pytest.raises(ValueError):
             rule_from_number(2, 1, 256)
+        with pytest.raises(ValueError):
+            rule_from_number(2, 1, -1)
+
+    def test_rule_table_budget(self):
+        # k=2, r=9 is the largest binary table under the limit
+        assert len(rule_from_number(2, 9, 1).table) == 2**19
+        for k, r in ((2, 10), (3, 7), (11, 4), (2, 10**9)):
+            with pytest.raises(ValueError, match=str(MAX_RULE_TABLE)):
+                rule_from_number(k, r, 1)
 
     def test_nonbinary_rules(self):
         rule = rule_from_number(3, 1, 42)

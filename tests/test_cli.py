@@ -275,6 +275,23 @@ class TestCa:
             assert code == 1, init
             assert message in err, init
 
+    def test_ca_rule_table_budget(self, capsys):
+        code, _o, err = run_cli(
+            capsys,
+            "ca", "--rule", "110", "--r", "10", "--width", "8", "--steps", "1",
+            "--init", "random:1",
+        )
+        assert code == 2
+        assert "1048576 entries" in err
+        # the text-output check comes before the 11**9-entry table is built
+        code, _o, err = run_cli(
+            capsys,
+            "ca", "--k", "11", "--r", "4", "--rule", "1", "--width", "8", "--steps", "1",
+            "--init", "random:1",
+        )
+        assert code == 1
+        assert "k up to 10" in err
+
     def test_ca_filter_non_digit_cell(self, tmp_path, capsys, d18_file):
         diagram = tmp_path / "diagram.txt"
         diagram.write_text("0110\n\n01x0\n")

@@ -15,7 +15,6 @@ from apdfilter.transducer import (
     AMBIGUOUS,
     DomainBreak,
     DomainLabel,
-    break_table,
     build_filter,
     plain_symbols,
     transduce,
@@ -121,7 +120,7 @@ class TestTdx:
         assert loaded.start == t.start
         for sigma in ("", "0011", "110100", "000111000"):
             assert transduce(loaded, sigma) == transduce(t, sigma)
-        assert break_table(loaded) == break_table(t)
+        assert loaded.table.breaks == t.table.breaks
 
     def test_serialized_shape(self, runs01):
         t = build_filter(runs01)
@@ -215,7 +214,7 @@ class TestRender:
 
     def test_symbol_codes(self, runs01):
         t = build_filter(runs01)
-        table = break_table(t)
+        table = t.table.breaks
         out = transduce(t, "01")
         codes = [symbol_code(s, table) for s in out]
         assert codes[0] == 1

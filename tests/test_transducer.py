@@ -17,19 +17,18 @@ from apdfilter.automata import (
     cyclic_domain,
     determinize,
 )
+from apdfilter.domspec import parse_domain_spec
 from apdfilter.optimizer import OptimizeError, optimize
 from apdfilter.stackfilter import filter_local
 from apdfilter.transducer import (
     AMBIGUOUS,
     DomainBreak,
     DomainLabel,
-    ResyncError,
     TransduceStats,
     Transducer,
     base_transducer,
     bidirectional,
     bidirectional_filters,
-    break_table,
     build_filter,
     resync,
     symbol_code,
@@ -80,11 +79,16 @@ class TestBaseTransducer:
             )
 
 
+def reports_by_pair(tracker):
+    """The tracker's resync reports keyed by (state, symbol)."""
+    return {(r.state, r.symbol): r for r in resync(tracker)}
+
+
 class TestResync:
     def test_d18_resyncs_to_boundary(self, d18):
-        tracker = determinize(d18.fa)
-        boundary = tag_state(tracker, {0})
-        report = resync(tracker, boundary, "1")
+        tracker = build_tracker([d18])
+        boundary = tag_state(tracker.dfa, {0})
+        report = reports_by_pair(tracker)[boundary, "1"]
         assert report.target == boundary
         assert (report.specificity, report.past_length) == (1, 1)
         # every candidate ever examined projects onto the boundary state
@@ -92,27 +96,38 @@ class TestResync:
             assert states <= {boundary, 0}
 
     def test_two_runs_cross_domain(self, runs01):
-        tracker = determinize(disjoint([d.fa for d in runs01]))
-        zero_state = tag_state(tracker, {0})
-        one_state = tag_state(tracker, {1})
-        report = resync(tracker, zero_state, "1")
+        tracker = build_tracker(runs01)
+        zero_state = tag_state(tracker.dfa, {0})
+        one_state = tag_state(tracker.dfa, {1})
+        report = reports_by_pair(tracker)[zero_state, "1"]
         assert report.target == one_state
         assert report.specificity == 1
 
     def test_repeated_symbol_resync(self):
-        tracker = determinize(cyclic_domain("01", ALPHA01).fa)
-        after_zero = step_det(tracker, 0, 0)
-        report = resync(tracker, after_zero, "0")
+        tracker = build_tracker([cyclic_domain("01", ALPHA01)])
+        after_zero = step_det(tracker.dfa, 0, 0)
+        report = reports_by_pair(tracker)[after_zero, "0"]
         assert report.target == after_zero
         assert report.specificity == 1
 
-    def test_not_forbidden_rejected(self, d18):
-        tracker = determinize(d18.fa)
-        with pytest.raises(ValueError, match="not forbidden"):
-            resync(tracker, 0, "0")
+    @pytest.mark.parametrize("extra, specificity", [("", 1), ("domain Z cyclic 0\n", 2)])
+    def test_arcless_state_resyncs_to_start(self, extra, specificity):
+        # E's one state has no arcs: alone, the walk ends on an empty layer
+        _alphabet, parsed = parse_domain_spec(
+            "alphabet 0 1\ndomain E\n  state p\nend\n" + extra
+        )
+        tracker = build_tracker([p.domain for p in parsed])
+        reports = resync(tracker)
+        assert [(r.state, r.symbol) for r in reports] == [
+            (s, ALPHA01.symbols[sym]) for (s, sym) in forbidden_pairs(tracker.dfa)
+        ]
+        for report in reports:
+            assert report.target == 0  # the tracker's start
+            assert (report.specificity, report.past_length) == (specificity, 0)
 
     def test_candidates_match_brute_oracle(self):
         rng = Random(53)
+        sets = []
         for alphabet in (ALPHA01, Alphabet(("0", "1", "2"))):
             for n in range(40):
                 if n % 2:
@@ -125,34 +140,35 @@ class TestResync:
                         )
                         for _ in range(rng.randint(1, 3))
                     ]
-                tracker = determinize(disjoint([d.fa for d in domains]))
-                sizes = {len(tag) for tag in tracker.state_tags}
-                for (s, sym) in forbidden_pairs(tracker):
-                    symbol = alphabet.symbols[sym]
-                    report = resync(tracker, s, symbol)
-                    oracle, end = brute_resync_candidates(tracker, s, symbol)
-                    table = dict(report.candidates)
-                    if end is not None:
-                        assert all(l < end for (_i, l) in table)
-                    for i in sizes:
-                        if i > report.specificity:
-                            continue
-                        tagged = {t for t, tag in enumerate(tracker.state_tags) if len(tag) == i}
-                        for l in range(len(oracle)):
-                            assert table.get((i, l), frozenset()) == oracle[l] & tagged, (
-                                domains, s, symbol, i, l
-                            )
+                sets.append(domains)
+        # split domains carry nonrecurrent states
+        sets += [[sd.domain for sd in optimize(domains)] for domains in sets[:10]]
+        for domains in sets:
+            tracker = build_tracker(domains)
+            dfa = tracker.dfa
+            alphabet = dfa.alphabet
+            reports = resync(tracker)
+            assert [(r.state, r.symbol) for r in reports] == [
+                (s, alphabet.symbols[sym]) for (s, sym) in forbidden_pairs(dfa)
+            ]
+            sizes = {len(tag) for tag in dfa.state_tags}
+            for report in reports:
+                oracle, end = brute_resync_candidates(dfa, report.state, report.symbol)
+                table = dict(report.candidates)
+                if end is not None:
+                    assert all(l < end for (_i, l) in table)
+                for i in sizes:
+                    if i > report.specificity:
+                        continue
+                    tagged = {t for t, tag in enumerate(dfa.state_tags) if len(tag) == i}
+                    for l in range(len(oracle)):
+                        assert table.get((i, l), frozenset()) == oracle[l] & tagged, (
+                            domains, report.state, report.symbol, i, l
+                        )
 
     def test_deterministic_reports(self, d18):
-        tracker = determinize(d18.fa)
-        boundary = tag_state(tracker, {0})
-        assert resync(tracker, boundary, "1") == resync(tracker, boundary, "1")
-
-
-def disjoint(fas):
-    from apdfilter.automata import disjoint_union
-
-    return disjoint_union(fas)
+        tracker = build_tracker([d18])
+        assert resync(tracker) == resync(build_tracker([d18]))
 
 
 class TestBuildFilter:
@@ -187,9 +203,9 @@ class TestBuildFilter:
 
     def test_break_table_stable(self, runs01):
         t = build_filter(runs01)
-        table = break_table(t)
+        table = t.table.breaks
         assert sorted(table.values()) == list(range(-len(table), 0))
-        assert break_table(t) == table
+        assert build_filter(runs01).table.breaks == table
 
 
 class TestTransduce:
@@ -270,15 +286,14 @@ class TestTransduce:
 
 def random_filters(rng, alphabet, count):
     """Seeded filters of random domain sets, plain and optimized; sets
-    whose construction fails (no singleton resync, optimizer pass cap) are
-    skipped."""
+    whose optimizer hits its pass cap are skipped."""
     filters = []
     while len(filters) < count:
         domains = [random_domain(rng, alphabet) for _ in range(rng.randint(1, 3))]
         try:
             filters.append(build_filter(domains))
             filters.append(build_filter([sd.domain for sd in optimize(domains)]))
-        except (ResyncError, OptimizeError):
+        except OptimizeError:
             continue
     return filters
 
@@ -292,7 +307,7 @@ class TestIntegerLoop:
         rng = Random(len(symbols) * 101 + len(symbols[0]))
         for t in random_filters(rng, alphabet, 24):
             assert t.input_complete()
-            table = break_table(t)
+            table = t.table.breaks
             for _ in range(10):
                 tokens = [rng.choice(symbols) for _ in range(rng.randint(1, 30))]
                 # a string of one-character tokens runs as a str too
@@ -308,7 +323,7 @@ class TestIntegerLoop:
     def test_outputs_are_shared_symbols(self, d18):
         t = build_filter([d18])
         out = transduce(t, "0110100101")
-        assert all(o is t.table.symbols[symbol_code(o, break_table(t))] for o in out)
+        assert all(o is t.table.symbols[symbol_code(o, t.table.breaks)] for o in out)
 
     def test_missing_arc_names_state_and_letter(self):
         rng = Random(53)
