@@ -131,6 +131,10 @@ def evolve(rule: CARule, initial: Sequence[int], steps: int) -> SpaceTimeDiagram
     """Iterate the global map with wrap-around indexing."""
     row = tuple(initial)
     n = len(row)
+    if not n:
+        raise ValueError("empty initial row")
+    if steps < 0:
+        raise ValueError(f"negative step count {steps}")
     if any(not 0 <= v < rule.k for v in row):
         raise ValueError("symbol out of range")
     rows = [row]

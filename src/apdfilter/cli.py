@@ -171,6 +171,8 @@ def _parse_init(init: str, k: int, width: int | None) -> tuple[int, ...]:
     if init.startswith("random:"):
         if width is None:
             raise UsageError("random initial conditions need --width")
+        if width < 1:
+            raise UsageError(f"--width {width} is not a positive integer")
         return random_row(k, width, _parse_int(init.split(":", 1)[1], init))
     if init.startswith("word:"):
         body = init.split(":", 1)[1]
@@ -180,6 +182,8 @@ def _parse_init(init: str, k: int, width: int | None) -> tuple[int, ...]:
         row = tuple(_parse_int(c, init) for c in _read_text(init[1:]).strip())
     else:
         raise UsageError(f"bad --init {init!r}; use random:SEED, word:W[^N], or @FILE")
+    if not row:
+        raise UsageError(f"bad --init {init!r}: the initial row is empty")
     if width is not None and width != len(row):
         raise UsageError(f"--width {width} does not match initial row length {len(row)}")
     return row
@@ -188,6 +192,8 @@ def _parse_init(init: str, k: int, width: int | None) -> tuple[int, ...]:
 def _cmd_ca(args) -> int:
     if args.k > 10:
         raise UsageError("text output supports k up to 10")
+    if args.steps < 0:
+        raise UsageError(f"--steps {args.steps} is negative")
     rule = rule_from_number(args.k, args.r, args.rule)
     row = _parse_init(args.init, args.k, args.width)
     diagram = evolve(rule, row, args.steps)

@@ -19,6 +19,11 @@ letter successors at every successor state of s.  Finally each domain is
 rebuilt over (state, class) pairs.  The rebuilt domains recognize the same
 languages but let the filter pick a unique resynchronization state where
 the originals could not.
+
+Class ``j`` of a union state is its block ``j`` of P-states, and blocks
+are numbered by first occurrence.  P is numbered breadth-first, so the
+classes are ordered by the shortlex-least past word in each, and class 0
+holds the empty past.
 """
 
 from __future__ import annotations
@@ -31,24 +36,13 @@ from .automata import (
     Domain,
     FiniteAutomaton,
     build_tracker,
-    canonical_key,
-    complement,
     determinize,
-    disjoint_union,
-    intersect,
-    is_empty,
-    minimize,
-    replace_finals,
     sigma_star_prefix,
 )
 
 log = logging.getLogger(__name__)
 
 DEFAULT_MAX_PASSES = 64
-
-# class map: for each state of the domain union, an ordered tuple of
-# canonical automata whose languages partition all strings
-ClassMap = dict[int, tuple[FiniteAutomaton, ...]]
 
 
 class OptimizeError(RuntimeError):
@@ -59,15 +53,13 @@ class OptimizeError(RuntimeError):
 class SplitDomain:
     """A domain rebuilt over (original state, past class) pairs.
 
-    ``members`` names each split state; ``classes`` maps each original
-    local state to its ordered class automata.  Split domains keep their
+    ``members`` names each split state.  Split domains keep their
     non-recurrent states, so they need not be strongly connected.
     """
 
     domain: Domain
     original: Domain
     members: tuple[tuple[int, int], ...]
-    classes: dict[int, tuple[FiniteAutomaton, ...]]
 
 
 @dataclass(frozen=True)
@@ -160,21 +152,13 @@ def class_fixpoint(
     raise OptimizeError(f"class refinement did not stabilize within {max_passes} passes")
 
 
-def past_classes(part: PastPartition) -> tuple[ClassMap, list[list[int]]]:
-    """Class automata per union state in canonical order, and the ordinal
-    of every P-state's class at each union state."""
-    classes: ClassMap = {}
-    ordinals = []
-    for s, row in enumerate(part.blocks):
-        members: dict[int, list[int]] = {}
-        for p, b in enumerate(row):
-            members.setdefault(b, []).append(p)
-        fas = {b: minimize(replace_finals(part.past, ps)) for b, ps in members.items()}
-        order = sorted(fas, key=lambda b: canonical_key(fas[b]))
-        rank = {b: j for j, b in enumerate(order)}
-        classes[s] = tuple(fas[b] for b in order)
-        ordinals.append([rank[b] for b in row])
-    return classes, ordinals
+def _first_states(row: Sequence[int]) -> list[int]:
+    """The first P-state of every block, indexed by block number."""
+    firsts: list[int] = []
+    for p, b in enumerate(row):
+        if b == len(firsts):
+            firsts.append(p)
+    return firsts
 
 
 def optimize(
@@ -184,28 +168,25 @@ def optimize(
 
     Each split state is an (original state, class) pair; transitions
     follow the original transition while the class coordinate moves to the
-    class of the letter successor in P of any P-state of the source class
-    (the fixpoint makes it unique).  All split states are start and final,
-    so the language is unchanged.
+    block of the letter successor in P of the class's first P-state (the
+    fixpoint makes it the same for every P-state of the class).  All split
+    states are start and final, so the language is unchanged.
     """
     part, _passes = class_fixpoint(initial_partition(domains), max_passes)
-    classes, ordinals = past_classes(part)
     table = part.past.transition_table
+    firsts = [_first_states(row) for row in part.blocks]
     out = []
     off = 0
     for d in domains:
         members: list[tuple[int, int]] = [
-            (s, j)
-            for s in range(d.fa.state_count)
-            for j in range(len(classes[off + s]))
+            (s, j) for s in range(d.fa.state_count) for j in range(len(firsts[off + s]))
         ]
         ids = {pair: n for n, pair in enumerate(members)}
         transitions = set()
         for (s, sym, s2) in d.fa.transitions:
-            row = ordinals[off + s]
-            for j in range(len(classes[off + s])):
-                target = ordinals[off + s2][table[row.index(j)][sym][0]]
-                transitions.add((ids[(s, j)], sym, ids[(s2, target)]))
+            row = part.blocks[off + s2]
+            for j, p in enumerate(firsts[off + s]):
+                transitions.add((ids[(s, j)], sym, ids[(s2, row[table[p][sym][0]])]))
         fa = FiniteAutomaton(
             alphabet=d.alphabet,
             state_count=len(members),
@@ -214,24 +195,6 @@ def optimize(
             transitions=frozenset(transitions),
             state_tags=tuple(members),
         )
-        out.append(
-            SplitDomain(
-                domain=Domain(fa),
-                original=d,
-                members=tuple(members),
-                classes={s: classes[off + s] for s in range(d.fa.state_count)},
-            )
-        )
+        out.append(SplitDomain(domain=Domain(fa), original=d, members=tuple(members)))
         off += d.fa.state_count
     return out
-
-
-def check_partition(classes: Sequence[FiniteAutomaton]) -> bool:
-    """True iff the class languages are pairwise disjoint and exhaustive."""
-    if not classes:
-        return False
-    for i, a in enumerate(classes):
-        for b in classes[i + 1 :]:
-            if not is_empty(intersect(a, b)):
-                return False
-    return is_empty(complement(disjoint_union(list(classes))))

@@ -14,6 +14,8 @@ dense table without a range check per letter.
 
 from __future__ import annotations
 
+import re
+
 from .automata import Alphabet
 from .transducer import (
     AMBIGUOUS,
@@ -25,6 +27,9 @@ from .transducer import (
 
 class TdxError(ValueError):
     pass
+
+
+_OUTPUT_CODE = re.compile(r"lam|d\d+|brk\d+")
 
 
 def save_transducer(t: Transducer, domains_digest: str | None = None) -> str:
@@ -75,6 +80,8 @@ def load_transducer(text: str) -> tuple[Transducer, str | None]:
                 digest = fields[1]
             elif word == "trans":
                 s, tok, code, d = fields[1], fields[2], fields[3], fields[4]
+                if not _OUTPUT_CODE.fullmatch(code):
+                    raise TdxError(f"line {line_no}: bad output code {code!r}")
                 raw_transitions.append((int(s), tok, code, int(d)))
             elif word.startswith("brk"):
                 number = int(word[3:])
@@ -106,10 +113,8 @@ def load_transducer(text: str) -> tuple[Transducer, str | None]:
             if number not in pairs:
                 raise TdxError(f"undeclared break code brk{number}")
             out = DomainBreak(*pairs[number])
-        elif code.startswith("d"):
-            out = DomainLabel(int(code[1:]))
         else:
-            raise TdxError(f"bad output code {code!r}")
+            out = DomainLabel(int(code[1:]))
         transitions.add((s, alphabet.index(tok), out, d))
     labels = {out.index for (_s, _a, out, _d) in transitions if isinstance(out, DomainLabel)}
     if domains is None:

@@ -5,7 +5,9 @@ independent of the constructions under test.  The one exception is the
 reference optimizer at the end: it computes the optimizer's past classes
 by language algebra, one coarsest common refinement of minimized
 languages per union state and pass, which the optimizer itself replaced
-by block refinement over one past automaton.
+by block refinement over one past automaton.  ``past_classes`` turns the
+optimizer's blocks into the same canonical class automata, and
+``check_partition`` checks a class tuple by language algebra.
 """
 
 from __future__ import annotations
@@ -33,10 +35,9 @@ from apdfilter.automata import (
 )
 from apdfilter.optimizer import (
     DEFAULT_MAX_PASSES,
-    ClassMap,
     OptimizeError,
+    PastPartition,
     initial_partition,
-    past_classes,
     refine,
 )
 
@@ -239,6 +240,38 @@ def d18_domain() -> Domain:
 # minimal DFA; a refinement piece {w in E : w + a in E'} is E intersected
 # with the letter preimage of E'.
 
+# class map: for each state of the domain union, an ordered tuple of
+# canonical automata whose languages partition all strings
+ClassMap = dict[int, tuple[FiniteAutomaton, ...]]
+
+
+def past_classes(part: PastPartition) -> ClassMap:
+    """The optimizer's blocks as class automata per union state, in
+    canonical order, for comparison with the reference."""
+    classes: ClassMap = {}
+    for s, row in enumerate(part.blocks):
+        members: dict[int, list[int]] = {}
+        for p, b in enumerate(row):
+            members.setdefault(b, []).append(p)
+        classes[s] = tuple(
+            sorted(
+                (minimize(replace_finals(part.past, ps)) for ps in members.values()),
+                key=canonical_key,
+            )
+        )
+    return classes
+
+
+def check_partition(classes: Sequence[FiniteAutomaton]) -> bool:
+    """True iff the class languages are pairwise disjoint and exhaustive."""
+    if not classes:
+        return False
+    for i, a in enumerate(classes):
+        for b in classes[i + 1 :]:
+            if not is_empty(intersect(a, b)):
+                return False
+    return is_empty(complement(disjoint_union(list(classes))))
+
 
 def unconcat_last(fa: FiniteAutomaton, token: str) -> FiniteAutomaton:
     """Strip a trailing ``token``: accept w iff ``fa`` accepts w + token.
@@ -398,10 +431,10 @@ def oracle_stages(domains: Sequence[Domain]) -> list[ClassMap]:
 def refinement_stages(domains: Sequence[Domain]) -> list[ClassMap]:
     """The same stages of the optimizer's block refinement."""
     part = initial_partition(domains)
-    stages = [past_classes(part)[0]]
+    stages = [past_classes(part)]
     for _pass in range(DEFAULT_MAX_PASSES):
         refined = refine(part)
-        stages.append(past_classes(refined)[0])
+        stages.append(past_classes(refined))
         if refined.blocks == part.blocks:
             return stages
         part = refined

@@ -12,6 +12,7 @@ from helpers import (
     ALPHA01,
     all_words,
     brute_maximal_cover,
+    check_partition,
     d18_domain,
     language,
     oracle_stages,
@@ -30,7 +31,7 @@ from apdfilter.automata import (
     minimize,
 )
 from apdfilter.ca import evolve, filter_diagram, random_row, rule_from_number
-from apdfilter.optimizer import check_partition, optimize
+from apdfilter.optimizer import optimize
 from apdfilter.stackfilter import FilterStats, filter_global, filter_local
 from apdfilter.transducer import (
     DomainBreak,

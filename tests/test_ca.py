@@ -67,6 +67,14 @@ class TestEvolve:
         diag = evolve(rule_from_number(2, 1, 0), (1, 0, 1, 1), 3)
         assert diag.rows[1:] == ((0, 0, 0, 0),) * 3
 
+    def test_empty_row_or_negative_steps_rejected(self):
+        rule = rule_from_number(2, 1, 110)
+        with pytest.raises(ValueError, match="empty initial row"):
+            evolve(rule, (), 3)
+        with pytest.raises(ValueError, match="negative step count"):
+            evolve(rule, (0, 1), -1)
+        assert evolve(rule, (0, 1), 0).rows == ((0, 1),)
+
     def test_single_one_under_110(self):
         rule = rule_from_number(2, 1, 110)
         diag = evolve(rule, (0, 0, 0, 1, 0, 0), 1)

@@ -275,6 +275,25 @@ class TestCa:
             assert code == 1, init
             assert message in err, init
 
+    def test_ca_empty_row_or_negative_steps(self, capsys):
+        # an empty initial row or a negative step count is a usage error,
+        # not a traceback from evolve
+        for extra, message in (
+            (["--init", "word:"], "initial row is empty"),
+            (["--init", "word:01^0"], "initial row is empty"),
+            (["--init", "word:01^-2"], "initial row is empty"),
+            (["--init", "random:1", "--width", "0"], "--width 0 is not a positive"),
+            (["--init", "random:1", "--width", "-4"], "--width -4 is not a positive"),
+        ):
+            code, out, err = run_cli(capsys, "ca", "--rule", "110", "--steps", "2", *extra)
+            assert code == 1 and out == "", extra
+            assert message in err, extra
+        code, out, err = run_cli(
+            capsys, "ca", "--rule", "110", "--steps", "-1", "--init", "word:0110"
+        )
+        assert code == 1 and out == ""
+        assert "--steps -1 is negative" in err
+
     def test_ca_rule_table_budget(self, capsys):
         code, _o, err = run_cli(
             capsys,
@@ -335,6 +354,14 @@ class TestErrors:
             )
             assert code == 2, new
             assert out == "" and err.count("\n") == 1 and err.startswith("error: "), new
+        # a malformed output code names its line
+        for code_text in ("d", "dx", "brkx"):
+            bad.write_text(valid.replace("trans 1 0 d1 0", f"trans 1 0 {code_text} 0"))
+            code, out, err = run_cli(
+                capsys, "run", "--filter", str(bad), "--input", "0101", "--format", "pgm"
+            )
+            assert code == 2, code_text
+            assert err == f"error: line 7: bad output code {code_text!r}\n", code_text
 
     def test_missing_file_exit_2(self, capsys):
         code, _o, err = run_cli(capsys, "stack", "--domains", "missing.dom", "--input", "0")

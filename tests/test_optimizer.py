@@ -5,12 +5,14 @@ import pytest
 from helpers import (
     ALPHA01,
     all_words,
+    check_partition,
     class_fixpoint,
     disjoin,
     forbidden_pairs,
     initial_classes,
     language,
     oracle_stages,
+    past_classes,
     random_domain,
     random_nfa,
     refinement_stages,
@@ -35,17 +37,47 @@ from apdfilter.automata import (
 )
 from apdfilter.optimizer import (
     OptimizeError,
-    check_partition,
     initial_partition,
     optimize,
-    past_classes,
     refine,
 )
 from apdfilter.optimizer import class_fixpoint as block_fixpoint
+from apdfilter.tdx import save_transducer
 from apdfilter.transducer import DomainBreak, build_filter
 
 
 ALPHA012 = Alphabet(("0", "1", "2"))
+
+
+def binary_domain(transitions):
+    """A binary domain given as (src, sym, dst) triples, every state start
+    and final."""
+    n = 1 + max(max(s, d) for (s, _a, d) in transitions)
+    return Domain(FiniteAutomaton(ALPHA01, n, range(n), range(n), transitions))
+
+
+# three binary domains with many past classes: 90 tracker states, 594
+# states in P and 400 classes
+SLOW_SET = (
+    [(1, 0, 0), (0, 0, 2), (2, 0, 0), (3, 0, 1), (3, 1, 0), (2, 1, 3), (1, 1, 2)],
+    [(2, 1, 1), (1, 1, 3), (3, 0, 0), (3, 1, 0), (1, 0, 3), (0, 0, 2), (0, 1, 2), (2, 0, 3)],
+    [(0, 1, 2), (2, 0, 1), (1, 0, 0), (1, 1, 2)],
+)
+
+
+def relabeled(rng, fa):
+    """The same domain with its states renumbered by a random permutation."""
+    perm = list(range(fa.state_count))
+    rng.shuffle(perm)
+    return Domain(
+        FiniteAutomaton(
+            fa.alphabet,
+            fa.state_count,
+            range(fa.state_count),
+            range(fa.state_count),
+            [(perm[s], a, perm[d]) for (s, a, d) in fa.transitions],
+        )
+    )
 
 
 def in_exactly_one_class(classes, max_len=8):
@@ -202,11 +234,11 @@ class TestDisjoin:
 class TestInitialClasses:
     def test_single_letter_domain_trivial(self):
         zero = Alphabet(("0",))
-        classes = past_classes(initial_partition([cyclic_domain("0", zero)]))[0]
+        classes = past_classes(initial_partition([cyclic_domain("0", zero)]))
         assert classes[0] == (minimize(universal(zero)),)
 
     def test_d18_partitions(self, d18):
-        classes = past_classes(initial_partition([d18]))[0]
+        classes = past_classes(initial_partition([d18]))
         assert classes == initial_classes([d18])
         for s, cls in classes.items():
             assert check_partition(cls)
@@ -214,7 +246,7 @@ class TestInitialClasses:
 
     def test_multi_domain_partitions(self, runs01):
         doms = runs01 + [cyclic_domain("01", ALPHA01)]
-        classes = past_classes(initial_partition(doms))[0]
+        classes = past_classes(initial_partition(doms))
         assert classes == initial_classes(doms)
         for s, cls in classes.items():
             assert check_partition(cls)
@@ -240,7 +272,7 @@ class TestInitialClasses:
     )
     def test_complement_warning(self, caplog, domains, warned):
         with caplog.at_level(logging.WARNING):
-            got = past_classes(initial_partition(domains))[0]
+            got = past_classes(initial_partition(domains))
             want = initial_classes(domains)
         assert got == want
         by_logger: dict[str, list] = {"apdfilter.optimizer": [], "helpers": []}
@@ -316,10 +348,14 @@ class TestOptimize:
         assert after > before
         for sd in split:
             assert language(sd.domain.fa, 10) == language(sd.original.fa, 10)
-            # member naming: (original state, class ordinal)
+            # member naming: (original state, class ordinal), the ordinals
+            # at each original state running 0..c-1
+            ordinals: dict[int, list[int]] = {}
             for (s, j) in sd.members:
-                assert 0 <= s < sd.original.fa.state_count
-                assert 0 <= j < len(sd.classes[s])
+                ordinals.setdefault(s, []).append(j)
+            assert sorted(ordinals) == list(range(sd.original.fa.state_count))
+            for js in ordinals.values():
+                assert sorted(js) == list(range(len(js)))
 
     def test_filter_from_split_domains(self, runs01):
         split = optimize(runs01)
@@ -338,3 +374,63 @@ class TestOptimize:
         doms = runs01 + [cyclic_domain("01", ALPHA01)]
         split = optimize(doms)
         assert any(not is_strongly_connected(sd.domain.fa) for sd in split)
+
+    def test_slow_set(self):
+        doms = [binary_domain(ts) for ts in SLOW_SET]
+        split = optimize(doms)
+        assert sum(sd.domain.fa.state_count for sd in split) == 400
+        for sd in split:
+            assert language(sd.domain.fa, 10) == language(sd.original.fa, 10)
+        assert build_filter([sd.domain for sd in split]).input_complete()
+
+    def test_classes_ordered_by_shortlex_least_past(self, runs01):
+        # P is numbered breadth-first and blocks by first occurrence, so
+        # class 0 holds P's start (the empty past), the first P-state of
+        # each class grows with j, and so does its shortlex-least past
+        rng = Random(9)
+        sets = [runs01 + [cyclic_domain("01", ALPHA01)], [binary_domain(SLOW_SET[2])]]
+        sets += [[random_domain(rng, ALPHA012, 3) for _ in range(2)] for _ in range(4)]
+        for doms in sets:
+            part, _passes = block_fixpoint(initial_partition(doms))
+            past = part.past
+            least: dict[int, str] = {}  # P-state -> its shortlex-least word
+            for w in all_words(past.alphabet, past.state_count):
+                q = 0
+                for c in w:
+                    q = step_det(past, q, past.alphabet.index(c))
+                least.setdefault(q, w)
+                if len(least) == past.state_count:
+                    break
+            for row in part.blocks:
+                assert row[0] == 0
+                firsts: list[int] = []
+                for p, b in enumerate(row):
+                    if b == len(firsts):
+                        firsts.append(p)
+                    assert b < len(firsts)
+                words = [least[p] for p in firsts]
+                assert words == sorted(words, key=lambda w: (len(w), w))
+            # split state (s, j) is block j at s: every P-state of that block
+            # steps into the block of the split transition's target
+            off = 0
+            for sd in optimize(doms):
+                for (n, sym, n2) in sd.domain.fa.transitions:
+                    (s, j), (s2, j2) = sd.members[n], sd.members[n2]
+                    row, row2 = part.blocks[off + s], part.blocks[off + s2]
+                    assert {
+                        row2[step_det(past, p, sym)] for p, b in enumerate(row) if b == j
+                    } == {j2}
+                off += sd.original.fa.state_count
+
+    def test_filter_independent_of_state_numbering(self, d18, runs01):
+        # tracker states are subsets in discovery order, so renumbering the
+        # split states leaves the filter byte-identical
+        rng = Random(23)
+        sets = [[d18], runs01 + [cyclic_domain("01", ALPHA01)]]
+        sets += [[random_domain(rng, ALPHA01, 4) for _ in range(3)] for _ in range(4)]
+        for doms in sets:
+            split = [sd.domain for sd in optimize(doms)]
+            want = save_transducer(build_filter(split))
+            for _trial in range(3):
+                shuffled = [relabeled(rng, d.fa) for d in split]
+                assert save_transducer(build_filter(shuffled)) == want
