@@ -10,10 +10,14 @@ holds at most one pair per tracker state and the scan does O(n*m) work
 take a prebuilt ``Tracker``: the scan follows its step table, and the
 domain set of an emitted interval is the dying pair's ``state_domains``
 entry.  The global variant handles periodic two-way infinite strings
-through a pumping-bound window; it runs every domain over the text of its
-few representatives to get their domain sets.  ``orbit_multiplicity``
-counts, in one sweep, how many shifted representatives cover each
-position of the period.
+through a pumping-bound window of (m+1)*N letters (m the largest domain
+state count, N the period), scanned one period at a time until the live
+pairs, with their ages, repeat at a period boundary: from there on every
+period repeats the last one, so the rest of the window adds no orbit.
+Only the whole-string case scans the whole window.  It runs every domain
+over the text of its few representatives to get their domain sets.
+``orbit_multiplicity`` counts, in one sweep, how many shifted
+representatives cover each position of the period.
 """
 
 from __future__ import annotations
@@ -72,10 +76,6 @@ class PeriodicString:
     def period(self) -> int:
         return len(self.period_word)
 
-    def window(self, length: int) -> str:
-        reps = -(-length // self.period)
-        return (self.period_word * reps)[:length]
-
 
 @dataclass
 class FilterStats:
@@ -86,6 +86,57 @@ class FilterStats:
 
 def _accepting_domains(domains: Sequence[Domain], word: str) -> frozenset[int]:
     return frozenset(i + 1 for i, d in enumerate(domains) if accepts(d.fa, word))
+
+
+def _scan(
+    tracker: Tracker, syms: Sequence[int], repeats: int = 1, stats: FilterStats | None = None
+) -> MaximalCover:
+    """``filter_local``'s scan over ``repeats`` copies of the symbol indices.
+
+    After each copy, at step j, the ordered live configuration
+    ``[(state, j - begin), ...]`` is compared with the one after the copy
+    before (empty before the first letter); on equality the scan stops
+    there and flushes its bottom pair at j, so the result is the cover of
+    the scanned prefix.
+    """
+    step, state_domains = tracker.step, tracker.state_domains
+    live: dict[int, int] = {}  # state -> oldest start index, oldest first
+    emitted: list[tuple[int, int]] = []
+    domain_sets: list[frozenset[int]] = []
+    advances = 0
+    j = 0
+    previous: list[tuple[int, int]] = []
+    for k in range(repeats):
+        for j, sym in enumerate(syms, start=k * len(syms) + 1):
+            row = step[sym]
+            live.setdefault(0, j)  # the fresh pair at the tracker start
+            survivors: dict[int, int] = {}
+            bottom = True
+            for state, begin in live.items():
+                nxt = row[state]
+                if nxt is None:
+                    # non-bottom pairs die silently: their intervals are
+                    # contained in the bottom pair's
+                    if bottom and begin < j:
+                        emitted.append((begin, j - 1))
+                        domain_sets.append(state_domains[state])
+                else:
+                    advances += 1
+                    if nxt not in survivors:
+                        survivors[nxt] = begin
+                bottom = False
+            live = survivors
+        config = [(state, j - begin) for state, begin in live.items()]
+        if config == previous:
+            break
+        previous = config
+    if live:
+        state, begin = next(iter(live.items()))
+        emitted.append((begin, j))
+        domain_sets.append(state_domains[state])
+    if stats is not None:
+        stats.pair_advances += advances
+    return MaximalCover(intervals=tuple(emitted), domain_sets=tuple(domain_sets))
 
 
 def filter_local(
@@ -102,39 +153,8 @@ def filter_local(
     tracker's state count.  Every domain state is final, so the domains
     accepting an emitted interval are the bottom pair's ``state_domains``.
     """
-    if not sigma:
-        return MaximalCover(())
-    step, state_domains = tracker.step, tracker.state_domains
-    live: dict[int, int] = {}  # state -> oldest start index, oldest first
-    emitted: list[tuple[int, int]] = []
-    domain_sets: list[frozenset[int]] = []
-    advances = 0
-    for j, sym in enumerate([tracker.dfa.alphabet.index(tok) for tok in sigma], start=1):
-        row = step[sym]
-        live.setdefault(0, j)  # the fresh pair at the tracker start
-        survivors: dict[int, int] = {}
-        bottom = True
-        for state, begin in live.items():
-            nxt = row[state]
-            if nxt is None:
-                # non-bottom pairs die silently: their intervals are
-                # contained in the bottom pair's
-                if bottom and begin < j:
-                    emitted.append((begin, j - 1))
-                    domain_sets.append(state_domains[state])
-            else:
-                advances += 1
-                if nxt not in survivors:
-                    survivors[nxt] = begin
-            bottom = False
-        live = survivors
-    if live:
-        state, begin = next(iter(live.items()))
-        emitted.append((begin, len(sigma)))
-        domain_sets.append(state_domains[state])
-    if stats is not None:
-        stats.pair_advances += advances
-    return MaximalCover(intervals=tuple(emitted), domain_sets=tuple(domain_sets))
+    index = tracker.dfa.alphabet.index
+    return _scan(tracker, [index(tok) for tok in sigma], stats=stats)
 
 
 def _canonical_representatives(
@@ -180,16 +200,30 @@ def filter_global(
     longer neighbors are dropped by the orbit reduction.  A window of
     m*N+1 letters would detect the whole-string case but can clip every
     shift of a near-extremal substring, so the longer window is used.
+
+    The scan over the window stops at the first period boundary kN whose
+    live configuration, as (state, kN - begin) pairs, repeats the one at
+    (k-1)N, and flushes its bottom pair as (begin, kN).  The output is the
+    same as for the full window:
+
+    - the configuration after letter j depends only on the one after j-1
+      and on letter j, and the letters repeat every N;
+    - so every later emission is an earlier one in ((k-1)N, kN] shifted
+      by a multiple of N, and the full window's final flush is the bottom
+      pair shifted by (m+1-k)N; the representatives see the same orbits;
+    - a pair begun at letter 1 is older at kN than any pair at (k-1)N, so
+      the whole-string case still scans the whole window.
     """
     if isinstance(periodic, str):
         periodic = PeriodicString(periodic)
     domains = tracker.domains
     n = periodic.period
     m = max(d.fa.state_count for d in domains)
-    window_len = (m + 1) * n
-    window = periodic.window(window_len)
-    local = filter_local(tracker, window, stats=stats)
-    if local.intervals == ((1, window_len),):
+    window = periodic.period_word * (m + 1)
+    index = tracker.dfa.alphabet.index
+    codes = [index(tok) for tok in periodic.period_word]
+    local = _scan(tracker, codes, repeats=m + 1, stats=stats)
+    if local.intervals == ((1, len(window)),):
         return MaximalCover(
             (),
             whole_string=True,
@@ -197,13 +231,9 @@ def filter_global(
             whole_domains=_accepting_domains(domains, window),
         )
     reps = _canonical_representatives(local.intervals, n)
-
-    def content(a: int, b: int) -> str:
-        return periodic.window(b)[a - 1 : b]
-
     return MaximalCover(
         intervals=tuple(reps),
-        domain_sets=tuple(_accepting_domains(domains, content(a, b)) for (a, b) in reps),
+        domain_sets=tuple(_accepting_domains(domains, window[a - 1 : b]) for (a, b) in reps),
         period=n,
     )
 

@@ -7,9 +7,10 @@ A trailing table maps each ``brk<j>`` back to its state pair.  An optional
 ``hash`` line carries the digest of the domain file the filter was built
 from, so later runs can flag a mismatched domain set.
 
-Loading checks that every state, label and break pair is in range and
-that each ``brk<j>`` is declared once, so a loaded filter runs on its
-dense table without a range check per letter.
+Loading checks that every state, label and break pair is in range, that
+every transition letter is in the alphabet, that no transition line
+repeats and that each ``brk<j>`` is declared once, so a loaded filter
+runs on its dense table without a range check per letter.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def load_transducer(text: str) -> tuple[Transducer, str | None]:
     alphabet: Alphabet | None = None
     state_count = start = domains = None
     digest = None
-    raw_transitions: list[tuple[int, str, str, int]] = []
+    raw_transitions: dict[tuple[int, str, str, int], int] = {}  # -> line number
     pairs: dict[int, tuple[int, int]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -82,7 +83,10 @@ def load_transducer(text: str) -> tuple[Transducer, str | None]:
                 s, tok, code, d = fields[1], fields[2], fields[3], fields[4]
                 if not _OUTPUT_CODE.fullmatch(code):
                     raise TdxError(f"line {line_no}: bad output code {code!r}")
-                raw_transitions.append((int(s), tok, code, int(d)))
+                key = (int(s), tok, code, int(d))
+                if key in raw_transitions:
+                    raise TdxError(f"line {line_no}: duplicate transition")
+                raw_transitions[key] = line_no
             elif word.startswith("brk"):
                 number = int(word[3:])
                 if number in pairs:
@@ -103,7 +107,9 @@ def load_transducer(text: str) -> tuple[Transducer, str | None]:
         if not (0 <= source <= top and 0 <= target <= top):
             raise TdxError(f"brk{number} {source} {target}: outside the states 0..{top}")
     transitions = set()
-    for (s, tok, code, d) in raw_transitions:
+    for (s, tok, code, d), line_no in raw_transitions.items():
+        if tok not in alphabet:
+            raise TdxError(f"line {line_no}: unknown symbol {tok!r}")
         if not (0 <= s <= top and 0 <= d <= top):
             raise TdxError(f"trans {s} {tok} {code} {d}: outside the states 0..{top}")
         if code == "lam":

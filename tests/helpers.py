@@ -1,8 +1,10 @@
 """Brute-force oracles shared by the test modules.
 
 Everything here works by direct enumeration or simulation so it stays
-independent of the constructions under test.  The one exception is the
-reference optimizer at the end: it computes the optimizer's past classes
+independent of the constructions under test.  There are two exceptions.
+``filter_global_full_window`` is the periodic stack cover without its
+early stop: ``filter_local`` over the whole pumping window.  The
+reference optimizer at the end computes the optimizer's past classes
 by language algebra, one coarsest common refinement of minimized
 languages per union state and pass, which the optimizer itself replaced
 by block refinement over one past automaton.  ``past_classes`` turns the
@@ -39,6 +41,12 @@ from apdfilter.optimizer import (
     PastPartition,
     initial_partition,
     refine,
+)
+from apdfilter.stackfilter import (
+    FilterStats,
+    MaximalCover,
+    _canonical_representatives,
+    filter_local,
 )
 
 log = logging.getLogger(__name__)
@@ -99,6 +107,28 @@ def brute_maximal_cover(domains, sigma: str) -> list[tuple[int, int]]:
                 continue
             out.append((a, b))
     return out
+
+
+def filter_global_full_window(
+    tracker, word: str, stats: FilterStats | None = None
+) -> MaximalCover:
+    """``filter_global`` without its early stop: ``filter_local`` over the
+    whole (m+1)*N window, then the orbit representatives, each with the
+    domains that accept its text."""
+    domains = tracker.domains
+    n = len(word)
+    window = word * (max(d.fa.state_count for d in domains) + 1)
+    local = filter_local(tracker, window, stats=stats)
+    if local.intervals == ((1, len(window)),):
+        return MaximalCover(
+            (), whole_string=True, period=n, whole_domains=accepting_domains(domains, window)
+        )
+    reps = _canonical_representatives(local.intervals, n)
+    return MaximalCover(
+        intervals=tuple(reps),
+        domain_sets=tuple(accepting_domains(domains, window[a - 1 : b]) for (a, b) in reps),
+        period=n,
+    )
 
 
 def brute_resync_candidates(

@@ -362,6 +362,18 @@ class TestErrors:
             )
             assert code == 2, code_text
             assert err == f"error: line 7: bad output code {code_text!r}\n", code_text
+        # a letter outside the alphabet line and a repeated transition name
+        # their lines
+        for old, new, message in (
+            ("trans 1 1 d1 0", "trans 1 x d1 0", "line 8: unknown symbol 'x'"),
+            ("trans 1 1 d1 0", "trans 1 1 d1 0\ntrans 1 1 d1 0", "line 9: duplicate transition"),
+        ):
+            bad.write_text(valid.replace(old, new))
+            code, out, err = run_cli(
+                capsys, "run", "--filter", str(bad), "--input", "0101", "--format", "pgm"
+            )
+            assert code == 2, new
+            assert out == "" and err == f"error: {message}\n", new
 
     def test_missing_file_exit_2(self, capsys):
         code, _o, err = run_cli(capsys, "stack", "--domains", "missing.dom", "--input", "0")

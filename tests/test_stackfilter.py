@@ -1,3 +1,4 @@
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -5,11 +6,14 @@ from helpers import (
     ALPHA01,
     accepting_domains,
     brute_maximal_cover,
+    filter_global_full_window,
     orbit_multiplicity_at,
     random_domain,
 )
 
-from apdfilter.automata import build_tracker, cyclic_domain
+from apdfilter.automata import Alphabet, build_tracker, cyclic_domain
+from apdfilter.domspec import parse_domain_spec
+from apdfilter.optimizer import optimize
 from apdfilter.stackfilter import (
     FilterStats,
     MaximalCover,
@@ -138,6 +142,41 @@ class TestFilterGlobal:
                     and b + q * n >= lo
                 )
                 assert unrolled == brute, (word, len(domains))
+
+
+class TestEarlyStop:
+    def test_matches_full_window_random(self):
+        # seeded domain sets over 01 and 012, each also optimized: the split
+        # domains are non-recurrent and have more states, so longer windows
+        rng = Random(113)
+        whole = covers = 0
+        for alphabet in (ALPHA01, Alphabet(("0", "1", "2"))):
+            for _ in range(40):
+                domains = [random_domain(rng, alphabet, 6) for _ in range(rng.randint(1, 3))]
+                for doms in (domains, [sd.domain for sd in optimize(domains)]):
+                    tracker = build_tracker(doms)
+                    for _ in range(6):
+                        word = "".join(
+                            rng.choice(alphabet.symbols) for _ in range(rng.randint(1, 9))
+                        )
+                        cover = filter_global(tracker, word)
+                        assert cover == filter_global_full_window(tracker, word), word
+                        whole += cover.whole_string
+                        covers += not cover.whole_string
+        assert whole > 100 and covers > 300
+
+    def test_stops_before_the_window_end(self):
+        # a defect in the rule-110 period: the configuration repeats long
+        # before the 15-period window ends
+        text = (Path(__file__).parent / "data" / "golden" / "rule110.dom").read_text()
+        _alphabet, parsed = parse_domain_spec(text)
+        tracker = build_tracker([pd.domain for pd in parsed])
+        word = "00010011011111" * 2 + "0110"
+        early, full = FilterStats(), FilterStats()
+        cover = filter_global(tracker, word, stats=early)
+        assert cover == filter_global_full_window(tracker, word, stats=full)
+        assert not cover.whole_string and cover.intervals
+        assert 0 < early.pair_advances < full.pair_advances
 
 
 class TestOrbitMultiplicity:
