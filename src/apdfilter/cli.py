@@ -136,6 +136,13 @@ def _cmd_run(args) -> int:
         if not args.domains:
             raise UsageError("--bidi needs --domains (the reverse filter is built from them)")
         text, parsed = _load_domains(args.domains)
+        alphabet = parsed[0].domain.alphabet
+        if set(alphabet.symbols) != set(t.alphabet.symbols) or len(parsed) != t.domain_count:
+            # the two passes' labels would name different domain sets
+            raise ValueError(
+                f"--domains has {len(parsed)} domain(s) over {' '.join(alphabet.symbols)}, "
+                f"the filter {t.domain_count} over {' '.join(t.alphabet.symbols)}"
+            )
         if digest is not None and spec_digest(text) != digest:
             print(
                 "warning: filter was built from a different domain file",

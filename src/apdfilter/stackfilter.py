@@ -2,28 +2,34 @@
 
 A string is scanned once while a stack of (tracker state, start index)
 pairs follows every suffix still consistent with some domain.  When the
-oldest pair dies its interval is emitted; younger pairs dying at the same
-step are contained in it and emit nothing.  Pairs in the same tracker
-state advance and die together, so only the oldest is kept: the stack
-holds at most one pair per tracker state and the scan does O(n*m) work
-(m tracker states), not the O(n^2) of the unmerged scan.  Both variants
-take a prebuilt ``Tracker``: the scan follows its step table, and the
-domain set of an emitted interval is the dying pair's ``state_domains``
-entry.  The global variant handles periodic two-way infinite strings
-through a pumping-bound window of (m+1)*N letters (m the largest domain
-state count, N the period), scanned one period at a time until the live
-pairs, with their ages, repeat at a period boundary: from there on every
-period repeats the last one, so the rest of the window adds no orbit.
-Only the whole-string case scans the whole window.  It runs every domain
-over the text of its few representatives to get their domain sets.
-``orbit_multiplicity`` counts, in one sweep, how many shifted
-representatives cover each position of the period.
+oldest pair dies its interval is emitted; younger pairs dying at the
+same step are contained in it and emit nothing.  Pairs in the same
+tracker state advance and die together, so only the oldest is kept: the
+stack holds at most one pair per tracker state and the scan does O(n*m)
+work (m tracker states), not the O(n^2) of the unmerged scan.  The
+stack's shape is finite-state: the tuple of live tracker states, oldest
+first, depends only on the tuple before and the letter, and only the
+begin indices are unbounded memory.  The scan therefore runs an
+automaton over these tuples, built lazily for each call, and each letter
+costs one table lookup plus one remap of the begins tuple.  Both
+variants take a prebuilt ``Tracker``: the scan follows its step table,
+and the domain set of an emitted interval is the dying pair's
+``state_domains`` entry.  The global variant handles periodic two-way
+infinite strings through a pumping-bound window of (m+1)*N letters (m
+the largest domain state count, N the period), scanned one period at a
+time until the live pairs, with their ages, repeat at a period boundary:
+from there on every period repeats the last one, so the rest of the
+window adds no orbit.  Only the whole-string case scans the whole
+window.  It runs every domain over the text of its few representatives
+to get their domain sets.  ``orbit_multiplicity`` counts, in one sweep,
+how many shifted representatives cover each position of the period.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import itemgetter
 from typing import Sequence
 
 from .automata import Domain, Tracker, accepts
@@ -88,10 +94,34 @@ def _accepting_domains(domains: Sequence[Domain], word: str) -> frozenset[int]:
     return frozenset(i + 1 for i, d in enumerate(domains) if accepts(d.fa, word))
 
 
+def _codes(tracker: Tracker, word: str) -> list[int]:
+    """The symbol indices of a word's letters."""
+    try:
+        return list(map(tracker.dfa.alphabet.indices.__getitem__, word))
+    except KeyError as e:
+        raise ValueError(f"unknown symbol {e.args[0]!r}") from None
+
+
 def _scan(
     tracker: Tracker, syms: Sequence[int], repeats: int = 1, stats: FilterStats | None = None
 ) -> MaximalCover:
     """``filter_local``'s scan over ``repeats`` copies of the symbol indices.
+
+    The live pairs' tracker states, oldest first, form a configuration
+    that depends only on the one before and the letter; only their begins
+    are unbounded.  So the scan runs an automaton over configurations,
+    built lazily for this call: entry cfg*k + sym of ``table`` (cfg a
+    configuration's id, k the alphabet size) holds the next
+    configuration's cfg*k, the remap of the begins tuple, the dying bottom
+    pair's domain set (None when the bottom pair survives) and the number
+    of pairs advanced.  An entry is filled by one step of the pair scan the
+    first time its (configuration, letter) occurs; every letter then costs
+    one lookup and one C-level remap of the begins.
+
+    The remap takes the begins plus, last, the letter's own index j: the
+    fresh pair at the tracker start, live unless a pair is already in
+    state 0.  Surviving pairs are an increasing subsequence of these, the
+    oldest of those landing in each state.
 
     After each copy, at step j, the ordered live configuration
     ``[(state, j - begin), ...]`` is compared with the one after the copy
@@ -100,40 +130,63 @@ def _scan(
     the scanned prefix.
     """
     step, state_domains = tracker.step, tracker.state_domains
-    live: dict[int, int] = {}  # state -> oldest start index, oldest first
+    k = len(step)
+    configs: list[tuple[int, ...]] = [()]  # by id, the empty one first
+    ids = {(): 0}
+    table: list = [None] * k
+    base = 0  # the current configuration's id times k
+    begins: tuple[int, ...] = ()
     emitted: list[tuple[int, int]] = []
     domain_sets: list[frozenset[int]] = []
     advances = 0
     j = 0
     previous: list[tuple[int, int]] = []
-    for k in range(repeats):
-        for j, sym in enumerate(syms, start=k * len(syms) + 1):
-            row = step[sym]
-            live.setdefault(0, j)  # the fresh pair at the tracker start
-            survivors: dict[int, int] = {}
-            bottom = True
-            for state, begin in live.items():
-                nxt = row[state]
-                if nxt is None:
-                    # non-bottom pairs die silently: their intervals are
-                    # contained in the bottom pair's
-                    if bottom and begin < j:
-                        emitted.append((begin, j - 1))
-                        domain_sets.append(state_domains[state])
+    for copy in range(repeats):
+        for j, sym in enumerate(syms, start=copy * len(syms) + 1):
+            entry = table[base + sym]
+            if entry is None:
+                states = configs[base // k]
+                row = step[sym]
+                survivors: dict[int, int] = {}  # next state -> position of its oldest pair
+                moved = 0
+                for i, state in enumerate(states if 0 in states else states + (0,)):
+                    nxt = row[state]
+                    if nxt is not None:
+                        moved += 1
+                        if nxt not in survivors:
+                            survivors[nxt] = i
+                picks = tuple(survivors.values())  # increasing positions
+                if not picks:
+                    remap = itemgetter(slice(0, 0))
+                elif picks[-1] - picks[0] == len(picks) - 1:
+                    # consecutive positions; unlike one index, a slice returns a tuple
+                    remap = itemgetter(slice(picks[0], picks[-1] + 1))
                 else:
-                    advances += 1
-                    if nxt not in survivors:
-                        survivors[nxt] = begin
-                bottom = False
-            live = survivors
-        config = [(state, j - begin) for state, begin in live.items()]
+                    remap = itemgetter(*picks)
+                nxt_states = tuple(survivors)
+                cfg = ids.get(nxt_states)
+                if cfg is None:
+                    cfg = ids[nxt_states] = len(configs)
+                    configs.append(nxt_states)
+                    table += [None] * k
+                # a dying fresh pair (empty configuration) emits nothing
+                dying = state_domains[states[0]] if states and row[states[0]] is None else None
+                entry = table[base + sym] = (cfg * k, remap, dying, moved)
+            base, remap, dying, moved = entry
+            if dying is not None:
+                # non-bottom pairs die silently: their intervals are
+                # contained in the bottom pair's
+                emitted.append((begins[0], j - 1))
+                domain_sets.append(dying)
+            begins = remap(begins + (j,))
+            advances += moved
+        config = [(state, j - begin) for state, begin in zip(configs[base // k], begins)]
         if config == previous:
             break
         previous = config
-    if live:
-        state, begin = next(iter(live.items()))
-        emitted.append((begin, j))
-        domain_sets.append(state_domains[state])
+    if begins:
+        emitted.append((begins[0], j))
+        domain_sets.append(state_domains[configs[base // k][0]])
     if stats is not None:
         stats.pair_advances += advances
     return MaximalCover(intervals=tuple(emitted), domain_sets=tuple(domain_sets))
@@ -153,8 +206,7 @@ def filter_local(
     tracker's state count.  Every domain state is final, so the domains
     accepting an emitted interval are the bottom pair's ``state_domains``.
     """
-    index = tracker.dfa.alphabet.index
-    return _scan(tracker, [index(tok) for tok in sigma], stats=stats)
+    return _scan(tracker, _codes(tracker, sigma), stats=stats)
 
 
 def _canonical_representatives(
@@ -220,9 +272,7 @@ def filter_global(
     n = periodic.period
     m = max(d.fa.state_count for d in domains)
     window = periodic.period_word * (m + 1)
-    index = tracker.dfa.alphabet.index
-    codes = [index(tok) for tok in periodic.period_word]
-    local = _scan(tracker, codes, repeats=m + 1, stats=stats)
+    local = _scan(tracker, _codes(tracker, periodic.period_word), repeats=m + 1, stats=stats)
     if local.intervals == ((1, len(window)),):
         return MaximalCover(
             (),

@@ -1,9 +1,11 @@
 """Brute-force oracles shared by the test modules.
 
 Everything here works by direct enumeration or simulation so it stays
-independent of the constructions under test.  There are two exceptions.
+independent of the constructions under test.  There are three exceptions.
+``reference_scan`` is the pair-stack scan with one dict of live pairs
+per letter, the reference for the configuration automaton, and
 ``filter_global_full_window`` is the periodic stack cover without its
-early stop: ``filter_local`` over the whole pumping window.  The
+early stop: ``reference_scan`` over the whole pumping window.  The
 reference optimizer at the end computes the optimizer's past classes
 by language algebra, one coarsest common refinement of minimized
 languages per union state and pass, which the optimizer itself replaced
@@ -46,7 +48,6 @@ from apdfilter.stackfilter import (
     FilterStats,
     MaximalCover,
     _canonical_representatives,
-    filter_local,
 )
 
 log = logging.getLogger(__name__)
@@ -109,16 +110,68 @@ def brute_maximal_cover(domains, sigma: str) -> list[tuple[int, int]]:
     return out
 
 
+def reference_scan(
+    tracker, syms: Sequence[int], repeats: int = 1, stats: FilterStats | None = None
+) -> MaximalCover:
+    """The pair-stack scan one letter at a time: a dict of live pairs,
+    state -> oldest begin in age order, rebuilt for every letter.  The
+    reference for ``stackfilter._scan``, which runs the same steps
+    through its configuration automaton.
+
+    Over ``repeats`` copies of the symbol indices it stops after the first
+    copy whose ordered ``[(state, j - begin), ...]`` equals the one after
+    the copy before, and flushes its bottom pair at j.
+    """
+    step, state_domains = tracker.step, tracker.state_domains
+    live: dict[int, int] = {}
+    emitted: list[tuple[int, int]] = []
+    domain_sets: list[frozenset[int]] = []
+    advances = 0
+    j = 0
+    previous: list[tuple[int, int]] = []
+    for k in range(repeats):
+        for j, sym in enumerate(syms, start=k * len(syms) + 1):
+            row = step[sym]
+            live.setdefault(0, j)  # the fresh pair at the tracker start
+            survivors: dict[int, int] = {}
+            bottom = True
+            for state, begin in live.items():
+                nxt = row[state]
+                if nxt is None:
+                    # only the bottom pair's death emits an interval
+                    if bottom and begin < j:
+                        emitted.append((begin, j - 1))
+                        domain_sets.append(state_domains[state])
+                else:
+                    advances += 1
+                    if nxt not in survivors:
+                        survivors[nxt] = begin
+                bottom = False
+            live = survivors
+        config = [(state, j - begin) for state, begin in live.items()]
+        if config == previous:
+            break
+        previous = config
+    if live:
+        state, begin = next(iter(live.items()))
+        emitted.append((begin, j))
+        domain_sets.append(state_domains[state])
+    if stats is not None:
+        stats.pair_advances += advances
+    return MaximalCover(intervals=tuple(emitted), domain_sets=tuple(domain_sets))
+
+
 def filter_global_full_window(
     tracker, word: str, stats: FilterStats | None = None
 ) -> MaximalCover:
-    """``filter_global`` without its early stop: ``filter_local`` over the
-    whole (m+1)*N window, then the orbit representatives, each with the
+    """``filter_global`` without its early stop: ``reference_scan`` over
+    the whole (m+1)*N window, then the orbit representatives, each with the
     domains that accept its text."""
     domains = tracker.domains
     n = len(word)
     window = word * (max(d.fa.state_count for d in domains) + 1)
-    local = filter_local(tracker, window, stats=stats)
+    syms = [tracker.dfa.alphabet.index(tok) for tok in window]
+    local = reference_scan(tracker, syms, stats=stats)
     if local.intervals == ((1, len(window)),):
         return MaximalCover(
             (), whole_string=True, period=n, whole_domains=accepting_domains(domains, window)

@@ -108,23 +108,60 @@ class TestBuildRun:
         )
         assert stdout.strip() == "1,-1,-1,-1,-1,1,1"
 
-    def test_bidi_warns_on_digest_mismatch(self, tmp_path, capsys, d18_file, runs_file):
+    def test_bidi_warns_on_digest_mismatch(self, tmp_path, capsys, d18_file):
+        # same shape as the d18 file (one domain over 0 1), other domain
+        alt = tmp_path / "alt.dom"
+        alt.write_text("alphabet 0 1\ndomain alt cyclic 01\n")
         out = tmp_path / "f.tdx"
         run_cli(capsys, "build", "--domains", d18_file, "-o", str(out))
         code, stdout, err = run_cli(
             capsys,
             "run", "--filter", str(out), "--input", "0100100",
-            "--bidi", "--domains", runs_file,
+            "--bidi", "--domains", str(alt),
         )
         assert "different domain file" in err
         # the loaded filter runs forward; --domains only supplies the reverse pass
         loaded, _digest = load_transducer(out.read_text())
-        _alphabet, parsed = parse_domain_spec(RUNS)
+        _alphabet, parsed = parse_domain_spec(alt.read_text())
         domains = [pd.domain for pd in parsed]
         reverse = build_filter([reverse_domain(d) for d in domains])
         expected = bidirectional((loaded, reverse), "0100100")
         assert code == 0
         assert stdout == ",".join(str(symbol_code(s)) for s in expected) + "\n"
+
+    @pytest.mark.parametrize(
+        "spec, shape",
+        [
+            (RUNS, "3 domain(s) over 0 1, the filter 1 over 0 1"),
+            ("alphabet a b\ndomain ab cyclic ab\n", "1 domain(s) over a b, the filter 1 over 0 1"),
+        ],
+        ids=["domain-count", "alphabet"],
+    )
+    def test_bidi_rejects_mismatched_domains(self, tmp_path, capsys, d18_file, spec, shape):
+        other = tmp_path / "other.dom"
+        other.write_text(spec)
+        out = tmp_path / "f.tdx"
+        run_cli(capsys, "build", "--domains", d18_file, "-o", str(out))
+        code, stdout, err = run_cli(
+            capsys,
+            "run", "--filter", str(out), "--input", "0100100",
+            "--bidi", "--domains", str(other),
+        )
+        assert code == 2 and stdout == ""
+        assert err == f"error: --domains has {shape}\n"
+
+    def test_bidi_accepts_reordered_alphabet(self, tmp_path, capsys, d18_file):
+        # the same token set in another order is the same alphabet
+        swapped = tmp_path / "swapped.dom"
+        swapped.write_text(D18_ONLY.replace("alphabet 0 1", "alphabet 1 0"))
+        out = tmp_path / "f.tdx"
+        run_cli(capsys, "build", "--domains", d18_file, "-o", str(out))
+        code, stdout, _err = run_cli(
+            capsys,
+            "run", "--filter", str(out), "--input", "0100100",
+            "--bidi", "--domains", str(swapped),
+        )
+        assert (code, stdout) == (0, "1,-1,-1,-1,-1,1,1\n")  # as with d18_file itself
 
 
 class TestStack:

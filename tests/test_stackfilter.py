@@ -9,6 +9,7 @@ from helpers import (
     filter_global_full_window,
     orbit_multiplicity_at,
     random_domain,
+    reference_scan,
 )
 
 from apdfilter.automata import Alphabet, build_tracker, cyclic_domain
@@ -18,6 +19,7 @@ from apdfilter.stackfilter import (
     FilterStats,
     MaximalCover,
     PeriodicString,
+    _scan,
     filter_global,
     filter_local,
     orbit_multiplicity,
@@ -177,6 +179,32 @@ class TestEarlyStop:
         assert cover == filter_global_full_window(tracker, word, stats=full)
         assert not cover.whole_string and cover.intervals
         assert 0 < early.pair_advances < full.pair_advances
+
+
+class TestConfigurationAutomaton:
+    def test_matches_reference_scan_random(self):
+        # seeded domain sets over 01 and 012, every other one optimized (split
+        # domains, many more tracker states); words of 0-60 letters, scanned
+        # once and as 3 and 6 copies with the early stop
+        rng = Random(131)
+        emitted = stopped = 0
+        for alphabet in (ALPHA01, Alphabet(("0", "1", "2"))):
+            for n_set in range(40):
+                domains = [random_domain(rng, alphabet, 5) for _ in range(rng.randint(1, 3))]
+                if n_set % 2:
+                    domains = [sd.domain for sd in optimize(domains)]
+                tracker = build_tracker(domains)
+                for _ in range(5):
+                    syms = [rng.randrange(len(alphabet)) for _ in range(rng.randint(0, 60))]
+                    for repeats in (1, 3, 6):
+                        got, want = FilterStats(), FilterStats()
+                        cover = _scan(tracker, syms, repeats, stats=got)
+                        want_cover = reference_scan(tracker, syms, repeats, stats=want)
+                        assert cover == want_cover, (syms, repeats)
+                        assert got.pair_advances == want.pair_advances, (syms, repeats)
+                        emitted += len(cover.intervals) > 1
+                        stopped += repeats > 1 and got.pair_advances < repeats * len(syms)
+        assert emitted > 500 and stopped > 100
 
 
 class TestOrbitMultiplicity:
