@@ -36,7 +36,6 @@ from .optimizer import OptimizeError, SplitDomain, optimize
 from .stackfilter import (
     FilterStats,
     MaximalCover,
-    PeriodicString,
     filter_global,
     filter_local,
 )
@@ -48,7 +47,6 @@ from .transducer import (
     OutputSymbol,
     ResyncReport,
     Transducer,
-    base_transducer,
     bidirectional,
     bidirectional_filters,
     build_filter,

@@ -22,6 +22,7 @@ from .transducer import (
     Transducer,
     bidirectional,
     bidirectional_filters,
+    label_code,
     plain_symbols,
     symbol_code,
     walk_codes,
@@ -178,19 +179,14 @@ def _cells(diagram: SpaceTimeDiagram, cell_of: Mapping[str, object]) -> list[lis
         raise ValueError(f"diagram symbol {e.args[0]} not in the filter alphabet") from None
 
 
-def _label_code(doms: frozenset[int]) -> int:
-    """The one accepting domain's index, or 0 (ambiguity) for several."""
-    return next(iter(doms)) if len(doms) == 1 else 0
-
-
-def _stack_row(tracker: Tracker, text: str) -> tuple[int, ...]:
-    """Wire codes of one row: its owner's label where exactly one shifted
-    maximal substring covers a cell; a break (-1) where several overlap or
-    none covers it, a defect cell."""
-    cover = filter_global(tracker, text)
+def _stack_row(tracker: Tracker, row: Sequence[str]) -> tuple[int, ...]:
+    """Wire codes of one row of tokens: its owner's label where exactly one
+    shifted maximal substring covers a cell; a break (-1) where several
+    overlap or none covers it, a defect cell."""
+    cover = filter_global(tracker, row)
     if cover.whole_string:
-        return (_label_code(cover.whole_domains),) * len(text)
-    labels = [_label_code(doms) for doms in cover.domain_sets]
+        return (label_code(cover.whole_domains),) * len(row)
+    labels = [label_code(doms) for doms in cover.domain_sets]
     counts, owners = orbit_multiplicity(cover)
     return tuple(labels[o] if c == 1 else -1 for c, o in zip(counts, owners))
 
@@ -216,7 +212,7 @@ def filter_diagram(
         codes = tuple(
             tuple(walk_codes(t, row, circular=True)) for row in _cells(diagram, t.alphabet.indices)
         )
-        return CodedDiagram(codes=codes, symbols=t.table.symbols)
+        return CodedDiagram(codes=codes, symbols=t.symbols)
     if method not in ("bidi", "stack"):
         raise ValueError(f"unknown method {method!r}")
     domains = list(source)
@@ -228,5 +224,5 @@ def filter_diagram(
         )
     else:
         tracker = build_tracker(domains)
-        codes = tuple(_stack_row(tracker, "".join(row)) for row in rows)
+        codes = tuple(_stack_row(tracker, row) for row in rows)
     return CodedDiagram(codes=codes, symbols=plain_symbols(len(domains)))

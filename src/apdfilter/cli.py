@@ -152,7 +152,7 @@ def _cmd_run(args) -> int:
         out = bidirectional((t, reverse), sigma, mode)
         labeled = CodedDiagram((tuple(map(symbol_code, out)),), plain_symbols(t.domain_count))
     else:
-        labeled = CodedDiagram((tuple(transduce_codes(t, sigma, mode)),), t.table.symbols)
+        labeled = CodedDiagram((tuple(transduce_codes(t, sigma, mode)),), t.symbols)
     if args.format == "pgm":
         _write(args.output, emit_pgm(labeled, RenderPalette(t.domain_count)))
     else:

@@ -3,7 +3,7 @@
 Domain labels spread over light grays (domain 1 is white), breaks are
 black, ambiguity is mid gray.  Raw diagrams render with 0 white and the
 highest symbol black, matching the usual space-time convention.  The
-CSV wire code, ``symbol_code``, lives with the filter table in
+CSV wire code, ``symbol_code``, lives with the filter transducer in
 ``transducer`` and is re-exported here.
 """
 

@@ -68,21 +68,6 @@ class MaximalCover:
             raise ValueError("domain_sets length mismatch")
 
 
-@dataclass(frozen=True)
-class PeriodicString:
-    """One period of a two-way infinite periodic string."""
-
-    period_word: str
-
-    def __post_init__(self):
-        if not self.period_word:
-            raise ValueError("empty period word")
-
-    @property
-    def period(self) -> int:
-        return len(self.period_word)
-
-
 @dataclass
 class FilterStats:
     """Work counters for the scan; advancing one pair is the unit of work."""
@@ -90,11 +75,11 @@ class FilterStats:
     pair_advances: int = 0
 
 
-def _accepting_domains(domains: Sequence[Domain], word: str) -> frozenset[int]:
+def _accepting_domains(domains: Sequence[Domain], word: Sequence[str]) -> frozenset[int]:
     return frozenset(i + 1 for i, d in enumerate(domains) if accepts(d.fa, word))
 
 
-def _codes(tracker: Tracker, word: str) -> list[int]:
+def _codes(tracker: Tracker, word: Sequence[str]) -> list[int]:
     """The symbol indices of a word's letters."""
     try:
         return list(map(tracker.dfa.alphabet.indices.__getitem__, word))
@@ -241,10 +226,11 @@ def _canonical_representatives(
 
 def filter_global(
     tracker: Tracker,
-    periodic: PeriodicString | str,
+    period_word: str | Sequence[str],
     stats: FilterStats | None = None,
 ) -> MaximalCover:
-    """Maximal substrings of a periodic two-way infinite string.
+    """Maximal substrings of the two-way infinite string that repeats
+    ``period_word``, a string or a sequence of alphabet tokens.
 
     Maximal substrings longer than m*N (m the largest domain state count)
     pump to the whole string, so a window of (m+1)*N letters contains a
@@ -266,13 +252,13 @@ def filter_global(
     - a pair begun at letter 1 is older at kN than any pair at (k-1)N, so
       the whole-string case still scans the whole window.
     """
-    if isinstance(periodic, str):
-        periodic = PeriodicString(periodic)
+    if not period_word:
+        raise ValueError("empty period word")
     domains = tracker.domains
-    n = periodic.period
+    n = len(period_word)
     m = max(d.fa.state_count for d in domains)
-    window = periodic.period_word * (m + 1)
-    local = _scan(tracker, _codes(tracker, periodic.period_word), repeats=m + 1, stats=stats)
+    window = period_word * (m + 1)
+    local = _scan(tracker, _codes(tracker, period_word), repeats=m + 1, stats=stats)
     if local.intervals == ((1, len(window)),):
         return MaximalCover(
             (),

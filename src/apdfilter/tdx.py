@@ -7,10 +7,15 @@ A trailing table maps each ``brk<j>`` back to its state pair.  An optional
 ``hash`` line carries the digest of the domain file the filter was built
 from, so later runs can flag a mismatched domain set.
 
-Loading checks that every state, label and break pair is in range, that
-every transition letter is in the alphabet, that no transition line
-repeats and that each ``brk<j>`` is declared once, so a loaded filter
-runs on its dense table without a range check per letter.
+Saving writes the filter's table in index order: one ``trans`` line per
+arc in (state, letter) order, then ``brk1``, ``brk2``, ... .  Loading
+fills the table directly.  It checks that every state, label and break
+pair is in range, that every transition letter is in the alphabet, that
+no (state, letter) has two transition lines and that each ``brk<j>`` is
+declared once, so a loaded filter runs without a range check per letter.
+Break codes are renumbered by first use in (state, letter) order: a pair
+declared under two numbers becomes one code, and unused declarations are
+dropped.
 """
 
 from __future__ import annotations
@@ -18,12 +23,7 @@ from __future__ import annotations
 import re
 
 from .automata import Alphabet
-from .transducer import (
-    AMBIGUOUS,
-    DomainBreak,
-    DomainLabel,
-    Transducer,
-)
+from .transducer import Transducer
 
 
 class TdxError(ValueError):
@@ -33,26 +33,29 @@ class TdxError(ValueError):
 _OUTPUT_CODE = re.compile(r"lam|d\d+|brk\d+")
 
 
+def _output_word(code: int) -> str:
+    if code > 0:
+        return f"d{code}"
+    return f"brk{-code}" if code else "lam"
+
+
 def save_transducer(t: Transducer, domains_digest: str | None = None) -> str:
-    table = t.table.breaks
+    symbols = t.alphabet.symbols
+    k = len(symbols)
     lines = [
-        "alphabet " + " ".join(t.alphabet.symbols),
+        "alphabet " + " ".join(symbols),
         f"states {t.state_count}",
         f"start {t.start}",
         f"domains {t.domain_count}",
     ]
     if domains_digest:
         lines.append(f"hash {domains_digest}")
-    for (s, sym, out, d) in sorted(t.transitions, key=lambda tr: (tr[0], tr[1])):
-        if isinstance(out, DomainLabel):
-            code = f"d{out.index}"
-        elif isinstance(out, DomainBreak):
-            code = f"brk{-table[(out.source, out.target)]}"
-        else:
-            code = "lam"
-        lines.append(f"trans {s} {t.alphabet.symbols[sym]} {code} {d}")
-    for (source, target), number in sorted(table.items(), key=lambda kv: -kv[1]):
-        lines.append(f"brk{-number} {source} {target}")
+    for i, (d, code) in enumerate(zip(t.next, t.code)):
+        if d is not None:
+            s, a = divmod(i, k)
+            lines.append(f"trans {s} {symbols[a]} {_output_word(code)} {d // k}")
+    for j, (source, target) in enumerate(t.breaks, start=1):
+        lines.append(f"brk{j} {source} {target}")
     return "\n".join(lines) + "\n"
 
 
@@ -60,7 +63,7 @@ def load_transducer(text: str) -> tuple[Transducer, str | None]:
     alphabet: Alphabet | None = None
     state_count = start = domains = None
     digest = None
-    raw_transitions: dict[tuple[int, str, str, int], int] = {}  # -> line number
+    arcs: list[tuple[int, int, str, str, int]] = []  # (line, s, token, output, s')
     pairs: dict[int, tuple[int, int]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -83,10 +86,7 @@ def load_transducer(text: str) -> tuple[Transducer, str | None]:
                 s, tok, code, d = fields[1], fields[2], fields[3], fields[4]
                 if not _OUTPUT_CODE.fullmatch(code):
                     raise TdxError(f"line {line_no}: bad output code {code!r}")
-                key = (int(s), tok, code, int(d))
-                if key in raw_transitions:
-                    raise TdxError(f"line {line_no}: duplicate transition")
-                raw_transitions[key] = line_no
+                arcs.append((line_no, int(s), tok, code, int(d)))
             elif word.startswith("brk"):
                 number = int(word[3:])
                 if number in pairs:
@@ -106,37 +106,42 @@ def load_transducer(text: str) -> tuple[Transducer, str | None]:
     for number, (source, target) in sorted(pairs.items()):
         if not (0 <= source <= top and 0 <= target <= top):
             raise TdxError(f"brk{number} {source} {target}: outside the states 0..{top}")
-    transitions = set()
-    for (s, tok, code, d), line_no in raw_transitions.items():
+    k = len(alphabet)
+    nxt: list[int | None] = [None] * (state_count * k)
+    code = [0] * (state_count * k)
+    broken: dict[int, tuple[int, int]] = {}  # table index -> break pair
+    labels = set()
+    for line_no, s, tok, out, d in arcs:
         if tok not in alphabet:
             raise TdxError(f"line {line_no}: unknown symbol {tok!r}")
         if not (0 <= s <= top and 0 <= d <= top):
-            raise TdxError(f"trans {s} {tok} {code} {d}: outside the states 0..{top}")
-        if code == "lam":
-            out = AMBIGUOUS
-        elif code.startswith("brk"):
-            number = int(code[3:])
+            raise TdxError(f"trans {s} {tok} {out} {d}: outside the states 0..{top}")
+        i = s * k + alphabet.index(tok)
+        if nxt[i] is not None:
+            raise TdxError(f"line {line_no}: second transition from state {s} on {tok!r}")
+        nxt[i] = d * k
+        if out.startswith("brk"):
+            number = int(out[3:])
             if number not in pairs:
                 raise TdxError(f"undeclared break code brk{number}")
-            out = DomainBreak(*pairs[number])
-        else:
-            out = DomainLabel(int(code[1:]))
-        transitions.add((s, alphabet.index(tok), out, d))
-    labels = {out.index for (_s, _a, out, _d) in transitions if isinstance(out, DomainLabel)}
+            broken[i] = pairs[number]
+        elif out != "lam":
+            code[i] = int(out[1:])
+            labels.add(code[i])
     if domains is None:
         domains = max(labels, default=1)
     for index in sorted(labels):
         if not 1 <= index <= domains:
             raise TdxError(f"domain label d{index} outside the domains 1..{domains}")
-    try:
-        t = Transducer(
-            alphabet=alphabet,
-            state_count=state_count,
-            start=start,
-            finals=frozenset(range(state_count)),
-            transitions=frozenset(transitions),
-            domain_count=domains,
-        )
-    except ValueError as e:
-        raise TdxError(str(e)) from None
+    breaks: dict[tuple[int, int], int] = {}  # pair -> code, by first use
+    for i in sorted(broken):
+        code[i] = breaks.setdefault(broken[i], -len(breaks) - 1)
+    t = Transducer(
+        alphabet=alphabet,
+        start=start,
+        next=tuple(nxt),
+        code=tuple(code),
+        breaks=tuple(breaks),
+        domain_count=domains,
+    )
     return t, digest

@@ -12,21 +12,23 @@ tracker's own transitions fills the tables of all forbidden pairs
 (``resync``), and in each the first singleton in the order specificity
 (subset-tag size) first, then past length, wins.
 
-A filter runs on one dense integer table (``Transducer.table``), built
-once per filter from its transitions: for ``i = state*k + symbol``,
-``next[i]`` is the target state times k and ``code[i]`` the wire code of
-the arc's output (``symbol_code``).  ``walk_codes`` is the one loop over
-it; ``transduce`` maps its codes to the filter's shared output symbols.
-Outputs without break identity (the two-pass combination and the stack
-cover) share the ``plain_symbols`` map, where every break is -1.
+A filter is one dense integer table (``Transducer``), filled in one pass
+over the tracker's step table, written to and read from ``.tdx`` as is,
+and run as is: for ``i = state*k + symbol``, ``next[i]`` is the target
+state times k and ``code[i]`` the wire code of the arc's output
+(``symbol_code``), with break code -j naming the (source, target) pair
+``breaks[j - 1]``.  ``walk_codes`` is the one loop over it; ``transduce``
+maps its codes to the filter's shared output symbols.  Outputs without
+break identity (the two-pass combination and the stack cover) share the
+``plain_symbols`` map, where every break is -1.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence, Union
+from typing import Sequence, Union
 
 from .automata import (
     Alphabet,
@@ -84,83 +86,55 @@ class ResyncReport:
     candidates: tuple[tuple[tuple[int, int], frozenset[int]], ...]
 
 
-class FilterTable(NamedTuple):
-    """Dense integer form of a filter, indexed by ``state*k + symbol``.
-
-    ``next`` holds the target state times k (None where the filter has no
-    arc) and ``code`` the arc's wire code; ``symbols`` maps every code to
-    the filter's one output symbol for it, and ``breaks`` every break's
-    (source, target) pair to its code.  ``start`` is the start state
-    times k.
-    """
-
-    start: int
-    next: list[int | None]
-    code: list[int]
-    symbols: dict[int, OutputSymbol]
-    breaks: dict[tuple[int, int], int]
-
-
 @dataclass(frozen=True)
 class Transducer:
-    """Finite-state filter over ``(input letter, output symbol)`` pairs.
+    """Finite-state filter as one dense integer table over ``(input letter,
+    output symbol)`` arcs, indexed by ``i = state*k + symbol``.
 
-    The input projection is deterministic by construction; a fully built
-    filter is also input-complete, so it transduces any string.  State tags
-    are the subset tags of the underlying tracker when known.  States,
-    letters and domain labels lie in their ranges (``load_transducer``
-    checks this for files), so the dense ``table`` needs no checks.
+    ``next[i]`` is the arc's target state times k (None where the filter
+    has no arc) and ``code[i]`` its wire code (``symbol_code``); break code
+    -j stands for the (source, target) pair ``breaks[j - 1]``.  Every state
+    is final.  A fully built filter is input-complete, so it transduces
+    any string.  State tags are the subset tags of the underlying tracker
+    when known.  States, letters and codes lie in their ranges
+    (``load_transducer`` checks this for files), so a run needs no checks.
     """
 
     alphabet: Alphabet
-    state_count: int
     start: int
-    finals: frozenset[int]
-    transitions: frozenset[tuple[int, int, OutputSymbol, int]]
+    next: tuple[int | None, ...]
+    code: tuple[int, ...]
+    breaks: tuple[tuple[int, int], ...]
     domain_count: int
     state_tags: tuple[frozenset[int], ...] | None = None
     resync_reports: tuple[ResyncReport, ...] = ()
 
-    def __post_init__(self):
-        seen = set()
-        for (s, sym, _out, _d) in self.transitions:
-            if (s, sym) in seen:
-                raise ValueError(f"input not deterministic at ({s}, {sym})")
-            seen.add((s, sym))
+    @property
+    def state_count(self) -> int:
+        return len(self.next) // len(self.alphabet)
 
     @cached_property
-    def table(self) -> FilterTable:
-        n, k = self.state_count, len(self.alphabet)
-        nxt: list[int | None] = [None] * (n * k)
-        outs: list[OutputSymbol | None] = [None] * (n * k)
-        for (s, sym, out, d) in self.transitions:
-            nxt[s * k + sym] = d * k
-            outs[s * k + sym] = out
-        # table order is (state, symbol) order: break ids go by first use in it
-        breaks: dict[tuple[int, int], int] = {}
-        code = [0] * (n * k)
-        symbols: dict[int, OutputSymbol] = {}
-        for i, out in enumerate(outs):
-            if out is None:
-                continue
-            if isinstance(out, DomainBreak):
-                breaks.setdefault((out.source, out.target), -(len(breaks) + 1))
-            code[i] = c = symbol_code(out, breaks)
-            symbols[c] = out
-        return FilterTable(self.start * k, nxt, code, symbols, breaks)
+    def symbols(self) -> dict[int, OutputSymbol]:
+        """The filter's one output symbol per wire code."""
+        symbols = {c: s for c, s in plain_symbols(self.domain_count).items() if c >= 0}
+        symbols.update((-j, DomainBreak(*pair)) for j, pair in enumerate(self.breaks, start=1))
+        return symbols
 
     def input_automaton(self) -> FiniteAutomaton:
+        k = len(self.alphabet)
         return FiniteAutomaton(
             alphabet=self.alphabet,
             state_count=self.state_count,
             starts=frozenset([self.start]),
-            finals=self.finals,
-            transitions=frozenset((s, sym, d) for (s, sym, _out, d) in self.transitions),
+            finals=frozenset(range(self.state_count)),
+            transitions=frozenset(
+                (i // k, i % k, d // k) for i, d in enumerate(self.next) if d is not None
+            ),
             state_tags=self.state_tags,
         )
 
     def input_complete(self) -> bool:
-        return None not in self.table.next
+        return None not in self.next
 
 
 @dataclass
@@ -175,25 +149,6 @@ def plain_symbols(domain_count: int) -> dict[int, OutputSymbol]:
     symbols[0] = AMBIGUOUS
     symbols[-1] = DomainBreak()
     return symbols
-
-
-def base_transducer(tracker: Tracker) -> Transducer:
-    """Tracker transitions labeled with their domain, or the ambiguity mark
-    when the target state straddles domains."""
-    labels = [
-        DomainLabel(next(iter(doms))) if len(doms) == 1 else AMBIGUOUS
-        for doms in tracker.state_domains
-    ]
-    dfa = tracker.dfa
-    return Transducer(
-        alphabet=dfa.alphabet,
-        state_count=dfa.state_count,
-        start=0,
-        finals=dfa.finals,
-        transitions=frozenset((s, sym, labels[d], d) for (s, sym, d) in dfa.transitions),
-        domain_count=len(tracker.domains),
-        state_tags=dfa.state_tags,
-    )
 
 
 def resync(tracker: Tracker) -> tuple[ResyncReport, ...]:
@@ -285,31 +240,56 @@ def resync(tracker: Tracker) -> tuple[ResyncReport, ...]:
     return tuple(reports)
 
 
+def label_code(domains: frozenset[int]) -> int:
+    """Wire code of a tracker state's label: its one domain's index, or 0
+    (ambiguity) when it straddles several."""
+    return next(iter(domains)) if len(domains) == 1 else 0
+
+
 def build_filter(domains: Sequence[Domain]) -> Transducer:
-    """Complete filter: the base transducer plus a break transition for
-    every forbidden (state, letter) pair of the tracker."""
+    """Complete filter: every tracker arc labeled with its target's
+    domain, and a break to the resync target for every forbidden
+    (state, letter) pair.  Break codes go by first use in (state, letter)
+    order."""
     tracker = build_tracker(domains)
-    base = base_transducer(tracker)
     reports = resync(tracker)
-    breaks = frozenset(
-        (r.state, base.alphabet.indices[r.symbol], DomainBreak(r.state, r.target), r.target)
-        for r in reports
+    k = len(tracker.step)
+    labels = [label_code(doms) for doms in tracker.state_domains]
+    jumps = iter(reports)  # one per forbidden pair, in (state, letter) order
+    breaks: dict[tuple[int, int], int] = {}  # (source, target) -> code
+    nxt: list[int] = []
+    code: list[int] = []
+    for s in range(tracker.dfa.state_count):
+        for row in tracker.step:
+            d = row[s]
+            if d is None:
+                d = next(jumps).target
+                code.append(breaks.setdefault((s, d), -len(breaks) - 1))
+            else:
+                code.append(labels[d])
+            nxt.append(d * k)
+    return Transducer(
+        alphabet=tracker.dfa.alphabet,
+        start=0,
+        next=tuple(nxt),
+        code=tuple(code),
+        breaks=tuple(breaks),
+        domain_count=len(tracker.domains),
+        state_tags=tracker.dfa.state_tags,
+        resync_reports=reports,
     )
-    return replace(base, transitions=base.transitions | breaks, resync_reports=reports)
 
 
-def symbol_code(symbol: OutputSymbol, table: dict[tuple[int, int], int] | None = None) -> int:
-    """Integer wire code: positive = domain index, 0 = ambiguity,
-    negative = break code.  Without a break table every break maps to -1
-    (break identity is not preserved for stack and two-pass outputs)."""
+def symbol_code(symbol: OutputSymbol) -> int:
+    """Integer wire code: positive = domain index, 0 = ambiguity, -1 =
+    break.  Break identity is not kept: stack and two-pass outputs have
+    none, and a filter's own runs read its codes off its table."""
     if isinstance(symbol, DomainLabel):
         return symbol.index
     if isinstance(symbol, Ambiguous):
         return 0
     if isinstance(symbol, DomainBreak):
-        if table is None:
-            return -1
-        return table.get((symbol.source, symbol.target), -1)
+        return -1
     raise ValueError(f"not an output symbol: {symbol!r}")
 
 
@@ -320,9 +300,8 @@ def walk_codes(t: Transducer, symbols: Sequence[int], circular: bool = False) ->
     warm-up lap), then records the second lap.  A missing arc leaves
     ``None`` as the state, which fails the next step or the final check.
     """
-    table = t.table
-    nxt, code = table.next, table.code
-    state = table.start
+    nxt, code = t.next, t.code
+    state = t.start * len(t.alphabet)
     out: list[int] = []
     push = out.append
     try:
@@ -341,8 +320,8 @@ def walk_codes(t: Transducer, symbols: Sequence[int], circular: bool = False) ->
 
 
 def _raise_missing_arc(t: Transducer, symbols: Sequence[int], circular: bool):
-    k, nxt = len(t.alphabet), t.table.next
-    state = t.table.start
+    k, nxt = len(t.alphabet), t.next
+    state = t.start * k
     for a in list(symbols) * (2 if circular else 1):
         if nxt[state + a] is None:
             raise ValueError(
@@ -381,7 +360,7 @@ def transduce(
     codes = transduce_codes(t, sigma, mode)
     if stats is not None:
         stats.lookups += len(codes)
-    return list(map(t.table.symbols.__getitem__, codes))
+    return list(map(t.symbols.__getitem__, codes))
 
 
 def _fill_gaps(

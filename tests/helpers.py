@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+from dataclasses import replace
 from random import Random
 from typing import Sequence
 
@@ -287,22 +288,36 @@ def random_domain(rng: Random, alphabet: Alphabet = ALPHA01, max_states: int = 4
     return Domain(FiniteAutomaton(alphabet, n, range(n), range(n), transitions))
 
 
+def filter_arcs(t) -> dict[tuple[int, int], tuple[int, int]]:
+    """(state, symbol index) -> (wire code, target state) of every arc of
+    a filter's table."""
+    k = len(t.alphabet)
+    return {divmod(i, k): (c, d // k) for i, (d, c) in enumerate(zip(t.next, t.code)) if d is not None}
+
+
+def without_breaks(t):
+    """The filter with its break arcs removed: the tracker's own arcs,
+    labeled, and no arc at the forbidden pairs."""
+    return replace(t, next=tuple(None if c < 0 else d for d, c in zip(t.next, t.code)))
+
+
 def walk_transitions(t, tokens, circular: bool = False):
-    """Outputs of a filter over ``tokens`` by a direct walk over its
-    transition set, and the (state, token) of the first missing arc (None
-    when every arc exists; the outputs then stop there).  Circular mode
-    walks twice from the start and keeps the second lap.
+    """Outputs of a filter over ``tokens`` by a direct walk over its arcs,
+    and the (state, token) of the first missing arc (None when every arc
+    exists; the outputs then stop there).  Circular mode walks twice from
+    the start and keeps the second lap.
     """
-    arcs = {(s, t.alphabet.symbols[a]): (out, d) for (s, a, out, d) in t.transitions}
+    arcs = filter_arcs(t)
     state = t.start
     outputs = []
     for _lap in range(2 if circular else 1):
         outputs = []
         for tok in tokens:
-            if (state, tok) not in arcs:
+            key = (state, t.alphabet.index(tok))
+            if key not in arcs:
                 return outputs, (state, tok)
-            out, state = arcs[(state, tok)]
-            outputs.append(out)
+            code, state = arcs[key]
+            outputs.append(t.symbols[code])
     return outputs, None
 
 

@@ -3,7 +3,7 @@ from random import Random
 import pytest
 from helpers import ALPHA01, orbit_multiplicity_at
 
-from apdfilter.automata import build_tracker, cyclic_domain
+from apdfilter.automata import Alphabet, build_tracker, cyclic_domain
 from apdfilter.ca import (
     MAX_RULE_TABLE,
     SpaceTimeDiagram,
@@ -176,6 +176,24 @@ class TestFilterDiagram:
                     assert sym in (DomainLabel(1), AMBIGUOUS)
                 else:
                     assert isinstance(sym, DomainBreak)
+
+    def test_stack_rows_of_multi_character_tokens(self):
+        # k = 12: cell 11 is the one token "11", not two cells "1"
+        alphabet = Alphabet(tuple(str(v) for v in range(12)))
+        dom = cyclic_domain(["0", "11"], alphabet)
+        rows = ((0, 11, 0, 11, 0, 11), (0, 11, 0, 3, 0, 11), (11, 11, 0, 1, 1, 0))
+        labeled = filter_diagram("stack", [dom], SpaceTimeDiagram(k=12, rows=rows))
+        assert labeled.codes[0] == (1,) * 6
+        tracker = build_tracker([dom])
+        for cells, codes in zip(rows, labeled.codes):
+            assert len(codes) == len(cells)
+            cover = filter_global(tracker, [str(v) for v in cells])
+            if cover.whole_string:
+                assert codes == (1,) * len(cells)
+                continue
+            for pos, code in enumerate(codes, start=1):
+                count, owners = orbit_multiplicity_at(cover, pos)
+                assert code == (1 if count == 1 else -1), (cells, pos)
 
     def test_one_tracker_per_call(self, d18, determinize_calls):
         diag = evolve(rule_from_number(2, 1, 18), random_row(2, 24, 5), 12)

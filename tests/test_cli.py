@@ -4,7 +4,7 @@ from apdfilter.automata import reverse_domain
 from apdfilter.cli import main
 from apdfilter.domspec import parse_domain_spec
 from apdfilter.render import parse_pgm, symbol_code
-from apdfilter.tdx import load_transducer
+from apdfilter.tdx import load_transducer, save_transducer
 from apdfilter.transducer import bidirectional, build_filter
 
 D18_ONLY = """\
@@ -162,6 +162,34 @@ class TestBuildRun:
             "--bidi", "--domains", str(swapped),
         )
         assert (code, stdout) == (0, "1,-1,-1,-1,-1,1,1\n")  # as with d18_file itself
+
+    def test_tdx_break_renumbering(self, tmp_path, capsys):
+        # break codes go by first use in (state, letter) order, whatever
+        # their numbers and line order in the file; unused ones are dropped
+        header = "alphabet 0 1\nstates 2\nstart 0\ndomains 1\n"
+        text = header + (
+            "trans 1 1 brk2 1\ntrans 1 0 d1 0\ntrans 0 1 brk7 0\ntrans 0 0 d1 1\n"
+            "brk2 1 1\nbrk3 0 1\nbrk4 1 0\nbrk7 0 0\n"
+        )
+        path = tmp_path / "f.tdx"
+        path.write_text(text)
+        code, stdout, _err = run_cli(capsys, "run", "--filter", str(path), "--input", "01011")
+        assert (code, stdout) == (0, "1,-2,1,-1,-1\n")
+        saved = save_transducer(load_transducer(text)[0]).splitlines()
+        assert saved[4:] == [
+            "trans 0 0 d1 1", "trans 0 1 brk1 0", "trans 1 0 d1 0", "trans 1 1 brk2 1",
+            "brk1 0 0", "brk2 1 1",
+        ]
+        # one pair declared under two numbers is one break
+        text = header + (
+            "trans 0 0 d1 1\ntrans 0 1 brk1 0\ntrans 1 0 d1 0\ntrans 1 1 brk2 0\n"
+            "brk1 0 0\nbrk2 0 0\n"
+        )
+        saved = save_transducer(load_transducer(text)[0]).splitlines()
+        assert saved[4:] == [
+            "trans 0 0 d1 1", "trans 0 1 brk1 0", "trans 1 0 d1 0", "trans 1 1 brk1 0",
+            "brk1 0 0",
+        ]
 
 
 class TestStack:
@@ -399,11 +427,13 @@ class TestErrors:
             )
             assert code == 2, code_text
             assert err == f"error: line 7: bad output code {code_text!r}\n", code_text
-        # a letter outside the alphabet line and a repeated transition name
-        # their lines
+        # a letter outside the alphabet line and a second transition line
+        # from one (state, letter), the same or another, name their lines
+        second = "line 9: second transition from state 1 on '1'"
         for old, new, message in (
             ("trans 1 1 d1 0", "trans 1 x d1 0", "line 8: unknown symbol 'x'"),
-            ("trans 1 1 d1 0", "trans 1 1 d1 0\ntrans 1 1 d1 0", "line 9: duplicate transition"),
+            ("trans 1 1 d1 0", "trans 1 1 d1 0\ntrans 1 1 d1 0", second),
+            ("trans 1 1 d1 0", "trans 1 1 d1 0\ntrans 1 1 lam 1", second),
         ):
             bad.write_text(valid.replace(old, new))
             code, out, err = run_cli(

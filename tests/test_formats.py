@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from helpers import ALPHA01
 
@@ -19,6 +21,8 @@ from apdfilter.transducer import (
     plain_symbols,
     transduce,
 )
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 D18_SPEC = """\
 # rule 18 pattern
@@ -120,7 +124,13 @@ class TestTdx:
         assert loaded.start == t.start
         for sigma in ("", "0011", "110100", "000111000"):
             assert transduce(loaded, sigma) == transduce(t, sigma)
-        assert loaded.table.breaks == t.table.breaks
+        assert (loaded.next, loaded.code, loaded.breaks) == (t.next, t.code, t.breaks)
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.tdx")))
+    def test_golden_files_save_unchanged(self, name):
+        text = (GOLDEN / name).read_text()
+        t, digest = load_transducer(text)
+        assert save_transducer(t, domains_digest=digest) == text
 
     def test_serialized_shape(self, runs01):
         t = build_filter(runs01)
@@ -130,7 +140,7 @@ class TestTdx:
         assert lines[2] == "start 0"
         assert lines[3] == "domains 2"
         trans_lines = [l for l in lines if l.startswith("trans ")]
-        assert len(trans_lines) == len(t.transitions)
+        assert len(trans_lines) == t.state_count * len(t.alphabet)
         assert any(" brk1 " in l for l in trans_lines)
         assert any(l.startswith("brk1 ") for l in lines)
 
@@ -214,10 +224,8 @@ class TestRender:
 
     def test_symbol_codes(self, runs01):
         t = build_filter(runs01)
-        table = t.table.breaks
         out = transduce(t, "01")
-        codes = [symbol_code(s, table) for s in out]
-        assert codes[0] == 1
-        assert codes[1] < 0
-        assert symbol_code(AMBIGUOUS, table) == 0
-        assert symbol_code(DomainBreak(), None) == -1
+        assert [symbol_code(s) for s in out] == [1, -1]
+        assert out[1] == DomainBreak(*t.breaks[0])
+        assert symbol_code(AMBIGUOUS) == 0
+        assert symbol_code(DomainBreak()) == -1

@@ -43,7 +43,7 @@ from apdfilter.optimizer import (
 )
 from apdfilter.optimizer import class_fixpoint as block_fixpoint
 from apdfilter.tdx import save_transducer
-from apdfilter.transducer import DomainBreak, build_filter
+from apdfilter.transducer import build_filter
 
 
 ALPHA012 = Alphabet(("0", "1", "2"))
@@ -363,10 +363,9 @@ class TestOptimize:
         assert t.input_complete()
         assert t.input_automaton().deterministic
         union = disjoint_union([sd.domain.fa for sd in split])
-        for (s, sym, out, d) in t.transitions:
-            if isinstance(out, DomainBreak):
-                origins = {union.state_tags[m][0] for m in t.state_tags[d]}
-                assert len(origins) == 1
+        for (_source, target) in t.breaks:
+            origins = {union.state_tags[m][0] for m in t.state_tags[target]}
+            assert len(origins) == 1
 
     def test_split_keeps_non_recurrent_states(self, runs01):
         from apdfilter.automata import is_strongly_connected

@@ -18,7 +18,6 @@ from apdfilter.optimizer import optimize
 from apdfilter.stackfilter import (
     FilterStats,
     MaximalCover,
-    PeriodicString,
     _scan,
     filter_global,
     filter_local,
@@ -109,8 +108,13 @@ class TestFilterGlobal:
         assert cover.intervals == ((1, 1), (2, 2))
         assert cover.domain_sets == (frozenset({1}), frozenset({1}))
 
-    def test_accepts_periodic_string_object(self, d18):
-        assert filter_global(build_tracker([d18]), PeriodicString("01")).whole_string
+    def test_accepts_token_sequence(self, d18):
+        tracker = build_tracker([d18])
+        assert filter_global(tracker, ["0", "1"]).whole_string
+        assert filter_global(tracker, ("1", "1")) == filter_global(tracker, "11")
+        for empty in ("", []):
+            with pytest.raises(ValueError, match="empty period word"):
+                filter_global(tracker, empty)
 
     def test_global_local_center_consistency(self, d18, cyc001):
         # unroll five periods; center-touching brute intervals must equal the

@@ -4,10 +4,12 @@ import pytest
 from helpers import (
     ALPHA01,
     brute_resync_candidates,
+    filter_arcs,
     forbidden_pairs,
     random_domain,
     step_det,
     walk_transitions,
+    without_breaks,
 )
 
 from apdfilter.automata import (
@@ -25,8 +27,6 @@ from apdfilter.transducer import (
     DomainBreak,
     DomainLabel,
     TransduceStats,
-    Transducer,
-    base_transducer,
     bidirectional,
     bidirectional_filters,
     build_filter,
@@ -43,40 +43,35 @@ def tag_state(t, tag):
 
 def arc(t, state, sym):
     """(output, target) of the transition from ``state`` on ``sym``."""
-    return next((out, d) for (s, a, out, d) in t.transitions if (s, a) == (state, sym))
+    code, target = filter_arcs(t)[state, sym]
+    return t.symbols[code], target
 
 
 class TestBaseTransducer:
+    """The filter's arcs that follow the tracker, labeled by target."""
+
     def test_single_domain_all_labeled(self, d18):
-        base = base_transducer(build_tracker([d18]))
-        assert all(out == DomainLabel(1) for (_s, _a, out, _d) in base.transitions)
+        tracker = build_tracker([d18])
+        t = build_filter([d18])
+        base = without_breaks(t)
+        assert set(filter_arcs(base)) == {
+            (s, a) for a, row in enumerate(tracker.step) for s, d in enumerate(row) if d is not None
+        }
+        assert all(code == 1 for (code, _d) in filter_arcs(base).values())
         assert not base.input_complete()
 
     def test_two_runs_label_by_domain(self, runs01):
-        base = base_transducer(build_tracker(runs01))
-        assert arc(base, base.start, 0)[0] == DomainLabel(1)
-        assert arc(base, base.start, 1)[0] == DomainLabel(2)
+        t = build_filter(runs01)
+        assert arc(t, t.start, 0)[0] == DomainLabel(1)
+        assert arc(t, t.start, 1)[0] == DomainLabel(2)
 
     def test_overlapping_domains_emit_ambiguity(self):
         doms = [cyclic_domain("01", ALPHA01), cyclic_domain("0011", ALPHA01)]
-        base = base_transducer(build_tracker(doms))
-        out, target = arc(base, base.start, 0)
+        t = build_filter(doms)
+        out, target = arc(t, t.start, 0)
         assert out == AMBIGUOUS
         # after one 0 both domains are still live
-        assert len(base.state_tags[target]) > 1
-
-    def test_input_determinism_enforced(self):
-        with pytest.raises(ValueError, match="deterministic"):
-            Transducer(
-                alphabet=ALPHA01,
-                state_count=1,
-                start=0,
-                finals=frozenset([0]),
-                transitions=frozenset(
-                    [(0, 0, DomainLabel(1), 0), (0, 0, AMBIGUOUS, 0)]
-                ),
-                domain_count=1,
-            )
+        assert len(t.state_tags[target]) > 1
 
 
 def reports_by_pair(tracker):
@@ -177,12 +172,9 @@ class TestBuildFilter:
         assert t.state_count == 3
         tracker = determinize(d18.fa)
         boundary = tag_state(tracker, {0})
-        breaks = [
-            (s, a, out, d)
-            for (s, a, out, d) in t.transitions
-            if isinstance(out, DomainBreak)
-        ]
-        assert breaks == [(boundary, 1, DomainBreak(boundary, boundary), boundary)]
+        breaks = [(s, a, code, d) for (s, a), (code, d) in filter_arcs(t).items() if code < 0]
+        assert breaks == [(boundary, 1, -1, boundary)]
+        assert t.breaks == ((boundary, boundary),)
         assert t.input_complete()
         assert t.input_automaton().deterministic
         assert len(t.resync_reports) == 1
@@ -203,9 +195,29 @@ class TestBuildFilter:
 
     def test_break_table_stable(self, runs01):
         t = build_filter(runs01)
-        table = t.table.breaks
-        assert sorted(table.values()) == list(range(-len(table), 0))
-        assert build_filter(runs01).table.breaks == table
+        # codes -1, -2, ... by first use in (state, letter) order
+        first_use = list(dict.fromkeys(c for c in t.code if c < 0))
+        assert first_use == list(range(-1, -len(t.breaks) - 1, -1))
+        assert build_filter(runs01).breaks == t.breaks
+
+    def test_arcs_follow_tracker_and_reports(self):
+        rng = Random(71)
+        for alphabet in (ALPHA01, Alphabet(("0", "1", "2"))):
+            for _ in range(20):
+                domains = [random_domain(rng, alphabet) for _ in range(rng.randint(1, 3))]
+                tracker = build_tracker(domains)
+                t = build_filter(domains)
+                arcs = filter_arcs(t)
+                assert len(arcs) == tracker.dfa.state_count * len(alphabet)
+                for a, row in enumerate(tracker.step):
+                    for s, d in enumerate(row):
+                        if d is not None:
+                            doms = tracker.state_domains[d]
+                            label = next(iter(doms)) if len(doms) == 1 else 0
+                            assert arcs[s, a] == (label, d)
+                for r in t.resync_reports:
+                    code, target = arcs[r.state, alphabet.index(r.symbol)]
+                    assert (target, t.breaks[-code - 1]) == (r.target, (r.state, r.target))
 
 
 class TestTransduce:
@@ -307,7 +319,6 @@ class TestIntegerLoop:
         rng = Random(len(symbols) * 101 + len(symbols[0]))
         for t in random_filters(rng, alphabet, 24):
             assert t.input_complete()
-            table = t.table.breaks
             for _ in range(10):
                 tokens = [rng.choice(symbols) for _ in range(rng.randint(1, 30))]
                 # a string of one-character tokens runs as a str too
@@ -316,14 +327,14 @@ class TestIntegerLoop:
                     expected, missing = walk_transitions(t, tokens, mode == "circular")
                     assert missing is None
                     assert transduce(t, sigma, mode) == expected
-                    assert transduce_codes(t, sigma, mode) == [
-                        symbol_code(o, table) for o in expected
-                    ]
+                    codes = transduce_codes(t, sigma, mode)
+                    assert [t.symbols[c] for c in codes] == expected
 
     def test_outputs_are_shared_symbols(self, d18):
         t = build_filter([d18])
         out = transduce(t, "0110100101")
-        assert all(o is t.table.symbols[symbol_code(o, t.table.breaks)] for o in out)
+        assert all(o is t.symbols[code] for o, code in zip(out, transduce_codes(t, "0110100101")))
+        assert {symbol_code(o) for o in t.symbols.values()} == {1, 0, -1}
 
     def test_missing_arc_names_state_and_letter(self):
         rng = Random(53)
@@ -332,7 +343,7 @@ class TestIntegerLoop:
             raised = 0
             for _ in range(20):
                 domains = [random_domain(rng, alphabet) for _ in range(rng.randint(1, 3))]
-                base = base_transducer(build_tracker(domains))
+                base = without_breaks(build_filter(domains))
                 for _ in range(10):
                     tokens = [rng.choice(symbols) for _ in range(rng.randint(1, 12))]
                     for mode in ("linear", "circular"):
