@@ -292,7 +292,9 @@ def filter_arcs(t) -> dict[tuple[int, int], tuple[int, int]]:
     """(state, symbol index) -> (wire code, target state) of every arc of
     a filter's table."""
     k = len(t.alphabet)
-    return {divmod(i, k): (c, d // k) for i, (d, c) in enumerate(zip(t.next, t.code)) if d is not None}
+    return {
+        divmod(i, k): (c, d // k) for i, (d, c) in enumerate(zip(t.next, t.code)) if d is not None
+    }
 
 
 def without_breaks(t):
