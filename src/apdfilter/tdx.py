@@ -9,7 +9,9 @@ from, so later runs can flag a mismatched domain set.
 
 Saving writes the filter's table in index order: one ``trans`` line per
 arc in (state, letter) order, then ``brk1``, ``brk2``, ... .  Loading
-fills the table directly.  It checks that every state, label and break
+fills the table directly.  It refuses a state count above what the
+``start`` and ``trans`` lines can name (two states per arc, plus the start)
+before allocating the table, and checks that every state, label and break
 pair is in range, that every transition letter is in the alphabet, that
 no (state, letter) has two transition lines and that each ``brk<j>`` is
 declared once, so a loaded filter runs without a range check per letter.
@@ -100,6 +102,10 @@ def load_transducer(text: str) -> tuple[Transducer, str | None]:
             raise TdxError(f"line {line_no}: malformed {word!r} line") from None
     if alphabet is None or state_count is None or start is None:
         raise TdxError("missing header line")
+    if state_count > 2 * len(arcs) + 1:  # refused before the table is allocated
+        raise TdxError(
+            f"states {state_count}: the start and trans lines name at most {2 * len(arcs) + 1}"
+        )
     top = state_count - 1
     if not 0 <= start <= top:
         raise TdxError(f"start state {start} outside the states 0..{top}")

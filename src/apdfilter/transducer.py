@@ -9,8 +9,10 @@ states indexed by (specificity, imagined past length): the states the
 tracker reaches on an imagined past that ends in the forbidden state,
 plus the forbidden letter.  One layered walk per filter over the
 tracker's own transitions fills the tables of all forbidden pairs
-(``resync``), and in each the first singleton in the order specificity
-(subset-tag size) first, then past length, wins.
+(``resync``) from per-letter ORs of bitmask pasts, one step per
+incidence, and one diff mask per letter ends them all; in each table the
+first singleton in the order specificity (subset-tag size) first, then
+past length, wins.
 
 A filter is one dense integer table (``Transducer``), filled in one pass
 over the tracker's step table, written to and read from ``.tdx`` as is,
@@ -67,6 +69,8 @@ class Ambiguous:
 AMBIGUOUS = Ambiguous()
 
 OutputSymbol = Union[DomainLabel, DomainBreak, Ambiguous]
+
+MAX_RESYNC_WALK = 2**20  # elements over all layers of one resync walk
 
 
 @dataclass(frozen=True)
@@ -151,6 +155,13 @@ def plain_symbols(domain_count: int) -> dict[int, OutputSymbol]:
     return symbols
 
 
+def _bits(mask: int):  # the indices of the set bits of mask, lowest first
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def resync(tracker: Tracker) -> tuple[ResyncReport, ...]:
     """Choose the state to jump to for every forbidden (state, letter)
     pair of the tracker: one report per pair, in (state, letter) order.
@@ -159,84 +170,88 @@ def resync(tracker: Tracker) -> tuple[ResyncReport, ...]:
     tracker states reached from the start by the words w + a of length l
     whose imagined past w ends in q (some path labeled w leads from some
     tracker state to q); length 0 holds the start state alone.  One walk
-    per filter goes over layers of (past subset, tracker state) elements,
-    one per word u of that length: the tracker states some path labeled u
-    reaches, and the state the tracker reaches by u from its start.  Entry
-    l of a pair holds the a-successors of the elements of layer l - 1
-    whose past subset holds q.  The walk stops at the first empty or
-    repeated layer r.
+    goes over layers of (past, tracker state) elements, one per word u of
+    that length: the bitmask of the tracker states some path labeled u
+    reaches, and the state the tracker reaches by u from its start, up to
+    the first empty or repeated layer r; beyond ``MAX_RESYNC_WALK`` elements
+    in all it fails.  Entry l of (q, a) holds the a-targets of layer l - 1
+    whose OR of a-predecessor pasts has bit q, one step per incidence.
 
-    A pair's table ends where a walk of its own over (past subset, flag,
-    tracker state) elements would, the flag marking the words w + a: at
-    its first empty or repeated flagged layer.  Its flagged layer l + 1 is
-    a function of shared layer l and, flags dropped, is shared layer
-    l + 1, so that end is r or r + 1: entry r is kept unless the pair's
-    flagged layers at r and at the index layer r repeats are equal.  That
-    check costs two flagged layers per pair, not a whole walk per pair.
+    A pair's own walk, flagging the words w + a, would end its table at r,
+    or at r + 1 where its flagged layers r and repeats differ (flags
+    dropped, they are the shared layers).  There an element is flagged True
+    for the q in the OR of its a-predecessors' pasts, and False for every q
+    if another letter reaches it, else for the q outside their AND; letter
+    a's diff mask holds the q where the two layers differ.  The cost is the
+    walk, the incidences and one diff per letter.
 
     The first singleton in the (specificity, past length) dictionary order
     wins; at the top specificity, the start alone at length 0 is one.
     """
-    dfa, step = tracker.dfa, tracker.step
-    root = (frozenset(range(dfa.state_count)), 0)
-    successors: dict = {}  # element -> [(letter, successor element)]
-    index: dict[frozenset, int] = {}  # layer -> its number, in walk order
-    layer = frozenset([root])
+    step, tags = tracker.step, tracker.dfa.state_tags
+    k, full = len(step), (1 << len(tags)) - 1
+    elements, ids = [(full, 0)], {(full, 0): 0}  # (past, tracker state) elements, numbered
+    arcs: list[list[tuple[int, int, int]]] = []  # element -> (letter, tracker target, successor)
+    forbidden = [sum(1 << q for q, d in enumerate(row) if d is None) for row in step]
+    tables = {(q, a): {0: 1} for q in range(len(tags)) for a in range(k) if forbidden[a] >> q & 1}
+    index, layer, total = {}, frozenset([0]), 0  # index: layer -> its number, in walk order
     while layer and layer not in index:
-        index[layer] = len(index)
-        for past, t in layer - successors.keys():
-            successors[past, t] = [
-                (a, (dfa.step(past, a), row[t])) for a, row in enumerate(step) if row[t] is not None
-            ]
-        layer = frozenset(e for u in layer for _a, e in successors[u])
-    layers = list(index)
-    r, repeats = len(layers), index.get(layer)  # repeats is None after an empty layer
+        index[layer] = l = len(index)
+        if (total := total + len(layer)) > MAX_RESYNC_WALK:
+            raise ValueError(f"resync walk exceeds {MAX_RESYNC_WALK} elements")
+        for past, t in elements[len(arcs) :]:  # the arcs of the elements new in this layer
+            qs = list(_bits(past))
+            arcs.append([])
+            for a, row in enumerate(step):
+                if row[t] is not None:
+                    e = (sum({1 << row[q] for q in qs if row[q] is not None}), row[t])
+                    if e not in ids:
+                        ids[e] = len(elements)
+                        elements.append(e)
+                    arcs[-1].append((a, row[t], ids[e]))
+        ors: dict[tuple[int, int], int] = {}  # (letter, target) -> OR of pasts
+        for e in layer:
+            for a, d, _s in arcs[e]:
+                ors[a, d] = ors.get((a, d), 0) | elements[e][0]
+        for (a, d), past in ors.items():
+            for q in _bits(past & forbidden[a]):  # one step per incidence
+                entry = tables[q, a]
+                entry[l + 1] = entry.get(l + 1, 0) | 1 << d
+        layer = frozenset(s for e in layer for _a, _d, s in arcs[e])
+    layers, r, repeats = list(index), len(index), index.get(layer)  # None after an empty layer
 
-    def flagged(l: int, q: int, a: int) -> frozenset:
-        if l == 0:
-            return frozenset([(root, True)])
-        return frozenset(
-            (e, b == a and q in past) for past, t in layers[l - 1] for b, e in successors[past, t]
-        )
+    def flags(l: int) -> dict:  # (b, element) -> OR, AND of its predecessors' pasts, 0 off b
+        masks: dict[tuple[int, int], tuple[int, int]] = {}
+        for e in layers[l - 1]:
+            for a, _d, s in arcs[e]:
+                for b in range(k):
+                    past = elements[e][0] if a == b else 0
+                    true, kept = masks.get((b, s), (0, full))
+                    masks[b, s] = (true | past, kept & past)
+        return masks
 
-    # candidate tracker states per specificity: subset-tag size
-    tags = dfa.state_tags
-    by_size = [
-        (i, frozenset(s for s, tag in enumerate(tags) if len(tag) == i))
-        for i in sorted({len(tag) for tag in tags})
-    ]
+    diff = [0] * k  # per letter: the q whose flagged layers r and repeats differ
+    if repeats is not None:
+        then = flags(repeats) if repeats else {(b, 0): (full, full) for b in range(k)}
+        for (b, s), (true, kept) in flags(r).items():
+            diff[b] |= true ^ then[b, s][0] | kept ^ then[b, s][1]
+    sizes = sorted({len(tag) for tag in tags})
+    by_size = [(i, sum(1 << s for s, tag in enumerate(tags) if len(tag) == i)) for i in sizes]
     reports = []
-    for q in range(dfa.state_count):
-        for a, row in enumerate(step):
-            if row[q] is not None:
-                continue
-            end = r if repeats is None or flagged(r, q, a) == flagged(repeats, q, a) else r + 1
-            per_length = [frozenset([0])] + [
-                frozenset(row[t] for past, t in layers[l - 1] if q in past and row[t] is not None)
-                for l in range(1, end)
-            ]
-            examined = []
-            winner = None
-            for i, sized in by_size:
-                for l, candidates in enumerate(per_length):
-                    hit = sized & candidates
-                    if hit:
-                        examined.append(((i, l), hit))
-                    if len(hit) == 1 and winner is None:
-                        winner = (next(iter(hit)), i, l)
-                if winner is not None:
-                    break
-            target, specificity, past_length = winner
-            reports.append(
-                ResyncReport(
-                    state=q,
-                    symbol=dfa.alphabet.symbols[a],
-                    target=target,
-                    specificity=specificity,
-                    past_length=past_length,
-                    candidates=tuple(examined),
-                )
-            )
+    for (q, a), table in tables.items():
+        if not diff[a] >> q & 1:
+            table.pop(r, None)
+        examined, winner = [], None
+        for i, sized in by_size:
+            for l, candidates in table.items():
+                hit = sized & candidates
+                if hit:
+                    examined.append(((i, l), frozenset(_bits(hit))))
+                    if winner is None and hit & (hit - 1) == 0:
+                        winner = (hit.bit_length() - 1, i, l)
+            if winner is not None:
+                break
+        reports.append(ResyncReport(q, tracker.dfa.alphabet.symbols[a], *winner, tuple(examined)))
     return tuple(reports)
 
 

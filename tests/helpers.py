@@ -1,11 +1,14 @@
 """Brute-force oracles shared by the test modules.
 
 Everything here works by direct enumeration or simulation so it stays
-independent of the constructions under test.  There are three exceptions.
+independent of the constructions under test.  There are four exceptions.
 ``reference_scan`` is the pair-stack scan with one dict of live pairs
 per letter, the reference for the configuration automaton, and
 ``filter_global_full_window`` is the periodic stack cover without its
-early stop: ``reference_scan`` over the whole pumping window.  The
+early stop: ``reference_scan`` over the whole pumping window.
+``reference_resync`` is the one-walk resync with frozenset pasts and a
+rescan of every layer per forbidden pair, the reference for the one-pass
+tables of ``transducer.resync``.  The
 reference optimizer at the end computes the optimizer's past classes
 by language algebra, one coarsest common refinement of minimized
 languages per union state and pass, which the optimizer itself replaced
@@ -26,6 +29,7 @@ from apdfilter.automata import (
     Alphabet,
     Domain,
     FiniteAutomaton,
+    Tracker,
     accepts,
     canonical_key,
     complement,
@@ -50,6 +54,7 @@ from apdfilter.stackfilter import (
     MaximalCover,
     _canonical_representatives,
 )
+from apdfilter.transducer import ResyncReport
 
 log = logging.getLogger(__name__)
 
@@ -219,6 +224,97 @@ def brute_resync_candidates(
     return out, None
 
 
+def reference_resync(tracker: Tracker) -> tuple[ResyncReport, ...]:
+    """``transducer.resync`` with frozenset pasts, each pair's table read
+    off every layer again and its end from two flagged layers per pair:
+    the reference for the one-pass tables.  One report per forbidden
+    (state, letter) pair of the tracker, in (state, letter) order.
+
+    The candidates of a pair (q, a) for imagined-past length l are the
+    tracker states reached from the start by the words w + a of length l
+    whose imagined past w ends in q (some path labeled w leads from some
+    tracker state to q); length 0 holds the start state alone.  One walk
+    per filter goes over layers of (past subset, tracker state) elements,
+    one per word u of that length: the tracker states some path labeled u
+    reaches, and the state the tracker reaches by u from its start.  Entry
+    l of a pair holds the a-successors of the elements of layer l - 1
+    whose past subset holds q.  The walk stops at the first empty or
+    repeated layer r.
+
+    A pair's table ends where a walk of its own over (past subset, flag,
+    tracker state) elements would, the flag marking the words w + a: at
+    its first empty or repeated flagged layer.  Its flagged layer l + 1 is
+    a function of shared layer l and, flags dropped, is shared layer
+    l + 1, so that end is r or r + 1: entry r is kept unless the pair's
+    flagged layers at r and at the index layer r repeats are equal.  That
+    check costs two flagged layers per pair, not a whole walk per pair.
+
+    The first singleton in the (specificity, past length) dictionary order
+    wins; at the top specificity, the start alone at length 0 is one.
+    """
+    dfa, step = tracker.dfa, tracker.step
+    root = (frozenset(range(dfa.state_count)), 0)
+    successors: dict = {}  # element -> [(letter, successor element)]
+    index: dict[frozenset, int] = {}  # layer -> its number, in walk order
+    layer = frozenset([root])
+    while layer and layer not in index:
+        index[layer] = len(index)
+        for past, t in layer - successors.keys():
+            successors[past, t] = [
+                (a, (dfa.step(past, a), row[t])) for a, row in enumerate(step) if row[t] is not None
+            ]
+        layer = frozenset(e for u in layer for _a, e in successors[u])
+    layers = list(index)
+    r, repeats = len(layers), index.get(layer)  # repeats is None after an empty layer
+
+    def flagged(l: int, q: int, a: int) -> frozenset:
+        if l == 0:
+            return frozenset([(root, True)])
+        return frozenset(
+            (e, b == a and q in past) for past, t in layers[l - 1] for b, e in successors[past, t]
+        )
+
+    # candidate tracker states per specificity: subset-tag size
+    tags = dfa.state_tags
+    by_size = [
+        (i, frozenset(s for s, tag in enumerate(tags) if len(tag) == i))
+        for i in sorted({len(tag) for tag in tags})
+    ]
+    reports = []
+    for q in range(dfa.state_count):
+        for a, row in enumerate(step):
+            if row[q] is not None:
+                continue
+            end = r if repeats is None or flagged(r, q, a) == flagged(repeats, q, a) else r + 1
+            per_length = [frozenset([0])] + [
+                frozenset(row[t] for past, t in layers[l - 1] if q in past and row[t] is not None)
+                for l in range(1, end)
+            ]
+            examined = []
+            winner = None
+            for i, sized in by_size:
+                for l, candidates in enumerate(per_length):
+                    hit = sized & candidates
+                    if hit:
+                        examined.append(((i, l), hit))
+                    if len(hit) == 1 and winner is None:
+                        winner = (next(iter(hit)), i, l)
+                if winner is not None:
+                    break
+            target, specificity, past_length = winner
+            reports.append(
+                ResyncReport(
+                    state=q,
+                    symbol=dfa.alphabet.symbols[a],
+                    target=target,
+                    specificity=specificity,
+                    past_length=past_length,
+                    candidates=tuple(examined),
+                )
+            )
+    return tuple(reports)
+
+
 def orbit_multiplicity_at(cover, position: int) -> tuple[int, list[int]]:
     """How many shifted cover intervals contain a 1-based position of the
     period, and which representatives (by index) they come from, by one
@@ -286,6 +382,15 @@ def random_domain(rng: Random, alphabet: Alphabet = ALPHA01, max_states: int = 4
         if rng.random() < 0.6
     )
     return Domain(FiniteAutomaton(alphabet, n, range(n), range(n), transitions))
+
+
+def zero_cycle_domain(rng: Random, n: int) -> Domain:
+    """A partial 0-cycle over 0/1: states 0..n-1 on a cycle of 0-arcs, and
+    from about half of them a 1-arc to a random state.  Its tracker and its
+    resync walk can grow fast with n."""
+    transitions = {(s, 0, (s + 1) % n) for s in range(n)}
+    transitions |= {(s, 1, rng.randrange(n)) for s in range(n) if rng.random() < 0.5}
+    return Domain(FiniteAutomaton(ALPHA01, n, range(n), range(n), frozenset(transitions)))
 
 
 def filter_arcs(t) -> dict[tuple[int, int], tuple[int, int]]:

@@ -1,11 +1,14 @@
+from random import Random
+
 import pytest
+from helpers import zero_cycle_domain
 
 from apdfilter.automata import reverse_domain
 from apdfilter.cli import main
 from apdfilter.domspec import parse_domain_spec
 from apdfilter.render import parse_pgm, symbol_code
 from apdfilter.tdx import load_transducer, save_transducer
-from apdfilter.transducer import bidirectional, build_filter
+from apdfilter.transducer import MAX_RESYNC_WALK, bidirectional, build_filter
 
 D18_ONLY = """\
 alphabet 0 1
@@ -428,12 +431,19 @@ class TestErrors:
             assert code == 2, code_text
             assert err == f"error: line 7: bad output code {code_text!r}\n", code_text
         # a letter outside the alphabet line and a second transition line
-        # from one (state, letter), the same or another, name their lines
+        # from one (state, letter), the same or another, name their lines;
+        # a state count the four arcs and the start cannot name is refused
+        # before its table is allocated
         second = "line 9: second transition from state 1 on '1'"
         for old, new, message in (
             ("trans 1 1 d1 0", "trans 1 x d1 0", "line 8: unknown symbol 'x'"),
             ("trans 1 1 d1 0", "trans 1 1 d1 0\ntrans 1 1 d1 0", second),
             ("trans 1 1 d1 0", "trans 1 1 d1 0\ntrans 1 1 lam 1", second),
+            (
+                "states 2",
+                "states 3000000000",
+                "states 3000000000: the start and trans lines name at most 9",
+            ),
         ):
             bad.write_text(valid.replace(old, new))
             code, out, err = run_cli(
@@ -441,6 +451,19 @@ class TestErrors:
             )
             assert code == 2, new
             assert out == "" and err == f"error: {message}\n", new
+
+    def test_resync_walk_budget_exit_2(self, tmp_path, capsys):
+        # this partial 0-cycle's tracker builds at once, and its resync walk
+        # passes the budget within seconds
+        fa = zero_cycle_domain(Random(9), 18).fa
+        lines = ["alphabet 0 1", "domain Z", "  state " + " ".join(f"s{i}" for i in range(18))]
+        lines += [f"  trans s{s} {a} s{d}" for s, a, d in sorted(fa.transitions)] + ["end"]
+        dom = tmp_path / "z.dom"
+        dom.write_text("\n".join(lines) + "\n")
+        tdx = tmp_path / "z.tdx"
+        code, out, err = run_cli(capsys, "build", "--domains", str(dom), "-o", str(tdx))
+        assert (code, out) == (2, "")
+        assert err == f"error: resync walk exceeds {MAX_RESYNC_WALK} elements\n"
 
     def test_missing_file_exit_2(self, capsys):
         code, _o, err = run_cli(capsys, "stack", "--domains", "missing.dom", "--input", "0")

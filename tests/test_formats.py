@@ -171,6 +171,14 @@ class TestTdxValidation:
         t, _digest = load_transducer(VALID_TDX)
         assert t.input_complete()
 
+    def test_state_count_bounded_by_named_states(self):
+        # four arcs and the start name at most nine states
+        t, _digest = load_transducer(VALID_TDX.replace("states 2", "states 9"))
+        assert t.state_count == 9 and not t.input_complete()
+        message = "states 10: the start and trans lines name at most 9"
+        with pytest.raises(TdxError, match=message):
+            load_transducer(VALID_TDX.replace("states 2", "states 10"))
+
     def test_start_out_of_range(self):
         with pytest.raises(TdxError, match="start state 5"):
             load_transducer(VALID_TDX.replace("start 0", "start 5"))

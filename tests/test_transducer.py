@@ -7,9 +7,11 @@ from helpers import (
     filter_arcs,
     forbidden_pairs,
     random_domain,
+    reference_resync,
     step_det,
     walk_transitions,
     without_breaks,
+    zero_cycle_domain,
 )
 
 from apdfilter.automata import (
@@ -75,6 +77,28 @@ class TestBaseTransducer:
         assert len(t.state_tags[target]) > 1
 
 
+def oracle_sets():
+    """Seeded domain sets over two and three letters, random and cyclic,
+    and ten of them split by the optimizer."""
+    rng = Random(53)
+    sets = []
+    for alphabet in (ALPHA01, Alphabet(("0", "1", "2"))):
+        for n in range(40):
+            if n % 2:
+                domains = [random_domain(rng, alphabet) for _ in range(rng.randint(1, 2))]
+            else:
+                domains = [
+                    cyclic_domain(
+                        "".join(rng.choice(alphabet.symbols) for _ in range(rng.randint(1, 6))),
+                        alphabet,
+                    )
+                    for _ in range(rng.randint(1, 3))
+                ]
+            sets.append(domains)
+    # split domains carry nonrecurrent states
+    return sets + [[sd.domain for sd in optimize(domains)] for domains in sets[:10]]
+
+
 def reports_by_pair(tracker):
     """The tracker's resync reports keyed by (state, symbol)."""
     return {(r.state, r.symbol): r for r in resync(tracker)}
@@ -122,24 +146,7 @@ class TestResync:
             assert (report.specificity, report.past_length) == (specificity, 0)
 
     def test_candidates_match_brute_oracle(self):
-        rng = Random(53)
-        sets = []
-        for alphabet in (ALPHA01, Alphabet(("0", "1", "2"))):
-            for n in range(40):
-                if n % 2:
-                    domains = [random_domain(rng, alphabet) for _ in range(rng.randint(1, 2))]
-                else:
-                    domains = [
-                        cyclic_domain(
-                            "".join(rng.choice(alphabet.symbols) for _ in range(rng.randint(1, 6))),
-                            alphabet,
-                        )
-                        for _ in range(rng.randint(1, 3))
-                    ]
-                sets.append(domains)
-        # split domains carry nonrecurrent states
-        sets += [[sd.domain for sd in optimize(domains)] for domains in sets[:10]]
-        for domains in sets:
+        for domains in oracle_sets():
             tracker = build_tracker(domains)
             dfa = tracker.dfa
             alphabet = dfa.alphabet
@@ -165,6 +172,22 @@ class TestResync:
     def test_deterministic_reports(self, d18):
         tracker = build_tracker([d18])
         assert resync(tracker) == resync(build_tracker([d18]))
+
+    def test_matches_reference_resync(self):
+        # every report field equal, candidates included, on the oracle
+        # sets, on cyclic words like the benchmark corpus and on partial
+        # 0-cycles; the (n, seed) pairs keep each reference run short
+        rng = Random(29)
+        words = [
+            "".join(rng.choice("01") for _ in range(length)) for length in range(12, 61, 6)
+        ]
+        cycles = [(12, 2), (12, 7), (14, 2), (14, 4), (16, 3), (16, 10)]
+        cycles += [(18, 2), (18, 3), (20, 30), (20, 33)]
+        sets = oracle_sets() + [[cyclic_domain(w, ALPHA01)] for w in words]
+        sets += [[zero_cycle_domain(Random(seed), n)] for n, seed in cycles]
+        for domains in sets:
+            tracker = build_tracker(domains)
+            assert resync(tracker) == reference_resync(tracker), domains
 
 
 class TestBuildFilter:
