@@ -12,7 +12,6 @@ method codes its two-pass outputs with ``symbol_code``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping, Sequence
 
 from .automata import Domain, Tracker, build_tracker
@@ -85,16 +84,11 @@ class SpaceTimeDiagram:
 class CodedDiagram:
     """A filtered diagram: one wire code per cell (see ``symbol_code``)
     and the map from each code to its shared output symbol, the filter's
-    own or ``plain_symbols``.  ``rows`` decodes the codes on first use.
+    own or ``plain_symbols``.
     """
 
     codes: tuple[tuple[int, ...], ...]
     symbols: Mapping[int, OutputSymbol]
-
-    @cached_property
-    def rows(self) -> tuple[tuple[OutputSymbol, ...], ...]:
-        decode = self.symbols.__getitem__
-        return tuple(tuple(map(decode, row)) for row in self.codes)
 
 
 def rule_from_number(k: int, r: int, number: int) -> CARule:

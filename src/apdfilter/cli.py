@@ -2,14 +2,13 @@
 
 Exit codes: 0 success, 1 usage error, 2 domain or filter construction
 error (parse failures, invariant violations, CA rule tables over the size
-limit).
+limit) or a file that cannot be read or written.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from pathlib import Path
 
@@ -23,13 +22,11 @@ from .ca import (
     rule_from_number,
 )
 from .domspec import ParsedDomain, format_domain_spec, parse_domain_spec, spec_digest
-from .optimizer import DEFAULT_MAX_PASSES, optimize
+from .optimizer import optimize
 from .render import RenderPalette, emit_pgm, symbol_code
 from .stackfilter import filter_global, filter_local
 from .tdx import load_transducer, save_transducer
 from .transducer import bidirectional, build_filter, plain_symbols, transduce_codes
-
-PASS_CAP_VAR = "APDFILTER_MAX_OPTIMIZE_PASSES"
 
 
 class UsageError(Exception):
@@ -67,19 +64,6 @@ def _write(path: str | None, data: str | bytes):
         Path(path).write_bytes(data)
 
 
-def _max_passes() -> int:
-    raw = os.environ.get(PASS_CAP_VAR)
-    if not raw:
-        return DEFAULT_MAX_PASSES
-    try:
-        passes = int(raw)
-    except ValueError:
-        passes = 0
-    if passes < 1:
-        raise UsageError(f"{PASS_CAP_VAR}={raw!r} is not a positive integer")
-    return passes
-
-
 def _split_to_parsed(split_domains, originals) -> list[ParsedDomain]:
     out = []
     for sd, pd in zip(split_domains, originals):
@@ -94,7 +78,7 @@ def _cmd_build(args) -> int:
     text, parsed = _load_domains(args.domains)
     domains = [pd.domain for pd in parsed]
     if args.optimize:
-        domains = [sd.domain for sd in optimize(domains, _max_passes())]
+        domains = [sd.domain for sd in optimize(domains)]
     t = build_filter(domains)
     _write(args.output, save_transducer(t, domains_digest=spec_digest(text)))
     return 0
@@ -102,7 +86,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_optimize(args) -> int:
     _text, parsed = _load_domains(args.domains)
-    split = optimize([pd.domain for pd in parsed], _max_passes())
+    split = optimize([pd.domain for pd in parsed])
     before = sum(pd.domain.fa.state_count for pd in parsed)
     after = sum(sd.domain.fa.state_count for sd in split)
     out = format_domain_spec(
@@ -314,10 +298,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, RuntimeError) as e:
+    except (OSError, ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -42,7 +42,7 @@ from .automata import (
 
 log = logging.getLogger(__name__)
 
-DEFAULT_MAX_PASSES = 64
+MAX_PASSES = 64  # refinement passes before class_fixpoint gives up
 
 
 class OptimizeError(RuntimeError):
@@ -139,17 +139,15 @@ def refine(part: PastPartition) -> PastPartition:
     return replace(part, blocks=tuple(blocks))
 
 
-def class_fixpoint(
-    part: PastPartition, max_passes: int = DEFAULT_MAX_PASSES
-) -> tuple[PastPartition, int]:
-    """Refine until a pass splits nothing.  Exceeding the pass cap is an
+def class_fixpoint(part: PastPartition) -> tuple[PastPartition, int]:
+    """Refine until a pass splits nothing.  Exceeding ``MAX_PASSES`` is an
     error rather than a silent truncation."""
-    for passes in range(1, max_passes + 1):
+    for passes in range(1, MAX_PASSES + 1):
         refined = refine(part)
         if refined.blocks == part.blocks:
             return refined, passes
         part = refined
-    raise OptimizeError(f"class refinement did not stabilize within {max_passes} passes")
+    raise OptimizeError(f"class refinement did not stabilize within {MAX_PASSES} passes")
 
 
 def _first_states(row: Sequence[int]) -> list[int]:
@@ -161,9 +159,7 @@ def _first_states(row: Sequence[int]) -> list[int]:
     return firsts
 
 
-def optimize(
-    domains: Sequence[Domain], max_passes: int = DEFAULT_MAX_PASSES
-) -> list[SplitDomain]:
+def optimize(domains: Sequence[Domain]) -> list[SplitDomain]:
     """Split every domain by its refined past classes.
 
     Each split state is an (original state, class) pair; transitions
@@ -172,7 +168,7 @@ def optimize(
     fixpoint makes it the same for every P-state of the class).  All split
     states are start and final, so the language is unchanged.
     """
-    part, _passes = class_fixpoint(initial_partition(domains), max_passes)
+    part, _passes = class_fixpoint(initial_partition(domains))
     table = part.past.transition_table
     firsts = [_first_states(row) for row in part.blocks]
     out = []

@@ -7,14 +7,16 @@ A trailing table maps each ``brk<j>`` back to its state pair.  An optional
 ``hash`` line carries the digest of the domain file the filter was built
 from, so later runs can flag a mismatched domain set.
 
-Saving writes the filter's table in index order: one ``trans`` line per
-arc in (state, letter) order, then ``brk1``, ``brk2``, ... .  Loading
-fills the table directly.  It refuses a state count above what the
-``start`` and ``trans`` lines can name (two states per arc, plus the start)
-before allocating the table, and checks that every state, label and break
-pair is in range, that every transition letter is in the alphabet, that
-no (state, letter) has two transition lines and that each ``brk<j>`` is
-declared once, so a loaded filter runs without a range check per letter.
+A filter has exactly one arc per (state, letter), so a file has one
+``trans`` line for each.  Saving writes the filter's table in index
+order: one ``trans`` line per arc in (state, letter) order, then
+``brk1``, ``brk2``, ... .  Loading fills the table directly.  It refuses
+a file with fewer ``trans`` lines than states times letters before
+allocating the table, and checks that every state, label and break pair
+is in range, that every transition letter is in the alphabet, that no
+(state, letter) has two transition lines and that each ``brk<j>`` is
+declared once; so a partial file fails to load, and a loaded filter runs
+without a check per letter.
 Break codes are renumbered by first use in (state, letter) order: a pair
 declared under two numbers becomes one code, and unused declarations are
 dropped.
@@ -53,9 +55,8 @@ def save_transducer(t: Transducer, domains_digest: str | None = None) -> str:
     if domains_digest:
         lines.append(f"hash {domains_digest}")
     for i, (d, code) in enumerate(zip(t.next, t.code)):
-        if d is not None:
-            s, a = divmod(i, k)
-            lines.append(f"trans {s} {symbols[a]} {_output_word(code)} {d // k}")
+        s, a = divmod(i, k)
+        lines.append(f"trans {s} {symbols[a]} {_output_word(code)} {d // k}")
     for j, (source, target) in enumerate(t.breaks, start=1):
         lines.append(f"brk{j} {source} {target}")
     return "\n".join(lines) + "\n"
@@ -102,9 +103,14 @@ def load_transducer(text: str) -> tuple[Transducer, str | None]:
             raise TdxError(f"line {line_no}: malformed {word!r} line") from None
     if alphabet is None or state_count is None or start is None:
         raise TdxError("missing header line")
-    if state_count > 2 * len(arcs) + 1:  # refused before the table is allocated
+    k = len(alphabet)
+    # Checked before the table is allocated.  Each arc below lands in its
+    # own in-range slot (range and duplicate checks), so with at least
+    # state_count * k arcs every slot of the table is filled.
+    if len(arcs) < state_count * k:
         raise TdxError(
-            f"states {state_count}: the start and trans lines name at most {2 * len(arcs) + 1}"
+            f"states {state_count} over {k} letters need {state_count * k} trans lines, "
+            f"found {len(arcs)}"
         )
     top = state_count - 1
     if not 0 <= start <= top:
@@ -112,7 +118,6 @@ def load_transducer(text: str) -> tuple[Transducer, str | None]:
     for number, (source, target) in sorted(pairs.items()):
         if not (0 <= source <= top and 0 <= target <= top):
             raise TdxError(f"brk{number} {source} {target}: outside the states 0..{top}")
-    k = len(alphabet)
     nxt: list[int | None] = [None] * (state_count * k)
     code = [0] * (state_count * k)
     broken: dict[int, tuple[int, int]] = {}  # table index -> break pair

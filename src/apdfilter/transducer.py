@@ -14,15 +14,16 @@ incidence, and one diff mask per letter ends them all; in each table the
 first singleton in the order specificity (subset-tag size) first, then
 past length, wins.
 
-A filter is one dense integer table (``Transducer``), filled in one pass
-over the tracker's step table, written to and read from ``.tdx`` as is,
-and run as is: for ``i = state*k + symbol``, ``next[i]`` is the target
-state times k and ``code[i]`` the wire code of the arc's output
-(``symbol_code``), with break code -j naming the (source, target) pair
-``breaks[j - 1]``.  ``walk_codes`` is the one loop over it; ``transduce``
-maps its codes to the filter's shared output symbols.  Outputs without
-break identity (the two-pass combination and the stack cover) share the
-``plain_symbols`` map, where every break is -1.
+A filter is one dense integer table (``Transducer``) with exactly one
+arc per (state, letter), filled in one pass over the tracker's step
+table, written to and read from ``.tdx`` as is (a file that leaves an arc
+out fails to load), and run as is: for ``i = state*k + symbol``,
+``next[i]`` is the target state times k and ``code[i]`` the wire code of
+the arc's output (``symbol_code``), with break code -j naming the
+(source, target) pair ``breaks[j - 1]``.  ``walk_codes`` is the one loop
+over it; ``transduce`` maps its codes to the filter's shared output
+symbols.  Outputs without break identity (the two-pass combination and
+the stack cover) share the ``plain_symbols`` map, where every break is -1.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from typing import Sequence, Union
 from .automata import (
     Alphabet,
     Domain,
-    FiniteAutomaton,
     Tracker,
     build_tracker,
     reverse_domain,
@@ -95,18 +95,19 @@ class Transducer:
     """Finite-state filter as one dense integer table over ``(input letter,
     output symbol)`` arcs, indexed by ``i = state*k + symbol``.
 
-    ``next[i]`` is the arc's target state times k (None where the filter
-    has no arc) and ``code[i]`` its wire code (``symbol_code``); break code
-    -j stands for the (source, target) pair ``breaks[j - 1]``.  Every state
-    is final.  A fully built filter is input-complete, so it transduces
-    any string.  State tags are the subset tags of the underlying tracker
-    when known.  States, letters and codes lie in their ranges
-    (``load_transducer`` checks this for files), so a run needs no checks.
+    Every (state, letter) has exactly one arc: ``next[i]`` is its target
+    state times k and ``code[i]`` its wire code (``symbol_code``); break
+    code -j stands for the (source, target) pair ``breaks[j - 1]``.  So
+    the filter transduces any string, one output per letter.  Every state
+    is final.  State tags are the subset tags of the underlying tracker
+    when known.  States, letters and codes lie in their ranges and the
+    table is full (``load_transducer`` checks this for files), so a run
+    needs no checks.
     """
 
     alphabet: Alphabet
     start: int
-    next: tuple[int | None, ...]
+    next: tuple[int, ...]
     code: tuple[int, ...]
     breaks: tuple[tuple[int, int], ...]
     domain_count: int
@@ -123,27 +124,6 @@ class Transducer:
         symbols = {c: s for c, s in plain_symbols(self.domain_count).items() if c >= 0}
         symbols.update((-j, DomainBreak(*pair)) for j, pair in enumerate(self.breaks, start=1))
         return symbols
-
-    def input_automaton(self) -> FiniteAutomaton:
-        k = len(self.alphabet)
-        return FiniteAutomaton(
-            alphabet=self.alphabet,
-            state_count=self.state_count,
-            starts=frozenset([self.start]),
-            finals=frozenset(range(self.state_count)),
-            transitions=frozenset(
-                (i // k, i % k, d // k) for i, d in enumerate(self.next) if d is not None
-            ),
-            state_tags=self.state_tags,
-        )
-
-    def input_complete(self) -> bool:
-        return None not in self.next
-
-
-@dataclass
-class TransduceStats:
-    lookups: int = 0
 
 
 def plain_symbols(domain_count: int) -> dict[int, OutputSymbol]:
@@ -309,41 +289,24 @@ def symbol_code(symbol: OutputSymbol) -> int:
 
 
 def walk_codes(t: Transducer, symbols: Sequence[int], circular: bool = False) -> list[int]:
-    """Wire codes of one run over symbol indices (each in ``0..k-1``).
+    """Wire codes of one run over symbol indices (each in ``0..k-1``): one
+    table lookup per letter, as every (state, letter) has its arc.
 
     Circular mode first walks the string once without output (the
-    warm-up lap), then records the second lap.  A missing arc leaves
-    ``None`` as the state, which fails the next step or the final check.
+    warm-up lap), then records the second lap.
     """
     nxt, code = t.next, t.code
     state = t.start * len(t.alphabet)
     out: list[int] = []
     push = out.append
-    try:
-        if circular:
-            for a in symbols:
-                state = nxt[state + a]
+    if circular:
         for a in symbols:
-            i = state + a
-            push(code[i])
-            state = nxt[i]
-    except TypeError:  # None + a: the walk ran off a missing arc
-        state = None
-    if state is None:
-        _raise_missing_arc(t, symbols, circular)
+            state = nxt[state + a]
+    for a in symbols:
+        i = state + a
+        push(code[i])
+        state = nxt[i]
     return out
-
-
-def _raise_missing_arc(t: Transducer, symbols: Sequence[int], circular: bool):
-    k, nxt = len(t.alphabet), t.next
-    state = t.start * k
-    for a in list(symbols) * (2 if circular else 1):
-        if nxt[state + a] is None:
-            raise ValueError(
-                f"transducer has no transition from state {state // k} on "
-                f"{t.alphabet.symbols[a]!r}"
-            )
-        state = nxt[state + a]
 
 
 def transduce_codes(t: Transducer, sigma: str | Sequence[str], mode: str = "linear") -> list[int]:
@@ -360,10 +323,7 @@ def transduce_codes(t: Transducer, sigma: str | Sequence[str], mode: str = "line
 
 
 def transduce(
-    t: Transducer,
-    sigma: str | Sequence[str],
-    mode: str = "linear",
-    stats: TransduceStats | None = None,
+    t: Transducer, sigma: str | Sequence[str], mode: str = "linear"
 ) -> list[OutputSymbol]:
     """Run the filter over a string, one output symbol per input letter.
 
@@ -372,10 +332,7 @@ def transduce(
     content before any output is recorded.  The symbols are the filter's
     shared output objects, one per wire code.
     """
-    codes = transduce_codes(t, sigma, mode)
-    if stats is not None:
-        stats.lookups += len(codes)
-    return list(map(t.symbols.__getitem__, codes))
+    return list(map(t.symbols.__getitem__, transduce_codes(t, sigma, mode)))
 
 
 def _fill_gaps(

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import replace
 from random import Random
 from typing import Sequence
 
@@ -43,7 +42,7 @@ from apdfilter.automata import (
     universal,
 )
 from apdfilter.optimizer import (
-    DEFAULT_MAX_PASSES,
+    MAX_PASSES,
     OptimizeError,
     PastPartition,
     initial_partition,
@@ -397,22 +396,12 @@ def filter_arcs(t) -> dict[tuple[int, int], tuple[int, int]]:
     """(state, symbol index) -> (wire code, target state) of every arc of
     a filter's table."""
     k = len(t.alphabet)
-    return {
-        divmod(i, k): (c, d // k) for i, (d, c) in enumerate(zip(t.next, t.code)) if d is not None
-    }
-
-
-def without_breaks(t):
-    """The filter with its break arcs removed: the tracker's own arcs,
-    labeled, and no arc at the forbidden pairs."""
-    return replace(t, next=tuple(None if c < 0 else d for d, c in zip(t.next, t.code)))
+    return {divmod(i, k): (c, d // k) for i, (d, c) in enumerate(zip(t.next, t.code))}
 
 
 def walk_transitions(t, tokens, circular: bool = False):
-    """Outputs of a filter over ``tokens`` by a direct walk over its arcs,
-    and the (state, token) of the first missing arc (None when every arc
-    exists; the outputs then stop there).  Circular mode walks twice from
-    the start and keeps the second lap.
+    """Outputs of a filter over ``tokens`` by a direct walk over its arcs.
+    Circular mode walks twice from the start and keeps the second lap.
     """
     arcs = filter_arcs(t)
     state = t.start
@@ -420,12 +409,9 @@ def walk_transitions(t, tokens, circular: bool = False):
     for _lap in range(2 if circular else 1):
         outputs = []
         for tok in tokens:
-            key = (state, t.alphabet.index(tok))
-            if key not in arcs:
-                return outputs, (state, tok)
-            code, state = arcs[key]
+            code, state = arcs[state, t.alphabet.index(tok)]
             outputs.append(t.symbols[code])
-    return outputs, None
+    return outputs
 
 
 def d18_domain() -> Domain:
@@ -625,7 +611,7 @@ def oracle_stages(domains: Sequence[Domain]) -> list[ClassMap]:
     fixpoint; there is one stage more than refinement passes."""
     union = disjoint_union([d.fa for d in domains])
     stages = [initial_classes(domains)]
-    for _pass in range(DEFAULT_MAX_PASSES):
+    for _pass in range(MAX_PASSES):
         refined, changed = refine_classes(union, stages[-1])
         stages.append(refined)
         if not any(changed.values()):
@@ -637,7 +623,7 @@ def refinement_stages(domains: Sequence[Domain]) -> list[ClassMap]:
     """The same stages of the optimizer's block refinement."""
     part = initial_partition(domains)
     stages = [past_classes(part)]
-    for _pass in range(DEFAULT_MAX_PASSES):
+    for _pass in range(MAX_PASSES):
         refined = refine(part)
         stages.append(past_classes(refined))
         if refined.blocks == part.blocks:

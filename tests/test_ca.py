@@ -14,7 +14,7 @@ from apdfilter.ca import (
     rule_from_number,
 )
 from apdfilter.stackfilter import filter_global
-from apdfilter.transducer import AMBIGUOUS, DomainBreak, DomainLabel, build_filter
+from apdfilter.transducer import DomainLabel, build_filter
 
 
 class TestRules:
@@ -146,7 +146,7 @@ class TestFilterDiagram:
         rule = rule_from_number(2, 1, 110)
         diag = evolve(rule, tuple(int(c) for c in word * 3), 20)
         labeled = filter_diagram("transducer", build_filter([dom]), diag)
-        assert all(s == DomainLabel(1) for row in labeled.rows for s in row)
+        assert all(row == (1,) * len(row) for row in labeled.codes)  # DomainLabel(1)
 
     def test_all_zero_with_zero_domain(self):
         dom = cyclic_domain("0", ALPHA01)
@@ -157,25 +157,24 @@ class TestFilterDiagram:
             ("bidi", [dom]),
         ):
             labeled = filter_diagram(method, source, diag)
-            assert all(s == DomainLabel(1) for row in labeled.rows for s in row)
+            assert labeled.codes == ((1, 1, 1),) * 4, method
+            assert labeled.symbols[1] == DomainLabel(1)
 
     def test_stack_overlap_marks_breaks(self, d18):
         rule = rule_from_number(2, 1, 18)
         diag = evolve(rule, random_row(2, 24, 5), 12)
         labeled = filter_diagram("stack", [d18], diag)
-        assert len(labeled.rows) == 13
+        assert len(labeled.codes) == 13
         tracker = build_tracker([d18])
-        for cells, row in zip(diag.rows, labeled.rows):
+        for cells, row in zip(diag.rows, labeled.codes):
             cover = filter_global(tracker, "".join(map(str, cells)))
             if cover.whole_string:
-                assert all(s == DomainLabel(1) for s in row)
+                assert row == (1,) * len(row)
                 continue
-            for pos, sym in enumerate(row, start=1):
+            for pos, code in enumerate(row, start=1):
                 count, _owners = orbit_multiplicity_at(cover, pos)
-                if count == 1:
-                    assert sym in (DomainLabel(1), AMBIGUOUS)
-                else:
-                    assert isinstance(sym, DomainBreak)
+                # one cover: DomainLabel(1) or AMBIGUOUS; else a DomainBreak
+                assert code in ((1, 0) if count == 1 else (-1,))
 
     def test_stack_rows_of_multi_character_tokens(self):
         # k = 12: cell 11 is the one token "11", not two cells "1"
@@ -211,7 +210,7 @@ class TestFilterDiagram:
         labeled = filter_diagram("transducer", t, diag)
         flipped = SpaceTimeDiagram(k=2, rows=rows[::-1])
         relabeled = filter_diagram("transducer", t, flipped)
-        assert labeled.rows == relabeled.rows[::-1]
+        assert labeled.codes == relabeled.codes[::-1]
 
     def test_symbol_outside_alphabet(self):
         dom = cyclic_domain("0", ALPHA01)

@@ -3,6 +3,7 @@ from random import Random
 import pytest
 from helpers import zero_cycle_domain
 
+from apdfilter import optimizer
 from apdfilter.automata import reverse_domain
 from apdfilter.cli import main
 from apdfilter.domspec import parse_domain_spec
@@ -241,28 +242,17 @@ class TestOptimize:
         )
         assert code == 0
         t, _digest = load_transducer(out.read_text())
-        assert t.input_complete()
+        assert None not in t.next
 
-    def test_pass_cap_env(self, tmp_path, capsys, monkeypatch):
+    def test_pass_cap_exit_2(self, tmp_path, capsys, monkeypatch):
         # these two domains need two refinement passes
         dom = tmp_path / "two.dom"
         dom.write_text("alphabet 0 1\ndomain a cyclic 01\ndomain b cyclic 001\n")
-        monkeypatch.setenv("APDFILTER_MAX_OPTIMIZE_PASSES", "1")
+        monkeypatch.setattr(optimizer, "MAX_PASSES", 1)
         out = tmp_path / "split.dom"
         code, _o, err = run_cli(capsys, "optimize", "--domains", str(dom), "-o", str(out))
         assert code == 2
         assert "did not stabilize within 1 passes" in err
-
-    def test_pass_cap_env_must_be_positive_integer(self, tmp_path, capsys, runs_file, monkeypatch):
-        for value in ("abc", "0", "-2", "1.5"):
-            monkeypatch.setenv("APDFILTER_MAX_OPTIMIZE_PASSES", value)
-            for argv in (
-                ["optimize", "--domains", runs_file, "-o", str(tmp_path / "split.dom")],
-                ["build", "--optimize", "--domains", runs_file, "-o", str(tmp_path / "f.tdx")],
-            ):
-                code, _o, err = run_cli(capsys, *argv)
-                assert code == 1, (value, argv[0])
-                assert "APDFILTER_MAX_OPTIMIZE_PASSES" in err and "Traceback" not in err
 
 
 class TestCa:
@@ -432,17 +422,18 @@ class TestErrors:
             assert err == f"error: line 7: bad output code {code_text!r}\n", code_text
         # a letter outside the alphabet line and a second transition line
         # from one (state, letter), the same or another, name their lines;
-        # a state count the four arcs and the start cannot name is refused
-        # before its table is allocated
+        # a file without one arc per (state, letter) is refused, a huge
+        # state count before its table is allocated
         second = "line 9: second transition from state 1 on '1'"
         for old, new, message in (
             ("trans 1 1 d1 0", "trans 1 x d1 0", "line 8: unknown symbol 'x'"),
             ("trans 1 1 d1 0", "trans 1 1 d1 0\ntrans 1 1 d1 0", second),
             ("trans 1 1 d1 0", "trans 1 1 d1 0\ntrans 1 1 lam 1", second),
+            ("trans 1 0 d1 0\n", "", "states 2 over 2 letters need 4 trans lines, found 3"),
             (
                 "states 2",
                 "states 3000000000",
-                "states 3000000000: the start and trans lines name at most 9",
+                "states 3000000000 over 2 letters need 6000000000 trans lines, found 4",
             ),
         ):
             bad.write_text(valid.replace(old, new))
@@ -468,3 +459,15 @@ class TestErrors:
     def test_missing_file_exit_2(self, capsys):
         code, _o, err = run_cli(capsys, "stack", "--domains", "missing.dom", "--input", "0")
         assert code == 2
+
+    def test_directory_as_file_exit_2(self, tmp_path, capsys, d18_file):
+        tdx = tmp_path / "d18.tdx"
+        assert run_cli(capsys, "build", "--domains", d18_file, "-o", str(tdx))[0] == 0
+        for argv in (
+            ["build", "--domains", str(tmp_path), "-o", str(tmp_path / "x.tdx")],
+            ["build", "--domains", d18_file, "-o", str(tmp_path)],
+            ["run", "--filter", str(tmp_path), "--input", "0101"],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: ") and err.count("\n") == 1, argv

@@ -169,15 +169,20 @@ class TestTdxValidation:
 
     def test_valid_filter_loads(self):
         t, _digest = load_transducer(VALID_TDX)
-        assert t.input_complete()
+        assert t.next == (2, 0, 0, 0) and t.code == (1, -1, 1, 1)
 
     def test_state_count_bounded_by_named_states(self):
-        # four arcs and the start name at most nine states
-        t, _digest = load_transducer(VALID_TDX.replace("states 2", "states 9"))
-        assert t.state_count == 9 and not t.input_complete()
-        message = "states 10: the start and trans lines name at most 9"
-        with pytest.raises(TdxError, match=message):
-            load_transducer(VALID_TDX.replace("states 2", "states 10"))
+        # four arcs fill two states over two letters, not three; a huge
+        # count is refused before its table is allocated
+        for states, need in ((3, 6), (3000000000, 6000000000)):
+            message = f"states {states} over 2 letters need {need} trans lines, found 4"
+            with pytest.raises(TdxError, match=message):
+                load_transducer(VALID_TDX.replace("states 2", f"states {states}"))
+
+    def test_missing_arc_refused(self):
+        for line in [l for l in VALID_TDX.splitlines() if l.startswith("trans ")]:
+            with pytest.raises(TdxError, match="need 4 trans lines, found 3"):
+                load_transducer(VALID_TDX.replace(line + "\n", ""))
 
     def test_start_out_of_range(self):
         with pytest.raises(TdxError, match="start state 5"):
