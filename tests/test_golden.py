@@ -77,6 +77,14 @@ CASES = [
     ("ca-filter-rule110-bidi.csv",
      ["ca-filter", "--method", "bidi", "--domains", "{g}/rule110.dom",
       "--input", "{g}/ca-rule110.txt", "--format", "csv"]),
+    ("ca-rule232.txt",
+     ["ca", "--rule", "232", "--width", "24", "--steps", "8", "--init", "random:5"]),
+    ("ca-filter-rule232-stack.pgm",
+     ["ca-filter", "--method", "stack", "--domains", "{g}/runs.dom",
+      "--input", "{g}/ca-rule232.txt"]),
+    ("ca-filter-rule232-stack.csv",
+     ["ca-filter", "--method", "stack", "--domains", "{g}/runs.dom",
+      "--input", "{g}/ca-rule232.txt", "--format", "csv"]),
 ]
 
 
