@@ -114,12 +114,57 @@ class FiniteAutomaton:
     def deterministic(self) -> bool:
         return len(self.starts) == 1 and self.semi_deterministic
 
+    @cached_property
+    def subset_steps(self) -> SubsetSteps:
+        """The lazily determinized automaton that ``accepts`` runs on."""
+        return SubsetSteps(self)
+
     def step(self, states: Iterable[int], sym: int) -> frozenset[int]:
         table = self.transition_table
         out: set[int] = set()
         for s in states:
             out.update(table[s].get(sym, ()))
         return frozenset(out)
+
+
+class SubsetSteps:
+    """A lazily determinized automaton over bitmask state sets.
+
+    Bit s of a mask stands for state s.  ``targets[tok][s]`` is the mask of
+    state s's successors on letter ``tok``, built once from the
+    transitions.  ``rows[tok]`` maps a set's mask to its successor's mask
+    and is filled the first time the pair is met, by ORing the targets of
+    the set's bits, so a letter costs one lookup once its pair is warm.
+
+    The table is bounded: its entries are (subset, letter) pairs reachable
+    from the start set, that is the arcs of ``determinize(fa)`` plus the
+    ones into the empty set, and ``build_tracker`` already builds those
+    subsets eagerly for a domain set.  One ``accepts`` call adds at most
+    one entry per letter of its word.  An entry depends only on its key,
+    so two threads that fill it at once store the same value.
+    """
+
+    def __init__(self, fa: FiniteAutomaton):
+        symbols = fa.alphabet.symbols
+        targets = [[0] * fa.state_count for _ in symbols]
+        for (src, sym, dst) in fa.transitions:
+            targets[sym][src] |= 1 << dst
+        self.start = sum(1 << s for s in fa.starts)
+        self.finals = sum(1 << s for s in fa.finals)
+        self.targets = {tok: tuple(row) for tok, row in zip(symbols, targets)}
+        self.rows: dict[str, dict[int, int]] = {tok: {} for tok in symbols}
+
+    def fill(self, tok: str, mask: int) -> int:
+        """The successor of set ``mask`` on letter ``tok``, stored in its row."""
+        targets = self.targets[tok]
+        out = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            out |= targets[low.bit_length() - 1]
+            rest ^= low
+        self.rows[tok][mask] = out
+        return out
 
 
 @dataclass(frozen=True)
@@ -465,15 +510,25 @@ def minimize(fa: FiniteAutomaton) -> FiniteAutomaton:
 
 
 def accepts(fa: FiniteAutomaton, word: str | Sequence[str]) -> bool:
-    """NFA membership by set simulation.  The empty string is accepted iff
-    some start state is final."""
-    cur = frozenset(fa.starts)
+    """NFA membership by set simulation on ``fa.subset_steps``: one table
+    lookup per letter once a (set, letter) pair has been met.  The empty
+    string is accepted iff some start state is final; an empty set rejects
+    at once, before the next letter is checked against the alphabet."""
+    steps = fa.subset_steps
+    rows = steps.rows
+    cur = steps.start
     for tok in word:
-        sym = fa.alphabet.index(tok)
-        cur = fa.step(cur, sym)
-        if not cur:
+        try:
+            row = rows[tok]
+        except KeyError:
+            raise ValueError(f"unknown symbol {tok!r}") from None
+        nxt = row.get(cur)
+        if nxt is None:
+            nxt = steps.fill(tok, cur)
+        if not nxt:
             return False
-    return bool(cur & fa.finals)
+        cur = nxt
+    return bool(cur & steps.finals)
 
 
 def is_empty(fa: FiniteAutomaton) -> bool:

@@ -2,6 +2,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
@@ -9,6 +10,11 @@ from helpers import ALPHA01, d18_domain  # noqa: E402
 
 from apdfilter import automata  # noqa: E402
 from apdfilter.automata import cyclic_domain  # noqa: E402
+
+# every property test runs the same examples on every run, with no example
+# database and no per-example deadline; each test states only max_examples
+settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,9 @@
 """Brute-force oracles shared by the test modules.
 
 Everything here works by direct enumeration or simulation so it stays
-independent of the constructions under test.  There are four exceptions.
+independent of the constructions under test; membership is
+``reference_accepts``, the frozenset set simulation that ``automata.accepts``
+replaced with a table over bitmask sets.  There are four exceptions.
 ``reference_scan`` is the pair-stack scan with one dict of live pairs
 per letter, the reference for the configuration automaton, and
 ``filter_global_full_window`` is the periodic stack cover without its
@@ -29,7 +31,6 @@ from apdfilter.automata import (
     Domain,
     FiniteAutomaton,
     Tracker,
-    accepts,
     canonical_key,
     complement,
     determinize,
@@ -86,13 +87,25 @@ def language(fa: FiniteAutomaton, max_len: int) -> frozenset[str]:
     return frozenset(out)
 
 
+def reference_accepts(fa: FiniteAutomaton, word: str | Sequence[str]) -> bool:
+    """NFA membership by set simulation.  The empty string is accepted iff
+    some start state is final."""
+    cur = frozenset(fa.starts)
+    for tok in word:
+        sym = fa.alphabet.index(tok)
+        cur = fa.step(cur, sym)
+        if not cur:
+            return False
+    return bool(cur & fa.finals)
+
+
 def accepted_by_any(domains, word) -> bool:
-    return any(accepts(d.fa, word) for d in domains)
+    return any(reference_accepts(d.fa, word) for d in domains)
 
 
 def accepting_domains(domains, word) -> frozenset[int]:
     """1-based indices of the domains that accept ``word``."""
-    return frozenset(i + 1 for i, d in enumerate(domains) if accepts(d.fa, word))
+    return frozenset(i + 1 for i, d in enumerate(domains) if reference_accepts(d.fa, word))
 
 
 def brute_maximal_cover(domains, sigma: str) -> list[tuple[int, int]]:

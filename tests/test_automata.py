@@ -252,8 +252,17 @@ class TestAcceptsEmptyEquivalent:
         assert accepts(d18.fa, "001")
 
     def test_unknown_symbol(self, d18):
-        with pytest.raises(ValueError, match="unknown symbol"):
-            accepts(d18.fa, "02")
+        # the message names the token, also once the table is warm
+        for word in ("02", ["0", "0", "10"], "02"):
+            with pytest.raises(ValueError, match=r"^unknown symbol '(2|10)'$"):
+                accepts(d18.fa, word)
+
+    def test_rejects_before_reading_past_the_empty_set(self, d18):
+        assert not accepts(d18.fa, "112")
+        no_starts = FiniteAutomaton(ALPHA01, 1, (), (0,), {(0, 0, 0)})
+        assert not accepts(no_starts, "")
+        with pytest.raises(ValueError, match=r"^unknown symbol '2'$"):
+            accepts(no_starts, "2")
 
     def test_equivalent_det(self):
         rng = Random(17)

@@ -1,15 +1,41 @@
-"""Property tests: generated domain sets and words, checked against the
-brute-force oracles.  Examples are derandomized and capped, so every run
-tests the same cases in about the same time."""
+"""Property tests: generated automata, domain sets and words, checked
+against the brute-force oracles.  The derandomized profile loaded in
+``conftest.py`` and a fixed ``max_examples`` make every run test the same
+cases in about the same time."""
 
-from helpers import ALPHA01, accepting_domains, brute_maximal_cover
+from helpers import (
+    ALPHA01,
+    accepting_domains,
+    brute_maximal_cover,
+    filter_global_full_window,
+    reference_accepts,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apdfilter.automata import Alphabet, Domain, FiniteAutomaton, build_tracker
-from apdfilter.stackfilter import filter_local
+from apdfilter.automata import Alphabet, Domain, FiniteAutomaton, accepts, build_tracker
+from apdfilter.stackfilter import filter_global, filter_local
 
 ALPHA012 = Alphabet(("0", "1", "2"))
+ALPHABETS = st.sampled_from([ALPHA01, ALPHA012])
+
+
+def words(alphabet: Alphabet, min_size: int = 0, max_size: int = 16):
+    return st.text(st.sampled_from(alphabet.symbols), min_size=min_size, max_size=max_size)
+
+
+@st.composite
+def nfa_and_words(draw) -> tuple[FiniteAutomaton, list[str]]:
+    """An arbitrary automaton of 0-6 states (start and final sets may be
+    empty, arcs may be nondeterministic) and several words to query it with."""
+    alphabet = draw(ALPHABETS)
+    n = draw(st.integers(0, 6))
+    state = st.integers(0, n - 1) if n else st.nothing()
+    arcs = draw(st.frozensets(st.tuples(state, st.integers(0, len(alphabet) - 1), state)))
+    fa = FiniteAutomaton(
+        alphabet, n, draw(st.frozensets(state)), draw(st.frozensets(state)), arcs
+    )
+    return fa, draw(st.lists(words(alphabet, max_size=12), min_size=1, max_size=6))
 
 
 @st.composite
@@ -23,14 +49,23 @@ def domain(draw, alphabet: Alphabet) -> Domain:
 
 
 @st.composite
-def domains_and_word(draw) -> tuple[list[Domain], str]:
-    alphabet = draw(st.sampled_from([ALPHA01, ALPHA012]))
+def domains_and_word(draw, min_size: int = 0, max_size: int = 16) -> tuple[list[Domain], str]:
+    alphabet = draw(ALPHABETS)
     domains = draw(st.lists(domain(alphabet), min_size=1, max_size=3))
-    word = draw(st.text(st.sampled_from(alphabet.symbols), max_size=16))
-    return domains, word
+    return domains, draw(words(alphabet, min_size, max_size))
 
 
-@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
+@given(nfa_and_words())
+def test_accepts_is_the_set_simulation(case):
+    fa, queries = case
+    # the second round runs on the table the first one filled
+    for word in queries * 2:
+        assert accepts(fa, word) == reference_accepts(fa, word), word
+        assert accepts(fa, list(word)) == reference_accepts(fa, word), word
+
+
+@settings(max_examples=100)
 @given(domains_and_word())
 def test_filter_local_is_the_maximal_cover(case):
     domains, word = case
@@ -39,3 +74,11 @@ def test_filter_local_is_the_maximal_cover(case):
     assert cover.domain_sets == tuple(
         accepting_domains(domains, word[a - 1 : b]) for (a, b) in cover.intervals
     )
+
+
+@settings(max_examples=200)
+@given(domains_and_word(min_size=1, max_size=9))
+def test_filter_global_early_stop_is_the_full_window(case):
+    domains, period_word = case
+    tracker = build_tracker(domains)
+    assert filter_global(tracker, period_word) == filter_global_full_window(tracker, period_word)
