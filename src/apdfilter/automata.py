@@ -5,6 +5,10 @@ kept in ``state_tags`` so downstream algorithms can consult it instead of
 re-deriving it: determinization tags each state with its source subset,
 intersection with the contributing pair, disjoint union with
 ``(input index, original state)``.
+
+There is one subset construction, ``SubsetSteps`` over bitmask state sets:
+``accepts`` fills its rows lazily, ``determinize`` and ``build_tracker``
+explore it eagerly, and ``MAX_SUBSETS`` bounds every exploration.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 Transition = tuple[int, int, int]  # (source, symbol index, target)
+
+MAX_SUBSETS = 2**15  # reachable nonempty sets one subset construction may number
 
 # provenance tag kinds
 SubsetTag = frozenset[int]  # determinize: source states of the subset
@@ -116,55 +122,73 @@ class FiniteAutomaton:
 
     @cached_property
     def subset_steps(self) -> SubsetSteps:
-        """The lazily determinized automaton that ``accepts`` runs on."""
+        """The one subset construction of this automaton, kept with it."""
         return SubsetSteps(self)
 
-    def step(self, states: Iterable[int], sym: int) -> frozenset[int]:
-        table = self.transition_table
-        out: set[int] = set()
-        for s in states:
-            out.update(table[s].get(sym, ()))
-        return frozenset(out)
+
+def bits(mask: int):
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class SubsetSteps:
-    """A lazily determinized automaton over bitmask state sets.
+    """The subset construction of an automaton over bitmask state sets.
 
-    Bit s of a mask stands for state s.  ``targets[tok][s]`` is the mask of
-    state s's successors on letter ``tok``, built once from the
-    transitions.  ``rows[tok]`` maps a set's mask to its successor's mask
-    and is filled the first time the pair is met, by ORing the targets of
-    the set's bits, so a letter costs one lookup once its pair is warm.
-
-    The table is bounded: its entries are (subset, letter) pairs reachable
-    from the start set, that is the arcs of ``determinize(fa)`` plus the
-    ones into the empty set, and ``build_tracker`` already builds those
-    subsets eagerly for a domain set.  One ``accepts`` call adds at most
-    one entry per letter of its word.  An entry depends only on its key,
-    so two threads that fill it at once store the same value.
+    Bit s of a mask stands for state s, and ``targets[sym][s]`` is the mask
+    of state s's successors on symbol index sym.  ``rows[sym]`` maps a
+    set's mask to its successor's mask (``by_token`` holds the same dicts
+    keyed by letter token); an entry is filled the first time its (set,
+    letter) pair is met, by ORing the targets of the set's bits.
+    ``explore`` fills the rows of every set reachable from the start, and
+    ``accepts`` at most one entry per letter of its word, so the rows stay
+    within the arcs of ``determinize(fa)`` plus those into the empty set.
+    An entry depends only on its key, so two threads that fill it at once
+    store the same value.
     """
 
     def __init__(self, fa: FiniteAutomaton):
-        symbols = fa.alphabet.symbols
-        targets = [[0] * fa.state_count for _ in symbols]
+        targets = [[0] * fa.state_count for _ in fa.alphabet.symbols]
         for (src, sym, dst) in fa.transitions:
             targets[sym][src] |= 1 << dst
         self.start = sum(1 << s for s in fa.starts)
         self.finals = sum(1 << s for s in fa.finals)
-        self.targets = {tok: tuple(row) for tok, row in zip(symbols, targets)}
-        self.rows: dict[str, dict[int, int]] = {tok: {} for tok in symbols}
+        self.targets = tuple(map(tuple, targets))
+        self.rows: tuple[dict[int, int], ...] = tuple({} for _ in targets)
+        self.by_token = dict(zip(fa.alphabet.symbols, self.rows))
 
-    def fill(self, tok: str, mask: int) -> int:
-        """The successor of set ``mask`` on letter ``tok``, stored in its row."""
-        targets = self.targets[tok]
+    def fill(self, sym: int, mask: int) -> int:
+        """The successor of set ``mask`` on symbol ``sym``, stored in its row."""
+        targets = self.targets[sym]
         out = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            out |= targets[low.bit_length() - 1]
-            rest ^= low
-        self.rows[tok][mask] = out
+        for s in bits(mask):
+            out |= targets[s]
+        self.rows[sym][mask] = out
         return out
+
+    def explore(self) -> tuple[list[int], list[list[int | None]]]:
+        """Number the nonempty sets reachable from the start breadth-first,
+        symbols in alphabet order, the start set 0.  Returns the sets' masks
+        by number and, per symbol, each set's successor number (None for
+        the empty set).  Numbering more than ``MAX_SUBSETS`` sets fails."""
+        if not self.start:
+            raise ValueError("no start states")
+        masks, ids = [self.start], {self.start: 0}
+        succ: list[list[int | None]] = [[] for _ in self.rows]
+        for mask in masks:  # grows while it is walked: the BFS queue
+            for sym, row in enumerate(self.rows):
+                nxt = row.get(mask)
+                if nxt is None:
+                    nxt = self.fill(sym, mask)
+                if nxt and nxt not in ids:
+                    if len(masks) == MAX_SUBSETS:
+                        raise ValueError(f"subset construction exceeds {MAX_SUBSETS} states")
+                    ids[nxt] = len(masks)
+                    masks.append(nxt)
+                succ[sym].append(ids[nxt] if nxt else None)
+        return masks, succ
 
 
 @dataclass(frozen=True)
@@ -200,37 +224,20 @@ def determinize(fa: FiniteAutomaton) -> FiniteAutomaton:
 
     Only subsets reachable from the start subset are materialized; a subset
     state is final iff it meets ``fa.finals``.  Numbering is breadth-first
-    with symbols taken in alphabet order, so the result is canonical for a
-    given input.
+    with symbols taken in alphabet order (``SubsetSteps.explore``), so the
+    result is canonical for a given input.
     """
-    if not fa.starts:
-        raise ValueError("no start states")
-    k = len(fa.alphabet)
-    start = frozenset(fa.starts)
-    ids: dict[frozenset[int], int] = {start: 0}
-    order: list[frozenset[int]] = [start]
-    queue = deque([start])
-    transitions: set[Transition] = set()
-    while queue:
-        cur = queue.popleft()
-        cid = ids[cur]
-        for sym in range(k):
-            nxt = fa.step(cur, sym)
-            if not nxt:
-                continue
-            if nxt not in ids:
-                ids[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-            transitions.add((cid, sym, ids[nxt]))
-    finals = frozenset(i for i, tag in enumerate(order) if tag & fa.finals)
+    steps = fa.subset_steps
+    masks, succ = steps.explore()
     return FiniteAutomaton(
         alphabet=fa.alphabet,
-        state_count=len(order),
+        state_count=len(masks),
         starts=frozenset([0]),
-        finals=finals,
-        transitions=frozenset(transitions),
-        state_tags=tuple(order),
+        finals=frozenset(i for i, mask in enumerate(masks) if mask & steps.finals),
+        transitions=frozenset(
+            (i, sym, j) for sym, row in enumerate(succ) for i, j in enumerate(row) if j is not None
+        ),
+        state_tags=tuple(frozenset(bits(mask)) for mask in masks),
     )
 
 
@@ -238,18 +245,28 @@ def determinize(fa: FiniteAutomaton) -> FiniteAutomaton:
 class Tracker:
     """The deterministic tracker of a domain set, built once and shared.
 
-    ``dfa`` is the subset construction over the disjoint ``union`` of the
-    domains; its start is state 0 and its subset tags hold union states.
+    It is the subset construction over the disjoint ``union`` of the
+    domains, start state 0, numbered as ``determinize(union)`` numbers it.
     ``step[sym][q]`` is the successor of tracker state q, None where every
-    tracked path dies, and ``state_domains[q]`` the 1-based domains with a
-    state in q's subset tag.
+    tracked path dies; ``masks[q]`` is q's subset of union states as a
+    bitmask, and ``state_domains[q]`` the 1-based domains with a state in
+    it.  ``dfa``, the same construction as a ``FiniteAutomaton`` tagged
+    with frozensets, is derived on first use.
     """
 
     domains: tuple[Domain, ...]
     union: FiniteAutomaton
-    dfa: FiniteAutomaton
     step: tuple[tuple[int | None, ...], ...]
     state_domains: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
+
+    @property
+    def alphabet(self) -> Alphabet:
+        return self.union.alphabet
+
+    @cached_property
+    def dfa(self) -> FiniteAutomaton:
+        return determinize(self.union)
 
 
 def build_tracker(domains: Sequence[Domain]) -> Tracker:
@@ -257,16 +274,10 @@ def build_tracker(domains: Sequence[Domain]) -> Tracker:
     if not domains:
         raise ValueError("need at least one domain")
     union = disjoint_union([d.fa for d in domains])
-    dfa = determinize(union)
-    table = dfa.transition_table
-    step = tuple(
-        tuple(row[sym][0] if sym in row else None for row in table.values())
-        for sym in range(len(dfa.alphabet))
-    )
-    state_domains = tuple(
-        frozenset(union.state_tags[u][0] + 1 for u in tag) for tag in dfa.state_tags
-    )
-    return Tracker(tuple(domains), union, dfa, step, state_domains)
+    masks, succ = union.subset_steps.explore()
+    origin = union.state_tags
+    state_domains = tuple(frozenset(origin[u][0] + 1 for u in bits(mask)) for mask in masks)
+    return Tracker(tuple(domains), union, tuple(map(tuple, succ)), state_domains, tuple(masks))
 
 
 def intersect(a: FiniteAutomaton, b: FiniteAutomaton) -> FiniteAutomaton:
@@ -394,14 +405,7 @@ def complement(fa: FiniteAutomaton) -> FiniteAutomaton:
     if not fa.starts:
         return universal(fa.alphabet)
     d = complete(determinize(fa))
-    return FiniteAutomaton(
-        alphabet=d.alphabet,
-        state_count=d.state_count,
-        starts=d.starts,
-        finals=frozenset(range(d.state_count)) - d.finals,
-        transitions=d.transitions,
-        state_tags=d.state_tags,
-    )
+    return replace_finals(d, frozenset(range(d.state_count)) - d.finals)
 
 
 def difference(a: FiniteAutomaton, b: FiniteAutomaton) -> FiniteAutomaton:
@@ -515,7 +519,7 @@ def accepts(fa: FiniteAutomaton, word: str | Sequence[str]) -> bool:
     string is accepted iff some start state is final; an empty set rejects
     at once, before the next letter is checked against the alphabet."""
     steps = fa.subset_steps
-    rows = steps.rows
+    rows = steps.by_token
     cur = steps.start
     for tok in word:
         try:
@@ -524,7 +528,7 @@ def accepts(fa: FiniteAutomaton, word: str | Sequence[str]) -> bool:
             raise ValueError(f"unknown symbol {tok!r}") from None
         nxt = row.get(cur)
         if nxt is None:
-            nxt = steps.fill(tok, cur)
+            nxt = steps.fill(fa.alphabet.indices[tok], cur)
         if not nxt:
             return False
         cur = nxt

@@ -98,9 +98,9 @@ def initial_partition(domains: Sequence[Domain]) -> PastPartition:
         forbidden = [sym for sym in range(k) if sym not in union.transition_table[s]]
         pieces = [
             frozenset((sym, t) for sym in forbidden if (t := step[sym][q]) is not None)
-            if s in tag
+            if mask >> s & 1
             else frozenset()
-            for q, tag in enumerate(tracker.dfa.state_tags)
+            for q, mask in enumerate(tracker.masks)
         ]
         pieces.append(pieces[0])  # the hub is the tracker start
         signatures = [frozenset().union(*(pieces[q] for q in tag)) for tag in past.state_tags]

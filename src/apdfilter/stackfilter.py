@@ -82,7 +82,7 @@ def _accepting_domains(domains: Sequence[Domain], word: Sequence[str]) -> frozen
 def _codes(tracker: Tracker, word: Sequence[str]) -> list[int]:
     """The symbol indices of a word's letters."""
     try:
-        return list(map(tracker.dfa.alphabet.indices.__getitem__, word))
+        return list(map(tracker.alphabet.indices.__getitem__, word))
     except KeyError as e:
         raise ValueError(f"unknown symbol {e.args[0]!r}") from None
 

@@ -1,18 +1,19 @@
 """Synchronizing filter transducers.
 
 The filter is the deterministic tracker of all domains at once
-(``build_tracker``), its arcs labeled from the tracker's per-state domain
-sets, with every forbidden (state, letter) pair (a None in the tracker's
-step table) filled in by a resynchronization transition.  The
-resynchronization target comes from a table of candidate tracker
-states indexed by (specificity, imagined past length): the states the
-tracker reaches on an imagined past that ends in the forbidden state,
-plus the forbidden letter.  One layered walk per filter over the
-tracker's own transitions fills the tables of all forbidden pairs
-(``resync``) from per-letter ORs of bitmask pasts, one step per
+(``build_tracker``, the package's one subset construction, which keeps
+each state's subset as a bitmask), its arcs labeled from the tracker's
+per-state domain sets, with every forbidden (state, letter) pair (a None
+in the tracker's step table) filled in by a resynchronization
+transition.  The resynchronization target comes from a table of
+candidate tracker states indexed by (specificity, imagined past length):
+the states the tracker reaches on an imagined past that ends in the
+forbidden state, plus the forbidden letter.  One layered walk per filter
+over the tracker's own transitions fills the tables of all forbidden
+pairs (``resync``) from per-letter ORs of bitmask pasts, one step per
 incidence, and one diff mask per letter ends them all; in each table the
-first singleton in the order specificity (subset-tag size) first, then
-past length, wins.
+first singleton in the order specificity (the popcount of the state's
+subset mask) first, then past length, wins.
 
 A filter is one dense integer table (``Transducer``) with exactly one
 arc per (state, letter), filled in one pass over the tracker's step
@@ -37,6 +38,7 @@ from .automata import (
     Alphabet,
     Domain,
     Tracker,
+    bits,
     build_tracker,
     reverse_domain,
 )
@@ -135,13 +137,6 @@ def plain_symbols(domain_count: int) -> dict[int, OutputSymbol]:
     return symbols
 
 
-def _bits(mask: int):  # the indices of the set bits of mask, lowest first
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def resync(tracker: Tracker) -> tuple[ResyncReport, ...]:
     """Choose the state to jump to for every forbidden (state, letter)
     pair of the tracker: one report per pair, in (state, letter) order.
@@ -168,19 +163,19 @@ def resync(tracker: Tracker) -> tuple[ResyncReport, ...]:
     The first singleton in the (specificity, past length) dictionary order
     wins; at the top specificity, the start alone at length 0 is one.
     """
-    step, tags = tracker.step, tracker.dfa.state_tags
-    k, full = len(step), (1 << len(tags)) - 1
+    step, masks = tracker.step, tracker.masks
+    k, full = len(step), (1 << len(masks)) - 1
     elements, ids = [(full, 0)], {(full, 0): 0}  # (past, tracker state) elements, numbered
     arcs: list[list[tuple[int, int, int]]] = []  # element -> (letter, tracker target, successor)
     forbidden = [sum(1 << q for q, d in enumerate(row) if d is None) for row in step]
-    tables = {(q, a): {0: 1} for q in range(len(tags)) for a in range(k) if forbidden[a] >> q & 1}
+    tables = {(q, a): {0: 1} for q in range(len(masks)) for a in range(k) if forbidden[a] >> q & 1}
     index, layer, total = {}, frozenset([0]), 0  # index: layer -> its number, in walk order
     while layer and layer not in index:
         index[layer] = l = len(index)
         if (total := total + len(layer)) > MAX_RESYNC_WALK:
             raise ValueError(f"resync walk exceeds {MAX_RESYNC_WALK} elements")
         for past, t in elements[len(arcs) :]:  # the arcs of the elements new in this layer
-            qs = list(_bits(past))
+            qs = list(bits(past))
             arcs.append([])
             for a, row in enumerate(step):
                 if row[t] is not None:
@@ -194,7 +189,7 @@ def resync(tracker: Tracker) -> tuple[ResyncReport, ...]:
             for a, d, _s in arcs[e]:
                 ors[a, d] = ors.get((a, d), 0) | elements[e][0]
         for (a, d), past in ors.items():
-            for q in _bits(past & forbidden[a]):  # one step per incidence
+            for q in bits(past & forbidden[a]):  # one step per incidence
                 entry = tables[q, a]
                 entry[l + 1] = entry.get(l + 1, 0) | 1 << d
         layer = frozenset(s for e in layer for _a, _d, s in arcs[e])
@@ -215,8 +210,8 @@ def resync(tracker: Tracker) -> tuple[ResyncReport, ...]:
         then = flags(repeats) if repeats else {(b, 0): (full, full) for b in range(k)}
         for (b, s), (true, kept) in flags(r).items():
             diff[b] |= true ^ then[b, s][0] | kept ^ then[b, s][1]
-    sizes = sorted({len(tag) for tag in tags})
-    by_size = [(i, sum(1 << s for s, tag in enumerate(tags) if len(tag) == i)) for i in sizes]
+    sizes = [mask.bit_count() for mask in masks]  # specificity: subset-tag size
+    by_size = [(i, sum(1 << s for s, n in enumerate(sizes) if n == i)) for i in sorted(set(sizes))]
     reports = []
     for (q, a), table in tables.items():
         if not diff[a] >> q & 1:
@@ -226,12 +221,12 @@ def resync(tracker: Tracker) -> tuple[ResyncReport, ...]:
             for l, candidates in table.items():
                 hit = sized & candidates
                 if hit:
-                    examined.append(((i, l), frozenset(_bits(hit))))
+                    examined.append(((i, l), frozenset(bits(hit))))
                     if winner is None and hit & (hit - 1) == 0:
                         winner = (hit.bit_length() - 1, i, l)
             if winner is not None:
                 break
-        reports.append(ResyncReport(q, tracker.dfa.alphabet.symbols[a], *winner, tuple(examined)))
+        reports.append(ResyncReport(q, tracker.alphabet.symbols[a], *winner, tuple(examined)))
     return tuple(reports)
 
 
@@ -254,7 +249,7 @@ def build_filter(domains: Sequence[Domain]) -> Transducer:
     breaks: dict[tuple[int, int], int] = {}  # (source, target) -> code
     nxt: list[int] = []
     code: list[int] = []
-    for s in range(tracker.dfa.state_count):
+    for s in range(len(tracker.masks)):
         for row in tracker.step:
             d = row[s]
             if d is None:
@@ -264,13 +259,13 @@ def build_filter(domains: Sequence[Domain]) -> Transducer:
                 code.append(labels[d])
             nxt.append(d * k)
     return Transducer(
-        alphabet=tracker.dfa.alphabet,
+        alphabet=tracker.alphabet,
         start=0,
         next=tuple(nxt),
         code=tuple(code),
         breaks=tuple(breaks),
         domain_count=len(tracker.domains),
-        state_tags=tracker.dfa.state_tags,
+        state_tags=tuple(frozenset(bits(mask)) for mask in tracker.masks),
         resync_reports=reports,
     )
 

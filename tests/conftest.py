@@ -37,18 +37,29 @@ def runs01():
     return [cyclic_domain("0", ALPHA01), cyclic_domain("1", ALPHA01)]
 
 
+def _record_calls(monkeypatch, name: str) -> list:
+    """A list that records the argument of every call to ``automata.<name>``,
+    wherever an ``apdfilter`` module holds that function."""
+    calls = []
+    original = getattr(automata, name)
+
+    def counted(arg):
+        calls.append(arg)
+        return original(arg)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("apdfilter") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
 @pytest.fixture
 def determinize_calls(monkeypatch):
-    """A list that records the input of every subset construction, wherever
-    an ``apdfilter`` module holds ``determinize``."""
-    calls = []
-    determinize = automata.determinize
+    """The input of every ``determinize`` call."""
+    return _record_calls(monkeypatch, "determinize")
 
-    def counted(fa):
-        calls.append(fa)
-        return determinize(fa)
 
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("apdfilter") and getattr(mod, "determinize", None) is determinize:
-            monkeypatch.setattr(mod, "determinize", counted)
-    return calls
+@pytest.fixture
+def build_tracker_calls(monkeypatch):
+    """The domains of every ``build_tracker`` call."""
+    return _record_calls(monkeypatch, "build_tracker")

@@ -1,9 +1,13 @@
 """Brute-force oracles shared by the test modules.
 
 Everything here works by direct enumeration or simulation so it stays
-independent of the constructions under test; membership is
-``reference_accepts``, the frozenset set simulation that ``automata.accepts``
-replaced with a table over bitmask sets.  There are four exceptions.
+independent of the constructions under test.  Sets of states are
+frozensets stepped by ``set_step``, not the package's bitmask subset
+construction: membership is ``reference_accepts``, the set simulation that
+``automata.accepts`` replaced with a table over bitmask sets, and
+``reference_determinize`` is the frozenset breadth-first subset
+construction that ``automata.determinize`` and ``build_tracker`` replaced
+with ``SubsetSteps.explore``.  There are four exceptions.
 ``reference_scan`` is the pair-stack scan with one dict of live pairs
 per letter, the reference for the configuration automaton, and
 ``filter_global_full_window`` is the periodic stack cover without its
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+from collections import deque
 from random import Random
 from typing import Sequence
 
@@ -68,6 +73,47 @@ def all_words(alphabet: Alphabet, max_len: int, min_len: int = 0):
             yield "".join(combo)
 
 
+def set_step(fa: FiniteAutomaton, states, sym: int) -> frozenset[int]:
+    """The states some ``sym``-arc leads to from a state in ``states``."""
+    table = fa.transition_table
+    out: set[int] = set()
+    for s in states:
+        out.update(table[s].get(sym, ()))
+    return frozenset(out)
+
+
+def reference_determinize(fa: FiniteAutomaton) -> FiniteAutomaton:
+    """Subset construction by a breadth-first search over frozensets,
+    symbols in alphabet order, the empty set left out: the reference for
+    ``automata.determinize`` (same numbering, finals and tags)."""
+    if not fa.starts:
+        raise ValueError("no start states")
+    start = frozenset(fa.starts)
+    ids: dict[frozenset[int], int] = {start: 0}
+    order = [start]
+    queue = deque([start])
+    transitions = set()
+    while queue:
+        cur = queue.popleft()
+        for sym in range(len(fa.alphabet)):
+            nxt = set_step(fa, cur, sym)
+            if not nxt:
+                continue
+            if nxt not in ids:
+                ids[nxt] = len(order)
+                order.append(nxt)
+                queue.append(nxt)
+            transitions.add((ids[cur], sym, ids[nxt]))
+    return FiniteAutomaton(
+        alphabet=fa.alphabet,
+        state_count=len(order),
+        starts=frozenset([0]),
+        finals=frozenset(i for i, tag in enumerate(order) if tag & fa.finals),
+        transitions=frozenset(transitions),
+        state_tags=tuple(order),
+    )
+
+
 def language(fa: FiniteAutomaton, max_len: int) -> frozenset[str]:
     """Accepted words of length <= max_len, by a walk over the word tree:
     the state set is stepped once per tree edge, so prefixes are shared,
@@ -82,7 +128,7 @@ def language(fa: FiniteAutomaton, max_len: int) -> frozenset[str]:
             (w + tok, nxt)
             for w, states in level
             for sym, tok in enumerate(fa.alphabet.symbols)
-            if (nxt := fa.step(states, sym))
+            if (nxt := set_step(fa, states, sym))
         ]
     return frozenset(out)
 
@@ -93,7 +139,7 @@ def reference_accepts(fa: FiniteAutomaton, word: str | Sequence[str]) -> bool:
     cur = frozenset(fa.starts)
     for tok in word:
         sym = fa.alphabet.index(tok)
-        cur = fa.step(cur, sym)
+        cur = set_step(fa, cur, sym)
         if not cur:
             return False
     return bool(cur & fa.finals)
@@ -229,7 +275,7 @@ def brute_resync_candidates(
         seen.append(live)
         out.append(frozenset(t for (_reach, run, flag) in live if flag for t in run))
         words = [
-            (tracker.step(reach, a), tracker.step(run, a), a == sym and state in reach)
+            (set_step(tracker, reach, a), set_step(tracker, run, a), a == sym and state in reach)
             for reach, run, _flag in words
             for a in range(len(tracker.alphabet))
         ]
@@ -273,7 +319,9 @@ def reference_resync(tracker: Tracker) -> tuple[ResyncReport, ...]:
         index[layer] = len(index)
         for past, t in layer - successors.keys():
             successors[past, t] = [
-                (a, (dfa.step(past, a), row[t])) for a, row in enumerate(step) if row[t] is not None
+                (a, (set_step(dfa, past, a), row[t]))
+                for a, row in enumerate(step)
+                if row[t] is not None
             ]
         layer = frozenset(e for u in layer for _a, e in successors[u])
     layers = list(index)

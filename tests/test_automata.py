@@ -1,13 +1,24 @@
 from random import Random
 
 import pytest
-from helpers import ALPHA01, all_words, language, random_nfa, unconcat_last
+from helpers import (
+    ALPHA01,
+    all_words,
+    language,
+    random_nfa,
+    reference_determinize,
+    unconcat_last,
+    zero_cycle_domain,
+)
+
+from apdfilter import automata
 
 from apdfilter.automata import (
     Alphabet,
     Domain,
     FiniteAutomaton,
     accepts,
+    build_tracker,
     complement,
     cyclic_domain,
     determinize,
@@ -96,6 +107,29 @@ class TestDeterminize:
         for _ in range(25):
             det = determinize(random_nfa(rng))
             assert len(set(det.state_tags)) == det.state_count
+
+
+class TestSubsetBudget:
+    def test_every_construction_stops_at_the_budget(self, monkeypatch):
+        fa = zero_cycle_domain(Random(3), 10).fa
+        n = determinize(fa).state_count
+        monkeypatch.setattr(automata, "MAX_SUBSETS", n)
+        assert determinize(fa).state_count == n  # exactly the budget is allowed
+        monkeypatch.setattr(automata, "MAX_SUBSETS", n - 1)
+        message = f"subset construction exceeds {n - 1} states"
+        for construct in (determinize, minimize, complement):
+            with pytest.raises(ValueError, match=message):
+                construct(fa)
+        with pytest.raises(ValueError, match=message):
+            build_tracker([Domain(fa)])
+
+    @pytest.mark.parametrize("seed, n", [(9, 18), (2, 24)])
+    def test_large_trackers_number_as_the_reference(self, seed, n):
+        # 2116 and 2221 tracker states
+        tracker = build_tracker([zero_cycle_domain(Random(seed), n)])
+        ref = reference_determinize(tracker.union)
+        assert tracker.masks == tuple(sum(1 << u for u in tag) for tag in ref.state_tags)
+        assert tracker.dfa == ref
 
 
 class TestIntersect:

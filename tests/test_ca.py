@@ -194,13 +194,13 @@ class TestFilterDiagram:
                 count, owners = orbit_multiplicity_at(cover, pos)
                 assert code == (1 if count == 1 else -1), (cells, pos)
 
-    def test_one_tracker_per_call(self, d18, determinize_calls):
+    def test_one_tracker_per_call(self, d18, build_tracker_calls):
         diag = evolve(rule_from_number(2, 1, 18), random_row(2, 24, 5), 12)
         filter_diagram("stack", [d18], diag)
-        assert len(diag.rows) == 13 and len(determinize_calls) == 1
-        determinize_calls.clear()
+        assert len(diag.rows) == 13 and len(build_tracker_calls) == 1
+        build_tracker_calls.clear()
         build_filter([d18])
-        assert len(determinize_calls) == 1
+        assert len(build_tracker_calls) == 1
 
     def test_rows_filtered_independently(self):
         dom = cyclic_domain("0", ALPHA01)

@@ -1,10 +1,12 @@
+from pathlib import Path
 from random import Random
+from time import perf_counter
 
 import pytest
 from helpers import zero_cycle_domain
 
 from apdfilter import optimizer
-from apdfilter.automata import reverse_domain
+from apdfilter.automata import MAX_SUBSETS, reverse_domain
 from apdfilter.cli import main
 from apdfilter.domspec import parse_domain_spec
 from apdfilter.render import parse_pgm, symbol_code
@@ -20,6 +22,8 @@ domain D18
   trans q 1 p
 end
 """
+
+HOSTILE = Path(__file__).resolve().parent / "data" / "hostile"
 
 RUNS = """\
 alphabet 0 1
@@ -455,6 +459,26 @@ class TestErrors:
         code, out, err = run_cli(capsys, "build", "--domains", str(dom), "-o", str(tdx))
         assert (code, out) == (2, "")
         assert err == f"error: resync walk exceeds {MAX_RESYNC_WALK} elements\n"
+
+    @pytest.mark.parametrize("command", ["build", "stack", "ca-filter"])
+    def test_subset_budget_exit_2_fast(self, tmp_path, capsys, command):
+        # zero_cycle_domain(Random(3), 28): a 43 135-state tracker, stopped at
+        # MAX_SUBSETS before any resync walk or scan starts
+        dom = str(HOSTILE / "zc-3-28.dom")
+        diagram = tmp_path / "d.txt"
+        diagram.write_text("0101\n1100\n")
+        argv = {
+            "build": ["build", "--domains", dom, "-o", str(tmp_path / "z.tdx")],
+            "stack": ["stack", "--domains", dom, "--input", "0101"],
+            "ca-filter": [
+                "ca-filter", "--method", "stack", "--domains", dom, "--input", str(diagram)
+            ],
+        }[command]
+        start = perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert perf_counter() - start < 3
+        assert (code, out) == (2, "")
+        assert err == f"error: subset construction exceeds {MAX_SUBSETS} states\n"
 
     def test_missing_file_exit_2(self, capsys):
         code, _o, err = run_cli(capsys, "stack", "--domains", "missing.dom", "--input", "0")

@@ -17,6 +17,7 @@ from helpers import (
     random_nfa,
     refinement_stages,
     resync_pasts,
+    set_step,
     step_det,
 )
 
@@ -138,7 +139,7 @@ class TestResyncPasts:
             run = 0
             for tok in w:
                 sym = alphabet.index(tok)
-                ends = union.step(ends, sym)
+                ends = set_step(union, ends, sym)
                 run = None if run is None else step_det(tracker, run, sym)
             walks.append((w, ends, run))
         for (state, sym) in forbidden_pairs(union):

@@ -3,17 +3,26 @@ against the brute-force oracles.  The derandomized profile loaded in
 ``conftest.py`` and a fixed ``max_examples`` make every run test the same
 cases in about the same time."""
 
+import pytest
 from helpers import (
     ALPHA01,
     accepting_domains,
     brute_maximal_cover,
     filter_global_full_window,
     reference_accepts,
+    reference_determinize,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apdfilter.automata import Alphabet, Domain, FiniteAutomaton, accepts, build_tracker
+from apdfilter.automata import (
+    Alphabet,
+    Domain,
+    FiniteAutomaton,
+    accepts,
+    build_tracker,
+    determinize,
+)
 from apdfilter.stackfilter import filter_global, filter_local
 
 ALPHA012 = Alphabet(("0", "1", "2"))
@@ -63,6 +72,39 @@ def test_accepts_is_the_set_simulation(case):
     for word in queries * 2:
         assert accepts(fa, word) == reference_accepts(fa, word), word
         assert accepts(fa, list(word)) == reference_accepts(fa, word), word
+
+
+@settings(max_examples=300)
+@given(nfa_and_words())
+def test_determinize_is_the_frozenset_construction(case):
+    fa, queries = case
+    if not fa.starts:
+        with pytest.raises(ValueError, match="no start states"):
+            determinize(fa)
+        return
+    assert determinize(fa) == reference_determinize(fa)
+    # again on rows that accepts has partly filled
+    fa = FiniteAutomaton(fa.alphabet, fa.state_count, fa.starts, fa.finals, fa.transitions)
+    for word in queries:
+        accepts(fa, word)
+    assert determinize(fa) == reference_determinize(fa)
+
+
+@settings(max_examples=200)
+@given(domains_and_word())
+def test_tracker_is_the_frozenset_construction(case):
+    domains, _word = case
+    tracker = build_tracker(domains)
+    ref = reference_determinize(tracker.union)
+    table, origin = ref.transition_table, tracker.union.state_tags
+    assert tracker.step == tuple(
+        tuple(table[q][sym][0] if sym in table[q] else None for q in range(ref.state_count))
+        for sym in range(len(tracker.alphabet))
+    )
+    assert tracker.masks == tuple(sum(1 << u for u in tag) for tag in ref.state_tags)
+    assert tracker.state_domains == tuple(
+        frozenset(origin[u][0] + 1 for u in tag) for tag in ref.state_tags
+    )
 
 
 @settings(max_examples=100)

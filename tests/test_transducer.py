@@ -22,7 +22,7 @@ from apdfilter.automata import (
 )
 from apdfilter.domspec import parse_domain_spec
 from apdfilter.optimizer import OptimizeError, optimize
-from apdfilter.stackfilter import filter_local
+from apdfilter.stackfilter import filter_global, filter_local
 from apdfilter.transducer import (
     AMBIGUOUS,
     DomainBreak,
@@ -237,6 +237,16 @@ class TestBuildFilter:
                 for r in t.resync_reports:
                     code, target = arcs[r.state, alphabet.index(r.symbol)]
                     assert (target, t.breaks[-code - 1]) == (r.target, (r.state, r.target))
+
+    def test_hot_paths_skip_the_automaton_view(self, d18, runs01, determinize_calls):
+        tracker = build_tracker([d18, *runs01])
+        resync(tracker)
+        filter_local(tracker, "0010111")
+        filter_global(tracker, "001")
+        assert "dfa" not in vars(tracker)
+        t = build_filter([d18, *runs01])
+        assert determinize_calls == []
+        assert t.state_tags == tracker.dfa.state_tags
 
 
 class TestTransduce:
