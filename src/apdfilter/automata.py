@@ -52,11 +52,15 @@ class Alphabet:
         """Token -> symbol index."""
         return {tok: i for i, tok in enumerate(self.symbols)}
 
-    def index(self, token: str) -> int:
+    def encode(self, word: Iterable[str]) -> list[int]:
+        """The symbol indices of a word's tokens."""
         try:
-            return self.indices[token]
-        except KeyError:
-            raise ValueError(f"unknown symbol {token!r}") from None
+            return list(map(self.indices.__getitem__, word))
+        except KeyError as e:
+            raise ValueError(f"unknown symbol {e.args[0]!r}") from None
+
+    def index(self, token: str) -> int:
+        return self.encode((token,))[0]
 
     def __contains__(self, token: str) -> bool:
         return token in self.indices
@@ -596,7 +600,7 @@ def cyclic_domain(word: str | Sequence[str], alphabet: Alphabet | None = None) -
         alphabet = Alphabet(tuple(sorted(set(tokens))))
     n = len(tokens)
     transitions = frozenset(
-        (i, alphabet.index(tok), (i + 1) % n) for i, tok in enumerate(tokens)
+        (i, a, (i + 1) % n) for i, a in enumerate(alphabet.encode(tokens))
     )
     fa = FiniteAutomaton(
         alphabet=alphabet,

@@ -4,9 +4,9 @@ Rules are numbered by reading the outputs over all neighborhoods, highest
 neighborhood first, as a base-k integer.  Evolution uses periodic
 boundaries; rows of the resulting diagram are filtered independently by
 any of the three methods.  Every method returns a ``CodedDiagram``: wire
-codes per cell and one map from code to output symbol.  The stack method
-builds one tracker per diagram and codes its rows directly; the bidi
-method codes its two-pass outputs with ``symbol_code``.
+codes per cell and the domain and break counts that bound them.  The
+stack method builds one tracker per diagram and codes its rows directly;
+the bidi method codes its two-pass outputs with ``symbol_code``.
 """
 
 from __future__ import annotations
@@ -17,12 +17,10 @@ from typing import Mapping, Sequence
 from .automata import Domain, Tracker, build_tracker
 from .stackfilter import filter_global, orbit_multiplicity
 from .transducer import (
-    OutputSymbol,
     Transducer,
     bidirectional,
     bidirectional_filters,
     label_code,
-    plain_symbols,
     symbol_code,
     walk_codes,
 )
@@ -82,13 +80,18 @@ class SpaceTimeDiagram:
 
 @dataclass(frozen=True)
 class CodedDiagram:
-    """A filtered diagram: one wire code per cell (see ``symbol_code``)
-    and the map from each code to its shared output symbol, the filter's
-    own or ``plain_symbols``.
+    """A filtered diagram: one wire code per cell (see ``symbol_code``),
+    each in ``code_range``: a domain label up to ``domain_count``, 0 for
+    ambiguity, or one of ``break_count`` break codes below 0.
     """
 
     codes: tuple[tuple[int, ...], ...]
-    symbols: Mapping[int, OutputSymbol]
+    domain_count: int
+    break_count: int
+
+    @property
+    def code_range(self) -> range:
+        return range(-self.break_count, self.domain_count + 1)
 
 
 def rule_from_number(k: int, r: int, number: int) -> CARule:
@@ -206,7 +209,7 @@ def filter_diagram(
         codes = tuple(
             tuple(walk_codes(t, row, circular=True)) for row in _cells(diagram, t.alphabet.indices)
         )
-        return CodedDiagram(codes=codes, symbols=t.symbols)
+        return CodedDiagram(codes, t.domain_count, len(t.breaks))
     if method not in ("bidi", "stack"):
         raise ValueError(f"unknown method {method!r}")
     domains = list(source)
@@ -219,4 +222,4 @@ def filter_diagram(
     else:
         tracker = build_tracker(domains)
         codes = tuple(_stack_row(tracker, row) for row in rows)
-    return CodedDiagram(codes=codes, symbols=plain_symbols(len(domains)))
+    return CodedDiagram(codes, len(domains), 1)

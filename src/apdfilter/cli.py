@@ -23,10 +23,10 @@ from .ca import (
 )
 from .domspec import ParsedDomain, format_domain_spec, parse_domain_spec, spec_digest
 from .optimizer import optimize
-from .render import RenderPalette, emit_pgm, symbol_code
+from .render import emit_pgm, symbol_code
 from .stackfilter import filter_global, filter_local
 from .tdx import load_transducer, save_transducer
-from .transducer import bidirectional, build_filter, plain_symbols, transduce_codes
+from .transducer import bidirectional, build_filter, transduce_codes
 
 
 class UsageError(Exception):
@@ -134,19 +134,17 @@ def _cmd_run(args) -> int:
             )
         reverse = build_filter([reverse_domain(pd.domain) for pd in parsed])
         out = bidirectional((t, reverse), sigma, mode)
-        labeled = CodedDiagram((tuple(map(symbol_code, out)),), plain_symbols(t.domain_count))
+        labeled = CodedDiagram((tuple(map(symbol_code, out)),), t.domain_count, 1)
     else:
-        labeled = CodedDiagram((tuple(transduce_codes(t, sigma, mode)),), t.symbols)
-    if args.format == "pgm":
-        _write(args.output, emit_pgm(labeled, RenderPalette(t.domain_count)))
-    else:
-        _write(args.output, _csv(labeled))
+        codes = tuple(transduce_codes(t, sigma, mode))
+        labeled = CodedDiagram((codes,), t.domain_count, len(t.breaks))
+    _write(args.output, emit_pgm(labeled) if args.format == "pgm" else _csv(labeled))
     return 0
 
 
 def _csv(labeled: CodedDiagram) -> str:
     """One line of wire codes per row, one precomputed string per code."""
-    text = {c: str(c) for c in labeled.symbols}
+    text = {c: str(c) for c in labeled.code_range}
     lines = [",".join(map(text.__getitem__, row)) for row in labeled.codes]
     return "\n".join(lines) + "\n"
 
@@ -214,20 +212,14 @@ def _cmd_ca_filter(args) -> int:
     if args.method == "transducer":
         if not args.filter:
             raise UsageError("--method transducer needs --filter")
-        t, _digest = load_transducer(_read_text(args.filter))
-        labeled = filter_diagram("transducer", t, diagram)
-        domain_count = t.domain_count
+        source, _digest = load_transducer(_read_text(args.filter))
     else:
         if not args.domains:
             raise UsageError(f"--method {args.method} needs --domains")
         _text, parsed = _load_domains(args.domains)
-        domains = [pd.domain for pd in parsed]
-        labeled = filter_diagram(args.method, domains, diagram)
-        domain_count = len(domains)
-    if args.format == "csv":
-        _write(args.output, _csv(labeled))
-    else:
-        _write(args.output, emit_pgm(labeled, RenderPalette(domain_count)))
+        source = [pd.domain for pd in parsed]
+    labeled = filter_diagram(args.method, source, diagram)
+    _write(args.output, _csv(labeled) if args.format == "csv" else emit_pgm(labeled))
     return 0
 
 

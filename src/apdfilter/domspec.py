@@ -124,7 +124,7 @@ def parse_domain_spec(text: str) -> tuple[Alphabet, list[ParsedDomain]]:
                         _fail(line_no, f"unknown state {st}")
                 if tok not in alphabet:
                     _fail(line_no, f"symbol {tok} not in the alphabet")
-                block["trans"].append((s, alphabet.index(tok), d))
+                block["trans"].append((s, alphabet.indices[tok], d))
             elif word == "nonrecurrent":
                 block["nonrecurrent"] = True
             elif word == "end":

@@ -1,6 +1,7 @@
 """Gray-level rendering of diagrams.
 
-Domain labels spread over light grays (domain 1 is white), breaks are
+A filtered diagram's wire codes shade themselves (``gray``): domain
+labels spread over light grays (domain 1 is white), every break is
 black, ambiguity is mid gray.  Raw diagrams render with 0 white and the
 highest symbol black, matching the usual space-time convention.  The
 CSV wire code, ``symbol_code``, lives with the filter transducer in
@@ -9,39 +10,24 @@ CSV wire code, ``symbol_code``, lives with the filter transducer in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ca import CodedDiagram, SpaceTimeDiagram
-from .transducer import Ambiguous, DomainBreak, DomainLabel, OutputSymbol
 from .transducer import symbol_code  # noqa: F401  (re-exported: the CSV wire code)
 
 
-@dataclass(frozen=True)
-class RenderPalette:
-    domain_count: int
-
-    def gray(self, symbol: OutputSymbol) -> int:
-        if isinstance(symbol, DomainLabel):
-            spread = 160 * (symbol.index - 1) // max(1, self.domain_count - 1)
-            return 255 - spread
-        if isinstance(symbol, DomainBreak):
-            return 0
-        if isinstance(symbol, Ambiguous):
-            return 128
-        raise ValueError(f"not an output symbol: {symbol!r}")
+def gray(code: int, domain_count: int) -> int:
+    """Shade of one wire code out of ``domain_count`` domains."""
+    if code > 0:
+        return 255 - 160 * (code - 1) // max(1, domain_count - 1)
+    return 128 if code == 0 else 0
 
 
-def emit_pgm(
-    diagram: CodedDiagram | SpaceTimeDiagram,
-    palette: RenderPalette | None = None,
-) -> bytes:
+def emit_pgm(diagram: CodedDiagram | SpaceTimeDiagram) -> bytes:
     """Plain (P2) PGM; byte-identical output for identical input.
 
-    A filtered diagram is shaded per distinct code, not per cell."""
+    A filtered diagram is shaded per code in its range, not per cell."""
     if isinstance(diagram, CodedDiagram):
-        if palette is None:
-            raise ValueError("filtered diagrams need a palette")
-        shade = {c: str(palette.gray(s)) for c, s in diagram.symbols.items()}
+        n = diagram.domain_count
+        shade = {c: str(gray(c, n)) for c in diagram.code_range}
         grid = [list(map(shade.__getitem__, row)) for row in diagram.codes]
     else:
         top = diagram.k - 1

@@ -79,14 +79,6 @@ def _accepting_domains(domains: Sequence[Domain], word: Sequence[str]) -> frozen
     return frozenset(i + 1 for i, d in enumerate(domains) if accepts(d.fa, word))
 
 
-def _codes(tracker: Tracker, word: Sequence[str]) -> list[int]:
-    """The symbol indices of a word's letters."""
-    try:
-        return list(map(tracker.alphabet.indices.__getitem__, word))
-    except KeyError as e:
-        raise ValueError(f"unknown symbol {e.args[0]!r}") from None
-
-
 def _scan(
     tracker: Tracker, syms: Sequence[int], repeats: int = 1, stats: FilterStats | None = None
 ) -> MaximalCover:
@@ -191,7 +183,7 @@ def filter_local(
     tracker's state count.  Every domain state is final, so the domains
     accepting an emitted interval are the bottom pair's ``state_domains``.
     """
-    return _scan(tracker, _codes(tracker, sigma), stats=stats)
+    return _scan(tracker, tracker.alphabet.encode(sigma), stats=stats)
 
 
 def _canonical_representatives(
@@ -258,7 +250,7 @@ def filter_global(
     n = len(period_word)
     m = max(d.fa.state_count for d in domains)
     window = period_word * (m + 1)
-    local = _scan(tracker, _codes(tracker, period_word), repeats=m + 1, stats=stats)
+    local = _scan(tracker, tracker.alphabet.encode(period_word), repeats=m + 1, stats=stats)
     if local.intervals == ((1, len(window)),):
         return MaximalCover(
             (),

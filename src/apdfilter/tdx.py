@@ -7,16 +7,17 @@ A trailing table maps each ``brk<j>`` back to its state pair.  An optional
 ``hash`` line carries the digest of the domain file the filter was built
 from, so later runs can flag a mismatched domain set.
 
-A filter has exactly one arc per (state, letter), so a file has one
-``trans`` line for each.  Saving writes the filter's table in index
-order: one ``trans`` line per arc in (state, letter) order, then
-``brk1``, ``brk2``, ... .  Loading fills the table directly.  It refuses
-a file with fewer ``trans`` lines than states times letters before
-allocating the table, and checks that every state, label and break pair
-is in range, that every transition letter is in the alphabet, that no
-(state, letter) has two transition lines and that each ``brk<j>`` is
-declared once; so a partial file fails to load, and a loaded filter runs
-without a check per letter.
+Every line but ``alphabet`` has a fixed number of fields, and a filter
+has at least one domain.  A filter has exactly one arc per (state,
+letter), so a file has one ``trans`` line for each.  Saving writes the
+filter's table in index order: one ``trans`` line per arc in (state,
+letter) order, then ``brk1``, ``brk2``, ... .  Loading fills the table
+directly.  It refuses a file with fewer ``trans`` lines than states
+times letters before allocating the table, and checks that every state,
+label and break pair is in range, that every transition letter is in the
+alphabet, that no (state, letter) has two transition lines and that each
+``brk<j>`` is declared once; so a partial file fails to load, and a
+loaded filter runs without a check per letter.
 Break codes are renumbered by first use in (state, letter) order: a pair
 declared under two numbers becomes one code, and unused declarations are
 dropped.
@@ -35,6 +36,8 @@ class TdxError(ValueError):
 
 
 _OUTPUT_CODE = re.compile(r"lam|d\d+|brk\d+")
+# fields per line, directive included; ``alphabet`` takes any number
+_FIELD_COUNTS = {"states": 2, "start": 2, "domains": 2, "hash": 2, "trans": 5, "brk": 3}
 
 
 def _output_word(code: int) -> str:
@@ -74,6 +77,8 @@ def load_transducer(text: str) -> tuple[Transducer, str | None]:
             continue
         fields = line.split()
         word = fields[0]
+        if len(fields) != _FIELD_COUNTS.get("brk" if word.startswith("brk") else word, len(fields)):
+            raise TdxError(f"line {line_no}: malformed {word!r} line")
         try:
             if word == "alphabet":
                 alphabet = Alphabet(tuple(fields[1:]))
@@ -83,6 +88,8 @@ def load_transducer(text: str) -> tuple[Transducer, str | None]:
                 start = int(fields[1])
             elif word == "domains":
                 domains = int(fields[1])
+                if domains < 1:
+                    raise TdxError(f"line {line_no}: domains {domains}: a filter has at least one")
             elif word == "hash":
                 digest = fields[1]
             elif word == "trans":
@@ -127,7 +134,7 @@ def load_transducer(text: str) -> tuple[Transducer, str | None]:
             raise TdxError(f"line {line_no}: unknown symbol {tok!r}")
         if not (0 <= s <= top and 0 <= d <= top):
             raise TdxError(f"trans {s} {tok} {out} {d}: outside the states 0..{top}")
-        i = s * k + alphabet.index(tok)
+        i = s * k + alphabet.indices[tok]
         if nxt[i] is not None:
             raise TdxError(f"line {line_no}: second transition from state {s} on {tok!r}")
         nxt[i] = d * k

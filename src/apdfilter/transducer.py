@@ -23,8 +23,9 @@ out fails to load), and run as is: for ``i = state*k + symbol``,
 the arc's output (``symbol_code``), with break code -j naming the
 (source, target) pair ``breaks[j - 1]``.  ``walk_codes`` is the one loop
 over it; ``transduce`` maps its codes to the filter's shared output
-symbols.  Outputs without break identity (the two-pass combination and
-the stack cover) share the ``plain_symbols`` map, where every break is -1.
+symbols (``Transducer.symbols``).  Every code lies in
+``-len(breaks)..domain_count``; outputs without break identity (the
+two-pass combination and the stack cover) code every break as -1.
 """
 
 from __future__ import annotations
@@ -123,18 +124,10 @@ class Transducer:
     @cached_property
     def symbols(self) -> dict[int, OutputSymbol]:
         """The filter's one output symbol per wire code."""
-        symbols = {c: s for c, s in plain_symbols(self.domain_count).items() if c >= 0}
+        symbols: dict[int, OutputSymbol] = {0: AMBIGUOUS}
+        symbols.update((i, DomainLabel(i)) for i in range(1, self.domain_count + 1))
         symbols.update((-j, DomainBreak(*pair)) for j, pair in enumerate(self.breaks, start=1))
         return symbols
-
-
-def plain_symbols(domain_count: int) -> dict[int, OutputSymbol]:
-    """Code-to-symbol map of outputs that carry no break identity (stack
-    and two-pass): every domain label, the ambiguity mark and one break."""
-    symbols: dict[int, OutputSymbol] = {i: DomainLabel(i) for i in range(1, domain_count + 1)}
-    symbols[0] = AMBIGUOUS
-    symbols[-1] = DomainBreak()
-    return symbols
 
 
 def resync(tracker: Tracker) -> tuple[ResyncReport, ...]:
@@ -308,10 +301,7 @@ def transduce_codes(t: Transducer, sigma: str | Sequence[str], mode: str = "line
     """Run the filter over a string: one wire code per input letter."""
     if mode not in ("linear", "circular"):
         raise ValueError(f"bad mode {mode!r}")
-    try:
-        symbols = list(map(t.alphabet.indices.__getitem__, sigma))
-    except KeyError as e:
-        raise ValueError(f"unknown symbol {e.args[0]!r}") from None
+    symbols = t.alphabet.encode(sigma)
     if mode == "circular" and not symbols:
         raise ValueError("circular mode needs a non-empty string")
     return walk_codes(t, symbols, mode == "circular")

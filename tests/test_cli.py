@@ -409,6 +409,10 @@ class TestErrors:
             ("trans 1 0 d1 0", "trans 1 0 d9 0"),
             ("brk1 0 0", "brk1 4 9"),
             ("brk1 0 0", "brk1 0 0\nbrk1 1 1"),
+            # trailing fields
+            ("start 0", "start 0 7"),
+            ("trans 0 0 d1 1", "trans 0 0 lam 1 9"),
+            ("brk1 0 0", "brk1 3 4 5"),
         ):
             bad.write_text(valid.replace(old, new))
             code, out, err = run_cli(
@@ -416,6 +420,12 @@ class TestErrors:
             )
             assert code == 2, new
             assert out == "" and err.count("\n") == 1 and err.startswith("error: "), new
+        # a domain count below 1, on a filter whose arcs carry no label
+        bad.write_text(valid.replace(" d1 ", " lam ").replace("domains 1", "domains -5"))
+        code, out, err = run_cli(
+            capsys, "run", "--filter", str(bad), "--input", "0101", "--format", "pgm"
+        )
+        assert (code, out, err) == (2, "", "error: line 4: domains -5: a filter has at least one\n")
         # a malformed output code names its line
         for code_text in ("d", "dx", "brkx"):
             bad.write_text(valid.replace("trans 1 0 d1 0", f"trans 1 0 {code_text} 0"))

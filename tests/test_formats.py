@@ -10,15 +10,13 @@ from apdfilter.domspec import (
     parse_domain_spec,
     spec_digest,
 )
-from apdfilter.render import RenderPalette, emit_pgm, parse_pgm, symbol_code
+from apdfilter.render import emit_pgm, gray, parse_pgm, symbol_code
 from apdfilter.ca import CodedDiagram, SpaceTimeDiagram
 from apdfilter.tdx import TdxError, load_transducer, save_transducer
 from apdfilter.transducer import (
     AMBIGUOUS,
     DomainBreak,
-    DomainLabel,
     build_filter,
-    plain_symbols,
     transduce,
 )
 
@@ -206,25 +204,44 @@ class TestTdxValidation:
         with pytest.raises(TdxError, match="duplicate 'brk1'"):
             load_transducer(VALID_TDX + "brk1 1 1\n")
 
+    def test_extra_fields_refused(self):
+        for old, new, line in (
+            ("start 0", "start 0 7", 3),
+            ("domains 1", "domains 1 1", 4),
+            ("states 2", "states 2 2", 2),
+            ("trans 0 0 d1 1", "trans 0 0 d1 1 9", 5),
+            ("brk1 0 0", "brk1 0 0 5", 9),
+        ):
+            word = new.split()[0]
+            with pytest.raises(TdxError, match=f"^line {line}: malformed '{word}' line$"):
+                load_transducer(VALID_TDX.replace(old, new))
+        with pytest.raises(TdxError, match="^line 5: malformed 'hash' line$"):
+            load_transducer(VALID_TDX.replace("domains 1\n", "domains 1\nhash ab cd\n"))
+
+    def test_domain_count_below_one_refused(self):
+        # every arc ambiguous, so no label bounds the count from below
+        lam_only = VALID_TDX.replace(" d1 ", " lam ")
+        assert load_transducer(lam_only)[0].domain_count == 1
+        for count in (0, -5):
+            message = f"^line 4: domains {count}: a filter has at least one$"
+            with pytest.raises(TdxError, match=message):
+                load_transducer(lam_only.replace("domains 1", f"domains {count}"))
+
 
 class TestRender:
     def test_palette_values(self):
-        one = RenderPalette(1)
-        assert one.gray(DomainLabel(1)) == 255
-        assert one.gray(DomainBreak(0, 1)) == 0
-        assert one.gray(AMBIGUOUS) == 128
-        two = RenderPalette(2)
-        assert two.gray(DomainLabel(1)) == 255
-        assert two.gray(DomainLabel(2)) == 95
+        assert [gray(c, 1) for c in (1, 0, -1, -2, -7)] == [255, 128, 0, 0, 0]
+        assert [gray(c, 2) for c in (1, 2)] == [255, 95]
+        assert [gray(c, 3) for c in (1, 2, 3)] == [255, 175, 95]
 
     def test_pgm_exact_bytes(self):
-        symbols = plain_symbols(1)
-        single = CodedDiagram(((1,),), symbols)
-        assert emit_pgm(single, RenderPalette(1)) == b"P2\n1 1\n255\n255\n"
-        pair = CodedDiagram(((-1, 0),), symbols)
-        assert emit_pgm(pair, RenderPalette(1)) == b"P2\n2 1\n255\n0 128\n"
-        with pytest.raises(ValueError, match="palette"):
-            emit_pgm(pair)
+        single = CodedDiagram(((1,),), domain_count=1, break_count=1)
+        assert emit_pgm(single) == b"P2\n1 1\n255\n255\n"
+        pair = CodedDiagram(((-1, 0),), domain_count=1, break_count=1)
+        assert emit_pgm(pair) == b"P2\n2 1\n255\n0 128\n"
+        # a filter's break codes -1..-breaks are all black
+        rows = CodedDiagram(((-2, 2, 1), (0, -1, 2)), domain_count=2, break_count=2)
+        assert emit_pgm(rows) == b"P2\n3 2\n255\n0 95 255\n128 0 95\n"
 
     def test_pgm_round_trip(self):
         diagram = SpaceTimeDiagram(k=2, rows=((0, 1, 0), (1, 1, 0)))
