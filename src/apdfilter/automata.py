@@ -16,7 +16,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
+
+if TYPE_CHECKING:
+    from .stackfilter import ScanAutomaton
 
 Transition = tuple[int, int, int]  # (source, symbol index, target)
 
@@ -255,7 +258,8 @@ class Tracker:
     tracked path dies; ``masks[q]`` is q's subset of union states as a
     bitmask, and ``state_domains[q]`` the 1-based domains with a state in
     it.  ``dfa``, the same construction as a ``FiniteAutomaton`` tagged
-    with frozensets, is derived on first use.
+    with frozensets, and ``scan_automaton``, the stack scan's table, are
+    derived on first use.
     """
 
     domains: tuple[Domain, ...]
@@ -271,6 +275,13 @@ class Tracker:
     @cached_property
     def dfa(self) -> FiniteAutomaton:
         return determinize(self.union)
+
+    @cached_property
+    def scan_automaton(self) -> ScanAutomaton:
+        """The stack scan's configuration automaton, kept across its calls."""
+        from .stackfilter import ScanAutomaton  # that module imports this one
+
+        return ScanAutomaton(self)
 
 
 def build_tracker(domains: Sequence[Domain]) -> Tracker:

@@ -198,7 +198,7 @@ def _read_diagram(path: str) -> SpaceTimeDiagram:
         if not line:
             continue
         try:
-            rows.append(tuple(int(c) for c in line))
+            rows.append(tuple(map(int, line)))
         except ValueError:
             raise UsageError(f"{path}: line {n}: {line!r} is not a row of digits") from None
     if not rows:

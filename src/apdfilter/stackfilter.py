@@ -10,8 +10,11 @@ work (m tracker states), not the O(n^2) of the unmerged scan.  The
 stack's shape is finite-state: the tuple of live tracker states, oldest
 first, depends only on the tuple before and the letter, and only the
 begin indices are unbounded memory.  The scan therefore runs an
-automaton over these tuples, built lazily for each call, and each letter
-costs one table lookup plus one remap of the begins tuple.  Both
+automaton over these tuples, built lazily and kept with the tracker
+(``ScanAutomaton``), so every call on one tracker, every row of a
+diagram included, reads and fills one table; a call that finds more
+than ``MAX_SCAN_CONFIGS`` configurations kept starts a fresh one.  Each
+letter costs one table lookup plus one remap of the begins tuple.  Both
 variants take a prebuilt ``Tracker``: the scan follows its step table,
 and the domain set of an emitted interval is the dying pair's
 ``state_domains`` entry.  The global variant handles periodic two-way
@@ -30,9 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
+from threading import Lock
 from typing import Sequence
 
 from .automata import Domain, Tracker, accepts
+
+MAX_SCAN_CONFIGS = 2**14  # configurations a kept scan automaton may hold when a call starts
 
 
 @dataclass(frozen=True)
@@ -79,6 +85,80 @@ def _accepting_domains(domains: Sequence[Domain], word: Sequence[str]) -> frozen
     return frozenset(i + 1 for i, d in enumerate(domains) if accepts(d.fa, word))
 
 
+class ScanAutomaton:
+    """The configuration automaton of ``_scan`` over one tracker, kept with
+    it as ``Tracker.scan_automaton``, so every ``filter_local`` and
+    ``filter_global`` call on the tracker fills and reads one table.
+
+    ``tables`` holds three lists: ``configs``, the configurations by id,
+    the empty one first; ``ids``, each configuration's id; and ``table``,
+    where entry cfg*k + sym (k the alphabet size) is filled by ``fill`` the
+    first time configuration cfg meets letter sym.  An entry depends only
+    on its key, so a kept table gives the covers a fresh one would.  A call
+    that finds more than ``MAX_SCAN_CONFIGS`` configurations starts a
+    fresh table; a call adds at most one configuration per letter, so the
+    kept table holds at most the cap plus one call's letters.
+
+    Threads may share a tracker: a call keeps the three lists it started
+    with, so a reset by another call does not mix tables; a configuration
+    gets its id under a lock, its row and its place in ``configs`` before
+    ``ids`` publishes it; and two threads filling one entry store equal
+    values.
+    """
+
+    def __init__(self, tracker: Tracker):
+        self.step, self.state_domains = tracker.step, tracker.state_domains
+        self.lock = Lock()
+        self.reset()
+
+    def reset(self) -> None:
+        """Start a fresh table: the empty configuration, its row unfilled."""
+        self.tables = ([()], {(): 0}, [None] * len(self.step))
+
+    def start(self) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int], list]:
+        """The tables for one call: the kept ones, or fresh ones past the cap."""
+        if len(self.tables[0]) > MAX_SCAN_CONFIGS:
+            self.reset()
+        return self.tables
+
+    def fill(self, tables, cfg: int, sym: int) -> tuple:
+        """Entry cfg*k + sym of ``tables``: one step of the pair scan from
+        configuration cfg on letter sym."""
+        configs, ids, table = tables
+        k = len(self.step)
+        states = configs[cfg]
+        row = self.step[sym]
+        survivors: dict[int, int] = {}  # next state -> position of its oldest pair
+        moved = 0
+        for i, state in enumerate(states if 0 in states else states + (0,)):
+            nxt = row[state]
+            if nxt is not None:
+                moved += 1
+                if nxt not in survivors:
+                    survivors[nxt] = i
+        picks = tuple(survivors.values())  # increasing positions
+        if not picks:
+            remap = itemgetter(slice(0, 0))
+        elif picks[-1] - picks[0] == len(picks) - 1:
+            # consecutive positions; unlike one index, a slice returns a tuple
+            remap = itemgetter(slice(picks[0], picks[-1] + 1))
+        else:
+            remap = itemgetter(*picks)
+        nxt_states = tuple(survivors)
+        target = ids.get(nxt_states)
+        if target is None:
+            with self.lock:
+                target = ids.get(nxt_states)
+                if target is None:
+                    table += [None] * k
+                    configs.append(nxt_states)
+                    target = ids[nxt_states] = len(configs) - 1
+        # a dying fresh pair (empty configuration) emits nothing
+        dying = self.state_domains[states[0]] if states and row[states[0]] is None else None
+        entry = table[cfg * k + sym] = (target * k, remap, dying, moved)
+        return entry
+
+
 def _scan(
     tracker: Tracker, syms: Sequence[int], repeats: int = 1, stats: FilterStats | None = None
 ) -> MaximalCover:
@@ -86,14 +166,14 @@ def _scan(
 
     The live pairs' tracker states, oldest first, form a configuration
     that depends only on the one before and the letter; only their begins
-    are unbounded.  So the scan runs an automaton over configurations,
-    built lazily for this call: entry cfg*k + sym of ``table`` (cfg a
-    configuration's id, k the alphabet size) holds the next
-    configuration's cfg*k, the remap of the begins tuple, the dying bottom
-    pair's domain set (None when the bottom pair survives) and the number
-    of pairs advanced.  An entry is filled by one step of the pair scan the
-    first time its (configuration, letter) occurs; every letter then costs
-    one lookup and one C-level remap of the begins.
+    are unbounded.  So the scan runs the tracker's ``ScanAutomaton``, kept
+    across calls: entry cfg*k + sym of its table (cfg a configuration's id,
+    k the alphabet size) holds the next configuration's cfg*k, the remap of
+    the begins tuple, the dying bottom pair's domain set (None when the
+    bottom pair survives) and the number of pairs advanced.  An entry is
+    filled by one step of the pair scan the first time its (configuration,
+    letter) occurs on the tracker; every letter then costs one lookup and
+    one C-level remap of the begins.
 
     The remap takes the begins plus, last, the letter's own index j: the
     fresh pair at the tracker start, live unless a pair is already in
@@ -106,11 +186,11 @@ def _scan(
     there and flushes its bottom pair at j, so the result is the cover of
     the scanned prefix.
     """
-    step, state_domains = tracker.step, tracker.state_domains
-    k = len(step)
-    configs: list[tuple[int, ...]] = [()]  # by id, the empty one first
-    ids = {(): 0}
-    table: list = [None] * k
+    automaton = tracker.scan_automaton
+    tables = automaton.start()
+    configs, _ids, table = tables
+    state_domains = tracker.state_domains
+    k = len(tracker.step)
     base = 0  # the current configuration's id times k
     begins: tuple[int, ...] = ()
     emitted: list[tuple[int, int]] = []
@@ -122,33 +202,7 @@ def _scan(
         for j, sym in enumerate(syms, start=copy * len(syms) + 1):
             entry = table[base + sym]
             if entry is None:
-                states = configs[base // k]
-                row = step[sym]
-                survivors: dict[int, int] = {}  # next state -> position of its oldest pair
-                moved = 0
-                for i, state in enumerate(states if 0 in states else states + (0,)):
-                    nxt = row[state]
-                    if nxt is not None:
-                        moved += 1
-                        if nxt not in survivors:
-                            survivors[nxt] = i
-                picks = tuple(survivors.values())  # increasing positions
-                if not picks:
-                    remap = itemgetter(slice(0, 0))
-                elif picks[-1] - picks[0] == len(picks) - 1:
-                    # consecutive positions; unlike one index, a slice returns a tuple
-                    remap = itemgetter(slice(picks[0], picks[-1] + 1))
-                else:
-                    remap = itemgetter(*picks)
-                nxt_states = tuple(survivors)
-                cfg = ids.get(nxt_states)
-                if cfg is None:
-                    cfg = ids[nxt_states] = len(configs)
-                    configs.append(nxt_states)
-                    table += [None] * k
-                # a dying fresh pair (empty configuration) emits nothing
-                dying = state_domains[states[0]] if states and row[states[0]] is None else None
-                entry = table[base + sym] = (cfg * k, remap, dying, moved)
+                entry = automaton.fill(tables, base // k, sym)
             base, remap, dying, moved = entry
             if dying is not None:
                 # non-bottom pairs die silently: their intervals are

@@ -7,17 +7,19 @@ A trailing table maps each ``brk<j>`` back to its state pair.  An optional
 ``hash`` line carries the digest of the domain file the filter was built
 from, so later runs can flag a mismatched domain set.
 
-Every line but ``alphabet`` has a fixed number of fields, and a filter
-has at least one domain.  A filter has exactly one arc per (state,
-letter), so a file has one ``trans`` line for each.  Saving writes the
-filter's table in index order: one ``trans`` line per arc in (state,
-letter) order, then ``brk1``, ``brk2``, ... .  Loading fills the table
-directly.  It refuses a file with fewer ``trans`` lines than states
-times letters before allocating the table, and checks that every state,
-label and break pair is in range, that every transition letter is in the
-alphabet, that no (state, letter) has two transition lines and that each
-``brk<j>`` is declared once; so a partial file fails to load, and a
-loaded filter runs without a check per letter.
+Every line but ``alphabet`` has a fixed number of fields, each header
+line (``alphabet``, ``states``, ``start``, ``domains``, ``hash``)
+appears at most once, and a filter has at least one domain.  A filter
+has exactly one arc per (state, letter), so a file has one ``trans``
+line for each.  Saving writes the filter's table in index order: one
+``trans`` line per arc in (state, letter) order, then ``brk1``,
+``brk2``, ... .  Loading fills the table directly.  It refuses a file
+with fewer ``trans`` lines than states times letters before allocating
+the table, and checks that every state, label and break pair is in
+range, that every transition letter is in the alphabet, that no (state,
+letter) has two transition lines and that each ``brk<j>`` is declared
+once; so a partial file fails to load, and a loaded filter runs without
+a check per letter.
 Break codes are renumbered by first use in (state, letter) order: a pair
 declared under two numbers becomes one code, and unused declarations are
 dropped.
@@ -38,6 +40,7 @@ class TdxError(ValueError):
 _OUTPUT_CODE = re.compile(r"lam|d\d+|brk\d+")
 # fields per line, directive included; ``alphabet`` takes any number
 _FIELD_COUNTS = {"states": 2, "start": 2, "domains": 2, "hash": 2, "trans": 5, "brk": 3}
+_HEADER_WORDS = frozenset({"alphabet", "states", "start", "domains", "hash"})  # once per file
 
 
 def _output_word(code: int) -> str:
@@ -71,6 +74,7 @@ def load_transducer(text: str) -> tuple[Transducer, str | None]:
     digest = None
     arcs: list[tuple[int, int, str, str, int]] = []  # (line, s, token, output, s')
     pairs: dict[int, tuple[int, int]] = {}
+    headers: set[str] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -79,6 +83,10 @@ def load_transducer(text: str) -> tuple[Transducer, str | None]:
         word = fields[0]
         if len(fields) != _FIELD_COUNTS.get("brk" if word.startswith("brk") else word, len(fields)):
             raise TdxError(f"line {line_no}: malformed {word!r} line")
+        if word in _HEADER_WORDS:
+            if word in headers:
+                raise TdxError(f"line {line_no}: duplicate {word!r} line")
+            headers.add(word)
         try:
             if word == "alphabet":
                 alphabet = Alphabet(tuple(fields[1:]))

@@ -437,9 +437,13 @@ class TestErrors:
         # a letter outside the alphabet line and a second transition line
         # from one (state, letter), the same or another, name their lines;
         # a file without one arc per (state, letter) is refused, a huge
-        # state count before its table is allocated
+        # state count before its table is allocated; a repeated header line
+        # names the repeat
         second = "line 9: second transition from state 1 on '1'"
         for old, new, message in (
+            ("start 0", "start 0\nstart 1", "line 4: duplicate 'start' line"),
+            ("domains 1", "domains 1\ndomains 3", "line 5: duplicate 'domains' line"),
+            ("brk1 0 0", "brk1 0 0\nalphabet 0 1", "line 10: duplicate 'alphabet' line"),
             ("trans 1 1 d1 0", "trans 1 x d1 0", "line 8: unknown symbol 'x'"),
             ("trans 1 1 d1 0", "trans 1 1 d1 0\ntrans 1 1 d1 0", second),
             ("trans 1 1 d1 0", "trans 1 1 d1 0\ntrans 1 1 lam 1", second),
@@ -456,6 +460,10 @@ class TestErrors:
             )
             assert code == 2, new
             assert out == "" and err == f"error: {message}\n", new
+        # the hostile fixture that CI also runs through the installed CLI
+        dup = str(HOSTILE / "dup-header.tdx")
+        code, out, err = run_cli(capsys, "run", "--filter", dup, "--input", "0101")
+        assert (code, out, err) == (2, "", "error: line 12: duplicate 'start' line\n")
 
     def test_resync_walk_budget_exit_2(self, tmp_path, capsys):
         # this partial 0-cycle's tracker builds at once, and its resync walk

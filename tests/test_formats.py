@@ -204,6 +204,18 @@ class TestTdxValidation:
         with pytest.raises(TdxError, match="duplicate 'brk1'"):
             load_transducer(VALID_TDX + "brk1 1 1\n")
 
+    def test_duplicate_header_line_refused(self):
+        # a second header line of a kind would silently replace the first
+        tdx = VALID_TDX.replace("domains 1\n", "domains 1\nhash ab\n")
+        for line_no, line in enumerate(tdx.splitlines()[:5], start=2):
+            word = line.split()[0]
+            with pytest.raises(TdxError, match=f"^line {line_no}: duplicate '{word}' line$"):
+                load_transducer(tdx.replace(line + "\n", f"{line}\n{line}\n"))
+        for extra in ("start 1", "domains 3"):
+            word = extra.split()[0]
+            with pytest.raises(TdxError, match=f"^line 11: duplicate '{word}' line$"):
+                load_transducer(tdx + extra + "\n")
+
     def test_extra_fields_refused(self):
         for old, new, line in (
             ("start 0", "start 0 7", 3),

@@ -23,7 +23,8 @@ from apdfilter.automata import (
     build_tracker,
     determinize,
 )
-from apdfilter.stackfilter import filter_global, filter_local
+from apdfilter import stackfilter
+from apdfilter.stackfilter import FilterStats, filter_global, filter_local
 
 ALPHA012 = Alphabet(("0", "1", "2"))
 ALPHABETS = st.sampled_from([ALPHA01, ALPHA012])
@@ -62,6 +63,16 @@ def domains_and_word(draw, min_size: int = 0, max_size: int = 16) -> tuple[list[
     alphabet = draw(ALPHABETS)
     domains = draw(st.lists(domain(alphabet), min_size=1, max_size=3))
     return domains, draw(words(alphabet, min_size, max_size))
+
+
+@st.composite
+def domains_and_calls(draw) -> tuple[list[Domain], list[tuple[bool, str]]]:
+    """A domain set and a sequence of stack covers to ask of it: (periodic,
+    word) for ``filter_global`` or ``filter_local``."""
+    alphabet = draw(ALPHABETS)
+    domains = draw(st.lists(domain(alphabet), min_size=1, max_size=3))
+    calls = st.tuples(st.booleans(), words(alphabet, min_size=1, max_size=12))
+    return domains, draw(st.lists(calls, min_size=1, max_size=8))
 
 
 @settings(max_examples=300)
@@ -124,3 +135,19 @@ def test_filter_global_early_stop_is_the_full_window(case):
     domains, period_word = case
     tracker = build_tracker(domains)
     assert filter_global(tracker, period_word) == filter_global_full_window(tracker, period_word)
+
+
+@settings(max_examples=100)
+@given(domains_and_calls(), st.sampled_from([1, 2, stackfilter.MAX_SCAN_CONFIGS]))
+def test_shared_tracker_gives_fresh_tracker_covers(case, cap):
+    # one tracker's kept scan table, filled in any call order and reset at
+    # any cap, gives every call the cover and the advances of a fresh tracker
+    domains, calls = case
+    shared = build_tracker(domains)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stackfilter, "MAX_SCAN_CONFIGS", cap)
+        for periodic, word in calls:
+            cover = filter_global if periodic else filter_local
+            got, want = FilterStats(), FilterStats()
+            assert cover(shared, word, got) == cover(build_tracker(domains), word, want), word
+            assert got.pair_advances == want.pair_advances, word

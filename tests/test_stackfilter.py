@@ -1,5 +1,7 @@
+import sys
 from pathlib import Path
 from random import Random
+from threading import Thread
 
 import pytest
 from helpers import (
@@ -12,6 +14,7 @@ from helpers import (
     reference_scan,
 )
 
+from apdfilter import stackfilter
 from apdfilter.automata import Alphabet, build_tracker, cyclic_domain
 from apdfilter.domspec import parse_domain_spec
 from apdfilter.optimizer import optimize
@@ -23,6 +26,11 @@ from apdfilter.stackfilter import (
     filter_local,
     orbit_multiplicity,
 )
+
+
+def rule110_domains():
+    text = (Path(__file__).parent / "data" / "golden" / "rule110.dom").read_text()
+    return [pd.domain for pd in parse_domain_spec(text)[1]]
 
 
 class TestFilterLocal:
@@ -174,9 +182,7 @@ class TestEarlyStop:
     def test_stops_before_the_window_end(self):
         # a defect in the rule-110 period: the configuration repeats long
         # before the 15-period window ends
-        text = (Path(__file__).parent / "data" / "golden" / "rule110.dom").read_text()
-        _alphabet, parsed = parse_domain_spec(text)
-        tracker = build_tracker([pd.domain for pd in parsed])
+        tracker = build_tracker(rule110_domains())
         word = "00010011011111" * 2 + "0110"
         early, full = FilterStats(), FilterStats()
         cover = filter_global(tracker, word, stats=early)
@@ -209,6 +215,86 @@ class TestConfigurationAutomaton:
                         emitted += len(cover.intervals) > 1
                         stopped += repeats > 1 and got.pair_advances < repeats * len(syms)
         assert emitted > 500 and stopped > 100
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_cap_resets_the_kept_table(self, monkeypatch, cap):
+        # filter_local and filter_global calls on shared trackers, with the
+        # cap on kept configurations far below what the scans reach: a call
+        # that starts above the cap starts a fresh table, the covers and the
+        # advances are the reference scan's, and the kept table never holds
+        # more than the cap plus the letters of one call
+        monkeypatch.setattr(stackfilter, "MAX_SCAN_CONFIGS", cap)
+        rng = Random(139)
+        sets = [rule110_domains()] + [
+            [random_domain(rng, ALPHA01, 5) for _ in range(rng.randint(1, 3))] for _ in range(8)
+        ]
+        resets = kept = 0
+        for domains in sets:
+            tracker = build_tracker(domains)
+            automaton = tracker.scan_automaton
+            m = max(d.fa.state_count for d in domains)
+            for _ in range(12):
+                word = "".join(rng.choice("01") for _ in range(rng.randint(1, 24)))
+                syms = tracker.alphabet.encode(word)
+                tables = automaton.tables
+                fresh = len(tables[0]) > cap
+                got, want = FilterStats(), FilterStats()
+                if rng.random() < 0.5:
+                    letters = len(word)
+                    assert filter_local(tracker, word, stats=got) == reference_scan(
+                        tracker, syms, stats=want
+                    ), word
+                else:
+                    letters = len(word) * (m + 1)
+                    cover = filter_global(tracker, word, stats=got)
+                    assert cover == filter_global_full_window(tracker, word), word
+                    reference_scan(tracker, syms, repeats=m + 1, stats=want)
+                assert got.pair_advances == want.pair_advances, word
+                assert (automaton.tables is not tables) == fresh, word
+                resets += fresh
+                kept += not fresh
+                configs, ids, table = automaton.tables
+                assert len(configs) <= cap + letters, word
+                assert len(ids) == len(configs) and len(table) == len(configs) * len(tracker.step)
+        assert resets > 50 and kept > 0
+
+    @pytest.mark.parametrize("cap", [8, stackfilter.MAX_SCAN_CONFIGS])
+    def test_threads_share_one_kept_table(self, monkeypatch, cap):
+        # more threads than cores fill, and below the rule-110 tracker's 27
+        # configurations also reset, one kept table, switching as often as
+        # the interpreter allows: every cover is the reference scan's, and
+        # every configuration keeps the one id its table row was made for
+        monkeypatch.setattr(stackfilter, "MAX_SCAN_CONFIGS", cap)
+        tracker = build_tracker(rule110_domains())
+        rng = Random(149)
+        words = ["".join(rng.choice("01") for _ in range(rng.randint(1, 40))) for _ in range(60)]
+        want = [reference_scan(tracker, tracker.alphabet.encode(w)) for w in words]
+        failures = []
+
+        def scan_all(order):
+            try:
+                for i in order:
+                    if filter_local(tracker, words[i]) != want[i]:
+                        failures.append(words[i])
+            except Exception as e:  # reported by the main thread
+                failures.append(e)
+
+        orders = [rng.sample(range(len(words)), len(words)) for _ in range(6)]
+        threads = [Thread(target=scan_all, args=(order,)) for order in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        configs, ids, table = tracker.scan_automaton.tables
+        assert [ids[c] for c in configs] == list(range(len(configs)))
+        assert len(ids) == len(configs) and len(table) == len(configs) * len(tracker.step)
 
 
 class TestOrbitMultiplicity:
