@@ -66,7 +66,7 @@ class SpaceTimeDiagram:
         for row in self.rows:
             if len(row) != width:
                 raise ValueError("ragged diagram")
-            if any(not 0 <= v < self.k for v in row):
+            if min(row) < 0 or max(row) >= self.k:
                 raise ValueError("symbol out of range")
 
     @property

@@ -17,15 +17,25 @@ than ``MAX_SCAN_CONFIGS`` configurations kept starts a fresh one.  Each
 letter costs one table lookup plus one remap of the begins tuple.  Both
 variants take a prebuilt ``Tracker``: the scan follows its step table,
 and the domain set of an emitted interval is the dying pair's
-``state_domains`` entry.  The global variant handles periodic two-way
-infinite strings through a pumping-bound window of (m+1)*N letters (m
-the largest domain state count, N the period), scanned one period at a
-time until the live pairs, with their ages, repeat at a period boundary:
-from there on every period repeats the last one, so the rest of the
-window adds no orbit.  Only the whole-string case scans the whole
-window.  It runs every domain over the text of its few representatives
-to get their domain sets.  ``orbit_multiplicity`` counts, in one sweep,
-how many shifted representatives cover each position of the period.
+``state_domains`` entry.
+
+The global variant handles periodic two-way infinite strings through a
+pumping-bound window of (m+1)*N letters (m the largest domain state
+count, N the period), scanned one period at a time until the live pairs,
+with their ages, repeat at a period boundary kN.  The configuration at
+(k-1)N is then the true one for the infinite string: it repeats at
+every later boundary, as the infinite string's does, and past m*N the
+two agree, since a pair begun before letter 1 would be longer than m*N,
+which pumps to the whole string.  From (k-1)N on the scan is the
+infinite string's scan, which emits every maximal interval once, at its
+death, so the last period's emissions are one maximal interval per
+orbit; each shifted to start in 1..N is a representative, and maximal
+intervals never nest, so no orbit needs deduplicating or reducing.  A
+scan that never stops is exactly the whole-string case: the pair begun
+at letter 1 then never dies and only grows older.  The representatives'
+domain sets come from running every domain over their text.
+``orbit_multiplicity`` counts, in one sweep, how many shifted
+representatives cover each position of the period.
 """
 
 from __future__ import annotations
@@ -161,7 +171,7 @@ class ScanAutomaton:
 
 def _scan(
     tracker: Tracker, syms: Sequence[int], repeats: int = 1, stats: FilterStats | None = None
-) -> MaximalCover:
+) -> tuple[list[tuple[int, int]], list[frozenset[int]], slice, bool]:
     """``filter_local``'s scan over ``repeats`` copies of the symbol indices.
 
     The live pairs' tracker states, oldest first, form a configuration
@@ -183,8 +193,10 @@ def _scan(
     After each copy, at step j, the ordered live configuration
     ``[(state, j - begin), ...]`` is compared with the one after the copy
     before (empty before the first letter); on equality the scan stops
-    there and flushes its bottom pair at j, so the result is the cover of
-    the scanned prefix.
+    there.  It flushes its bottom pair at j, so the intervals and domain
+    sets it returns are the cover of the scanned prefix.  It also returns
+    the slice of them that the last scanned copy emitted, the flush left
+    out, and whether a repeated configuration stopped the scan.
     """
     automaton = tracker.scan_automaton
     tables = automaton.start()
@@ -196,9 +208,11 @@ def _scan(
     emitted: list[tuple[int, int]] = []
     domain_sets: list[frozenset[int]] = []
     advances = 0
-    j = 0
+    j = first = 0
     previous: list[tuple[int, int]] = []
+    stopped = False
     for copy in range(repeats):
+        first = len(emitted)
         for j, sym in enumerate(syms, start=copy * len(syms) + 1):
             entry = table[base + sym]
             if entry is None:
@@ -213,14 +227,16 @@ def _scan(
             advances += moved
         config = [(state, j - begin) for state, begin in zip(configs[base // k], begins)]
         if config == previous:
+            stopped = True
             break
         previous = config
+    last = slice(first, len(emitted))
     if begins:
         emitted.append((begins[0], j))
         domain_sets.append(state_domains[configs[base // k][0]])
     if stats is not None:
         stats.pair_advances += advances
-    return MaximalCover(intervals=tuple(emitted), domain_sets=tuple(domain_sets))
+    return emitted, domain_sets, last, stopped
 
 
 def filter_local(
@@ -237,37 +253,8 @@ def filter_local(
     tracker's state count.  Every domain state is final, so the domains
     accepting an emitted interval are the bottom pair's ``state_domains``.
     """
-    return _scan(tracker, tracker.alphabet.encode(sigma), stats=stats)
-
-
-def _canonical_representatives(
-    intervals: Sequence[tuple[int, int]], period: int
-) -> list[tuple[int, int]]:
-    """Shift each interval so its start lies in 1..period, deduplicate the
-    orbits, and drop any representative whose orbit is contained in another.
-
-    With every start in 1..period, the shift of (c, d) that starts at or
-    before a and reaches furthest right is (c, d) itself when c <= a and
-    (c - period, d - period) when c > a.  Sorting by start, longer first
-    on equal starts, reduces containment to a prefix maximum of the ends
-    and a suffix maximum of the ends one period down.
-    """
-    shifted = set()
-    for (a, b) in intervals:
-        q = (a - 1) // period
-        shifted.add((a - q * period, b - q * period))
-    reps = sorted(shifted, key=lambda iv: (iv[0], -iv[1]))
-    # furthest end, shifted one period down, among the later starts
-    reach_later = [0] * (len(reps) + 1)
-    for i in range(len(reps) - 1, -1, -1):
-        reach_later[i] = max(reach_later[i + 1], reps[i][1] - period)
-    reduced = []
-    reach_earlier = 0
-    for i, (a, b) in enumerate(reps):
-        if reach_earlier < b and reach_later[i + 1] < b:
-            reduced.append((a, b))
-        reach_earlier = max(reach_earlier, b)
-    return reduced
+    intervals, domain_sets, _, _ = _scan(tracker, tracker.alphabet.encode(sigma), stats=stats)
+    return MaximalCover(intervals, domain_sets=domain_sets)
 
 
 def filter_global(
@@ -278,25 +265,27 @@ def filter_global(
     """Maximal substrings of the two-way infinite string that repeats
     ``period_word``, a string or a sequence of alphabet tokens.
 
-    Maximal substrings longer than m*N (m the largest domain state count)
-    pump to the whole string, so a window of (m+1)*N letters contains a
-    full shift of every finite maximal substring; window-edge fragments of
-    longer neighbors are dropped by the orbit reduction.  A window of
-    m*N+1 letters would detect the whole-string case but can clip every
-    shift of a near-extremal substring, so the longer window is used.
-
-    The scan over the window stops at the first period boundary kN whose
-    live configuration, as (state, kN - begin) pairs, repeats the one at
-    (k-1)N, and flushes its bottom pair as (begin, kN).  The output is the
-    same as for the full window:
+    A maximal substring longer than m*N (m the largest domain state count)
+    pumps to the whole string.  The scan runs over a window of (m+1)*N
+    letters and stops at the first period boundary kN whose live
+    configuration, as (state, kN - begin) pairs, repeats the one at
+    (k-1)N:
 
     - the configuration after letter j depends only on the one after j-1
-      and on letter j, and the letters repeat every N;
-    - so every later emission is an earlier one in ((k-1)N, kN] shifted
-      by a multiple of N, and the full window's final flush is the bottom
-      pair shifted by (m+1-k)N; the representatives see the same orbits;
-    - a pair begun at letter 1 is older at kN than any pair at (k-1)N, so
-      the whole-string case still scans the whole window.
+      and on letter j, and the letters repeat every N, so from (k-1)N on
+      every period repeats the configuration;
+    - the infinite string's configuration is the same at every boundary,
+      and from mN on it is the scan's, since a pair begun before letter 1
+      would be longer than m*N; so unless the string is whole the scan's
+      configuration at (k-1)N, repeated at every later boundary, is the
+      infinite string's, and the scan stops by the window's end;
+    - the infinite string's scan emits each maximal interval once, when
+      its bottom pair dies, so the emissions in ((k-1)N, kN] are one
+      maximal interval per orbit, and shifted to start in 1..N they are
+      the representatives; maximal intervals never nest, so sorted by
+      start their ends increase too;
+    - in the whole-string case the pair begun at letter 1 never dies and
+      grows older every period, so the scan never stops.
     """
     if not period_word:
         raise ValueError("empty period word")
@@ -304,15 +293,19 @@ def filter_global(
     n = len(period_word)
     m = max(d.fa.state_count for d in domains)
     window = period_word * (m + 1)
-    local = _scan(tracker, tracker.alphabet.encode(period_word), repeats=m + 1, stats=stats)
-    if local.intervals == ((1, len(window)),):
+    syms = tracker.alphabet.encode(period_word)
+    intervals, _, last, stopped = _scan(tracker, syms, repeats=m + 1, stats=stats)
+    if not stopped:
         return MaximalCover(
             (),
             whole_string=True,
             period=n,
             whole_domains=_accepting_domains(domains, window),
         )
-    reps = _canonical_representatives(local.intervals, n)
+    reps = sorted((a - (a - 1) // n * n, b - (a - 1) // n * n) for (a, b) in intervals[last])
+    # the dying sets the scan recorded for these emissions (``_`` above)
+    # are the same domain sets; they take over from ``accepts`` once the
+    # benchmark stops counting its calls
     return MaximalCover(
         intervals=tuple(reps),
         domain_sets=tuple(_accepting_domains(domains, window[a - 1 : b]) for (a, b) in reps),

@@ -73,7 +73,7 @@ AMBIGUOUS = Ambiguous()
 
 OutputSymbol = Union[DomainLabel, DomainBreak, Ambiguous]
 
-MAX_RESYNC_WALK = 2**20  # elements over all layers of one resync walk
+MAX_RESYNC_WALK = 2**17  # elements over all layers of one resync walk
 
 
 @dataclass(frozen=True)

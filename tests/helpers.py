@@ -11,7 +11,10 @@ with ``SubsetSteps.explore``.  There are four exceptions.
 ``reference_scan`` is the pair-stack scan with one dict of live pairs
 per letter, the reference for the configuration automaton, and
 ``filter_global_full_window`` is the periodic stack cover without its
-early stop: ``reference_scan`` over the whole pumping window.
+early stop: ``reference_scan`` over the whole pumping window, reduced to
+orbit representatives by ``canonical_representatives``, the dedup and
+containment pass that ``filter_global`` replaced by reading the
+representatives off the scan's last period.
 ``reference_resync`` is the one-walk resync with frozenset pasts and a
 rescan of every layer per forbidden pair, the reference for the one-pass
 tables of ``transducer.resync``.  The
@@ -54,11 +57,7 @@ from apdfilter.optimizer import (
     initial_partition,
     refine,
 )
-from apdfilter.stackfilter import (
-    FilterStats,
-    MaximalCover,
-    _canonical_representatives,
-)
+from apdfilter.stackfilter import FilterStats, MaximalCover
 from apdfilter.transducer import ResyncReport
 
 log = logging.getLogger(__name__)
@@ -176,11 +175,14 @@ def brute_maximal_cover(domains, sigma: str) -> list[tuple[int, int]]:
 
 def reference_scan(
     tracker, syms: Sequence[int], repeats: int = 1, stats: FilterStats | None = None
-) -> MaximalCover:
+) -> tuple[list[tuple[int, int]], list[frozenset[int]], slice, bool]:
     """The pair-stack scan one letter at a time: a dict of live pairs,
     state -> oldest begin in age order, rebuilt for every letter.  The
     reference for ``stackfilter._scan``, which runs the same steps
-    through its configuration automaton.
+    through its configuration automaton, and returns the same four
+    things: the intervals and their domain sets, the flushed bottom pair
+    last, the slice of them the last scanned copy emitted, and whether a
+    repeated configuration stopped the scan.
 
     Over ``repeats`` copies of the symbol indices it stops after the first
     copy whose ordered ``[(state, j - begin), ...]`` equals the one after
@@ -191,9 +193,11 @@ def reference_scan(
     emitted: list[tuple[int, int]] = []
     domain_sets: list[frozenset[int]] = []
     advances = 0
-    j = 0
+    j = first = 0
     previous: list[tuple[int, int]] = []
+    stopped = False
     for k in range(repeats):
+        first = len(emitted)
         for j, sym in enumerate(syms, start=k * len(syms) + 1):
             row = step[sym]
             live.setdefault(0, j)  # the fresh pair at the tracker start
@@ -214,33 +218,71 @@ def reference_scan(
             live = survivors
         config = [(state, j - begin) for state, begin in live.items()]
         if config == previous:
+            stopped = True
             break
         previous = config
+    last = slice(first, len(emitted))
     if live:
         state, begin = next(iter(live.items()))
         emitted.append((begin, j))
         domain_sets.append(state_domains[state])
     if stats is not None:
         stats.pair_advances += advances
-    return MaximalCover(intervals=tuple(emitted), domain_sets=tuple(domain_sets))
+    return emitted, domain_sets, last, stopped
+
+
+def reference_local(tracker, syms: Sequence[int], stats: FilterStats | None = None):
+    """``filter_local``'s cover by ``reference_scan``."""
+    intervals, domain_sets, _, _ = reference_scan(tracker, syms, stats=stats)
+    return MaximalCover(intervals, domain_sets=domain_sets)
+
+
+def canonical_representatives(
+    intervals: Sequence[tuple[int, int]], period: int
+) -> list[tuple[int, int]]:
+    """Shift each interval so its start lies in 1..period, deduplicate the
+    orbits, and drop any representative whose orbit is contained in another.
+
+    With every start in 1..period, the shift of (c, d) that starts at or
+    before a and reaches furthest right is (c, d) itself when c <= a and
+    (c - period, d - period) when c > a.  Sorting by start, longer first
+    on equal starts, reduces containment to a prefix maximum of the ends
+    and a suffix maximum of the ends one period down.
+    """
+    shifted = set()
+    for (a, b) in intervals:
+        q = (a - 1) // period
+        shifted.add((a - q * period, b - q * period))
+    reps = sorted(shifted, key=lambda iv: (iv[0], -iv[1]))
+    # furthest end, shifted one period down, among the later starts
+    reach_later = [0] * (len(reps) + 1)
+    for i in range(len(reps) - 1, -1, -1):
+        reach_later[i] = max(reach_later[i + 1], reps[i][1] - period)
+    reduced = []
+    reach_earlier = 0
+    for i, (a, b) in enumerate(reps):
+        if reach_earlier < b and reach_later[i + 1] < b:
+            reduced.append((a, b))
+        reach_earlier = max(reach_earlier, b)
+    return reduced
 
 
 def filter_global_full_window(
     tracker, word: str, stats: FilterStats | None = None
 ) -> MaximalCover:
     """``filter_global`` without its early stop: ``reference_scan`` over
-    the whole (m+1)*N window, then the orbit representatives, each with the
-    domains that accept its text."""
+    the whole (m+1)*N window, then the orbit representatives of all its
+    intervals, each with the domains that accept its text."""
     domains = tracker.domains
     n = len(word)
     window = word * (max(d.fa.state_count for d in domains) + 1)
     syms = [tracker.dfa.alphabet.index(tok) for tok in window]
-    local = reference_scan(tracker, syms, stats=stats)
-    if local.intervals == ((1, len(window)),):
+    intervals, _, _, _ = reference_scan(tracker, syms, stats=stats)
+    if intervals == [(1, len(window))]:
         return MaximalCover(
             (), whole_string=True, period=n, whole_domains=accepting_domains(domains, window)
         )
-    reps = _canonical_representatives(local.intervals, n)
+    reps = canonical_representatives(intervals, n)
     return MaximalCover(
         intervals=tuple(reps),
         domain_sets=tuple(accepting_domains(domains, window[a - 1 : b]) for (a, b) in reps),

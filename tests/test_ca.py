@@ -232,5 +232,6 @@ class TestDiagramTypes:
             SpaceTimeDiagram(k=2, rows=((0, 1), (0,)))
 
     def test_out_of_range_symbol(self):
-        with pytest.raises(ValueError, match="out of range"):
-            SpaceTimeDiagram(k=2, rows=((0, 2),))
+        for rows in (((0, 2),), ((0, 1), (-1, 0))):
+            with pytest.raises(ValueError, match="symbol out of range"):
+                SpaceTimeDiagram(k=2, rows=rows)

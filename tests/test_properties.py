@@ -137,6 +137,30 @@ def test_filter_global_early_stop_is_the_full_window(case):
     assert filter_global(tracker, period_word) == filter_global_full_window(tracker, period_word)
 
 
+@settings(max_examples=200)
+@given(domains_and_word(min_size=1, max_size=9))
+def test_filter_global_reads_the_last_scanned_period(case):
+    # the cover is whole exactly when the scan ran all m+1 copies without
+    # stopping, and then its domains are the flushed pair's; otherwise each
+    # representative is an emission of the last scanned copy, shifted to
+    # start in 1..N, and its domains are the dying set the scan recorded
+    domains, period_word = case
+    tracker = build_tracker(domains)
+    n, m = len(period_word), max(d.fa.state_count for d in domains)
+    syms = tracker.alphabet.encode(period_word)
+    intervals, domain_sets, last, stopped = stackfilter._scan(tracker, syms, repeats=m + 1)
+    cover = filter_global(tracker, period_word)
+    assert cover.whole_string == (not stopped)
+    if not stopped:
+        assert intervals == [(1, (m + 1) * n)]
+        assert cover.whole_domains == domain_sets[-1]
+    shifted = sorted(
+        ((a - (a - 1) // n * n, b - (a - 1) // n * n), doms)
+        for (a, b), doms in zip(intervals[last], domain_sets[last])
+    )
+    assert list(zip(cover.intervals, cover.domain_sets)) == shifted
+
+
 @settings(max_examples=100)
 @given(domains_and_calls(), st.sampled_from([1, 2, stackfilter.MAX_SCAN_CONFIGS]))
 def test_shared_tracker_gives_fresh_tracker_covers(case, cap):

@@ -11,6 +11,7 @@ from helpers import (
     filter_global_full_window,
     orbit_multiplicity_at,
     random_domain,
+    reference_local,
     reference_scan,
 )
 
@@ -191,6 +192,20 @@ class TestEarlyStop:
         assert 0 < early.pair_advances < full.pair_advances
 
 
+    def test_stops_on_the_last_copy(self, d18):
+        # found by a search over short words: d18 (m = 2) on 00010 repeats
+        # its configuration only at 3N, the window's end, and the one
+        # orbit's representative is 9 letters long, near the m*N = 10 bound
+        tracker = build_tracker([d18])
+        syms = tracker.alphabet.encode("00010")
+        assert not _scan(tracker, syms, repeats=2)[3]
+        assert _scan(tracker, syms, repeats=3)[3]
+        cover = filter_global(tracker, "00010")
+        assert cover == filter_global_full_window(tracker, "00010")
+        assert cover.intervals == ((5, 13),)
+        assert cover.domain_sets == (frozenset({1}),)
+
+
 class TestConfigurationAutomaton:
     def test_matches_reference_scan_random(self):
         # seeded domain sets over 01 and 012, every other one optimized (split
@@ -208,11 +223,11 @@ class TestConfigurationAutomaton:
                     syms = [rng.randrange(len(alphabet)) for _ in range(rng.randint(0, 60))]
                     for repeats in (1, 3, 6):
                         got, want = FilterStats(), FilterStats()
-                        cover = _scan(tracker, syms, repeats, stats=got)
-                        want_cover = reference_scan(tracker, syms, repeats, stats=want)
-                        assert cover == want_cover, (syms, repeats)
+                        scan = _scan(tracker, syms, repeats, stats=got)
+                        want_scan = reference_scan(tracker, syms, repeats, stats=want)
+                        assert scan == want_scan, (syms, repeats)
                         assert got.pair_advances == want.pair_advances, (syms, repeats)
-                        emitted += len(cover.intervals) > 1
+                        emitted += len(scan[0]) > 1
                         stopped += repeats > 1 and got.pair_advances < repeats * len(syms)
         assert emitted > 500 and stopped > 100
 
@@ -241,7 +256,7 @@ class TestConfigurationAutomaton:
                 got, want = FilterStats(), FilterStats()
                 if rng.random() < 0.5:
                     letters = len(word)
-                    assert filter_local(tracker, word, stats=got) == reference_scan(
+                    assert filter_local(tracker, word, stats=got) == reference_local(
                         tracker, syms, stats=want
                     ), word
                 else:
@@ -268,7 +283,7 @@ class TestConfigurationAutomaton:
         tracker = build_tracker(rule110_domains())
         rng = Random(149)
         words = ["".join(rng.choice("01") for _ in range(rng.randint(1, 40))) for _ in range(60)]
-        want = [reference_scan(tracker, tracker.alphabet.encode(w)) for w in words]
+        want = [reference_local(tracker, tracker.alphabet.encode(w)) for w in words]
         failures = []
 
         def scan_all(order):
