@@ -6,7 +6,9 @@ boundaries; rows of the resulting diagram are filtered independently by
 any of the three methods.  Every method returns a ``CodedDiagram``: wire
 codes per cell and the domain and break counts that bound them.  The
 stack method builds one tracker per diagram and codes its rows directly;
-the bidi method codes its two-pass outputs with ``symbol_code``.
+the bidi method codes its two-pass outputs with ``symbol_code``.  Diagram
+text is one ASCII digit codec: ``TO_TEXT`` maps cell bytes 0-9 to ``0``-``9``
+and ``FROM_TEXT`` maps them back.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from .transducer import (
 
 _MASK64 = (1 << 64) - 1
 MAX_RULE_TABLE = 2**20  # rule table entries: one per neighborhood, k**(2r+1)
+TO_TEXT = bytes.maketrans(bytes(range(10)), b"0123456789")
+FROM_TEXT = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
 @dataclass(frozen=True)
@@ -73,10 +77,6 @@ class SpaceTimeDiagram:
     def width(self) -> int:
         return len(self.rows[0])
 
-    @property
-    def steps(self) -> int:
-        return len(self.rows) - 1
-
 
 @dataclass(frozen=True)
 class CodedDiagram:
@@ -118,13 +118,6 @@ def rule_from_number(k: int, r: int, number: int) -> CARule:
     return CARule(k=k, r=r, table=tuple(digits), wolfram_number=number)
 
 
-def number_from_table(k: int, r: int, table: Sequence[int]) -> int:
-    number = 0
-    for v in reversed(table):
-        number = number * k + v
-    return number
-
-
 def evolve(rule: CARule, initial: Sequence[int], steps: int) -> SpaceTimeDiagram:
     """Iterate the global map with wrap-around indexing."""
     row = tuple(initial)
@@ -133,14 +126,14 @@ def evolve(rule: CARule, initial: Sequence[int], steps: int) -> SpaceTimeDiagram
         raise ValueError("empty initial row")
     if steps < 0:
         raise ValueError(f"negative step count {steps}")
-    if any(not 0 <= v < rule.k for v in row):
+    if min(row) < 0 or max(row) >= rule.k:
         raise ValueError("symbol out of range")
     rows = [row]
     k, r, table = rule.k, rule.r, rule.table
     size = k ** (2 * r + 1)
+    laps = -(-r // n)  # copies of the row that each side of the wrap-around needs
     for _ in range(steps):
-        prev = rows[-1]
-        ext = [prev[j % n] for j in range(-r, n + r)]  # the row with its wrap-around
+        ext = (rows[-1] * (2 * laps + 1))[laps * n - r : (laps + 1) * n + r]  # cells -r..n+r-1
         idx = 0
         for v in ext[: 2 * r]:
             idx = idx * k + v

@@ -14,6 +14,8 @@ from pathlib import Path
 
 from .automata import build_tracker, reverse_domain
 from .ca import (
+    FROM_TEXT,
+    TO_TEXT,
     CodedDiagram,
     SpaceTimeDiagram,
     evolve,
@@ -164,11 +166,14 @@ def _parse_init(init: str, k: int, width: int | None) -> tuple[int, ...]:
             raise UsageError(f"--width {width} is not a positive integer")
         return random_row(k, width, _parse_int(init.split(":", 1)[1], init))
     if init.startswith("word:"):
-        body = init.split(":", 1)[1]
-        word, _, reps = body.partition("^")
-        row = tuple(_parse_int(c, init) for c in word) * (_parse_int(reps, init) if reps else 1)
+        word, _, reps = init.split(":", 1)[1].partition("^")
+        # argv holds undecodable bytes as surrogates; the digit check refuses them
+        row = _digits(word.encode(errors="surrogateescape"), f"bad --init {init!r}") if word else ()
+        row *= _parse_int(reps, init) if reps else 1
     elif init.startswith("@"):
-        row = tuple(_parse_int(c, init) for c in _read_text(init[1:]).strip())
+        row, *more = _read_diagram(init[1:]).rows
+        if more:
+            raise UsageError(f"bad --init {init!r}: the file holds {len(more) + 1} rows, not one")
     else:
         raise UsageError(f"bad --init {init!r}; use random:SEED, word:W[^N], or @FILE")
     if not row:
@@ -186,25 +191,25 @@ def _cmd_ca(args) -> int:
     rule = rule_from_number(args.k, args.r, args.rule)
     row = _parse_init(args.init, args.k, args.width)
     diagram = evolve(rule, row, args.steps)
-    text = "\n".join("".join(str(v) for v in r) for r in diagram.rows) + "\n"
-    _write(args.output, text)
+    # cells are 0..9 and the separator is byte 10, so one translate codes them all
+    _write(args.output, b"\n".join(map(bytes, diagram.rows)).translate(TO_TEXT) + b"\n")
     return 0
 
 
+def _digits(text: bytes, where: str) -> tuple[int, ...]:
+    """The cells of one row of ASCII digits; anything else is a usage error."""
+    if not text.isdigit():  # on bytes, only b"0".."9" are digits
+        raise UsageError(f"{where}: {text.decode(errors='replace')!r} is not a row of digits")
+    return tuple(text.translate(FROM_TEXT))
+
+
 def _read_diagram(path: str) -> SpaceTimeDiagram:
-    rows = []
-    for n, line in enumerate(_read_text(path).splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rows.append(tuple(map(int, line)))
-        except ValueError:
-            raise UsageError(f"{path}: line {n}: {line!r} is not a row of digits") from None
+    """One row per line (LF, CRLF or CR ends); blank lines are skipped."""
+    lines = map(bytes.strip, Path(path).read_bytes().splitlines())
+    rows = tuple(_digits(line, f"{path}: line {n}") for n, line in enumerate(lines, 1) if line)
     if not rows:
         raise UsageError(f"{path}: empty diagram")
-    k = max(max(row) for row in rows) + 1
-    return SpaceTimeDiagram(k=max(k, 2), rows=tuple(rows))
+    return SpaceTimeDiagram(k=max(max(map(max, rows)) + 1, 2), rows=rows)
 
 
 def _cmd_ca_filter(args) -> int:

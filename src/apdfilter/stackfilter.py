@@ -319,24 +319,26 @@ def orbit_multiplicity(cover: MaximalCover) -> tuple[list[int], list[int]]:
     representatives they come from, which names the owner where the count
     is one.
 
-    One sweep over a circular difference array: an interval of q*period + r
-    letters covers every position q times and an arc of r positions from
-    its start once more, so the work is O(period + representatives + laps),
-    not O(period * representatives).
+    One sweep over a circular difference array.  A representative (a, b)
+    starts in 1..period, so it covers 0-based position p b // period times,
+    once more where p < b % period and once less where p < a - 1.  Whole
+    laps add up in two running totals that enter the arrays at position 0,
+    so the work is O(period + representatives).
     """
     if cover.period is None:
         raise ValueError("cover has no period")
     n = cover.period
     count_diff = [0] * (n + 1)
     owner_diff = [0] * (n + 1)
+    lap_count = lap_owner = 0
     for idx, (a, b) in enumerate(cover.intervals):
-        laps, rest = divmod(b - a + 1, n)
-        end = a - 1 + rest
-        # the whole period per lap, then the rest as an arc from a that
-        # may wrap past the period's end (an empty arc is a no-op)
-        for lo, hi in [(0, n)] * laps + [(a - 1, min(end, n)), (0, max(end - n, 0))]:
-            count_diff[lo] += 1
-            count_diff[hi] -= 1
-            owner_diff[lo] += idx
-            owner_diff[hi] -= idx
+        laps, end = divmod(b, n)
+        lap_count += laps
+        lap_owner += laps * idx
+        count_diff[a - 1] += 1
+        count_diff[end] -= 1
+        owner_diff[a - 1] += idx
+        owner_diff[end] -= idx
+    count_diff[0] += lap_count
+    owner_diff[0] += lap_owner
     return list(accumulate(count_diff[:n])), list(accumulate(owner_diff[:n]))

@@ -417,6 +417,14 @@ def reference_resync(tracker: Tracker) -> tuple[ResyncReport, ...]:
     return tuple(reports)
 
 
+def number_from_table(k: int, r: int, table: Sequence[int]) -> int:
+    """The rule number of a lookup table: the inverse of ``rule_from_number``."""
+    number = 0
+    for v in reversed(table):
+        number = number * k + v
+    return number
+
+
 def orbit_multiplicity_at(cover, position: int) -> tuple[int, list[int]]:
     """How many shifted cover intervals contain a 1-based position of the
     period, and which representatives (by index) they come from, by one

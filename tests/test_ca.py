@@ -1,7 +1,7 @@
 from random import Random
 
 import pytest
-from helpers import ALPHA01, orbit_multiplicity_at
+from helpers import ALPHA01, number_from_table, orbit_multiplicity_at
 
 from apdfilter.automata import Alphabet, build_tracker, cyclic_domain
 from apdfilter.ca import (
@@ -9,7 +9,6 @@ from apdfilter.ca import (
     SpaceTimeDiagram,
     evolve,
     filter_diagram,
-    number_from_table,
     random_row,
     rule_from_number,
 )

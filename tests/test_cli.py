@@ -322,10 +322,10 @@ class TestCa:
         row_file.write_text("01x0110100\n")
         for init, message in (
             ("word:01", "does not match"),
-            ("word:01x", "not an integer"),
+            ("word:01x", "bad --init 'word:01x': '01x' is not a row of digits"),
             ("word:01^x", "not an integer"),
             ("random:abc", "not an integer"),
-            (f"@{row_file}", "not an integer"),
+            (f"@{row_file}", f"{row_file}: line 1: '01x0110100' is not a row of digits"),
         ):
             code, _o, err = run_cli(
                 capsys,
@@ -380,7 +380,78 @@ class TestCa:
             "--input", str(diagram), "--format", "csv",
         )
         assert code == 1
-        assert f"{diagram}: line 3" in err
+        assert err == f"usage error: {diagram}: line 3: '01x0' is not a row of digits\n"
+
+    def test_diagram_line_ends_and_blank_lines(self, tmp_path, capsys, d18_file):
+        # CRLF, CR, surrounding whitespace and blank lines read as the plain LF file
+        st = tmp_path / "st.txt"
+        run_cli(
+            capsys,
+            "ca", "--rule", "18", "--width", "16", "--steps", "6",
+            "--init", "random:9", "-o", str(st),
+        )
+        lf = st.read_bytes()
+        variants = (
+            lf.replace(b"\n", b"\r\n"),
+            lf.replace(b"\n", b"\r"),
+            b"\n \n" + lf.replace(b"\n", b" \t\n\n  "),
+        )
+        for method, source in (("stack", ["--domains", d18_file]), ("transducer", None)):
+            if source is None:
+                tdx = tmp_path / "d18.tdx"
+                run_cli(capsys, "build", "--domains", d18_file, "-o", str(tdx))
+                source = ["--filter", str(tdx)]
+            outputs = []
+            for data in (lf, *variants):
+                st.write_bytes(data)
+                code, out, err = run_cli(
+                    capsys, "ca-filter", "--method", method, *source,
+                    "--input", str(st), "--format", "csv",
+                )
+                assert code == 0 and err == "", data
+                outputs.append(out)
+            assert outputs[0].count("\n") == 7
+            assert all(out == outputs[0] for out in outputs), method
+
+    def test_non_ascii_digit_rows_refused(self, tmp_path, capsys, d18_file):
+        # only the ASCII digits are cells: Unicode digits and undecodable
+        # bytes are usage errors naming the line, for diagrams and --init
+        arabic = "\u0660\u0661\u0661\u0660"
+        cases = (
+            ("0110\n" + arabic + "\n").encode(),
+            (HOSTILE / "bad-diagram.txt").read_bytes(),
+        )
+        diagram = tmp_path / "diagram.txt"
+        for data, shown in zip(cases, (arabic, "01\ufffd0")):
+            diagram.write_bytes(data)
+            code, out, err = run_cli(
+                capsys,
+                "ca-filter", "--method", "stack", "--domains", d18_file,
+                "--input", str(diagram), "--format", "csv",
+            )
+            assert code == 1 and out == "", data
+            assert err == f"usage error: {diagram}: line 2: {shown!r} is not a row of digits\n"
+            diagram.write_bytes(data.split(b"\n")[1])
+            code, out, err = run_cli(
+                capsys, "ca", "--rule", "110", "--steps", "2", "--init", f"@{diagram}"
+            )
+            assert code == 1 and out == "", data
+            assert err == f"usage error: {diagram}: line 1: {shown!r} is not a row of digits\n"
+        code, out, err = run_cli(
+            capsys, "ca", "--rule", "110", "--steps", "2", "--init", "word:" + arabic
+        )
+        assert code == 1 and out == ""
+        assert "is not a row of digits" in err
+
+    def test_init_file_holds_one_row(self, tmp_path, capsys):
+        rows = tmp_path / "rows.txt"
+        rows.write_text("\n0110\n\n")
+        code, out, _e = run_cli(capsys, "ca", "--rule", "110", "--steps", "1", "--init", f"@{rows}")
+        assert code == 0 and out == "0110\n1110\n"
+        rows.write_text("0110\n1110\n")
+        code, out, err = run_cli(capsys, "ca", "--rule", "110", "--steps", "1", "--init", f"@{rows}")
+        assert code == 1 and out == ""
+        assert "the file holds 2 rows, not one" in err
 
 
 class TestErrors:

@@ -21,10 +21,14 @@ from apdfilter.automata import (
     FiniteAutomaton,
     accepts,
     build_tracker,
+    cyclic_domain,
     determinize,
 )
-from apdfilter import stackfilter
+from apdfilter import cli, stackfilter
+from apdfilter.ca import MAX_RULE_TABLE, evolve, filter_diagram, rule_from_number
 from apdfilter.stackfilter import FilterStats, filter_global, filter_local
+from apdfilter.tdx import save_transducer
+from apdfilter.transducer import build_filter
 
 ALPHA012 = Alphabet(("0", "1", "2"))
 ALPHABETS = st.sampled_from([ALPHA01, ALPHA012])
@@ -73,6 +77,50 @@ def domains_and_calls(draw) -> tuple[list[Domain], list[tuple[bool, str]]]:
     domains = draw(st.lists(domain(alphabet), min_size=1, max_size=3))
     calls = st.tuples(st.booleans(), words(alphabet, min_size=1, max_size=12))
     return domains, draw(st.lists(calls, min_size=1, max_size=8))
+
+
+@st.composite
+def ca_runs(draw) -> tuple[int, int, int, list[int], int, str]:
+    """(k, r, rule number, initial row, steps, domain word): k in 2..10, r
+    in 1..2, 1-20 cells (some rows narrower than the neighborhood), 0-8
+    steps, and a cycle word over the k symbols for the filter.  Rule numbers
+    set the outputs of the first 64 neighborhoods at most, so that they stay
+    short enough for the command line."""
+    k, r = draw(st.integers(2, 10)), draw(st.integers(1, 2))
+    size = k ** (2 * r + 1)
+    assert size <= MAX_RULE_TABLE
+    number = draw(st.integers(0, k ** min(size, 64) - 1))
+    cell = st.integers(0, k - 1)
+    row = draw(st.lists(cell, min_size=1, max_size=20))
+    word = "".join(map(str, draw(st.lists(cell, min_size=1, max_size=3))))
+    return k, r, number, row, draw(st.integers(0, 8)), word
+
+
+@settings(max_examples=80)
+@given(case=ca_runs())
+def test_ca_text_round_trips(tmp_path_factory, case):
+    # the `ca` text reads back as the evolved rows, which match the rule
+    # applied to each wrapped neighborhood, and `ca-filter` on that text
+    # gives the codes of filtering the diagram in-process
+    k, r, number, row, steps, word = case
+    rule = rule_from_number(k, r, number)
+    diagram = evolve(rule, row, steps)
+    n = len(row)
+    for prev, nxt in zip(diagram.rows, diagram.rows[1:]):
+        hood = [[prev[(j + d) % n] for d in range(-r, r + 1)] for j in range(n)]
+        assert nxt == tuple(map(rule.apply, hood))
+    tmp = tmp_path_factory.mktemp("ca")
+    text, tdx, csv = tmp / "st.txt", tmp / "f.tdx", tmp / "out.csv"
+    argv = ["--k", str(k), "--r", str(r), "--rule", str(number), "--steps", str(steps)]
+    init = "word:" + "".join(map(str, row))
+    assert cli.main(["ca", *argv, "--init", init, "-o", str(text)]) == 0
+    assert cli._read_diagram(str(text)).rows == diagram.rows
+    t = build_filter([cyclic_domain(word, Alphabet(tuple(map(str, range(k)))))])
+    tdx.write_text(save_transducer(t))
+    argv = ["--filter", str(tdx), "--input", str(text), "--format", "csv", "-o", str(csv)]
+    assert cli.main(["ca-filter", "--method", "transducer", *argv]) == 0
+    want = filter_diagram("transducer", t, diagram).codes
+    assert [tuple(map(int, line.split(","))) for line in csv.read_text().splitlines()] == list(want)
 
 
 @settings(max_examples=300)
