@@ -58,24 +58,37 @@ class CARule:
 
 @dataclass(frozen=True)
 class SpaceTimeDiagram:
-    """Rows of symbol indices; row 0 is the initial configuration."""
+    """Rows of symbol indices, one byte per cell (so ``k`` is at most 256);
+    row 0 is the initial configuration.  Rows given as any sequence of
+    ints are stored as ``bytes``."""
 
     k: int
-    rows: tuple[tuple[int, ...], ...]
+    rows: tuple[bytes, ...]
 
     def __post_init__(self):
-        if not self.rows or not self.rows[0]:
+        rows = tuple(map(_row_bytes, self.rows))
+        object.__setattr__(self, "rows", rows)
+        if not rows or not rows[0]:
             raise ValueError("empty diagram")
-        width = len(self.rows[0])
-        for row in self.rows:
+        width = len(rows[0])
+        symbols = bytes(range(min(self.k, 256)))
+        for row in rows:
             if len(row) != width:
                 raise ValueError("ragged diagram")
-            if min(row) < 0 or max(row) >= self.k:
+            if row.translate(None, symbols):  # a cell that is no symbol is left
                 raise ValueError("symbol out of range")
 
     @property
     def width(self) -> int:
         return len(self.rows[0])
+
+
+def _row_bytes(row: Sequence[int]) -> bytes:
+    """One row as ``bytes``; a cell below 0 or above 255 is out of range."""
+    try:
+        return bytes(row)
+    except ValueError:
+        raise ValueError("symbol out of range") from None
 
 
 @dataclass(frozen=True)
@@ -94,13 +107,9 @@ class CodedDiagram:
         return range(-self.break_count, self.domain_count + 1)
 
 
-def rule_from_number(k: int, r: int, number: int) -> CARule:
-    """Decode a rule number into its lookup table.
-
-    Neighborhoods are ordered lexicographically; the output for the
-    highest neighborhood is the most significant base-k digit.  Tables of
-    more than ``MAX_RULE_TABLE`` entries are refused.
-    """
+def table_size(k: int, r: int) -> int:
+    """Entries of a rule table, one per neighborhood: k**(2r+1).  Tables
+    of more than ``MAX_RULE_TABLE`` entries are refused."""
     if k < 2:
         raise ValueError("k must be at least 2")
     if r < 1:
@@ -108,37 +117,83 @@ def rule_from_number(k: int, r: int, number: int) -> CARule:
     # k >= 2, so a neighborhood longer than the limit's bit length is over it
     if 2 * r + 1 >= MAX_RULE_TABLE.bit_length() or k ** (2 * r + 1) > MAX_RULE_TABLE:
         raise ValueError(f"rule table for k={k}, r={r} exceeds {MAX_RULE_TABLE} entries")
-    digits = []
-    rest = number
-    for _ in range(k ** (2 * r + 1)):
-        digits.append(rest % k)
-        rest //= k
-    if number < 0 or rest:
+    return k ** (2 * r + 1)
+
+
+def rule_from_number(k: int, r: int, number: int) -> CARule:
+    """Decode a rule number into its lookup table.
+
+    Neighborhoods are ordered lexicographically; the output for the
+    highest neighborhood is the most significant base-k digit.  Tables of
+    more than ``MAX_RULE_TABLE`` entries are refused.
+    """
+    size = table_size(k, r)
+    if not 0 <= number < k**size:
         raise ValueError(f"rule number out of range for k={k}, r={r}")
+    # halving: each split divides by a precomputed k**(2**j), so only a few
+    # divisions are big, where one digit at a time divides all of n per digit
+    powers = [k]
+    while 2 ** len(powers) < size:
+        powers.append(powers[-1] ** 2)
+    digits: list[int] = []
+
+    def decode(n: int, count: int):  # the low `count` base-k digits of n
+        if count <= 64:
+            for _ in range(count):
+                n, d = divmod(n, k)
+                digits.append(d)
+            return
+        j = (count - 1).bit_length() - 1  # 2**j < count <= 2**(j + 1)
+        high, low = divmod(n, powers[j])
+        decode(low, 2**j)
+        decode(high, count - 2**j)
+
+    decode(number, size)
     return CARule(k=k, r=r, table=tuple(digits), wolfram_number=number)
 
 
 def evolve(rule: CARule, initial: Sequence[int], steps: int) -> SpaceTimeDiagram:
-    """Iterate the global map with wrap-around indexing."""
-    row = tuple(initial)
+    """Iterate the global map with wrap-around indexing.
+
+    Tables of at most 256 entries step a whole row as byte lanes: one
+    big-integer sum forms every neighborhood index at once, and one
+    ``translate`` looks them all up.  Larger tables roll one index along
+    the row.
+    """
+    row = _row_bytes(initial)
     n = len(row)
     if not n:
         raise ValueError("empty initial row")
     if steps < 0:
         raise ValueError(f"negative step count {steps}")
-    if min(row) < 0 or max(row) >= rule.k:
+    if max(row) >= rule.k:
         raise ValueError("symbol out of range")
     rows = [row]
     k, r, table = rule.k, rule.r, rule.table
-    size = k ** (2 * r + 1)
+    size = len(table)
     laps = -(-r // n)  # copies of the row that each side of the wrap-around needs
-    for _ in range(steps):
-        ext = (rows[-1] * (2 * laps + 1))[laps * n - r : (laps + 1) * n + r]  # cells -r..n+r-1
-        idx = 0
-        for v in ext[: 2 * r]:
-            idx = idx * k + v
-        # rolling neighborhood index: drop the leftmost cell, append the next
-        rows.append(tuple([table[idx := idx * k % size + v] for v in ext[2 * r :]]))
+    lo, hi = laps * n - r, (laps + 1) * n + r  # cells -r..n+r-1 of the repeated row
+    if size <= 256:
+        lookup = bytes(table).ljust(256, b"\0")
+        mask = (1 << 8 * n) - 1
+        for _ in range(steps):
+            x = int.from_bytes((row * (2 * laps + 1))[lo:hi], "little")
+            # byte i of x >> 8d is cell i - r + d, so byte i of the sum is
+            # cell i's neighborhood index; each is below 256, so none carries
+            idx = x
+            for d in range(1, 2 * r + 1):
+                idx = idx * k + (x >> 8 * d)
+            row = (idx & mask).to_bytes(n, "little").translate(lookup)
+            rows.append(row)
+    else:
+        for _ in range(steps):
+            ext = (row * (2 * laps + 1))[lo:hi]
+            idx = 0
+            for v in ext[: 2 * r]:
+                idx = idx * k + v
+            # rolling neighborhood index: drop the leftmost cell, append the next
+            row = bytes([table[idx := idx * k % size + v] for v in ext[2 * r :]])
+            rows.append(row)
     return SpaceTimeDiagram(k=rule.k, rows=tuple(rows))
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from .ca import (
     filter_diagram,
     random_row,
     rule_from_number,
+    table_size,
 )
 from .domspec import ParsedDomain, format_domain_spec, parse_domain_spec, spec_digest
 from .optimizer import optimize
@@ -158,7 +160,7 @@ def _parse_int(text: str, init: str) -> int:
         raise UsageError(f"bad --init {init!r}: {text!r} is not an integer") from None
 
 
-def _parse_init(init: str, k: int, width: int | None) -> tuple[int, ...]:
+def _parse_init(init: str, k: int, width: int | None) -> bytes | tuple[int, ...]:
     if init.startswith("random:"):
         if width is None:
             raise UsageError("random initial conditions need --width")
@@ -168,16 +170,22 @@ def _parse_init(init: str, k: int, width: int | None) -> tuple[int, ...]:
     if init.startswith("word:"):
         word, _, reps = init.split(":", 1)[1].partition("^")
         # argv holds undecodable bytes as surrogates; the digit check refuses them
-        row = _digits(word.encode(errors="surrogateescape"), f"bad --init {init!r}") if word else ()
-        row *= _parse_int(reps, init) if reps else 1
-    elif init.startswith("@"):
-        row, *more = _read_diagram(init[1:]).rows
-        if more:
-            raise UsageError(f"bad --init {init!r}: the file holds {len(more) + 1} rows, not one")
-    else:
+        row = _digits(word.encode(errors="surrogateescape"), f"bad --init {init!r}") if word else b""
+        count = _parse_int(reps, init) if reps else 1
+        # both checks come before the repeat, whose row may not fit in memory
+        if not row or count < 1:
+            raise UsageError(f"bad --init {init!r}: the initial row is empty")
+        if width is not None and width != len(row) * count:
+            raise UsageError(f"--width {width} does not match initial row length {len(row) * count}")
+        try:
+            return row * count
+        except (MemoryError, OverflowError):
+            raise UsageError(f"bad --init {init!r}: {len(row) * count} cells do not fit in memory") from None
+    if not init.startswith("@"):
         raise UsageError(f"bad --init {init!r}; use random:SEED, word:W[^N], or @FILE")
-    if not row:
-        raise UsageError(f"bad --init {init!r}: the initial row is empty")
+    row, *more = _read_diagram(init[1:]).rows
+    if more:
+        raise UsageError(f"bad --init {init!r}: the file holds {len(more) + 1} rows, not one")
     if width is not None and width != len(row):
         raise UsageError(f"--width {width} does not match initial row length {len(row)}")
     return row
@@ -188,19 +196,39 @@ def _cmd_ca(args) -> int:
         raise UsageError("text output supports k up to 10")
     if args.steps < 0:
         raise UsageError(f"--steps {args.steps} is negative")
-    rule = rule_from_number(args.k, args.r, args.rule)
+    rule = rule_from_number(args.k, args.r, _rule_number(args.rule, args.k, args.r))
     row = _parse_init(args.init, args.k, args.width)
     diagram = evolve(rule, row, args.steps)
     # cells are 0..9 and the separator is byte 10, so one translate codes them all
-    _write(args.output, b"\n".join(map(bytes, diagram.rows)).translate(TO_TEXT) + b"\n")
+    _write(args.output, b"\n".join(diagram.rows).translate(TO_TEXT) + b"\n")
     return 0
 
 
-def _digits(text: bytes, where: str) -> tuple[int, ...]:
+def _rule_number(text: str, k: int, r: int) -> int:
+    """``--rule`` as a decimal integer.  Its digit count is checked against
+    the rule table before it is converted, in halves down to pieces of at
+    most 4000 digits, below Python's process-wide limit on int strings."""
+    if not (text.isascii() and text.isdigit()):
+        raise UsageError("--rule is not a non-negative decimal integer")
+    digits = text.lstrip("0") or "0"
+    # a number of d digits is at least 10**(d-1), and the table holds k**size
+    if len(digits) - 1 > table_size(k, r) * math.log10(k):
+        raise ValueError(f"rule number out of range for k={k}, r={r}")
+    return _decimal(digits)
+
+
+def _decimal(digits: str) -> int:
+    if len(digits) <= 4000:
+        return int(digits)
+    low = len(digits) // 2
+    return _decimal(digits[:-low]) * 10**low + _decimal(digits[-low:])
+
+
+def _digits(text: bytes, where: str) -> bytes:
     """The cells of one row of ASCII digits; anything else is a usage error."""
     if not text.isdigit():  # on bytes, only b"0".."9" are digits
         raise UsageError(f"{where}: {text.decode(errors='replace')!r} is not a row of digits")
-    return tuple(text.translate(FROM_TEXT))
+    return text.translate(FROM_TEXT)
 
 
 def _read_diagram(path: str) -> SpaceTimeDiagram:
@@ -264,7 +292,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("ca", help="evolve a cellular automaton")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--r", type=int, default=1)
-    p.add_argument("--rule", type=int, required=True)
+    p.add_argument("--rule", required=True, help="rule number, in decimal")
     p.add_argument("--width", type=int)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--init", required=True, help="random:SEED, word:W[^N], or @FILE")

@@ -7,7 +7,7 @@ construction: membership is ``reference_accepts``, the set simulation that
 ``automata.accepts`` replaced with a table over bitmask sets, and
 ``reference_determinize`` is the frozenset breadth-first subset
 construction that ``automata.determinize`` and ``build_tracker`` replaced
-with ``SubsetSteps.explore``.  There are four exceptions.
+with ``SubsetSteps.explore``.  There are five exceptions.
 ``reference_scan`` is the pair-stack scan with one dict of live pairs
 per letter, the reference for the configuration automaton, and
 ``filter_global_full_window`` is the periodic stack cover without its
@@ -17,7 +17,9 @@ containment pass that ``filter_global`` replaced by reading the
 representatives off the scan's last period.
 ``reference_resync`` is the one-walk resync with frozenset pasts and a
 rescan of every layer per forbidden pair, the reference for the one-pass
-tables of ``transducer.resync``.  The
+tables of ``transducer.resync``.  ``reference_evolve`` is the CA step
+with one rolling neighborhood index per cell, on tuples, the reference
+for ``evolve``'s byte lanes.  The
 reference optimizer at the end computes the optimizer's past classes
 by language algebra, one coarsest common refinement of minimized
 languages per union state and pass, which the optimizer itself replaced
@@ -50,6 +52,7 @@ from apdfilter.automata import (
     sigma_star_prefix,
     universal,
 )
+from apdfilter.ca import CARule
 from apdfilter.optimizer import (
     MAX_PASSES,
     OptimizeError,
@@ -415,6 +418,25 @@ def reference_resync(tracker: Tracker) -> tuple[ResyncReport, ...]:
                 )
             )
     return tuple(reports)
+
+
+def reference_evolve(rule: CARule, initial: Sequence[int], steps: int) -> list[tuple[int, ...]]:
+    """The rows of ``evolve``, one Python step per cell: a neighborhood
+    index rolled along the wrapped row (drop the leftmost cell, append the
+    next), looked up in the rule table."""
+    row = tuple(initial)
+    n = len(row)
+    k, r, table = rule.k, rule.r, rule.table
+    size = len(table)
+    laps = -(-r // n)  # copies of the row that each side of the wrap-around needs
+    rows = [row]
+    for _ in range(steps):
+        ext = (rows[-1] * (2 * laps + 1))[laps * n - r : (laps + 1) * n + r]  # cells -r..n+r-1
+        idx = 0
+        for v in ext[: 2 * r]:
+            idx = idx * k + v
+        rows.append(tuple([table[idx := idx * k % size + v] for v in ext[2 * r :]]))
+    return rows
 
 
 def number_from_table(k: int, r: int, table: Sequence[int]) -> int:

@@ -55,6 +55,22 @@ class TestRules:
             with pytest.raises(ValueError, match=str(MAX_RULE_TABLE)):
                 rule_from_number(k, r, 1)
 
+    def test_halving_decode_matches_digit_loop(self):
+        # tables of 512 to 16384 entries, read back one digit at a time
+        rng = Random(83)
+        for k, r in ((2, 4), (3, 3), (5, 2), (4, 3)):
+            size = k ** (2 * r + 1)
+            for number in (0, k**size - 1, rng.randrange(k**size), rng.randrange(k ** (size // 3))):
+                assert number_from_table(k, r, rule_from_number(k, r, number).table) == number
+        with pytest.raises(ValueError, match="out of range"):
+            rule_from_number(3, 3, 3**2187)
+
+    def test_largest_binary_rule_decodes(self):
+        # 2**19 digits; one digit at a time took seconds to minutes
+        ones = 2 ** 2**19 - 1
+        assert rule_from_number(2, 9, ones).table == (1,) * 2**19
+        assert rule_from_number(2, 9, ones // 3).table == (1, 0) * 2**18
+
     def test_nonbinary_rules(self):
         rule = rule_from_number(3, 1, 42)
         assert rule.apply((0, 0, 0)) == 42 % 3
@@ -64,7 +80,7 @@ class TestRules:
 class TestEvolve:
     def test_rule_zero_blanks(self):
         diag = evolve(rule_from_number(2, 1, 0), (1, 0, 1, 1), 3)
-        assert diag.rows[1:] == ((0, 0, 0, 0),) * 3
+        assert diag.rows[1:] == (bytes((0, 0, 0, 0)),) * 3
 
     def test_empty_row_or_negative_steps_rejected(self):
         rule = rule_from_number(2, 1, 110)
@@ -72,13 +88,13 @@ class TestEvolve:
             evolve(rule, (), 3)
         with pytest.raises(ValueError, match="negative step count"):
             evolve(rule, (0, 1), -1)
-        assert evolve(rule, (0, 1), 0).rows == ((0, 1),)
+        assert evolve(rule, (0, 1), 0).rows == (bytes((0, 1)),)
 
     def test_single_one_under_110(self):
         rule = rule_from_number(2, 1, 110)
         diag = evolve(rule, (0, 0, 0, 1, 0, 0), 1)
         # only neighborhoods 001, 010, 100 fire with outputs 1, 1, 0
-        assert diag.rows[1] == (0, 0, 1, 1, 0, 0)
+        assert diag.rows[1] == bytes((0, 0, 1, 1, 0, 0))
 
     def test_matches_naive_reference(self):
         rng = Random(71)
@@ -102,7 +118,7 @@ class TestEvolve:
                         value = value * k + cur[(i + d) % n]
                     nxt.append((number // (k**value)) % k)
                 cur = tuple(nxt)
-                assert diag.rows[t] == cur
+                assert diag.rows[t] == bytes(cur)
 
     def test_k3_r2_matches_rule_apply(self):
         # the rolling neighborhood index against one apply call per cell,
@@ -117,7 +133,7 @@ class TestEvolve:
                 expected = tuple(
                     rule.apply([prev[(i + d) % n] for d in range(-2, 3)]) for i in range(n)
                 )
-                assert diag.rows[t] == expected
+                assert diag.rows[t] == bytes(expected)
 
     def test_period_doubling(self):
         rule = rule_from_number(2, 1, 110)

@@ -3,8 +3,9 @@ from time import perf_counter
 
 import pytest
 
-from apdfilter import optimizer
+from apdfilter import cli, optimizer
 from apdfilter.automata import MAX_SUBSETS, reverse_domain
+from apdfilter.ca import evolve, random_row, rule_from_number
 from apdfilter.cli import main
 from apdfilter.domspec import parse_domain_spec
 from apdfilter.render import parse_pgm, symbol_code
@@ -370,6 +371,43 @@ class TestCa:
         )
         assert code == 1
         assert "k up to 10" in err
+
+    def test_ca_rule_past_int_string_limit(self, capsys):
+        # --rule is read as text: numbers past Python's 4300-digit limit for
+        # int strings are accepted up to the table size, and a refusal does
+        # not echo the digits
+        assert cli._rule_number("000110", 2, 1) == 110
+        assert cli._rule_number("1" + "0" * 5000, 2, 8) == 10**5000
+        nines = "9" * 39456  # 10**39456 - 1 < 2**131072, the k=2, r=8 table
+        assert cli._rule_number(nines, 2, 8) == 10**39456 - 1
+        argv = ["ca", "--k", "2", "--r", "8", "--width", "20", "--steps", "2", "--init", "random:1"]
+        code, out, err = run_cli(capsys, *argv, "--rule", nines)
+        diagram = evolve(rule_from_number(2, 8, 10**39456 - 1), random_row(2, 20, 1), 2)
+        assert code == 0 and err == ""
+        assert out.split() == ["".join(map(str, row)) for row in diagram.rows]
+        # one digit over (past the exact check) and two over (past the digit count)
+        for digits in (nines + "9", nines + "99"):
+            code, out, err = run_cli(capsys, *argv, "--rule", digits)
+            assert (code, out) == (2, "")
+            assert err == "error: rule number out of range for k=2, r=8\n"
+        for bad in ("-1", "+110", "1e3", "0x6e", " 110", "", "\u0661"):
+            code, out, err = run_cli(capsys, *argv, "--rule", bad)
+            assert (code, out) == (1, ""), bad
+            assert err == "usage error: --rule is not a non-negative decimal integer\n", bad
+
+    def test_ca_huge_word_repeat(self, capsys):
+        # the width is checked against len(W)*N before the row is built, and
+        # a repeat that cannot be built is one usage error, not a traceback
+        code, out, err = run_cli(
+            capsys, "ca", "--rule", "110", "--steps", "1", "--width", "7",
+            "--init", "word:01^1000000000000",
+        )
+        assert (code, out) == (1, "")
+        assert err == "usage error: --width 7 does not match initial row length 2000000000000\n"
+        init = "word:01^" + str(10**19)
+        code, out, err = run_cli(capsys, "ca", "--rule", "110", "--steps", "1", "--init", init)
+        assert (code, out) == (1, "")
+        assert err == f"usage error: bad --init '{init}': {2 * 10**19} cells do not fit in memory\n"
 
     def test_ca_filter_non_digit_cell(self, tmp_path, capsys, d18_file):
         diagram = tmp_path / "diagram.txt"

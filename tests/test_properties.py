@@ -3,6 +3,8 @@ against the brute-force oracles.  The derandomized profile loaded in
 ``conftest.py`` and a fixed ``max_examples`` make every run test the same
 cases in about the same time."""
 
+from random import Random
+
 import pytest
 from helpers import (
     ALPHA01,
@@ -11,6 +13,7 @@ from helpers import (
     filter_global_full_window,
     reference_accepts,
     reference_determinize,
+    reference_evolve,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -108,7 +111,7 @@ def test_ca_text_round_trips(tmp_path_factory, case):
     n = len(row)
     for prev, nxt in zip(diagram.rows, diagram.rows[1:]):
         hood = [[prev[(j + d) % n] for d in range(-r, r + 1)] for j in range(n)]
-        assert nxt == tuple(map(rule.apply, hood))
+        assert nxt == bytes(map(rule.apply, hood))
     tmp = tmp_path_factory.mktemp("ca")
     text, tdx, csv = tmp / "st.txt", tmp / "f.tdx", tmp / "out.csv"
     argv = ["--k", str(k), "--r", str(r), "--rule", str(number), "--steps", str(steps)]
@@ -121,6 +124,32 @@ def test_ca_text_round_trips(tmp_path_factory, case):
     assert cli.main(["ca-filter", "--method", "transducer", *argv]) == 0
     want = filter_diagram("transducer", t, diagram).codes
     assert [tuple(map(int, line.split(","))) for line in csv.read_text().splitlines()] == list(want)
+
+
+@st.composite
+def evolve_runs(draw) -> tuple[int, int, int, list[int], int]:
+    """(k, r, rule number, initial row, steps): rule tables on both sides
+    of the 256 entries that byte lanes take (243 = 3**5 is the largest
+    below, 343 = 7**3 the smallest above), 1-12 cells and 0-8 steps.  The
+    rule and the cells are uniform from a drawn seed: drawn directly, they
+    lean to 0, and rows die out before high neighborhoods occur."""
+    k, r = draw(st.sampled_from([(2, 1), (2, 3), (3, 1), (3, 2), (6, 1), (7, 1), (2, 4), (4, 2)]))
+    rng = Random(draw(st.integers(0, 2**32 - 1)))
+    number = rng.randrange(k ** k ** (2 * r + 1))
+    row = [rng.randrange(k) for _ in range(draw(st.integers(1, 12)))]
+    return k, r, number, row, draw(st.integers(0, 8))
+
+
+@settings(max_examples=150)
+@given(case=evolve_runs())
+def test_evolve_is_the_rolling_index(case):
+    # every prefix of the row, so that each example has rows narrower than
+    # the neighborhood, which wrap around more than once
+    k, r, number, row, steps = case
+    rule = rule_from_number(k, r, number)
+    for width in range(1, len(row) + 1):
+        rows = evolve(rule, row[:width], steps).rows
+        assert rows == tuple(map(bytes, reference_evolve(rule, row[:width], steps))), width
 
 
 @settings(max_examples=300)
