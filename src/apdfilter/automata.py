@@ -31,6 +31,13 @@ ProductTag = tuple[int, int]  # intersect: (left state, right state)
 OriginTag = tuple[int, int]  # disjoint_union: (input index, original state)
 
 
+class _Translation(dict):
+    """Token code point -> ``chr(symbol index)`` for ``str.translate``; a missing key fails."""
+
+    def __missing__(self, key: int):  # not a LookupError, which keeps the character
+        raise ValueError(f"unknown symbol {chr(key)!r}")
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered set of symbol tokens with dense indices."""
@@ -55,8 +62,15 @@ class Alphabet:
         """Token -> symbol index."""
         return {tok: i for i, tok in enumerate(self.symbols)}
 
-    def encode(self, word: Iterable[str]) -> list[int]:
-        """The symbol indices of a word's tokens."""
+    @cached_property
+    def _translation(self) -> _Translation:  # of the single-character tokens
+        return _Translation((ord(tok), chr(i)) for i, tok in enumerate(self.symbols) if len(tok) == 1)
+
+    def encode(self, word: Iterable[str]) -> Sequence[int]:
+        """The symbol indices of a word's tokens (one ``str.translate`` to
+        ``bytes`` for a string over at most 256 tokens)."""
+        if isinstance(word, str) and len(self.symbols) <= 256:
+            return word.translate(self._translation).encode("latin-1")
         try:
             return list(map(self.indices.__getitem__, word))
         except KeyError as e:

@@ -13,10 +13,11 @@ and ``FROM_TEXT`` maps them back.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .automata import Domain, Tracker, build_tracker
+from .automata import Alphabet, Domain, Tracker, build_tracker
 from .stackfilter import filter_global, orbit_multiplicity
 from .transducer import (
     Transducer,
@@ -28,7 +29,7 @@ from .transducer import (
 )
 
 _MASK64 = (1 << 64) - 1
-MAX_RULE_TABLE = 2**20  # rule table entries: one per neighborhood, k**(2r+1)
+MAX_RULE_TABLE = 2**20  # bits of a rule number: k**(2r+1) entries of log2(k) bits
 TO_TEXT = bytes.maketrans(bytes(range(10)), b"0123456789")
 FROM_TEXT = bytes.maketrans(b"0123456789", bytes(range(10)))
 
@@ -109,15 +110,17 @@ class CodedDiagram:
 
 def table_size(k: int, r: int) -> int:
     """Entries of a rule table, one per neighborhood: k**(2r+1).  Tables
-    of more than ``MAX_RULE_TABLE`` entries are refused."""
+    whose rule numbers take more than ``MAX_RULE_TABLE`` bits are refused,
+    before any big number is formed."""
     if k < 2:
         raise ValueError("k must be at least 2")
     if r < 1:
         raise ValueError("r must be at least 1")
-    # k >= 2, so a neighborhood longer than the limit's bit length is over it
-    if 2 * r + 1 >= MAX_RULE_TABLE.bit_length() or k ** (2 * r + 1) > MAX_RULE_TABLE:
-        raise ValueError(f"rule table for k={k}, r={r} exceeds {MAX_RULE_TABLE} entries")
-    return k ** (2 * r + 1)
+    # an entry takes at least one bit (k >= 2), so n or k**n past the limit is over it
+    n = 2 * r + 1
+    if n >= MAX_RULE_TABLE.bit_length() or k**n > MAX_RULE_TABLE or k**n * math.log2(k) > MAX_RULE_TABLE:
+        raise ValueError(f"rule table for k={k}, r={r} exceeds {MAX_RULE_TABLE} bits")
+    return k**n
 
 
 def rule_from_number(k: int, r: int, number: int) -> CARule:
@@ -125,7 +128,7 @@ def rule_from_number(k: int, r: int, number: int) -> CARule:
 
     Neighborhoods are ordered lexicographically; the output for the
     highest neighborhood is the most significant base-k digit.  Tables of
-    more than ``MAX_RULE_TABLE`` entries are refused.
+    more than ``MAX_RULE_TABLE`` bits are refused.
     """
     size = table_size(k, r)
     if not 0 <= number < k**size:
@@ -214,14 +217,17 @@ def random_row(k: int, width: int, seed: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _cells(diagram: SpaceTimeDiagram, cell_of: Mapping[str, object]) -> list[list]:
-    """Every row with each cell v replaced by ``cell_of[str(v)]``: cell v
-    is the alphabet token ``str(v)``, and a cell that is no token fails."""
-    table = {v: cell_of[str(v)] for v in range(diagram.k) if str(v) in cell_of}
-    try:
-        return [list(map(table.__getitem__, row)) for row in diagram.rows]
-    except KeyError as e:
-        raise ValueError(f"diagram symbol {e.args[0]} not in the filter alphabet") from None
+def _symbol_rows(diagram: SpaceTimeDiagram, alphabet: Alphabet) -> list:
+    """Every row as its cells' symbol indices (cell v is the token ``str(v)``),
+    one ``translate`` per row; the first cell in row order that is no token fails."""
+    index = {v: alphabet.indices[str(v)] for v in range(min(diagram.k, 256)) if str(v) in alphabet}
+    tokens = bytes(index)
+    if left := b"".join(diagram.rows).translate(None, tokens):  # the cells that are no token
+        raise ValueError(f"diagram symbol {left[0]} not in the filter alphabet")
+    if len(alphabet) > 256:  # indices may not fit a byte
+        return [list(map(index.__getitem__, row)) for row in diagram.rows]
+    lookup = bytes.maketrans(tokens, bytes(index.values()))
+    return [row.translate(lookup) for row in diagram.rows]
 
 
 def _stack_row(tracker: Tracker, row: Sequence[str]) -> tuple[int, ...]:
@@ -254,14 +260,13 @@ def filter_diagram(
         t = source
         if not isinstance(t, Transducer):
             raise ValueError("transducer method needs a built filter")
-        codes = tuple(
-            tuple(walk_codes(t, row, circular=True)) for row in _cells(diagram, t.alphabet.indices)
-        )
+        codes = tuple(tuple(walk_codes(t, row, circular=True)) for row in _symbol_rows(diagram, t.alphabet))
         return CodedDiagram(codes, t.domain_count, len(t.breaks))
     if method not in ("bidi", "stack"):
         raise ValueError(f"unknown method {method!r}")
     domains = list(source)
-    rows = _cells(diagram, {tok: tok for tok in domains[0].alphabet.symbols})
+    tokens = list(domains[0].alphabet.symbols)  # a bound list __getitem__ calls faster than a tuple's
+    rows = [list(map(tokens.__getitem__, row)) for row in _symbol_rows(diagram, domains[0].alphabet)]
     if method == "bidi":
         filters = bidirectional_filters(domains)
         codes = tuple(

@@ -27,7 +27,7 @@ from .ca import (
 )
 from .domspec import ParsedDomain, format_domain_spec, parse_domain_spec, spec_digest
 from .optimizer import optimize
-from .render import emit_pgm, symbol_code
+from .render import code_texts, emit_pgm, gray, plain_pgm, symbol_code
 from .stackfilter import filter_global, filter_local
 from .tdx import load_transducer, save_transducer
 from .transducer import bidirectional, build_filter, transduce_codes
@@ -119,7 +119,7 @@ def _cmd_stack(args) -> int:
 def _cmd_run(args) -> int:
     t, digest = load_transducer(_read_text(args.filter))
     sigma = _read_input(args.input)
-    mode = "circular" if args.circular else "linear"
+    mode, pgm = "circular" if args.circular else "linear", args.format == "pgm"
     if args.bidi:
         if not args.domains:
             raise UsageError("--bidi needs --domains (the reverse filter is built from them)")
@@ -132,25 +132,24 @@ def _cmd_run(args) -> int:
                 f"the filter {t.domain_count} over {' '.join(t.alphabet.symbols)}"
             )
         if digest is not None and spec_digest(text) != digest:
-            print(
-                "warning: filter was built from a different domain file",
-                file=sys.stderr,
-            )
+            print("warning: filter was built from a different domain file", file=sys.stderr)
         reverse = build_filter([reverse_domain(pd.domain) for pd in parsed])
         out = bidirectional((t, reverse), sigma, mode)
         labeled = CodedDiagram((tuple(map(symbol_code, out)),), t.domain_count, 1)
-    else:
-        codes = tuple(transduce_codes(t, sigma, mode))
-        labeled = CodedDiagram((codes,), t.domain_count, len(t.breaks))
-    _write(args.output, emit_pgm(labeled) if args.format == "pgm" else _csv(labeled))
+        data = emit_pgm(labeled) if pgm else _csv(labeled)
+    else:  # one walk emits each letter's text straight from a per-arc text table
+        n = t.domain_count
+        text = code_texts((lambda c: str(gray(c, n))) if pgm else str, n, len(t.breaks))
+        cells = transduce_codes(t, sigma, mode, list(map(text.__getitem__, t.code)))
+        data = plain_pgm([" ".join(cells)], len(cells)) if pgm else ",".join(cells) + "\n"
+    _write(args.output, data)
     return 0
 
 
 def _csv(labeled: CodedDiagram) -> str:
     """One line of wire codes per row, one precomputed string per code."""
-    text = {c: str(c) for c in labeled.code_range}
-    lines = [",".join(map(text.__getitem__, row)) for row in labeled.codes]
-    return "\n".join(lines) + "\n"
+    text = code_texts(str, labeled.domain_count, labeled.break_count)
+    return "\n".join([",".join(map(text.__getitem__, row)) for row in labeled.codes]) + "\n"
 
 
 def _parse_int(text: str, init: str) -> int:

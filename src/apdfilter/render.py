@@ -10,6 +10,8 @@ CSV wire code, ``symbol_code``, lives with the filter transducer in
 
 from __future__ import annotations
 
+from typing import Callable, Sequence
+
 from .ca import CodedDiagram, SpaceTimeDiagram
 from .transducer import symbol_code  # noqa: F401  (re-exported: the CSV wire code)
 
@@ -21,24 +23,28 @@ def gray(code: int, domain_count: int) -> int:
     return 128 if code == 0 else 0
 
 
+def code_texts(text: Callable[[int], str], domain_count: int, break_count: int) -> list[str]:
+    """``text(c)`` at list index c for every wire code c (breaks, below 0, from the end)."""
+    return [text(c) for c in (*range(domain_count + 1), *range(-break_count, 0))]
+
+
+def plain_pgm(lines: Sequence[str], width: int) -> bytes:
+    """Plain (P2) PGM of rows of ``width`` space-separated gray levels."""
+    if not lines or not width:
+        raise ValueError("empty grid")
+    return "\n".join(["P2", f"{width} {len(lines)}", "255", *lines, ""]).encode("ascii")
+
+
 def emit_pgm(diagram: CodedDiagram | SpaceTimeDiagram) -> bytes:
     """Plain (P2) PGM; byte-identical output for identical input.
 
-    A filtered diagram is shaded per code in its range, not per cell."""
+    Every cell indexes one list of shade texts, one per code or symbol."""
     if isinstance(diagram, CodedDiagram):
-        n = diagram.domain_count
-        shade = {c: str(gray(c, n)) for c in diagram.code_range}
-        grid = [list(map(shade.__getitem__, row)) for row in diagram.codes]
+        n, rows = diagram.domain_count, diagram.codes
+        shade = code_texts(lambda c: str(gray(c, n)), n, diagram.break_count)
     else:
-        top = diagram.k - 1
-        grid = [[str(255 - v * 255 // top) for v in row] for row in diagram.rows]
-    height = len(grid)
-    width = len(grid[0]) if grid else 0
-    if not height or not width:
-        raise ValueError("empty grid")
-    lines = ["P2", f"{width} {height}", "255"]
-    lines.extend(" ".join(row) for row in grid)
-    return ("\n".join(lines) + "\n").encode("ascii")
+        shade, rows = [str(255 - v * 255 // (diagram.k - 1)) for v in range(diagram.k)], diagram.rows
+    return plain_pgm([" ".join(map(shade.__getitem__, row)) for row in rows], len(rows[0]) if rows else 0)
 
 
 def parse_pgm(data: bytes) -> list[list[int]]:

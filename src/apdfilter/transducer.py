@@ -276,16 +276,17 @@ def symbol_code(symbol: OutputSymbol) -> int:
     raise ValueError(f"not an output symbol: {symbol!r}")
 
 
-def walk_codes(t: Transducer, symbols: Sequence[int], circular: bool = False) -> list[int]:
-    """Wire codes of one run over symbol indices (each in ``0..k-1``): one
-    table lookup per letter, as every (state, letter) has its arc.
+def walk_codes(t: Transducer, symbols: Sequence[int], circular: bool = False, code=None) -> list:
+    """Wire codes of one run over symbol indices (each in ``0..k-1``), or
+    each letter's entry of a per-arc table ``code`` given in place of
+    ``t.code``: one table lookup per letter, as every (state, letter) has its arc.
 
     Circular mode first walks the string once without output (the
     warm-up lap), then records the second lap.
     """
-    nxt, code = t.next, t.code
+    nxt, code = t.next, t.code if code is None else code
     state = t.start * len(t.alphabet)
-    out: list[int] = []
+    out: list = []
     push = out.append
     if circular:
         for a in symbols:
@@ -297,14 +298,15 @@ def walk_codes(t: Transducer, symbols: Sequence[int], circular: bool = False) ->
     return out
 
 
-def transduce_codes(t: Transducer, sigma: str | Sequence[str], mode: str = "linear") -> list[int]:
-    """Run the filter over a string: one wire code per input letter."""
+def transduce_codes(t: Transducer, sigma: str | Sequence[str], mode: str = "linear", code=None) -> list:
+    """Run the filter over a string: one wire code (or ``code`` entry, see
+    ``walk_codes``) per input letter."""
     if mode not in ("linear", "circular"):
         raise ValueError(f"bad mode {mode!r}")
     symbols = t.alphabet.encode(sigma)
     if mode == "circular" and not symbols:
         raise ValueError("circular mode needs a non-empty string")
-    return walk_codes(t, symbols, mode == "circular")
+    return walk_codes(t, symbols, mode == "circular", code)
 
 
 def transduce(
@@ -363,9 +365,8 @@ def bidirectional(
     and the ambiguity mark otherwise.
     """
     forward_t, backward_t = filters
-    tokens = list(sigma)
-    forward = transduce(forward_t, tokens, mode)
-    backward = transduce(backward_t, tokens[::-1], mode)[::-1]
+    forward = transduce(forward_t, sigma, mode)
+    backward = transduce(backward_t, sigma[::-1], mode)[::-1]
     combined: list[OutputSymbol] = []
     for fwd, bwd in zip(forward, backward):
         if isinstance(fwd, DomainBreak):

@@ -1,3 +1,4 @@
+import math
 from random import Random
 
 import pytest
@@ -11,9 +12,10 @@ from apdfilter.ca import (
     filter_diagram,
     random_row,
     rule_from_number,
+    table_size,
 )
 from apdfilter.stackfilter import filter_global
-from apdfilter.transducer import build_filter
+from apdfilter.transducer import build_filter, transduce_codes
 
 
 class TestRules:
@@ -54,6 +56,18 @@ class TestRules:
         for k, r in ((2, 10), (3, 7), (11, 4), (2, 10**9)):
             with pytest.raises(ValueError, match=str(MAX_RULE_TABLE)):
                 rule_from_number(k, r, 1)
+
+    def test_rule_number_bits_budget(self):
+        # the bound is on the rule number's bits, checked before any division:
+        # 101**3 entries fit under 2**20 but their number takes 6.9M bits
+        # (its decode took 49 s), and k=16, r=2 takes 4 bits per entry
+        assert 6**7 * math.log2(6) < MAX_RULE_TABLE < 16**5 * 4
+        for k, r in ((101, 1), (57, 1), (16, 2), (13, 2), (7, 3)):
+            with pytest.raises(ValueError, match=f"k={k}, r={r} exceeds {MAX_RULE_TABLE} bits"):
+                table_size(k, r)
+        assert table_size(56, 1) == 56**3 and table_size(12, 2) == 12**5 and table_size(6, 3) == 6**7
+        with pytest.raises(ValueError, match="k=101, r=1 exceeds"):
+            rule_from_number(101, 1, 1)
 
     def test_halving_decode_matches_digit_loop(self):
         # tables of 512 to 16384 entries, read back one digit at a time
@@ -233,6 +247,22 @@ class TestFilterDiagram:
         diag = SpaceTimeDiagram(k=3, rows=((0, 2, 0),))
         with pytest.raises(ValueError, match="not in the filter alphabet"):
             filter_diagram("stack", [dom], diag)
+
+    def test_first_cell_outside_alphabet_in_row_order(self):
+        dom = cyclic_domain("01", ALPHA01)
+        diag = SpaceTimeDiagram(k=5, rows=((0, 1, 0), (0, 4, 3), (2, 0, 1)))
+        for method, source in (("transducer", build_filter([dom])), ("bidi", [dom]), ("stack", [dom])):
+            with pytest.raises(ValueError, match="^diagram symbol 4 not in the filter alphabet$"):
+                filter_diagram(method, source, diag)
+
+    def test_symbol_indices_past_a_byte(self):
+        # "0" and "1" are symbols 299 and 298, so rows cannot be bytes of indices
+        alphabet = Alphabet(tuple(f"t{i}" for i in range(298)) + ("1", "0"))
+        t = build_filter([cyclic_domain("011", alphabet)])
+        rows = ((0, 1, 1, 0, 1, 1), (1, 1, 1, 0, 0, 1))
+        labeled = filter_diagram("transducer", t, SpaceTimeDiagram(k=2, rows=rows))
+        want = [tuple(transduce_codes(t, [str(v) for v in row], "circular")) for row in rows]
+        assert list(labeled.codes) == want
 
     def test_unknown_method(self):
         dom = cyclic_domain("0", ALPHA01)

@@ -42,6 +42,8 @@ CASES = [
      ["run", "--filter", "{g}/rule110.tdx", "--input", R110_STRING, "--circular"]),
     ("run-runs.pgm",
      ["run", "--filter", "{g}/runs.tdx", "--input", "0001110101011000011010", "--format", "pgm"]),
+    ("run-rule110-circular.pgm",
+     ["run", "--filter", "{g}/rule110.tdx", "--input", R110_STRING, "--circular", "--format", "pgm"]),
     ("run-d18-bidi.csv",
      ["run", "--filter", "{g}/d18.tdx", "--input", "0100100110001011010000100111",
       "--bidi", "--domains", "{g}/d18.dom"]),

@@ -3,6 +3,9 @@ against the brute-force oracles.  The derandomized profile loaded in
 ``conftest.py`` and a fixed ``max_examples`` make every run test the same
 cases in about the same time."""
 
+import contextlib
+import io
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -28,13 +31,19 @@ from apdfilter.automata import (
     determinize,
 )
 from apdfilter import cli, stackfilter
-from apdfilter.ca import MAX_RULE_TABLE, evolve, filter_diagram, rule_from_number
+from apdfilter.ca import MAX_RULE_TABLE, CodedDiagram, evolve, filter_diagram, rule_from_number
+from apdfilter.render import emit_pgm, gray, parse_pgm
 from apdfilter.stackfilter import FilterStats, filter_global, filter_local
-from apdfilter.tdx import save_transducer
-from apdfilter.transducer import build_filter
+from apdfilter.tdx import load_transducer, save_transducer
+from apdfilter.transducer import build_filter, transduce_codes
 
 ALPHA012 = Alphabet(("0", "1", "2"))
 ALPHABETS = st.sampled_from([ALPHA01, ALPHA012])
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+GOLDEN_FILTERS = [
+    load_transducer((GOLDEN / f"{name}.tdx").read_text())[0]
+    for name in ("d18", "runs", "rule110", "optimized-d18", "optimized-runs", "optimized-rule110")
+]
 
 
 def words(alphabet: Alphabet, min_size: int = 0, max_size: int = 16):
@@ -252,3 +261,73 @@ def test_shared_tracker_gives_fresh_tracker_covers(case, cap):
             got, want = FilterStats(), FilterStats()
             assert cover(shared, word, got) == cover(build_tracker(domains), word, want), word
             assert got.pair_advances == want.pair_advances, word
+
+
+@st.composite
+def filter_runs(draw):
+    """A filter, built from a generated domain set or read from a golden
+    ``.tdx`` file, and a string over its alphabet, empty now and then."""
+    if draw(st.booleans()):
+        domains, word = draw(domains_and_word(max_size=30))
+        return build_filter(domains), word
+    t = draw(st.sampled_from(GOLDEN_FILTERS))
+    return t, draw(words(t.alphabet, max_size=60))
+
+
+@settings(max_examples=150)
+@given(case=filter_runs(), mode=st.sampled_from(["linear", "circular"]), fmt=st.sampled_from(["csv", "pgm"]))
+def test_run_writes_the_coded_diagram(tmp_path_factory, case, mode, fmt):
+    # `run` writes each letter's text off the filter's arcs; it is the CSV
+    # or PGM of the wire codes in a one-row diagram, and where those fail
+    # (an empty string: circular, or as PGM) it fails with their message
+    t, word = case
+    tmp = tmp_path_factory.mktemp("run")
+    tdx, out = tmp / "f.tdx", tmp / "out"
+    tdx.write_text(save_transducer(t))
+    try:
+        labeled = CodedDiagram((tuple(transduce_codes(t, word, mode)),), t.domain_count, len(t.breaks))
+        want, message = emit_pgm(labeled) if fmt == "pgm" else cli._csv(labeled).encode(), ""
+    except ValueError as e:
+        want, message = None, f"error: {e}\n"
+    argv = ["run", "--filter", str(tdx), "--input", word, "--format", fmt, "-o", str(out)]
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(argv + ["--circular"] * (mode == "circular"))
+    assert (code, err.getvalue()) == ((2, message) if want is None else (0, ""))
+    if want is not None:
+        assert out.read_bytes() == want
+        codes, n = labeled.codes[0], t.domain_count
+        if fmt == "pgm":
+            assert parse_pgm(want) == [[gray(c, n) for c in codes]]
+        else:
+            assert want == (",".join(map(str, codes)) + "\n").encode()
+
+
+@st.composite
+def alphabets_and_text(draw) -> tuple[Alphabet, str]:
+    """An alphabet of one- and two-character tokens, ASCII or not (beyond
+    the BMP too), sometimes after 300 others, and a string over
+    their characters and a few that are no token."""
+    chars = "01aé中😀"
+    token = st.text(st.sampled_from(chars), min_size=1, max_size=2)
+    tokens = draw(st.lists(token, min_size=1, max_size=6, unique=True))
+    if draw(st.booleans()):  # the character tokens' indices then pass a byte
+        tokens = [f"pad{i}" for i in range(300)] + tokens
+    return Alphabet(tuple(tokens)), draw(st.text(st.sampled_from(chars + "x "), max_size=12))
+
+
+@settings(max_examples=300)
+@given(alphabets_and_text())
+def test_encode_reads_a_string_as_its_characters(case):
+    # a string is its list of characters: the same indices, or the same
+    # first unknown symbol; over at most 256 tokens it comes back as bytes
+    alphabet, text = case
+
+    def encoded(word):
+        try:
+            return list(alphabet.encode(word))
+        except ValueError as e:
+            return str(e)
+
+    assert encoded(text) == encoded(list(text))
+    if len(alphabet) <= 256 and not isinstance(encoded(text), str):
+        assert isinstance(alphabet.encode(text), bytes)
