@@ -586,11 +586,6 @@ def equivalent(a: FiniteAutomaton, b: FiniteAutomaton) -> bool:
     return minimize(a) == minimize(b)
 
 
-def canonical_key(fa: FiniteAutomaton):
-    """Deterministic sort key for minimized automata."""
-    return (fa.state_count, sorted(fa.finals), sorted(fa.transitions))
-
-
 def is_strongly_connected(fa: FiniteAutomaton) -> bool:
     if fa.state_count <= 1:
         return True

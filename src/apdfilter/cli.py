@@ -5,6 +5,10 @@ error (parse failures, invariant violations, CA rule tables over the size
 limit) or a file that cannot be read or written.
 """
 
+# Each command imports the package functions it calls, so a call loads only
+# the modules it runs.  An import inside a function reads the module's name
+# at call time, so code that rebinds a module attribute still reaches here.
+
 from __future__ import annotations
 
 import argparse
@@ -12,25 +16,11 @@ import functools
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .automata import build_tracker, reverse_domain
-from .ca import (
-    FROM_TEXT,
-    TO_TEXT,
-    CodedDiagram,
-    SpaceTimeDiagram,
-    evolve,
-    filter_diagram,
-    random_row,
-    rule_from_number,
-    table_size,
-)
-from .domspec import ParsedDomain, format_domain_spec, parse_domain_spec, spec_digest
-from .optimizer import optimize
-from .render import code_texts, emit_pgm, gray, plain_pgm, symbol_code
-from .stackfilter import filter_global, filter_local
-from .tdx import load_transducer, save_transducer
-from .transducer import bidirectional, build_filter, transduce_codes
+if TYPE_CHECKING:
+    from .ca import CodedDiagram, SpaceTimeDiagram
+    from .domspec import ParsedDomain
 
 
 class UsageError(Exception):
@@ -53,6 +43,8 @@ def _read_input(value: str) -> str:
 
 
 def _load_domains(path: str) -> tuple[str, list[ParsedDomain]]:
+    from .domspec import parse_domain_spec
+
     text = _read_text(path)
     _alphabet, parsed = parse_domain_spec(text)
     return text, parsed
@@ -69,6 +61,8 @@ def _write(path: str | None, data: str | bytes):
 
 
 def _split_to_parsed(split_domains, originals) -> list[ParsedDomain]:
+    from .domspec import ParsedDomain
+
     out = []
     for sd, pd in zip(split_domains, originals):
         names = tuple(
@@ -79,9 +73,15 @@ def _split_to_parsed(split_domains, originals) -> list[ParsedDomain]:
 
 
 def _cmd_build(args) -> int:
+    from .domspec import spec_digest
+    from .tdx import save_transducer
+    from .transducer import build_filter
+
     text, parsed = _load_domains(args.domains)
     domains = [pd.domain for pd in parsed]
     if args.optimize:
+        from .optimizer import optimize
+
         domains = [sd.domain for sd in optimize(domains)]
     t = build_filter(domains)
     _write(args.output, save_transducer(t, domains_digest=spec_digest(text)))
@@ -89,6 +89,9 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    from .domspec import format_domain_spec
+    from .optimizer import optimize
+
     _text, parsed = _load_domains(args.domains)
     split = optimize([pd.domain for pd in parsed])
     before = sum(pd.domain.fa.state_count for pd in parsed)
@@ -102,6 +105,9 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_stack(args) -> int:
+    from .automata import build_tracker
+    from .stackfilter import filter_global, filter_local
+
     _text, parsed = _load_domains(args.domains)
     tracker = build_tracker([pd.domain for pd in parsed])
     sigma = _read_input(args.input)
@@ -117,12 +123,20 @@ def _cmd_stack(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .render import code_texts, emit_pgm, gray, plain_pgm
+    from .tdx import load_transducer
+
     t, digest = load_transducer(_read_text(args.filter))
     sigma = _read_input(args.input)
     mode, pgm = "circular" if args.circular else "linear", args.format == "pgm"
     if args.bidi:
         if not args.domains:
             raise UsageError("--bidi needs --domains (the reverse filter is built from them)")
+        from .automata import reverse_domain
+        from .ca import CodedDiagram
+        from .domspec import spec_digest
+        from .transducer import bidirectional, build_filter, symbol_code
+
         text, parsed = _load_domains(args.domains)
         alphabet = parsed[0].domain.alphabet
         if set(alphabet.symbols) != set(t.alphabet.symbols) or len(parsed) != t.domain_count:
@@ -138,6 +152,8 @@ def _cmd_run(args) -> int:
         labeled = CodedDiagram((tuple(map(symbol_code, out)),), t.domain_count, 1)
         data = emit_pgm(labeled) if pgm else _csv(labeled)
     else:  # one walk emits each letter's text straight from a per-arc text table
+        from .transducer import transduce_codes
+
         n = t.domain_count
         text = code_texts((lambda c: str(gray(c, n))) if pgm else str, n, len(t.breaks))
         cells = transduce_codes(t, sigma, mode, list(map(text.__getitem__, t.code)))
@@ -148,6 +164,8 @@ def _cmd_run(args) -> int:
 
 def _csv(labeled: CodedDiagram) -> str:
     """One line of wire codes per row, one precomputed string per code."""
+    from .render import code_texts
+
     text = code_texts(str, labeled.domain_count, labeled.break_count)
     return "\n".join([",".join(map(text.__getitem__, row)) for row in labeled.codes]) + "\n"
 
@@ -160,6 +178,8 @@ def _parse_int(text: str, init: str) -> int:
 
 
 def _parse_init(init: str, k: int, width: int | None) -> bytes | tuple[int, ...]:
+    from .ca import FROM_TEXT, random_row
+
     if init.startswith("random:"):
         if width is None:
             raise UsageError("random initial conditions need --width")
@@ -169,7 +189,8 @@ def _parse_init(init: str, k: int, width: int | None) -> bytes | tuple[int, ...]
     if init.startswith("word:"):
         word, _, reps = init.split(":", 1)[1].partition("^")
         # argv holds undecodable bytes as surrogates; the digit check refuses them
-        row = _digits(word.encode(errors="surrogateescape"), f"bad --init {init!r}") if word else b""
+        text = _digits(word.encode(errors="surrogateescape"), f"bad --init {init!r}") if word else b""
+        row = text.translate(FROM_TEXT)
         count = _parse_int(reps, init) if reps else 1
         # both checks come before the repeat, whose row may not fit in memory
         if not row or count < 1:
@@ -191,6 +212,8 @@ def _parse_init(init: str, k: int, width: int | None) -> bytes | tuple[int, ...]
 
 
 def _cmd_ca(args) -> int:
+    from .ca import TO_TEXT, evolve, rule_from_number
+
     if args.k > 10:
         raise UsageError("text output supports k up to 10")
     if args.steps < 0:
@@ -207,6 +230,8 @@ def _rule_number(text: str, k: int, r: int) -> int:
     """``--rule`` as a decimal integer.  Its digit count is checked against
     the rule table before it is converted, in halves down to pieces of at
     most 4000 digits, below Python's process-wide limit on int strings."""
+    from .ca import table_size
+
     if not (text.isascii() and text.isdigit()):
         raise UsageError("--rule is not a non-negative decimal integer")
     digits = text.lstrip("0") or "0"
@@ -224,26 +249,35 @@ def _decimal(digits: str) -> int:
 
 
 def _digits(text: bytes, where: str) -> bytes:
-    """The cells of one row of ASCII digits; anything else is a usage error."""
+    """``text`` if it is one row of ASCII digits; anything else is a usage error."""
     if not text.isdigit():  # on bytes, only b"0".."9" are digits
         raise UsageError(f"{where}: {text.decode(errors='replace')!r} is not a row of digits")
-    return text.translate(FROM_TEXT)
+    return text
 
 
 def _read_diagram(path: str) -> SpaceTimeDiagram:
     """One row per line (LF, CRLF or CR ends); blank lines are skipped."""
+    from .ca import FROM_TEXT, SpaceTimeDiagram
+
     lines = map(bytes.strip, Path(path).read_bytes().splitlines())
-    rows = tuple(_digits(line, f"{path}: line {n}") for n, line in enumerate(lines, 1) if line)
+    rows = tuple(
+        _digits(line, f"{path}: line {n}").translate(FROM_TEXT) for n, line in enumerate(lines, 1) if line
+    )
     if not rows:
         raise UsageError(f"{path}: empty diagram")
     return SpaceTimeDiagram(k=max(max(map(max, rows)) + 1, 2), rows=rows)
 
 
 def _cmd_ca_filter(args) -> int:
+    from .ca import filter_diagram
+    from .render import emit_pgm
+
     diagram = _read_diagram(args.input)
     if args.method == "transducer":
         if not args.filter:
             raise UsageError("--method transducer needs --filter")
+        from .tdx import load_transducer
+
         source, _digest = load_transducer(_read_text(args.filter))
     else:
         if not args.domains:

@@ -24,7 +24,6 @@ connectivity check on re-parse.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 from .automata import (
@@ -204,4 +203,6 @@ def format_domain_spec(
 
 
 def spec_digest(text: str) -> str:
+    import hashlib  # only build and run --bidi need it; it is slow to import
+
     return hashlib.sha256(text.encode()).hexdigest()

@@ -10,10 +10,12 @@ CSV wire code, ``symbol_code``, lives with the filter transducer in
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .ca import CodedDiagram, SpaceTimeDiagram
 from .transducer import symbol_code  # noqa: F401  (re-exported: the CSV wire code)
+
+if TYPE_CHECKING:
+    from .ca import CodedDiagram, SpaceTimeDiagram
 
 
 def gray(code: int, domain_count: int) -> int:
@@ -39,25 +41,13 @@ def emit_pgm(diagram: CodedDiagram | SpaceTimeDiagram) -> bytes:
     """Plain (P2) PGM; byte-identical output for identical input.
 
     Every cell indexes one list of shade texts, one per code or symbol."""
+    from .ca import CodedDiagram  # here, so that ``run`` does not load the CA layer
+
     if isinstance(diagram, CodedDiagram):
         n, rows = diagram.domain_count, diagram.codes
         shade = code_texts(lambda c: str(gray(c, n)), n, diagram.break_count)
     else:
-        shade, rows = [str(255 - v * 255 // (diagram.k - 1)) for v in range(diagram.k)], diagram.rows
+        top = max(1, diagram.k - 1)  # a one-symbol diagram is all white
+        shade, rows = [str(255 - v * 255 // top) for v in range(diagram.k)], diagram.rows
     return plain_pgm([" ".join(map(shade.__getitem__, row)) for row in rows], len(rows[0]) if rows else 0)
 
-
-def parse_pgm(data: bytes) -> list[list[int]]:
-    tokens = []
-    for line in data.decode("ascii").splitlines():
-        body = line.split("#", 1)[0]
-        tokens.extend(body.split())
-    if not tokens or tokens[0] != "P2":
-        raise ValueError("not a plain PGM")
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    values = [int(v) for v in tokens[4:]]
-    if len(values) != width * height:
-        raise ValueError("pixel count mismatch")
-    if any(v > maxval for v in values):
-        raise ValueError("pixel exceeds maxval")
-    return [values[r * width : (r + 1) * width] for r in range(height)]

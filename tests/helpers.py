@@ -25,7 +25,9 @@ by language algebra, one coarsest common refinement of minimized
 languages per union state and pass, which the optimizer itself replaced
 by block refinement over one past automaton.  ``past_classes`` turns the
 optimizer's blocks into the same canonical class automata, and
-``check_partition`` checks a class tuple by language algebra.
+``check_partition`` checks a class tuple by language algebra.  Two small
+tools only the tests use close the file: ``parse_pgm`` reads a plain PGM
+back into gray levels, and ``canonical_key`` orders minimized automata.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from apdfilter.automata import (
     Domain,
     FiniteAutomaton,
     Tracker,
-    canonical_key,
     complement,
     determinize,
     disjoint_union,
@@ -763,3 +764,25 @@ def refinement_stages(domains: Sequence[Domain]) -> list[ClassMap]:
             return stages
         part = refined
     raise OptimizeError("block refinement did not stabilize")
+
+
+def parse_pgm(data: bytes) -> list[list[int]]:
+    """The gray levels of a plain (P2) PGM, row by row; comments are skipped."""
+    tokens = []
+    for line in data.decode("ascii").splitlines():
+        body = line.split("#", 1)[0]
+        tokens.extend(body.split())
+    if not tokens or tokens[0] != "P2":
+        raise ValueError("not a plain PGM")
+    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    values = [int(v) for v in tokens[4:]]
+    if len(values) != width * height:
+        raise ValueError("pixel count mismatch")
+    if any(v > maxval for v in values):
+        raise ValueError("pixel exceeds maxval")
+    return [values[r * width : (r + 1) * width] for r in range(height)]
+
+
+def canonical_key(fa: FiniteAutomaton):
+    """Deterministic sort key for minimized automata."""
+    return (fa.state_count, sorted(fa.finals), sorted(fa.transitions))

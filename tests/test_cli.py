@@ -2,13 +2,14 @@ from pathlib import Path
 from time import perf_counter
 
 import pytest
+from helpers import parse_pgm
 
 from apdfilter import cli, optimizer
 from apdfilter.automata import MAX_SUBSETS, reverse_domain
 from apdfilter.ca import evolve, random_row, rule_from_number
 from apdfilter.cli import main
 from apdfilter.domspec import parse_domain_spec
-from apdfilter.render import parse_pgm, symbol_code
+from apdfilter.render import symbol_code
 from apdfilter.tdx import load_transducer, save_transducer
 from apdfilter.transducer import MAX_RESYNC_WALK, bidirectional, build_filter
 

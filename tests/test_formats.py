@@ -1,7 +1,7 @@
 from pathlib import Path
 
 import pytest
-from helpers import ALPHA01
+from helpers import ALPHA01, parse_pgm
 
 from apdfilter.automata import equivalent
 from apdfilter.domspec import (
@@ -10,7 +10,7 @@ from apdfilter.domspec import (
     parse_domain_spec,
     spec_digest,
 )
-from apdfilter.render import emit_pgm, gray, parse_pgm, symbol_code
+from apdfilter.render import emit_pgm, gray, symbol_code
 from apdfilter.ca import CodedDiagram, SpaceTimeDiagram
 from apdfilter.tdx import TdxError, load_transducer, save_transducer
 from apdfilter.transducer import (
@@ -263,6 +263,10 @@ class TestRender:
     def test_raw_diagram_scaling(self):
         diagram = SpaceTimeDiagram(k=3, rows=((0, 1, 2),))
         assert parse_pgm(emit_pgm(diagram))[0] == [255, 128, 0]
+
+    def test_one_symbol_diagram_is_white(self):
+        diagram = SpaceTimeDiagram(k=1, rows=(b"\x00\x00", b"\x00\x00"))
+        assert emit_pgm(diagram) == b"P2\n2 2\n255\n255 255\n255 255\n"
 
     def test_symbol_codes(self, runs01):
         t = build_filter(runs01)

@@ -5,6 +5,7 @@ import pytest
 from helpers import (
     ALPHA01,
     all_words,
+    canonical_key,
     check_partition,
     class_fixpoint,
     disjoin,
@@ -27,7 +28,6 @@ from apdfilter.automata import (
     Domain,
     FiniteAutomaton,
     accepts,
-    canonical_key,
     cyclic_domain,
     determinize,
     disjoint_union,

@@ -14,6 +14,7 @@ from helpers import (
     accepting_domains,
     brute_maximal_cover,
     filter_global_full_window,
+    parse_pgm,
     reference_accepts,
     reference_determinize,
     reference_evolve,
@@ -32,7 +33,7 @@ from apdfilter.automata import (
 )
 from apdfilter import cli, stackfilter
 from apdfilter.ca import MAX_RULE_TABLE, CodedDiagram, evolve, filter_diagram, rule_from_number
-from apdfilter.render import emit_pgm, gray, parse_pgm
+from apdfilter.render import emit_pgm, gray
 from apdfilter.stackfilter import FilterStats, filter_global, filter_local
 from apdfilter.tdx import load_transducer, save_transducer
 from apdfilter.transducer import build_filter, transduce_codes
