@@ -271,9 +271,8 @@ class Tracker:
     ``step[sym][q]`` is the successor of tracker state q, None where every
     tracked path dies; ``masks[q]`` is q's subset of union states as a
     bitmask, and ``state_domains[q]`` the 1-based domains with a state in
-    it.  ``dfa``, the same construction as a ``FiniteAutomaton`` tagged
-    with frozensets, and ``scan_automaton``, the stack scan's table, are
-    derived on first use.
+    it.  ``scan_automaton``, the stack scan's table, is derived on first
+    use, and the optimizer reads its past automaton off ``step``.
     """
 
     domains: tuple[Domain, ...]
@@ -285,10 +284,6 @@ class Tracker:
     @property
     def alphabet(self) -> Alphabet:
         return self.union.alphabet
-
-    @cached_property
-    def dfa(self) -> FiniteAutomaton:
-        return determinize(self.union)
 
     @cached_property
     def scan_automaton(self) -> ScanAutomaton:
@@ -441,33 +436,6 @@ def difference(a: FiniteAutomaton, b: FiniteAutomaton) -> FiniteAutomaton:
     if a.alphabet != b.alphabet:
         raise ValueError("alphabet mismatch")
     return intersect(a, complement(b))
-
-
-def sigma_star_prefix(fa: FiniteAutomaton) -> FiniteAutomaton:
-    """Allow an arbitrary prefix: accept u + w for any u whenever fa accepts w.
-
-    A fresh hub state self-loops on every symbol and copies the transitions
-    leaving ``fa``'s start states.  Making every state a start instead would
-    accept arbitrary-prefixed *paths*, which is a different language.
-    """
-    k = len(fa.alphabet)
-    hub = fa.state_count
-    transitions = set(fa.transitions)
-    transitions.update((hub, sym, hub) for sym in range(k))
-    table = fa.transition_table
-    for s in fa.starts:
-        for sym, dsts in table[s].items():
-            transitions.update((hub, sym, d) for d in dsts)
-    finals = set(fa.finals)
-    if fa.starts & fa.finals:
-        finals.add(hub)  # empty-suffix case: every u must be accepted
-    return FiniteAutomaton(
-        alphabet=fa.alphabet,
-        state_count=hub + 1,
-        starts=fa.starts | {hub},
-        finals=frozenset(finals),
-        transitions=frozenset(transitions),
-    )
 
 
 def reverse(fa: FiniteAutomaton) -> FiniteAutomaton:

@@ -15,18 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .automata import Alphabet, Domain, Tracker, build_tracker
-from .stackfilter import filter_global, orbit_multiplicity
-from .transducer import (
-    Transducer,
-    bidirectional,
-    bidirectional_filters,
-    label_code,
-    symbol_code,
-    walk_codes,
-)
+if TYPE_CHECKING:  # filter_diagram imports the filter modules its method runs
+    from .automata import Alphabet, Domain
+    from .transducer import Transducer
 
 _MASK64 = (1 << 64) - 1
 MAX_RULE_TABLE = 2**20  # bits of a rule number: k**(2r+1) entries of log2(k) bits
@@ -230,16 +223,25 @@ def _symbol_rows(diagram: SpaceTimeDiagram, alphabet: Alphabet) -> list:
     return [row.translate(lookup) for row in diagram.rows]
 
 
-def _stack_row(tracker: Tracker, row: Sequence[str]) -> tuple[int, ...]:
-    """Wire codes of one row of tokens: its owner's label where exactly one
-    shifted maximal substring covers a cell; a break (-1) where several
-    overlap or none covers it, a defect cell."""
-    cover = filter_global(tracker, row)
-    if cover.whole_string:
-        return (label_code(cover.whole_domains),) * len(row)
-    labels = [label_code(doms) for doms in cover.domain_sets]
-    counts, owners = orbit_multiplicity(cover)
-    return tuple(labels[o] if c == 1 else -1 for c, o in zip(counts, owners))
+def _stack_codes(domains: Sequence[Domain], rows: list[list[str]]) -> tuple[tuple[int, ...], ...]:
+    """Wire codes of rows of tokens, one tracker for all: a cell's owner's
+    label where exactly one shifted maximal substring covers it; a break
+    (-1) where several overlap or none covers it, a defect cell."""
+    from .automata import build_tracker
+    from .stackfilter import filter_global, orbit_multiplicity
+    from .transducer import label_code
+
+    tracker = build_tracker(domains)
+    codes = []
+    for row in rows:
+        cover = filter_global(tracker, row)
+        if cover.whole_string:
+            codes.append((label_code(cover.whole_domains),) * len(row))
+            continue
+        labels = [label_code(doms) for doms in cover.domain_sets]
+        counts, owners = orbit_multiplicity(cover)
+        codes.append(tuple(labels[o] if c == 1 else -1 for c, o in zip(counts, owners)))
+    return tuple(codes)
 
 
 def filter_diagram(
@@ -257,6 +259,8 @@ def filter_diagram(
     break).  Both take domains and code every break as -1.
     """
     if method == "transducer":
+        from .transducer import Transducer, walk_codes
+
         t = source
         if not isinstance(t, Transducer):
             raise ValueError("transducer method needs a built filter")
@@ -268,11 +272,12 @@ def filter_diagram(
     tokens = list(domains[0].alphabet.symbols)  # a bound list __getitem__ calls faster than a tuple's
     rows = [list(map(tokens.__getitem__, row)) for row in _symbol_rows(diagram, domains[0].alphabet)]
     if method == "bidi":
+        from .transducer import bidirectional, bidirectional_filters, symbol_code
+
         filters = bidirectional_filters(domains)
         codes = tuple(
             tuple(map(symbol_code, bidirectional(filters, row, "circular"))) for row in rows
         )
     else:
-        tracker = build_tracker(domains)
-        codes = tuple(_stack_row(tracker, row) for row in rows)
+        codes = _stack_codes(domains, rows)
     return CodedDiagram(codes, len(domains), 1)

@@ -3,14 +3,15 @@
 Each domain state is split by a finite partition of its possible pasts:
 two past strings land in different classes when, extended by a forbidden
 letter, they would resynchronize to different tracker states.  Every such
-class is a set of states of one complete DFA, the past automaton
-P = determinize(sigma_star_prefix(tracker)): the state P reaches on a
-word x holds the tracker state of every suffix of x, with the hub
-standing for the empty suffix (the tracker start).  A past w of union
-state s that a forbidden letter a sends to tracker state t is a suffix
-whose tracker state q has s in its subset tag and steps to t on a, so the
-starting partition at s groups P's states by their set of such (a, t)
-pieces.
+class is a set of states of one complete DFA, the past automaton P: the
+state P reaches on a word x holds the tracker state of every suffix of
+x, with the hub standing for the empty suffix (the tracker start).
+``past_automaton`` reads P's nondeterministic form, the tracker behind a
+hub that may start it after any prefix, off the tracker's step table and
+determinizes it once.  A past w of union state s that a forbidden letter
+a sends to tracker state t is a suffix whose tracker state q has s in its
+subset tag and steps to t on a, so the starting partition at s groups
+P's states by their set of such (a, t) pieces.
 
 The partitions are then refined until they are compatible with the
 domain's own transitions: each pass is one Moore refinement step over P,
@@ -32,13 +33,7 @@ import logging
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .automata import (
-    Domain,
-    FiniteAutomaton,
-    build_tracker,
-    determinize,
-    sigma_star_prefix,
-)
+from .automata import Domain, FiniteAutomaton, Tracker, build_tracker, determinize
 
 log = logging.getLogger(__name__)
 
@@ -66,12 +61,13 @@ class SplitDomain:
 class PastPartition:
     """Past classes of every union state as blocks of the past automaton.
 
-    ``blocks[s][p]`` is the block of P-state ``p`` at union state ``s``,
-    numbered by first occurrence, so two stages hold the same partition
-    exactly when their blocks compare equal.
+    ``moves[s]`` holds union state ``s``'s (letter, target) transitions,
+    sorted.  ``blocks[s][p]`` is the block of P-state ``p`` at union state
+    ``s``, numbered by first occurrence, so two stages hold the same
+    partition exactly when their blocks compare equal.
     """
 
-    union: FiniteAutomaton
+    moves: tuple[tuple[tuple[int, int], ...], ...]
     past: FiniteAutomaton
     blocks: tuple[tuple[int, ...], ...]
 
@@ -79,6 +75,22 @@ class PastPartition:
 def _number(signatures: Iterable) -> tuple[int, ...]:
     ids: dict = {}
     return tuple(ids.setdefault(sig, len(ids)) for sig in signatures)
+
+
+def past_automaton(tracker: Tracker) -> FiniteAutomaton:
+    """P, the subset construction of the tracker behind a hub.
+
+    The hub m (m tracker states) loops on every letter and also steps as
+    the tracker start does; both it and state 0 start, and every state is
+    final.  P is numbered breadth-first and tagged with its sets of these
+    m + 1 states.
+    """
+    step = tracker.step
+    m = len(tracker.masks)
+    arcs = [(q, a, t) for a, row in enumerate(step) for q, t in enumerate(row) if t is not None]
+    arcs += [(m, a, m) for a in range(len(step))]
+    arcs += [(m, a, row[0]) for a, row in enumerate(step) if row[0] is not None]
+    return determinize(FiniteAutomaton(tracker.alphabet, m + 1, (0, m), range(m + 1), arcs))
 
 
 def initial_partition(domains: Sequence[Domain]) -> PastPartition:
@@ -91,11 +103,14 @@ def initial_partition(domains: Sequence[Domain]) -> PastPartition:
     """
     tracker = build_tracker(domains)
     union, step = tracker.union, tracker.step
-    past = determinize(sigma_star_prefix(tracker.dfa))
-    k = len(union.alphabet)
+    past = past_automaton(tracker)
+    moves: list[list[tuple[int, int]]] = [[] for _ in range(union.state_count)]
+    for (src, sym, dst) in sorted(union.transitions):
+        moves[src].append((sym, dst))
     blocks = []
-    for s in range(union.state_count):
-        forbidden = [sym for sym in range(k) if sym not in union.transition_table[s]]
+    for s, out in enumerate(moves):
+        allowed = {sym for sym, _dst in out}
+        forbidden = [sym for sym in range(len(step)) if sym not in allowed]
         pieces = [
             frozenset((sym, t) for sym in forbidden if (t := step[sym][q]) is not None)
             if mask >> s & 1
@@ -110,7 +125,7 @@ def initial_partition(domains: Sequence[Domain]) -> PastPartition:
                 s,
             )
         blocks.append(_number(signatures))
-    return PastPartition(union, past, tuple(blocks))
+    return PastPartition(tuple(map(tuple, moves)), past, tuple(blocks))
 
 
 def refine(part: PastPartition) -> PastPartition:
@@ -123,10 +138,7 @@ def refine(part: PastPartition) -> PastPartition:
     """
     table = part.past.transition_table
     blocks = []
-    for s, row in enumerate(part.blocks):
-        moves = sorted(
-            (sym, dst) for sym, dsts in part.union.transition_table[s].items() for dst in dsts
-        )
+    for row, moves in zip(part.blocks, part.moves):
         if not moves:
             blocks.append(row)
             continue

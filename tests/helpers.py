@@ -7,7 +7,14 @@ construction: membership is ``reference_accepts``, the set simulation that
 ``automata.accepts`` replaced with a table over bitmask sets, and
 ``reference_determinize`` is the frozenset breadth-first subset
 construction that ``automata.determinize`` and ``build_tracker`` replaced
-with ``SubsetSteps.explore``.  There are five exceptions.
+with ``SubsetSteps.explore``; ``tracker_dfa`` is that construction of a
+tracker as a ``FiniteAutomaton``, which the package no longer builds, and
+``sigma_star_prefix`` puts a hub before an automaton: the two make the
+reference for ``optimizer.past_automaton``, which reads the same automaton
+off the tracker's step table.  ``stack_letter_outputs`` reads the stack
+filter's output per letter off ``filter_local``, which the properties
+check against ``brute_maximal_cover``, with breaks where the filter
+transducer puts them.  There are five exceptions.
 ``reference_scan`` is the pair-stack scan with one dict of live pairs
 per letter, the reference for the configuration automaton, and
 ``filter_global_full_window`` is the periodic stack cover without its
@@ -50,7 +57,6 @@ from apdfilter.automata import (
     is_empty,
     minimize,
     replace_finals,
-    sigma_star_prefix,
     universal,
 )
 from apdfilter.ca import CARule
@@ -61,8 +67,8 @@ from apdfilter.optimizer import (
     initial_partition,
     refine,
 )
-from apdfilter.stackfilter import FilterStats, MaximalCover
-from apdfilter.transducer import ResyncReport
+from apdfilter.stackfilter import FilterStats, MaximalCover, filter_local
+from apdfilter.transducer import ResyncReport, label_code
 
 log = logging.getLogger(__name__)
 
@@ -114,6 +120,41 @@ def reference_determinize(fa: FiniteAutomaton) -> FiniteAutomaton:
         finals=frozenset(i for i, tag in enumerate(order) if tag & fa.finals),
         transitions=frozenset(transitions),
         state_tags=tuple(order),
+    )
+
+
+def tracker_dfa(tracker: Tracker) -> FiniteAutomaton:
+    """The tracker as a ``FiniteAutomaton`` tagged with frozensets, numbered
+    as its step table is."""
+    return determinize(tracker.union)
+
+
+def sigma_star_prefix(fa: FiniteAutomaton) -> FiniteAutomaton:
+    """Allow an arbitrary prefix: accept u + w for any u whenever fa accepts w.
+
+    A fresh hub state self-loops on every symbol and copies the transitions
+    leaving ``fa``'s start states.  Making every state a start instead would
+    accept arbitrary-prefixed *paths*, which is a different language.  The
+    reference for ``optimizer.past_automaton``, which reads this automaton
+    of the tracker off its step table.
+    """
+    k = len(fa.alphabet)
+    hub = fa.state_count
+    transitions = set(fa.transitions)
+    transitions.update((hub, sym, hub) for sym in range(k))
+    table = fa.transition_table
+    for s in fa.starts:
+        for sym, dsts in table[s].items():
+            transitions.update((hub, sym, d) for d in dsts)
+    finals = set(fa.finals)
+    if fa.starts & fa.finals:
+        finals.add(hub)  # empty-suffix case: every u must be accepted
+    return FiniteAutomaton(
+        alphabet=fa.alphabet,
+        state_count=hub + 1,
+        starts=fa.starts | {hub},
+        finals=frozenset(finals),
+        transitions=frozenset(transitions),
     )
 
 
@@ -174,6 +215,21 @@ def brute_maximal_cover(domains, sigma: str) -> list[tuple[int, int]]:
             if b < n and accepted_by_any(domains, sigma[a - 1 : b + 1]):
                 continue
             out.append((a, b))
+    return out
+
+
+def stack_letter_outputs(tracker: Tracker, word: str) -> list[int]:
+    """The stack filter's output per letter, with breaks where the filter
+    transducer puts them: -1 on the letter after a maximal interval ends;
+    otherwise the owner's ``label_code`` where exactly one interval covers
+    the letter, and -1 where none or several do."""
+    cover = filter_local(tracker, word)
+    spans = list(zip(cover.intervals, cover.domain_sets))
+    ends = {b for (_a, b) in cover.intervals}
+    out = []
+    for j in range(1, len(word) + 1):
+        owners = [doms for (a, b), doms in spans if a <= j <= b]
+        out.append(label_code(owners[0]) if len(owners) == 1 and j - 1 not in ends else -1)
     return out
 
 
@@ -280,7 +336,7 @@ def filter_global_full_window(
     domains = tracker.domains
     n = len(word)
     window = word * (max(d.fa.state_count for d in domains) + 1)
-    syms = [tracker.dfa.alphabet.index(tok) for tok in window]
+    syms = [tracker.alphabet.index(tok) for tok in window]
     intervals, _, _, _ = reference_scan(tracker, syms, stats=stats)
     if intervals == [(1, len(window))]:
         return MaximalCover(
@@ -356,7 +412,7 @@ def reference_resync(tracker: Tracker) -> tuple[ResyncReport, ...]:
     The first singleton in the (specificity, past length) dictionary order
     wins; at the top specificity, the start alone at length 0 is one.
     """
-    dfa, step = tracker.dfa, tracker.step
+    dfa, step = tracker_dfa(tracker), tracker.step
     root = (frozenset(range(dfa.state_count)), 0)
     successors: dict = {}  # element -> [(letter, successor element)]
     index: dict[frozenset, int] = {}  # layer -> its number, in walk order

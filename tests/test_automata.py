@@ -7,6 +7,8 @@ from helpers import (
     language,
     random_nfa,
     reference_determinize,
+    sigma_star_prefix,
+    tracker_dfa,
     unconcat_last,
     zero_cycle_domain,
 )
@@ -32,7 +34,6 @@ from apdfilter.automata import (
     minimize,
     replace_finals,
     reverse_domain,
-    sigma_star_prefix,
     universal,
 )
 
@@ -129,7 +130,7 @@ class TestSubsetBudget:
         tracker = build_tracker([zero_cycle_domain(Random(seed), n)])
         ref = reference_determinize(tracker.union)
         assert tracker.masks == tuple(sum(1 << u for u in tag) for tag in ref.state_tags)
-        assert tracker.dfa == ref
+        assert tracker_dfa(tracker) == ref
 
 
 class TestIntersect:

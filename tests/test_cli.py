@@ -583,11 +583,16 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err == f"error: resync walk exceeds {MAX_RESYNC_WALK} elements\n"
 
-    @pytest.mark.parametrize("command", ["build", "stack", "ca-filter"])
+    @pytest.mark.parametrize(
+        "command", ["build", "stack", "ca-filter", "optimize", "build-optimize"]
+    )
     def test_subset_budget_exit_2_fast(self, tmp_path, capsys, command):
         # zero_cycle_domain(Random(3), 28): a 43 135-state tracker, stopped at
-        # MAX_SUBSETS before any resync walk or scan starts
+        # MAX_SUBSETS before any resync walk or scan starts.  The optimizer's
+        # past automaton of zero_cycle_domain(Random(9), 18), whose tracker
+        # has 2116 states, is stopped there too, before any resync walk
         dom = str(HOSTILE / "zc-3-28.dom")
+        past = str(HOSTILE / "zc-9-18.dom")
         diagram = tmp_path / "d.txt"
         diagram.write_text("0101\n1100\n")
         argv = {
@@ -595,6 +600,10 @@ class TestErrors:
             "stack": ["stack", "--domains", dom, "--input", "0101"],
             "ca-filter": [
                 "ca-filter", "--method", "stack", "--domains", dom, "--input", str(diagram)
+            ],
+            "optimize": ["optimize", "--domains", past, "-o", str(tmp_path / "z.dom")],
+            "build-optimize": [
+                "build", "--optimize", "--domains", past, "-o", str(tmp_path / "z.tdx")
             ],
         }[command]
         start = perf_counter()

@@ -60,9 +60,11 @@ class TestStartup:
         (["build", "--domains", str(GOLDEN / "rule110.dom")], {"ca", "optimizer", "render", "stackfilter"}),
         (["run", "--filter", str(GOLDEN / "rule110.tdx"), "--input", "0110"],
          {"ca", "domspec", "optimizer", "stackfilter"}),
+        (["run", "--filter", str(GOLDEN / "rule110.tdx"), "--input", "0110", "--bidi",
+          "--domains", str(GOLDEN / "rule110.dom")], {"optimizer", "stackfilter"}),
         (["ca", "--rule", "110", "--width", "8", "--steps", "2", "--init", "random:1"],
-         {"domspec", "optimizer", "render", "tdx"}),
-    ], ids=["build", "run", "ca"])
+         {"automata", "domspec", "optimizer", "render", "stackfilter", "tdx", "transducer"}),
+    ], ids=["build", "run", "run-bidi", "ca"])
     def test_a_command_loads_only_what_it_runs(self, argv, unused, tmp_path):
         out = tmp_path / "out"
         code = f"from apdfilter.cli import main\nassert main({[*argv, '-o', str(out)]!r}) == 0"

@@ -28,6 +28,7 @@ from apdfilter.automata import (
     Domain,
     FiniteAutomaton,
     accepts,
+    build_tracker,
     cyclic_domain,
     determinize,
     disjoint_union,
@@ -343,6 +344,13 @@ class TestOptimize:
         for doms in ([d18], [cyc001], runs01):
             for sd in optimize(doms):
                 assert language(sd.domain.fa, 10) == language(sd.original.fa, 10)
+
+    def test_one_subset_construction_for_the_past(self, d18, runs01, determinize_calls):
+        # the tracker is read off its step table, never determinized again;
+        # P, on the tracker's states plus a hub, is the one construction
+        optimize([d18, *runs01])
+        (nfa,) = determinize_calls
+        assert nfa.state_count == len(build_tracker([d18, *runs01]).masks) + 1
 
     def test_strict_growth_with_ambiguous_third_domain(self, runs01):
         doms = runs01 + [cyclic_domain("01", ALPHA01)]

@@ -12,12 +12,16 @@ import pytest
 from helpers import (
     ALPHA01,
     accepting_domains,
+    all_words,
     brute_maximal_cover,
     filter_global_full_window,
     parse_pgm,
     reference_accepts,
     reference_determinize,
     reference_evolve,
+    sigma_star_prefix,
+    stack_letter_outputs,
+    tracker_dfa,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +37,8 @@ from apdfilter.automata import (
 )
 from apdfilter import cli, stackfilter
 from apdfilter.ca import MAX_RULE_TABLE, CodedDiagram, evolve, filter_diagram, rule_from_number
+from apdfilter.domspec import parse_domain_spec
+from apdfilter.optimizer import optimize, past_automaton
 from apdfilter.render import emit_pgm, gray
 from apdfilter.stackfilter import FilterStats, filter_global, filter_local
 from apdfilter.tdx import load_transducer, save_transducer
@@ -203,6 +209,43 @@ def test_tracker_is_the_frozenset_construction(case):
     assert tracker.state_domains == tuple(
         frozenset(origin[u][0] + 1 for u in tag) for tag in ref.state_tags
     )
+
+
+@settings(max_examples=200)
+@given(domains_and_word())
+def test_past_automaton_is_the_prefixed_tracker(case):
+    # P read off the step table is the subset construction of the tracker
+    # automaton behind a hub: the same numbering, finals and tags
+    domains, _word = case
+    tracker = build_tracker(domains)
+    assert past_automaton(tracker) == determinize(sigma_star_prefix(tracker_dfa(tracker)))
+
+
+def decided_outputs(tracker, max_prefix: int, length: int) -> dict[str, int]:
+    """Every prefix of 1..max_prefix letters that decides the stack output
+    of its last letter (each extension to ``length`` letters gives that
+    letter the same output), with that output."""
+    seen: dict[str, set[int]] = {}
+    for word in all_words(tracker.alphabet, length, length):
+        out = stack_letter_outputs(tracker, word)
+        for n in range(1, max_prefix + 1):
+            seen.setdefault(word[:n], set()).add(out[n - 1])
+    return {p: outs.pop() for p, outs in seen.items() if len(outs) == 1}
+
+
+@pytest.mark.parametrize("name, decided_count", [("runs", 124), ("d18", 134), ("rule110", 116)])
+def test_filter_emits_every_decided_stack_output(name, decided_count):
+    # the paper's optimality claim where brute force can check it: an
+    # immediate-output filter cannot know more than the prefix read, and
+    # the best one knows no less, so where the prefix decides the stack
+    # output of its last letter the filter emits it, plain or optimized
+    _alphabet, parsed = parse_domain_spec((GOLDEN / f"{name}.dom").read_text())
+    domains = [pd.domain for pd in parsed]
+    decided = decided_outputs(build_tracker(domains), 7, 11)
+    assert len(decided) == decided_count
+    for t in (build_filter(domains), build_filter([sd.domain for sd in optimize(domains)])):
+        for prefix, want in decided.items():
+            assert max(transduce_codes(t, prefix)[-1], -1) == want, prefix
 
 
 @settings(max_examples=100)

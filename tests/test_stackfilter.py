@@ -74,7 +74,7 @@ class TestFilterLocal:
             for domains, tracker in zip(sets, trackers):
                 stats = FilterStats()
                 cover = filter_local(tracker, sigma, stats=stats)
-                m = tracker.dfa.state_count
+                m = len(tracker.masks)
                 assert stats.pair_advances <= len(sigma) * m, (sigma, len(domains))
                 brute = brute_maximal_cover(domains, sigma)
                 assert list(cover.intervals) == brute, (sigma, len(domains))

@@ -8,7 +8,7 @@ from helpers import (
     forbidden_pairs,
     random_domain,
     reference_resync,
-    step_det,
+    tracker_dfa,
     walk_transitions,
     zero_cycle_domain,
 )
@@ -106,7 +106,7 @@ def reports_by_pair(tracker):
 class TestResync:
     def test_d18_resyncs_to_boundary(self, d18):
         tracker = build_tracker([d18])
-        boundary = tag_state(tracker.dfa, {0})
+        boundary = tag_state(tracker_dfa(tracker), {0})
         report = reports_by_pair(tracker)[boundary, "1"]
         assert report.target == boundary
         assert (report.specificity, report.past_length) == (1, 1)
@@ -116,15 +116,15 @@ class TestResync:
 
     def test_two_runs_cross_domain(self, runs01):
         tracker = build_tracker(runs01)
-        zero_state = tag_state(tracker.dfa, {0})
-        one_state = tag_state(tracker.dfa, {1})
+        dfa = tracker_dfa(tracker)
+        zero_state, one_state = tag_state(dfa, {0}), tag_state(dfa, {1})
         report = reports_by_pair(tracker)[zero_state, "1"]
         assert report.target == one_state
         assert report.specificity == 1
 
     def test_repeated_symbol_resync(self):
         tracker = build_tracker([cyclic_domain("01", ALPHA01)])
-        after_zero = step_det(tracker.dfa, 0, 0)
+        after_zero = tracker.step[0][0]
         report = reports_by_pair(tracker)[after_zero, "0"]
         assert report.target == after_zero
         assert report.specificity == 1
@@ -138,7 +138,7 @@ class TestResync:
         tracker = build_tracker([p.domain for p in parsed])
         reports = resync(tracker)
         assert [(r.state, r.symbol) for r in reports] == [
-            (s, ALPHA01.symbols[sym]) for (s, sym) in forbidden_pairs(tracker.dfa)
+            (s, ALPHA01.symbols[sym]) for (s, sym) in forbidden_pairs(tracker_dfa(tracker))
         ]
         for report in reports:
             assert report.target == 0  # the tracker's start
@@ -147,7 +147,7 @@ class TestResync:
     def test_candidates_match_brute_oracle(self):
         for domains in oracle_sets():
             tracker = build_tracker(domains)
-            dfa = tracker.dfa
+            dfa = tracker_dfa(tracker)
             alphabet = dfa.alphabet
             reports = resync(tracker)
             assert [(r.state, r.symbol) for r in reports] == [
@@ -227,7 +227,7 @@ class TestBuildFilter:
                 tracker = build_tracker(domains)
                 t = build_filter(domains)
                 arcs = filter_arcs(t)
-                assert len(arcs) == tracker.dfa.state_count * len(alphabet)
+                assert len(arcs) == len(tracker.masks) * len(alphabet)
                 for a, row in enumerate(tracker.step):
                     for s, d in enumerate(row):
                         if d is not None:
@@ -243,10 +243,9 @@ class TestBuildFilter:
         resync(tracker)
         filter_local(tracker, "0010111")
         filter_global(tracker, "001")
-        assert "dfa" not in vars(tracker)
         t = build_filter([d18, *runs01])
         assert determinize_calls == []
-        assert t.state_tags == tracker.dfa.state_tags
+        assert t.state_tags == tracker_dfa(tracker).state_tags
 
 
 class TestTransduce:
