@@ -25,11 +25,6 @@ Transition = tuple[int, int, int]  # (source, symbol index, target)
 
 MAX_SUBSETS = 2**15  # reachable nonempty sets one subset construction may number
 
-# provenance tag kinds
-SubsetTag = frozenset[int]  # determinize: source states of the subset
-ProductTag = tuple[int, int]  # intersect: (left state, right state)
-OriginTag = tuple[int, int]  # disjoint_union: (input index, original state)
-
 
 class _Translation(dict):
     """Token code point -> ``chr(symbol index)`` for ``str.translate``; a missing key fails."""
@@ -147,6 +142,14 @@ class FiniteAutomaton:
         return SubsetSteps(self)
 
 
+def first_occurrence(signatures: Iterable) -> tuple[int, ...]:
+    """Number equal signatures alike, in order of first occurrence: two
+    partitions are the same exactly when their numberings compare equal."""
+    signatures = list(signatures)
+    ids = {sig: i for i, sig in enumerate(dict.fromkeys(signatures))}
+    return tuple(map(ids.__getitem__, signatures))
+
+
 def bits(mask: int):
     """The indices of the set bits of ``mask``, lowest first."""
     while mask:
@@ -217,10 +220,11 @@ class Domain:
     """Semi-deterministic automaton with every state both start and final.
 
     Such automata recognize factor-closed languages: any substring of an
-    accepted string is accepted.  Strong connectivity is required of
-    user-supplied domains (the domain-file parser enforces it) but not here,
-    because split domains produced by the optimizer legitimately carry
-    non-recurrent states.
+    accepted string is accepted.  A violation raises ``ValueError`` with
+    the message the domain-file parser reports.  Strong connectivity is
+    required of user-supplied domains (the parser enforces it) but not
+    here, because split domains produced by the optimizer legitimately
+    carry non-recurrent states.
     """
 
     fa: FiniteAutomaton
@@ -230,10 +234,12 @@ class Domain:
         all_states = frozenset(range(fa.state_count))
         if fa.state_count == 0:
             raise ValueError("domain has no states")
-        if fa.starts != all_states or fa.finals != all_states:
-            raise ValueError("domain states must all be start and final")
+        if fa.starts != all_states:
+            raise ValueError("not all states are start states")
+        if fa.finals != all_states:
+            raise ValueError("not all states are final states")
         if not fa.semi_deterministic:
-            raise ValueError("domain is not semi-deterministic")
+            raise ValueError("not semi-deterministic")
 
     @property
     def alphabet(self) -> Alphabet:
@@ -355,7 +361,7 @@ def disjoint_union(fas: Sequence[FiniteAutomaton]) -> FiniteAutomaton:
     starts: set[int] = set()
     finals: set[int] = set()
     transitions: set[Transition] = set()
-    tags: list[OriginTag] = []
+    tags: list[tuple[int, int]] = []
     offset = 0
     for i, fa in enumerate(fas):
         starts.update(offset + s for s in fa.starts)
@@ -464,22 +470,11 @@ def minimize(fa: FiniteAutomaton) -> FiniteAutomaton:
     else:
         d = complete(determinize(fa))
     succ = [[d.transition_table[s][sym][0] for sym in range(k)] for s in range(d.state_count)]
-    # Moore refinement from the final/non-final split
-    block = [1 if s in d.finals else 0 for s in range(d.state_count)]
-    while True:
-        signature = {
-            s: (block[s], tuple(block[t] for t in succ[s])) for s in range(d.state_count)
-        }
-        renum: dict[tuple, int] = {}
-        new_block = []
-        for s in range(d.state_count):
-            sig = signature[s]
-            if sig not in renum:
-                renum[sig] = len(renum)
-            new_block.append(renum[sig])
-        if len(renum) == len(set(block)):
-            break
-        block = new_block
+    # Moore refinement from the final/non-final split, until a pass splits nothing
+    block, refined = None, first_occurrence(s in d.finals for s in range(d.state_count))
+    while refined != block:
+        block = refined
+        refined = first_occurrence((b, tuple(block[t] for t in row)) for b, row in zip(block, succ))
     # breadth-first renumbering of the quotient
     start_block = block[next(iter(d.starts))]
     number: dict[int, int] = {start_block: 0}
@@ -532,21 +527,24 @@ def accepts(fa: FiniteAutomaton, word: str | Sequence[str]) -> bool:
     return bool(cur & steps.finals)
 
 
+def _reachable(starts: Iterable[int], arcs: Iterable[tuple[int, int]]) -> set[int]:
+    """The states reachable from ``starts`` over (source, target) arcs."""
+    nexts: dict[int, list[int]] = {}
+    for src, dst in arcs:
+        nexts.setdefault(src, []).append(dst)
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for d in nexts.get(stack.pop(), ()):
+            if d not in seen:
+                seen.add(d)
+                stack.append(d)
+    return seen
+
+
 def is_empty(fa: FiniteAutomaton) -> bool:
     """True iff no final state is reachable from a start state."""
-    seen = set(fa.starts)
-    queue = deque(seen)
-    table = fa.transition_table
-    while queue:
-        s = queue.popleft()
-        if s in fa.finals:
-            return False
-        for dsts in table[s].values():
-            for d in dsts:
-                if d not in seen:
-                    seen.add(d)
-                    queue.append(d)
-    return True
+    return fa.finals.isdisjoint(_reachable(fa.starts, ((s, d) for s, _sym, d in fa.transitions)))
 
 
 def equivalent(a: FiniteAutomaton, b: FiniteAutomaton) -> bool:
@@ -555,24 +553,11 @@ def equivalent(a: FiniteAutomaton, b: FiniteAutomaton) -> bool:
 
 
 def is_strongly_connected(fa: FiniteAutomaton) -> bool:
-    if fa.state_count <= 1:
-        return True
-
-    def reach(table):
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            s = queue.popleft()
-            for dsts in table[s].values():
-                for d in dsts:
-                    if d not in seen:
-                        seen.add(d)
-                        queue.append(d)
-        return seen
-
-    if len(reach(fa.transition_table)) != fa.state_count:
-        return False
-    return len(reach(reverse(fa).transition_table)) == fa.state_count
+    """Every state reaches state 0 and state 0 reaches every state."""
+    n = fa.state_count
+    forward = [(s, d) for s, _sym, d in fa.transitions]
+    backward = [(d, s) for s, d in forward]
+    return n <= 1 or len(_reachable([0], forward)) == len(_reachable([0], backward)) == n
 
 
 def cyclic_domain(word: str | Sequence[str], alphabet: Alphabet | None = None) -> Domain:

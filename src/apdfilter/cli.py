@@ -185,7 +185,12 @@ def _parse_init(init: str, k: int, width: int | None) -> bytes | tuple[int, ...]
             raise UsageError("random initial conditions need --width")
         if width < 1:
             raise UsageError(f"--width {width} is not a positive integer")
-        return random_row(k, width, _parse_int(init.split(":", 1)[1], init))
+        seed = _parse_int(init.split(":", 1)[1], init)
+        try:  # a row that cannot be built fails here, not after width steps of the generator
+            bytes(width)
+        except (MemoryError, OverflowError):
+            raise UsageError(f"--width {width}: the initial row does not fit in memory") from None
+        return random_row(k, width, seed)
     if init.startswith("word:"):
         word, _, reps = init.split(":", 1)[1].partition("^")
         # argv holds undecodable bytes as surrogates; the digit check refuses them

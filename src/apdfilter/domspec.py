@@ -51,16 +51,13 @@ def _fail(line_no: int, message: str):
 
 
 def _validate(name: str, fa: FiniteAutomaton, line_no: int, nonrecurrent: bool) -> Domain:
-    all_states = frozenset(range(fa.state_count))
-    if fa.starts != all_states:
-        _fail(line_no, f"domain {name}: not all states are start states")
-    if fa.finals != all_states:
-        _fail(line_no, f"domain {name}: not all states are final states")
-    if not fa.semi_deterministic:
-        _fail(line_no, f"domain {name}: not semi-deterministic")
+    try:
+        domain = Domain(fa)
+    except ValueError as e:
+        _fail(line_no, f"domain {name}: {e}")
     if not nonrecurrent and not is_strongly_connected(fa):
         _fail(line_no, f"domain {name}: not strongly connected")
-    return Domain(fa)
+    return domain
 
 
 def parse_domain_spec(text: str) -> tuple[Alphabet, list[ParsedDomain]]:

@@ -8,32 +8,42 @@ state P reaches on a word x holds the tracker state of every suffix of
 x, with the hub standing for the empty suffix (the tracker start).
 ``past_automaton`` reads P's nondeterministic form, the tracker behind a
 hub that may start it after any prefix, off the tracker's step table and
-determinizes it once.  A past w of union state s that a forbidden letter
-a sends to tracker state t is a suffix whose tracker state q has s in its
-subset tag and steps to t on a, so the starting partition at s groups
-P's states by their set of such (a, t) pieces.
+determinizes it once; everything after that reads integer tables.  A
+past of union state s that a forbidden letter a sends to tracker state t
+is a suffix whose tracker state q has s in its subset mask and steps to t
+on a.  So the starting partition at s groups P's states by their
+signature there: one bitmask of such targets t per forbidden letter.
 
 The partitions are then refined until they are compatible with the
-domain's own transitions: each pass is one Moore refinement step over P,
-splitting the states at s by their block there and the blocks of their
-letter successors at every successor state of s.  Finally each domain is
-rebuilt over (state, class) pairs.  The rebuilt domains recognize the same
-languages but let the filter pick a unique resynchronization state where
-the originals could not.
+domain's own transitions: each pass is one Moore refinement step over
+P's per-letter successor lists, splitting the states at s by their block
+there and the blocks of their letter successors at every successor state
+of s.  Finally each domain is rebuilt over (state, class) pairs.  The
+rebuilt domains recognize the same languages but let the filter pick a
+unique resynchronization state where the originals could not.
 
 Class ``j`` of a union state is its block ``j`` of P-states, and blocks
-are numbered by first occurrence.  P is numbered breadth-first, so the
-classes are ordered by the shortlex-least past word in each, and class 0
-holds the empty past.
+are numbered by first occurrence (``automata.first_occurrence``).  P is
+numbered breadth-first, so the classes are ordered by the shortlex-least
+past word in each, and class 0 holds the empty past.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from functools import reduce
+from operator import or_
+from typing import Sequence
 
-from .automata import Domain, FiniteAutomaton, Tracker, build_tracker, determinize
+from .automata import (
+    Domain,
+    FiniteAutomaton,
+    Tracker,
+    build_tracker,
+    determinize,
+    first_occurrence,
+)
 
 log = logging.getLogger(__name__)
 
@@ -62,19 +72,16 @@ class PastPartition:
     """Past classes of every union state as blocks of the past automaton.
 
     ``moves[s]`` holds union state ``s``'s (letter, target) transitions,
-    sorted.  ``blocks[s][p]`` is the block of P-state ``p`` at union state
-    ``s``, numbered by first occurrence, so two stages hold the same
-    partition exactly when their blocks compare equal.
+    sorted, and ``succ[a][p]`` is P-state ``p``'s successor on letter
+    ``a`` (P is complete).  ``blocks[s][p]`` is the block of P-state ``p``
+    at union state ``s``, numbered by first occurrence, so two stages hold
+    the same partition exactly when their blocks compare equal.
     """
 
     moves: tuple[tuple[tuple[int, int], ...], ...]
     past: FiniteAutomaton
+    succ: tuple[tuple[int, ...], ...]
     blocks: tuple[tuple[int, ...], ...]
-
-
-def _number(signatures: Iterable) -> tuple[int, ...]:
-    ids: dict = {}
-    return tuple(ids.setdefault(sig, len(ids)) for sig in signatures)
 
 
 def past_automaton(tracker: Tracker) -> FiniteAutomaton:
@@ -97,35 +104,39 @@ def initial_partition(domains: Sequence[Domain]) -> PastPartition:
     """Starting partition per union state.
 
     States with no forbidden letter keep the single all-strings class.
-    Otherwise P's states are grouped by their (forbidden letter, tracker
-    target) pieces; the states with no piece form the complement class,
-    which is added with a warning.
+    Otherwise P's states are grouped by their signature at union state s:
+    per forbidden letter, the bitmask of the tracker states that letter
+    steps to from the P-state's tracker states holding s.  The states
+    whose signature is all zeros form the complement class, which is
+    added with a warning.
     """
     tracker = build_tracker(domains)
-    union, step = tracker.union, tracker.step
+    union, step, masks = tracker.union, tracker.step, tracker.masks
     past = past_automaton(tracker)
+    succ = [[0] * past.state_count for _ in step]
+    for (p, sym, p2) in past.transitions:
+        succ[sym][p] = p2
     moves: list[list[tuple[int, int]]] = [[] for _ in range(union.state_count)]
     for (src, sym, dst) in sorted(union.transitions):
         moves[src].append((sym, dst))
+    targets = [[0 if t is None else 1 << t for t in row] for row in step]
+    m = len(masks)
+    # P's tags over tracker states, the hub read as the tracker start
+    tags = [frozenset(0 if q == m else q for q in tag) for tag in past.state_tags]
     blocks = []
     for s, out in enumerate(moves):
         allowed = {sym for sym, _dst in out}
-        forbidden = [sym for sym in range(len(step)) if sym not in allowed]
-        pieces = [
-            frozenset((sym, t) for sym in forbidden if (t := step[sym][q]) is not None)
-            if mask >> s & 1
-            else frozenset()
-            for q, mask in enumerate(tracker.masks)
-        ]
-        pieces.append(pieces[0])  # the hub is the tracker start
-        signatures = [frozenset().union(*(pieces[q] for q in tag)) for tag in past.state_tags]
-        if forbidden and frozenset() in signatures:
-            log.warning(
-                "state %d: past classes do not cover all strings; adding complement",
-                s,
-            )
-        blocks.append(_number(signatures))
-    return PastPartition(tuple(map(tuple, moves)), past, tuple(blocks))
+        forbidden = [row for sym, row in enumerate(targets) if sym not in allowed]
+        held = frozenset(q for q, mask in enumerate(masks) if mask >> s & 1)
+        helds = [tag & held for tag in tags]  # a P-state's signature depends only on these
+        signature = {
+            h: tuple(reduce(or_, map(row.__getitem__, h), 0) for row in forbidden)
+            for h in set(helds)
+        }
+        if forbidden and (0,) * len(forbidden) in signature.values():
+            log.warning("state %d: past classes do not cover all strings; adding complement", s)
+        blocks.append(first_occurrence(map(signature.__getitem__, helds)))
+    return PastPartition(tuple(map(tuple, moves)), past, tuple(map(tuple, succ)), tuple(blocks))
 
 
 def refine(part: PastPartition) -> PastPartition:
@@ -136,16 +147,15 @@ def refine(part: PastPartition) -> PastPartition:
     without outgoing transitions are unconstrained and keep their
     partition.
     """
-    table = part.past.transition_table
     blocks = []
     for row, moves in zip(part.blocks, part.moves):
         if not moves:
             blocks.append(row)
             continue
+        nexts = [(part.succ[sym], part.blocks[dst]) for sym, dst in moves]
         blocks.append(
-            _number(
-                (b, tuple(part.blocks[dst][table[p][sym][0]] for sym, dst in moves))
-                for p, b in enumerate(row)
+            first_occurrence(
+                (b, tuple(there[succ[p]] for succ, there in nexts)) for p, b in enumerate(row)
             )
         )
     return replace(part, blocks=tuple(blocks))
@@ -162,15 +172,6 @@ def class_fixpoint(part: PastPartition) -> tuple[PastPartition, int]:
     raise OptimizeError(f"class refinement did not stabilize within {MAX_PASSES} passes")
 
 
-def _first_states(row: Sequence[int]) -> list[int]:
-    """The first P-state of every block, indexed by block number."""
-    firsts: list[int] = []
-    for p, b in enumerate(row):
-        if b == len(firsts):
-            firsts.append(p)
-    return firsts
-
-
 def optimize(domains: Sequence[Domain]) -> list[SplitDomain]:
     """Split every domain by its refined past classes.
 
@@ -181,28 +182,23 @@ def optimize(domains: Sequence[Domain]) -> list[SplitDomain]:
     states are start and final, so the language is unchanged.
     """
     part, _passes = class_fixpoint(initial_partition(domains))
-    table = part.past.transition_table
-    firsts = [_first_states(row) for row in part.blocks]
     out = []
     off = 0
     for d in domains:
-        members: list[tuple[int, int]] = [
-            (s, j) for s in range(d.fa.state_count) for j in range(len(firsts[off + s]))
+        n = d.fa.state_count
+        # the first P-state of every block at each state, by block number
+        rows = part.blocks[off : off + n]
+        firsts = [[row.index(j) for j in range(max(row) + 1)] for row in rows]
+        members = [(s, j) for s, ps in enumerate(firsts) for j in range(len(ps))]
+        ids = {pair: i for i, pair in enumerate(members)}
+        transitions = [
+            (ids[(s, j)], sym, ids[(dst - off, part.blocks[dst][part.succ[sym][p]])])
+            for s, ps in enumerate(firsts)
+            for sym, dst in part.moves[off + s]
+            for j, p in enumerate(ps)
         ]
-        ids = {pair: n for n, pair in enumerate(members)}
-        transitions = set()
-        for (s, sym, s2) in d.fa.transitions:
-            row = part.blocks[off + s2]
-            for j, p in enumerate(firsts[off + s]):
-                transitions.add((ids[(s, j)], sym, ids[(s2, row[table[p][sym][0]])]))
-        fa = FiniteAutomaton(
-            alphabet=d.alphabet,
-            state_count=len(members),
-            starts=frozenset(range(len(members))),
-            finals=frozenset(range(len(members))),
-            transitions=frozenset(transitions),
-            state_tags=tuple(members),
-        )
+        every = range(len(members))
+        fa = FiniteAutomaton(d.alphabet, len(members), every, every, transitions, members)
         out.append(SplitDomain(domain=Domain(fa), original=d, members=tuple(members)))
-        off += d.fa.state_count
+        off += n
     return out

@@ -410,6 +410,16 @@ class TestCa:
         assert (code, out) == (1, "")
         assert err == f"usage error: bad --init '{init}': {2 * 10**19} cells do not fit in memory\n"
 
+    def test_ca_huge_random_width(self, capsys):
+        # the row is allocated before the generator runs, so a width that
+        # cannot be built is one usage error, not a loop of 10**19 steps
+        width = str(10**19)
+        code, out, err = run_cli(
+            capsys, "ca", "--rule", "110", "--steps", "1", "--width", width, "--init", "random:1"
+        )
+        assert (code, out) == (1, "")
+        assert err == f"usage error: --width {width}: the initial row does not fit in memory\n"
+
     def test_ca_filter_non_digit_cell(self, tmp_path, capsys, d18_file):
         diagram = tmp_path / "diagram.txt"
         diagram.write_text("0110\n\n01x0\n")

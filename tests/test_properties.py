@@ -34,10 +34,12 @@ from apdfilter.automata import (
     build_tracker,
     cyclic_domain,
     determinize,
+    equivalent,
+    is_strongly_connected,
 )
 from apdfilter import cli, stackfilter
 from apdfilter.ca import MAX_RULE_TABLE, CodedDiagram, evolve, filter_diagram, rule_from_number
-from apdfilter.domspec import parse_domain_spec
+from apdfilter.domspec import ParsedDomain, format_domain_spec, parse_domain_spec, spec_digest
 from apdfilter.optimizer import optimize, past_automaton
 from apdfilter.render import emit_pgm, gray
 from apdfilter.stackfilter import FilterStats, filter_global, filter_local
@@ -305,6 +307,43 @@ def test_shared_tracker_gives_fresh_tracker_covers(case, cap):
             got, want = FilterStats(), FilterStats()
             assert cover(shared, word, got) == cover(build_tracker(domains), word, want), word
             assert got.pair_advances == want.pair_advances, word
+
+
+@settings(max_examples=40)
+@given(domains_and_word())
+def test_domain_files_round_trip(case):
+    # .dom -> parse -> format -> parse keeps every language and state name,
+    # for generated domains and for the split domains optimize writes;
+    # domains that are not strongly connected are written nonrecurrent
+    domains, _word = case
+    alphabet = domains[0].alphabet
+    parsed = [
+        ParsedDomain(f"D{i}", d, tuple(f"q{s}" for s in range(d.fa.state_count)))
+        for i, d in enumerate(domains, 1)
+    ]
+    for pds in (parsed, cli._split_to_parsed(optimize(domains), parsed)):
+        nonrecurrent = not all(is_strongly_connected(pd.domain.fa) for pd in pds)
+        _alphabet, once = parse_domain_spec(format_domain_spec(alphabet, pds, nonrecurrent))
+        got_alphabet, twice = parse_domain_spec(format_domain_spec(alphabet, once, nonrecurrent))
+        assert got_alphabet == alphabet
+        assert [(pd.name, pd.state_names) for pd in twice] == [
+            (pd.name, pd.state_names) for pd in pds
+        ]
+        assert all(equivalent(a.domain.fa, b.domain.fa) for a, b in zip(pds, twice))
+
+
+@settings(max_examples=40)
+@given(domains_and_word())
+def test_filter_files_round_trip(case):
+    # .tdx -> save -> load -> save is byte-equal, plain and optimized, with
+    # and without the domain file's digest
+    domains, word = case
+    digest = spec_digest(word) if word else None
+    for t in (build_filter(domains), build_filter([sd.domain for sd in optimize(domains)])):
+        text = save_transducer(t, digest)
+        loaded, got_digest = load_transducer(text)
+        assert got_digest == digest
+        assert save_transducer(loaded, got_digest) == text
 
 
 @st.composite
