@@ -88,17 +88,13 @@ def _row_bytes(row: Sequence[int]) -> bytes:
 @dataclass(frozen=True)
 class CodedDiagram:
     """A filtered diagram: one wire code per cell (see ``symbol_code``),
-    each in ``code_range``: a domain label up to ``domain_count``, 0 for
-    ambiguity, or one of ``break_count`` break codes below 0.
+    each a domain label up to ``domain_count``, 0 for ambiguity, or one of
+    ``break_count`` break codes below 0.
     """
 
     codes: tuple[tuple[int, ...], ...]
     domain_count: int
     break_count: int
-
-    @property
-    def code_range(self) -> range:
-        return range(-self.break_count, self.domain_count + 1)
 
 
 def table_size(k: int, r: int) -> int:
@@ -193,21 +189,24 @@ def evolve(rule: CARule, initial: Sequence[int], steps: int) -> SpaceTimeDiagram
     return SpaceTimeDiagram(k=rule.k, rows=tuple(rows))
 
 
-def random_row(k: int, width: int, seed: int) -> tuple[int, ...]:
-    """Reproducible uniform initial row.
+def random_row(k: int, width: int, seed: int) -> bytes:
+    """Reproducible uniform initial row, one byte per cell (so k is at
+    most 256).  The row is allocated before the generator runs.
 
     Generator: splitmix64 seeded with the given value; each cell is the
     next output modulo k.
     """
+    if k > 256:
+        raise ValueError(f"k={k}: a row holds one byte per cell, so k is at most 256")
+    row = bytearray(width)
     state = seed & _MASK64
-    out = []
-    for _ in range(width):
+    for i in range(width):
         state = (state + 0x9E3779B97F4A7C15) & _MASK64
         z = state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        out.append((z ^ (z >> 31)) % k)
-    return tuple(out)
+        row[i] = (z ^ (z >> 31)) % k
+    return bytes(row)
 
 
 def _symbol_rows(diagram: SpaceTimeDiagram, alphabet: Alphabet) -> list:

@@ -177,7 +177,7 @@ def _parse_int(text: str, init: str) -> int:
         raise UsageError(f"bad --init {init!r}: {text!r} is not an integer") from None
 
 
-def _parse_init(init: str, k: int, width: int | None) -> bytes | tuple[int, ...]:
+def _parse_init(init: str, k: int, width: int | None) -> bytes:
     from .ca import FROM_TEXT, random_row
 
     if init.startswith("random:"):
@@ -186,11 +186,10 @@ def _parse_init(init: str, k: int, width: int | None) -> bytes | tuple[int, ...]
         if width < 1:
             raise UsageError(f"--width {width} is not a positive integer")
         seed = _parse_int(init.split(":", 1)[1], init)
-        try:  # a row that cannot be built fails here, not after width steps of the generator
-            bytes(width)
+        try:  # the row is allocated first: one that cannot be built fails before the generator runs
+            return random_row(k, width, seed)
         except (MemoryError, OverflowError):
             raise UsageError(f"--width {width}: the initial row does not fit in memory") from None
-        return random_row(k, width, seed)
     if init.startswith("word:"):
         word, _, reps = init.split(":", 1)[1].partition("^")
         # argv holds undecodable bytes as surrogates; the digit check refuses them

@@ -30,7 +30,6 @@ two-pass combination and the stack cover) code every break as -1.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
@@ -70,6 +69,7 @@ class Ambiguous:
 
 
 AMBIGUOUS = Ambiguous()
+_GAP = DomainBreak()  # a two-pass cell inside a gap: a break with no state pair
 
 OutputSymbol = Union[DomainLabel, DomainBreak, Ambiguous]
 
@@ -322,36 +322,6 @@ def transduce(
     return list(map(t.symbols.__getitem__, transduce_codes(t, sigma, mode)))
 
 
-def _fill_gaps(
-    combined: list[OutputSymbol],
-    forward_breaks: list[int],
-    backward_breaks: list[int],
-    circular: bool,
-) -> None:
-    """Mark everything between a right-to-left break and the next
-    left-to-right break; those cells sit inside an undetected defect.
-
-    The next forward break is monotone in the backward break, so visiting
-    the backward breaks in order fills every cell at most twice.
-    """
-    n = len(combined)
-    fwd = sorted(forward_breaks)
-    filled = -1  # furthest position filled so far, unwrapped
-    for b in sorted(backward_breaks):
-        i = bisect_left(fwd, b)
-        if i < len(fwd):
-            nxt = fwd[i]
-        elif circular and fwd:
-            nxt = fwd[0] + n  # wrap around
-        else:
-            break
-        for p in range(max(b, filled + 1), nxt + 1):
-            pos = p % n
-            if not isinstance(combined[pos], DomainBreak):
-                combined[pos] = DomainBreak()
-        filled = nxt
-
-
 def bidirectional(
     filters: tuple[Transducer, Transducer],
     sigma: str | Sequence[str],
@@ -360,29 +330,40 @@ def bidirectional(
     """Combine a left-to-right and a right-to-left pass of the
     (forward, backward) filters, as ``bidirectional_filters`` builds them.
 
-    Per position: the shared domain label when both passes agree, a break
-    when either pass breaks there or the position lies in a filled gap,
-    and the ambiguity mark otherwise.
+    Per position, in this order: the forward pass's break, the backward
+    pass's break, a break inside a gap, the domain label both passes share,
+    and the ambiguity mark.  A backward break opens a gap and the next
+    forward break closes it: the cells between them sit inside a defect
+    that neither pass saw whole.  A gap still open at the end stays
+    unfilled in linear mode and wraps around to the first forward break in
+    circular mode.
     """
     forward_t, backward_t = filters
     forward = transduce(forward_t, sigma, mode)
     backward = transduce(backward_t, sigma[::-1], mode)[::-1]
     combined: list[OutputSymbol] = []
-    for fwd, bwd in zip(forward, backward):
-        if isinstance(fwd, DomainBreak):
+    first = gap = None  # the first forward break; where the open gap starts
+
+    def fill(lo: int, hi: int | None) -> None:
+        combined[lo:hi] = [o if o.__class__ is DomainBreak else _GAP for o in combined[lo:hi]]
+
+    for i, (fwd, bwd) in enumerate(zip(forward, backward)):
+        if fwd.__class__ is DomainBreak:
+            if gap is not None:
+                fill(gap, None)
+                gap = None
+            if first is None:
+                first = i
             combined.append(fwd)
-        elif isinstance(bwd, DomainBreak):
+        elif bwd.__class__ is DomainBreak:
+            if gap is None:
+                gap = i
             combined.append(bwd)
-        elif isinstance(fwd, DomainLabel) and fwd == bwd:
-            combined.append(fwd)
         else:
-            combined.append(AMBIGUOUS)
-    _fill_gaps(
-        combined,
-        [i for i, o in enumerate(forward) if isinstance(o, DomainBreak)],
-        [i for i, o in enumerate(backward) if isinstance(o, DomainBreak)],
-        circular=mode == "circular",
-    )
+            combined.append(fwd if fwd == bwd else AMBIGUOUS)
+    if gap is not None and first is not None and mode == "circular":
+        fill(gap, None)
+        fill(0, first)
     return combined
 
 

@@ -14,7 +14,7 @@ reference for ``optimizer.past_automaton``, which reads the same automaton
 off the tracker's step table.  ``stack_letter_outputs`` reads the stack
 filter's output per letter off ``filter_local``, which the properties
 check against ``brute_maximal_cover``, with breaks where the filter
-transducer puts them.  There are five exceptions.
+transducer puts them.  There are six exceptions.
 ``reference_scan`` is the pair-stack scan with one dict of live pairs
 per letter, the reference for the configuration automaton, and
 ``filter_global_full_window`` is the periodic stack cover without its
@@ -26,7 +26,10 @@ representatives off the scan's last period.
 rescan of every layer per forbidden pair, the reference for the one-pass
 tables of ``transducer.resync``.  ``reference_evolve`` is the CA step
 with one rolling neighborhood index per cell, on tuples, the reference
-for ``evolve``'s byte lanes.  The
+for ``evolve``'s byte lanes.  ``reference_bidirectional`` combines two
+passes of ``walk_transitions`` position by position, walking from each
+backward break to its gap's end, the reference for ``bidirectional``'s
+one loop.  The
 reference optimizer at the end computes the optimizer's past classes
 by language algebra, one coarsest common refinement of minimized
 languages per union state and pass, which the optimizer itself replaced
@@ -68,7 +71,7 @@ from apdfilter.optimizer import (
     refine,
 )
 from apdfilter.stackfilter import FilterStats, MaximalCover, filter_local
-from apdfilter.transducer import ResyncReport, label_code
+from apdfilter.transducer import AMBIGUOUS, DomainBreak, DomainLabel, ResyncReport, label_code
 
 log = logging.getLogger(__name__)
 
@@ -602,6 +605,41 @@ def walk_transitions(t, tokens, circular: bool = False):
             code, state = arcs[state, t.alphabet.index(tok)]
             outputs.append(t.symbols[code])
     return outputs
+
+
+def reference_bidirectional(filters, sigma: str, mode: str = "linear") -> list:
+    """Two-pass combination from its definition.  A position holds the
+    forward pass's break, else the backward pass's break, else a gap break,
+    else the label both passes share, else ambiguity.  A gap runs from a
+    backward break to the first forward break at or after it (modulo n in
+    circular mode); a backward break with no such forward break opens none.
+    """
+    forward_t, backward_t = filters
+    circular = mode == "circular"
+    forward = walk_transitions(forward_t, sigma, circular)
+    backward = walk_transitions(backward_t, sigma[::-1], circular)[::-1]
+    n = len(sigma)
+    in_gap = [False] * n
+    for b in range(n):
+        if isinstance(backward[b], DomainBreak):
+            for p in range(b, b + n if circular else n):
+                if isinstance(forward[p % n], DomainBreak):
+                    for q in range(b, p):
+                        in_gap[q % n] = True
+                    break
+    out = []
+    for fwd, bwd, gap in zip(forward, backward, in_gap):
+        if isinstance(fwd, DomainBreak):
+            out.append(fwd)
+        elif isinstance(bwd, DomainBreak):
+            out.append(bwd)
+        elif gap:
+            out.append(DomainBreak())
+        elif isinstance(fwd, DomainLabel) and fwd == bwd:
+            out.append(fwd)
+        else:
+            out.append(AMBIGUOUS)
+    return out
 
 
 def d18_domain() -> Domain:

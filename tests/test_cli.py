@@ -504,6 +504,25 @@ class TestCa:
 
 
 class TestErrors:
+    def test_usage_errors(self, tmp_path, capsys, d18_file):
+        # each exits 1 with its one usage-error line and no output
+        row, blank, diagram = tmp_path / "row.txt", tmp_path / "blank.txt", tmp_path / "diagram.txt"
+        row.write_text("0110\n")
+        blank.write_text("\n  \n\n")
+        diagram.write_text("0110\n")
+        ca = ["ca", "--rule", "110", "--steps", "1"]
+        for argv, message in (
+            (ca + ["--init", "random:1"], "random initial conditions need --width"),
+            (ca + ["--init", "foo"], "bad --init 'foo'; use random:SEED, word:W[^N], or @FILE"),
+            (ca + ["--width", "5", "--init", f"@{row}"], "--width 5 does not match initial row length 4"),
+            (["ca-filter", "--method", "stack", "--domains", d18_file, "--input", str(blank)],
+             f"{blank}: empty diagram"),
+            (["ca-filter", "--method", "transducer", "--input", str(diagram)], "--method transducer needs --filter"),
+            (["ca-filter", "--method", "stack", "--input", str(diagram)], "--method stack needs --domains"),
+            (["ca-filter", "--method", "bidi", "--input", str(diagram)], "--method bidi needs --domains"),
+        ):
+            assert run_cli(capsys, *argv) == (1, "", f"usage error: {message}\n"), argv
+
     def test_unknown_flag(self, capsys):
         code, _o, err = run_cli(capsys, "stack", "--nope")
         assert code == 1

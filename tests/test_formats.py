@@ -97,6 +97,42 @@ class TestDomainSpec:
         with pytest.raises(DomainSpecError, match="duplicate domain"):
             parse_domain_spec(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("alphabet 0 1\ndomain D\n state p q p\nend\n", "line 3: duplicate state p"),
+            ("alphabet 0 1\ndomain D\n state p\n start p q\nend\n", "line 4: unknown state q"),
+            ("alphabet 0 1\ndomain D\n state p\n final q\nend\n", "line 4: unknown state q"),
+            ("alphabet 0 1\ndomain D\n state p\n trans p 0 q\nend\n", "line 4: unknown state q"),
+            ("alphabet 0 1\ndomain D\n state p\n trans q 0 p\nend\n", "line 4: unknown state q"),
+            ("alphabet 0 1\ndomain D\n state p\n trans p 0\nend\n", "line 4: trans needs: source symbol target"),
+            (
+                "alphabet 0 1\ndomain D\n state p\ndomain E cyclic 0\n",
+                "line 4: unexpected 'domain' inside a domain block",
+            ),
+            ("alphabet 0 1\nalphabet 0 1\n", "line 2: alphabet declared twice"),
+            ("alphabet 0 1 0\n", "line 1: alphabet has duplicate symbols"),
+            ("alphabet\n", "line 1: alphabet is empty"),
+            ("alphabet 0 1\ndomain\n", "line 2: domain needs a name"),
+            ("alphabet 0 1\ndomain D cyclic\n", "line 2: expected: domain NAME cyclic WORD"),
+            ("alphabet 0 1\ndomain D periodic 01\n", "line 2: expected: domain NAME cyclic WORD"),
+            ("alphabet 0 1\ndomain D cyclic 012\n", "line 2: symbol 2 not in the alphabet"),
+            ("alphabet 0 1\ndomain D cyclic 01\nend\n", "line 3: unknown directive 'end'"),
+            ("# no alphabet\n", "line 1: no alphabet declared"),
+            ("alphabet 0 1\n", "line 1: no domains declared"),
+            ("alphabet 0 1\ndomain D\nend\n", "line 3: domain D: no states declared"),
+            (
+                "alphabet 0 1\ndomain D\n state p q\n final p\n trans p 0 q\n trans q 0 p\nend\n",
+                "line 7: domain D: not all states are final states",
+            ),
+        ],
+    )
+    def test_parse_errors(self, text, message):
+        # every malformed line fails with its line number and one message
+        with pytest.raises(DomainSpecError) as error:
+            parse_domain_spec(text)
+        assert str(error.value) == message
+
     def test_round_trip(self):
         alphabet, parsed = parse_domain_spec(D18_SPEC)
         text = format_domain_spec(alphabet, parsed)
@@ -221,6 +257,7 @@ class TestTdxValidation:
             ("start 0", "start 0 7", 3),
             ("domains 1", "domains 1 1", 4),
             ("states 2", "states 2 2", 2),
+            ("states 2", "states x", 2),  # a field that is no integer
             ("trans 0 0 d1 1", "trans 0 0 d1 1 9", 5),
             ("brk1 0 0", "brk1 0 0 5", 9),
         ):
@@ -229,6 +266,15 @@ class TestTdxValidation:
                 load_transducer(VALID_TDX.replace(old, new))
         with pytest.raises(TdxError, match="^line 5: malformed 'hash' line$"):
             load_transducer(VALID_TDX.replace("domains 1\n", "domains 1\nhash ab cd\n"))
+
+    def test_unknown_directive_refused(self):
+        with pytest.raises(TdxError, match="^line 10: unknown directive 'state'$"):
+            load_transducer(VALID_TDX + "state 2\n")
+
+    def test_missing_domains_line_takes_the_largest_label(self):
+        text = VALID_TDX.replace("domains 1\n", "").replace("trans 1 1 d1 0", "trans 1 1 d3 0")
+        t, _digest = load_transducer(text)
+        assert t.domain_count == 3 and t.code == (1, -1, 1, 3)
 
     def test_domain_count_below_one_refused(self):
         # every arc ambiguous, so no label bounds the count from below

@@ -22,6 +22,9 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 # rule-110 string with two defects between stretches of its domain
 R110_STRING = "00010011011111" * 2 + "0110" + "00010011011111" * 2 + "1" + "00010011011111"
+# runs-of-zeros, runs-of-ones and alternation with breaks between: the bidi
+# passes disagree in places (ambiguity codes), and the circular gap wraps
+RUNS_STRING = "0000001111110101010100000011111"
 
 # (output file, argv); ``{g}`` is the golden directory
 CASES = [
@@ -47,6 +50,11 @@ CASES = [
     ("run-d18-bidi.csv",
      ["run", "--filter", "{g}/d18.tdx", "--input", "0100100110001011010000100111",
       "--bidi", "--domains", "{g}/d18.dom"]),
+    ("run-runs-bidi.csv",
+     ["run", "--filter", "{g}/runs.tdx", "--input", RUNS_STRING, "--bidi", "--domains", "{g}/runs.dom"]),
+    ("run-runs-bidi-circular.csv",
+     ["run", "--filter", "{g}/runs.tdx", "--input", RUNS_STRING, "--bidi", "--domains", "{g}/runs.dom",
+      "--circular"]),
     ("ca-rule110.txt",
      ["ca", "--rule", "110", "--width", "28", "--steps", "14", "--init", "random:7"]),
     ("ca-k3r2.txt",

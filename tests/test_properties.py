@@ -16,7 +16,9 @@ from helpers import (
     brute_maximal_cover,
     filter_global_full_window,
     parse_pgm,
+    random_domain,
     reference_accepts,
+    reference_bidirectional,
     reference_determinize,
     reference_evolve,
     sigma_star_prefix,
@@ -36,6 +38,7 @@ from apdfilter.automata import (
     determinize,
     equivalent,
     is_strongly_connected,
+    reverse_domain,
 )
 from apdfilter import cli, stackfilter
 from apdfilter.ca import MAX_RULE_TABLE, CodedDiagram, evolve, filter_diagram, rule_from_number
@@ -44,7 +47,7 @@ from apdfilter.optimizer import optimize, past_automaton
 from apdfilter.render import emit_pgm, gray
 from apdfilter.stackfilter import FilterStats, filter_global, filter_local
 from apdfilter.tdx import load_transducer, save_transducer
-from apdfilter.transducer import build_filter, transduce_codes
+from apdfilter.transducer import bidirectional, bidirectional_filters, build_filter, transduce_codes
 
 ALPHA012 = Alphabet(("0", "1", "2"))
 ALPHABETS = st.sampled_from([ALPHA01, ALPHA012])
@@ -383,6 +386,44 @@ def test_run_writes_the_coded_diagram(tmp_path_factory, case, mode, fmt):
             assert parse_pgm(want) == [[gray(c, n) for c in codes]]
         else:
             assert want == (",".join(map(str, codes)) + "\n").encode()
+
+
+def _reversible(d: Domain) -> bool:
+    try:
+        reverse_domain(d)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def bidi_runs(draw):
+    """A (forward, backward) filter pair, a mode, and a string of 0-60
+    letters (1-60 in circular mode).  The filters come from sets of 1-3
+    ``random_domain`` domains that reverse: one set and its reversal, as
+    ``bidirectional_filters`` builds them, or two sets of the same size.
+    Only two different sets leave a linear gap open at the end: from the
+    last backward break on, the string is a word no domain reads, so the
+    forward filter of the same set breaks on it too."""
+    alphabet = draw(ALPHABETS)
+    seeds = st.integers(0, 2**32 - 1).map(lambda seed: random_domain(Random(seed), alphabet))
+    reversible = seeds.filter(_reversible)
+    domains = draw(st.lists(reversible, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        filters = bidirectional_filters(domains)
+    else:
+        other = draw(st.lists(reversible, min_size=len(domains), max_size=len(domains)))
+        filters = build_filter(domains), build_filter([reverse_domain(d) for d in other])
+    mode = draw(st.sampled_from(["linear", "circular"]))
+    n = draw(st.integers(int(mode == "circular"), 60))  # uniform lengths: gaps need long strings
+    return filters, draw(words(alphabet, n, n)), mode
+
+
+@settings(max_examples=150)
+@given(bidi_runs())
+def test_bidirectional_is_the_gap_walk(case):
+    filters, word, mode = case
+    assert bidirectional(filters, word, mode) == reference_bidirectional(filters, word, mode)
 
 
 @st.composite
