@@ -7,8 +7,9 @@ intersection with the contributing pair, disjoint union with
 ``(input index, original state)``.
 
 There is one subset construction, ``SubsetSteps`` over bitmask state sets:
-``accepts`` fills its rows lazily, ``determinize`` and ``build_tracker``
-explore it eagerly, and ``MAX_SUBSETS`` bounds every exploration.
+``accepts`` fills its rows lazily; ``determinize``, ``build_tracker``,
+``minimize`` and ``complement`` explore it eagerly, the last two through
+one complete DFA with a sink; and ``MAX_SUBSETS`` bounds every exploration.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -128,9 +130,7 @@ class FiniteAutomaton:
     @property
     def semi_deterministic(self) -> bool:
         """No two transitions share (source, symbol)."""
-        return all(
-            len(dsts) == 1 for row in self.transition_table.values() for dsts in row.values()
-        )
+        return len({(src, sym) for src, sym, _ in self.transitions}) == len(self.transitions)
 
     @property
     def deterministic(self) -> bool:
@@ -401,41 +401,34 @@ def empty_language(alphabet: Alphabet) -> FiniteAutomaton:
     )
 
 
-def complete(fa: FiniteAutomaton) -> FiniteAutomaton:
-    """Add a sink state so every (state, symbol) has a transition."""
-    k = len(fa.alphabet)
-    missing = [
-        (s, sym)
-        for s in range(fa.state_count)
-        for sym in range(k)
-        if sym not in fa.transition_table[s]
-    ]
-    if not missing:
-        return fa
-    sink = fa.state_count
-    transitions = set(fa.transitions)
-    transitions.update((s, sym, sink) for (s, sym) in missing)
-    transitions.update((sink, sym, sink) for sym in range(k))
-    tags = None
-    if fa.state_tags is not None:
-        # the dead subset is the natural tag for the sink
-        tags = fa.state_tags + (frozenset(),)
-    return FiniteAutomaton(
-        alphabet=fa.alphabet,
-        state_count=sink + 1,
-        starts=fa.starts,
-        finals=fa.finals,
-        transitions=frozenset(transitions),
-        state_tags=tags,
-    )
+def _completed(fa: FiniteAutomaton) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The complete DFA of ``fa``: ``SubsetSteps.explore``'s sets, numbered
+    as it numbers them, each set's mask and its successors in alphabet
+    order, with a sink (mask 0) appended where some set lacks a successor."""
+    masks, succ = fa.subset_steps.explore()
+    sink = len(masks)
+    rows = [tuple(sink if j is None else j for j in row) for row in zip(*succ)]
+    if any(sink in row for row in rows):
+        masks.append(0)
+        rows.append((sink,) * len(succ))
+    return masks, rows
 
 
 def complement(fa: FiniteAutomaton) -> FiniteAutomaton:
-    """Accept exactly the strings over ``fa.alphabet`` that ``fa`` rejects."""
+    """Accept exactly the strings over ``fa.alphabet`` that ``fa`` rejects.
+    Its states are tagged with their source sets, the sink with the empty one."""
     if not fa.starts:
         return universal(fa.alphabet)
-    d = complete(determinize(fa))
-    return replace_finals(d, frozenset(range(d.state_count)) - d.finals)
+    masks, rows = _completed(fa)
+    finals = fa.subset_steps.finals
+    return FiniteAutomaton(
+        alphabet=fa.alphabet,
+        state_count=len(masks),
+        starts=frozenset([0]),
+        finals=frozenset(i for i, mask in enumerate(masks) if not mask & finals),
+        transitions=frozenset((i, sym, j) for i, row in enumerate(rows) for sym, j in enumerate(row)),
+        state_tags=tuple(frozenset(bits(mask)) for mask in masks),
+    )
 
 
 def difference(a: FiniteAutomaton, b: FiniteAutomaton) -> FiniteAutomaton:
@@ -464,44 +457,25 @@ def minimize(fa: FiniteAutomaton) -> FiniteAutomaton:
     """
     if not fa.starts:
         return empty_language(fa.alphabet)
-    k = len(fa.alphabet)
-    if fa.deterministic and len(fa.transitions) == fa.state_count * k:
-        d = fa  # already a complete DFA: no subset construction needed
-    else:
-        d = complete(determinize(fa))
-    succ = [[d.transition_table[s][sym][0] for sym in range(k)] for s in range(d.state_count)]
+    masks, rows = _completed(fa)
+    finals = fa.subset_steps.finals
     # Moore refinement from the final/non-final split, until a pass splits nothing
-    block, refined = None, first_occurrence(s in d.finals for s in range(d.state_count))
+    block, refined = None, first_occurrence(bool(mask & finals) for mask in masks)
     while refined != block:
         block = refined
-        refined = first_occurrence((b, tuple(block[t] for t in row)) for b, row in zip(block, succ))
-    # breadth-first renumbering of the quotient
-    start_block = block[next(iter(d.starts))]
-    number: dict[int, int] = {start_block: 0}
-    order = [start_block]
-    queue = deque([start_block])
-    rep: dict[int, int] = {}
-    for s in range(d.state_count):
-        rep.setdefault(block[s], s)
-    transitions: set[Transition] = set()
-    while queue:
-        b = queue.popleft()
-        for sym in range(k):
-            tb = block[succ[rep[b]][sym]]
-            if tb not in number:
-                number[tb] = len(order)
-                order.append(tb)
-                queue.append(tb)
-            transitions.add((number[b], sym, number[tb]))
-    finals = frozenset(
-        number[block[s]] for s in d.finals if block[s] in number
-    )
+        refined = first_occurrence((b, tuple(block[t] for t in row)) for b, row in zip(block, rows))
+    # explore numbered the sets breadth-first and the sink leads only to
+    # itself, so the blocks in order of first arrival (the start, then each
+    # set's successors in turn) are the quotient's breadth-first numbering
+    number = {b: i for i, b in enumerate(dict.fromkeys(block[t] for t in chain((0,), *rows)))}
     return FiniteAutomaton(
         alphabet=fa.alphabet,
-        state_count=len(order),
+        state_count=len(number),
         starts=frozenset([0]),
-        finals=finals,
-        transitions=frozenset(transitions),
+        finals=frozenset(number[b] for b, mask in zip(block, masks) if mask & finals),
+        transitions=frozenset(
+            (number[b], sym, number[block[t]]) for b, row in zip(block, rows) for sym, t in enumerate(row)
+        ),
     )
 
 

@@ -23,6 +23,7 @@ if TYPE_CHECKING:  # filter_diagram imports the filter modules its method runs
 
 _MASK64 = (1 << 64) - 1
 MAX_RULE_TABLE = 2**20  # bits of a rule number: k**(2r+1) entries of log2(k) bits
+MAX_DIAGRAM_CELLS = 2**30  # cells of one evolved diagram, its initial row included
 TO_TEXT = bytes.maketrans(bytes(range(10)), b"0123456789")
 FROM_TEXT = bytes.maketrans(b"0123456789", bytes(range(10)))
 
@@ -145,7 +146,8 @@ def rule_from_number(k: int, r: int, number: int) -> CARule:
 
 
 def evolve(rule: CARule, initial: Sequence[int], steps: int) -> SpaceTimeDiagram:
-    """Iterate the global map with wrap-around indexing.
+    """Iterate the global map with wrap-around indexing.  Diagrams of more
+    than ``MAX_DIAGRAM_CELLS`` cells are refused before the first step.
 
     Tables of at most 256 entries step a whole row as byte lanes: one
     big-integer sum forms every neighborhood index at once, and one
@@ -158,6 +160,8 @@ def evolve(rule: CARule, initial: Sequence[int], steps: int) -> SpaceTimeDiagram
         raise ValueError("empty initial row")
     if steps < 0:
         raise ValueError(f"negative step count {steps}")
+    if (steps + 1) * n > MAX_DIAGRAM_CELLS:
+        raise ValueError(f"{steps + 1} rows of {n} cells exceed {MAX_DIAGRAM_CELLS} cells")
     if max(row) >= rule.k:
         raise ValueError("symbol out of range")
     rows = [row]

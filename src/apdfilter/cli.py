@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 domain or filter construction
-error (parse failures, invariant violations, CA rule tables over the size
-limit) or a file that cannot be read or written.
+error (parse failures, invariant violations, CA rule tables or diagrams
+over their size limits) or a file that cannot be read or written.
 """
 
 # Each command imports the package functions it calls, so a call loads only
@@ -154,8 +154,8 @@ def _cmd_run(args) -> int:
     else:  # one walk emits each letter's text straight from a per-arc text table
         from .transducer import transduce_codes
 
-        n = t.domain_count
-        text = code_texts((lambda c: str(gray(c, n))) if pgm else str, n, len(t.breaks))
+        n = t.domain_count  # the shade spread; the texts run up to the largest label
+        text = code_texts((lambda c: str(gray(c, n))) if pgm else str, max(t.code), len(t.breaks))
         cells = transduce_codes(t, sigma, mode, list(map(text.__getitem__, t.code)))
         data = plain_pgm([" ".join(cells)], len(cells)) if pgm else ",".join(cells) + "\n"
     _write(args.output, data)
@@ -164,9 +164,9 @@ def _cmd_run(args) -> int:
 
 def _csv(labeled: CodedDiagram) -> str:
     """One line of wire codes per row, one precomputed string per code."""
-    from .render import code_texts
+    from .render import diagram_texts
 
-    text = code_texts(str, labeled.domain_count, labeled.break_count)
+    text = diagram_texts(str, labeled)
     return "\n".join([",".join(map(text.__getitem__, row)) for row in labeled.codes]) + "\n"
 
 
@@ -199,6 +199,7 @@ def _parse_init(init: str, k: int, width: int | None) -> bytes:
         # both checks come before the repeat, whose row may not fit in memory
         if not row or count < 1:
             raise UsageError(f"bad --init {init!r}: the initial row is empty")
+        _check_symbols(row, k, init)
         if width is not None and width != len(row) * count:
             raise UsageError(f"--width {width} does not match initial row length {len(row) * count}")
         try:
@@ -212,7 +213,13 @@ def _parse_init(init: str, k: int, width: int | None) -> bytes:
         raise UsageError(f"bad --init {init!r}: the file holds {len(more) + 1} rows, not one")
     if width is not None and width != len(row):
         raise UsageError(f"--width {width} does not match initial row length {len(row)}")
+    _check_symbols(row, k, init)
     return row
+
+
+def _check_symbols(row: bytes, k: int, init: str):
+    if max(row) >= k:
+        raise UsageError(f"bad --init {init!r}: digit {max(row)} is not a symbol of k={k}")
 
 
 def _cmd_ca(args) -> int:

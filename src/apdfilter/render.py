@@ -10,6 +10,7 @@ CSV wire code, ``symbol_code``, lives with the filter transducer in
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .transducer import symbol_code  # noqa: F401  (re-exported: the CSV wire code)
@@ -25,9 +26,20 @@ def gray(code: int, domain_count: int) -> int:
     return 128 if code == 0 else 0
 
 
-def code_texts(text: Callable[[int], str], domain_count: int, break_count: int) -> list[str]:
-    """``text(c)`` at list index c for every wire code c (breaks, below 0, from the end)."""
-    return [text(c) for c in (*range(domain_count + 1), *range(-break_count, 0))]
+def code_texts(text: Callable[[int], str], top: int, break_count: int) -> list[str]:
+    """``text(c)`` at list index c for every wire code c up to label ``top``
+    (breaks, below 0, from the end)."""
+    return [text(c) for c in (*range(top + 1), *range(-break_count, 0))]
+
+
+def diagram_texts(text: Callable[[int], str], diagram: CodedDiagram) -> list[str]:
+    """``code_texts`` for a coded diagram, up to its domain count, or up to
+    its largest code where that count passes its cell count: a declared
+    count costs at most one pass over the cells, never a table of its size."""
+    top, rows = diagram.domain_count, diagram.codes
+    if top > sum(map(len, rows)):
+        top = max(chain.from_iterable(rows), default=0)
+    return code_texts(text, top, diagram.break_count)
 
 
 def plain_pgm(lines: Sequence[str], width: int) -> bytes:
@@ -45,7 +57,7 @@ def emit_pgm(diagram: CodedDiagram | SpaceTimeDiagram) -> bytes:
 
     if isinstance(diagram, CodedDiagram):
         n, rows = diagram.domain_count, diagram.codes
-        shade = code_texts(lambda c: str(gray(c, n)), n, diagram.break_count)
+        shade = diagram_texts(lambda c: str(gray(c, n)), diagram)
     else:
         top = max(1, diagram.k - 1)  # a one-symbol diagram is all white
         shade, rows = [str(255 - v * 255 // top) for v in range(diagram.k)], diagram.rows

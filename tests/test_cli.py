@@ -24,6 +24,7 @@ end
 """
 
 HOSTILE = Path(__file__).resolve().parent / "data" / "hostile"
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 RUNS = """\
 alphabet 0 1
@@ -420,6 +421,20 @@ class TestCa:
         assert (code, out) == (1, "")
         assert err == f"usage error: --width {width}: the initial row does not fit in memory\n"
 
+    def test_ca_diagram_budget(self, capsys, monkeypatch):
+        # (steps + 1) * width is checked before the first step, not after
+        # the rows have filled memory
+        code, out, err = run_cli(
+            capsys, "ca", "--rule", "110", "--width", "10", "--steps", "100000000000", "--init", "random:1"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: 100000000001 rows of 10 cells exceed 1073741824 cells\n"
+        monkeypatch.setattr("apdfilter.ca.MAX_DIAGRAM_CELLS", 30)
+        argv = ["ca", "--rule", "110", "--steps", "2", "--init", "word:0110010111"]
+        assert run_cli(capsys, *argv)[0] == 0  # exactly the budget is allowed
+        argv[4] = "3"
+        assert run_cli(capsys, *argv) == (2, "", "error: 4 rows of 10 cells exceed 30 cells\n")
+
     def test_ca_filter_non_digit_cell(self, tmp_path, capsys, d18_file):
         diagram = tmp_path / "diagram.txt"
         diagram.write_text("0110\n\n01x0\n")
@@ -510,6 +525,8 @@ class TestErrors:
         row.write_text("0110\n")
         blank.write_text("\n  \n\n")
         diagram.write_text("0110\n")
+        bad_row = tmp_path / "bad-row.txt"
+        bad_row.write_text("0130\n")
         ca = ["ca", "--rule", "110", "--steps", "1"]
         for argv, message in (
             (ca + ["--init", "random:1"], "random initial conditions need --width"),
@@ -520,6 +537,10 @@ class TestErrors:
             (["ca-filter", "--method", "transducer", "--input", str(diagram)], "--method transducer needs --filter"),
             (["ca-filter", "--method", "stack", "--input", str(diagram)], "--method stack needs --domains"),
             (["ca-filter", "--method", "bidi", "--input", str(diagram)], "--method bidi needs --domains"),
+            # digits are checked against k, before a repeat
+            (ca + ["--init", "word:012"], "bad --init 'word:012': digit 2 is not a symbol of k=2"),
+            (ca + ["--init", f"word:2^{10**19}"], f"bad --init 'word:2^{10**19}': digit 2 is not a symbol of k=2"),
+            (ca + ["--init", f"@{bad_row}"], f"bad --init '@{bad_row}': digit 3 is not a symbol of k=2"),
         ):
             assert run_cli(capsys, *argv) == (1, "", f"usage error: {message}\n"), argv
 
@@ -601,6 +622,19 @@ class TestErrors:
         dup = str(HOSTILE / "dup-header.tdx")
         code, out, err = run_cli(capsys, "run", "--filter", dup, "--input", "0101")
         assert (code, out, err) == (2, "", "error: line 12: duplicate 'start' line\n")
+
+    def test_huge_declared_domain_count_costs_nothing(self, capsys):
+        # d18.tdx declaring 99999999999 domains: the text tables run up to
+        # the largest label used, and gray still spreads over the declared count
+        huge, d18 = str(HOSTILE / "huge-domains.tdx"), str(GOLDEN / "d18.tdx")
+        assert run_cli(capsys, "run", "--filter", huge, "--input", "0110") == (0, "1,1,-1,1\n", "")
+        diagram = str(GOLDEN / "ca-rule110.txt")
+        for argv in (
+            ["run", "--input", "0110", "--format", "pgm"],
+            ["ca-filter", "--method", "transducer", "--input", diagram],
+            ["ca-filter", "--method", "transducer", "--input", diagram, "--format", "csv"],
+        ):
+            assert run_cli(capsys, *argv, "--filter", huge) == run_cli(capsys, *argv, "--filter", d18), argv
 
     def test_resync_walk_budget_exit_2(self, tmp_path, capsys):
         # zero_cycle_domain(Random(9), 18): this partial 0-cycle's tracker

@@ -1,4 +1,5 @@
 import logging
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -36,8 +37,10 @@ from apdfilter.automata import (
     equivalent,
     is_empty,
     minimize,
+    reverse_domain,
     universal,
 )
+from apdfilter.domspec import parse_domain_spec
 from apdfilter.optimizer import (
     OptimizeError,
     initial_partition,
@@ -50,6 +53,7 @@ from apdfilter.transducer import build_filter
 
 
 ALPHA012 = Alphabet(("0", "1", "2"))
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 
 def binary_domain(transitions):
@@ -351,6 +355,17 @@ class TestOptimize:
         optimize([d18, *runs01])
         (nfa,) = determinize_calls
         assert nfa.state_count == len(build_tracker([d18, *runs01]).masks) + 1
+
+    def test_domains_build_no_transition_table(self):
+        # validation reads a domain's arcs as they stand: no parsed, split or
+        # reversed domain of a build keeps a per-state table
+        _alphabet, parsed = parse_domain_spec((GOLDEN / "rule110.dom").read_text())
+        domains = [pd.domain for pd in parsed]
+        split = [sd.domain for sd in optimize(domains)]
+        build_filter(domains)
+        build_filter(split)
+        for d in domains + split + [reverse_domain(d) for d in domains]:
+            assert "transition_table" not in vars(d.fa)
 
     def test_strict_growth_with_ambiguous_third_domain(self, runs01):
         doms = runs01 + [cyclic_domain("01", ALPHA01)]

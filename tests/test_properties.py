@@ -5,6 +5,7 @@ cases in about the same time."""
 
 import contextlib
 import io
+from dataclasses import replace
 from pathlib import Path
 from random import Random
 
@@ -15,8 +16,10 @@ from helpers import (
     all_words,
     brute_maximal_cover,
     filter_global_full_window,
+    language,
     parse_pgm,
     random_domain,
+    random_nfa,
     reference_accepts,
     reference_bidirectional,
     reference_determinize,
@@ -34,10 +37,13 @@ from apdfilter.automata import (
     FiniteAutomaton,
     accepts,
     build_tracker,
+    complement,
     cyclic_domain,
     determinize,
+    disjoint_union,
     equivalent,
     is_strongly_connected,
+    minimize,
     reverse_domain,
 )
 from apdfilter import cli, stackfilter
@@ -197,6 +203,27 @@ def test_determinize_is_the_frozenset_construction(case):
     for word in queries:
         accepts(fa, word)
     assert determinize(fa) == reference_determinize(fa)
+
+
+@st.composite
+def machine(draw) -> FiniteAutomaton:
+    """A ``random_nfa`` machine, the same with no start state, or a random
+    complete DFA, which needs no sink."""
+    alphabet, rng = draw(ALPHABETS), draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["nfa", "no start", "complete dfa"]))
+    if kind == "complete dfa":
+        n, k = rng.randint(1, 6), len(alphabet)
+        arcs = {(s, sym, rng.randrange(n)) for s in range(n) for sym in range(k)}
+        return FiniteAutomaton(alphabet, n, {rng.randrange(n)}, {s for s in range(n) if rng.random() < 0.4}, arcs)
+    fa = random_nfa(rng, alphabet)
+    return replace(fa, starts=()) if kind == "no start" else fa
+
+
+@settings(max_examples=150)
+@given(machine())
+def test_minimize_and_complement_share_one_complete_dfa(fa):
+    assert minimize(fa) == minimize(disjoint_union([fa, fa])) == minimize(complement(complement(fa)))
+    assert language(complement(fa), 6) == frozenset(all_words(fa.alphabet, 6)) - language(fa, 6)
 
 
 @settings(max_examples=200)
