@@ -151,13 +151,13 @@ def _cmd_run(args) -> int:
         out = bidirectional((t, reverse), sigma, mode)
         labeled = CodedDiagram((tuple(map(symbol_code, out)),), t.domain_count, 1)
         data = emit_pgm(labeled) if pgm else _csv(labeled)
-    else:  # one walk emits each letter's text straight from a per-arc text table
-        from .transducer import transduce_codes
+    else:  # one walk emits each letter's text straight from a per-arc text table, blocks at a time
+        from .transducer import transduce_text
 
         n = t.domain_count  # the shade spread; the texts run up to the largest label
         text = code_texts((lambda c: str(gray(c, n))) if pgm else str, max(t.code), len(t.breaks))
-        cells = transduce_codes(t, sigma, mode, list(map(text.__getitem__, t.code)))
-        data = plain_pgm([" ".join(cells)], len(cells)) if pgm else ",".join(cells) + "\n"
+        row = transduce_text(t, sigma, mode, list(map(text.__getitem__, t.code)), " " if pgm else ",")
+        data = plain_pgm([row], len(sigma)) if pgm else row + "\n"
     _write(args.output, data)
     return 0
 

@@ -21,9 +21,11 @@ table, written to and read from ``.tdx`` as is (a file that leaves an arc
 out fails to load), and run as is: for ``i = state*k + symbol``,
 ``next[i]`` is the target state times k and ``code[i]`` the wire code of
 the arc's output (``symbol_code``), with break code -j naming the
-(source, target) pair ``breaks[j - 1]``.  ``walk_codes`` is the one loop
-over it; ``transduce`` maps its codes to the filter's shared output
-symbols (``Transducer.symbols``).  Every code lies in
+(source, target) pair ``breaks[j - 1]``.  ``walk_codes`` is the one-letter
+loop over it; ``transduce`` maps its codes to the filter's shared output
+symbols (``Transducer.symbols``).  Text output on long strings
+(``walk_text``) walks the filter composed with itself over blocks of
+letters and ends with the one-letter loop.  Every code lies in
 ``-len(breaks)..domain_count``; outputs without break identity (the
 two-pass combination and the stack cover) code every break as -1.
 """
@@ -125,7 +127,8 @@ class Transducer:
     def symbols(self) -> dict[int, OutputSymbol]:
         """The filter's one output symbol per wire code."""
         symbols: dict[int, OutputSymbol] = {0: AMBIGUOUS}
-        symbols.update((i, DomainLabel(i)) for i in range(1, self.domain_count + 1))
+        # the labels the table emits, not every declared one: a count costs nothing
+        symbols.update((c, DomainLabel(c)) for c in sorted(set(self.code)) if c > 0)
         symbols.update((-j, DomainBreak(*pair)) for j, pair in enumerate(self.breaks, start=1))
         return symbols
 
@@ -284,29 +287,122 @@ def walk_codes(t: Transducer, symbols: Sequence[int], circular: bool = False, co
     Circular mode first walks the string once without output (the
     warm-up lap), then records the second lap.
     """
-    nxt, code = t.next, t.code if code is None else code
     state = t.start * len(t.alphabet)
-    out: list = []
-    push = out.append
     if circular:
-        for a in symbols:
-            state = nxt[state + a]
-    for a in symbols:
-        i = state + a
-        push(code[i])
-        state = nxt[i]
+        state = _lap(t.next, state, symbols)
+    out: list = []
+    _walk(t.next, t.code if code is None else code, state, symbols, out.append)
     return out
 
 
-def transduce_codes(t: Transducer, sigma: str | Sequence[str], mode: str = "linear", code=None) -> list:
-    """Run the filter over a string: one wire code (or ``code`` entry, see
-    ``walk_codes``) per input letter."""
+def _lap(nxt: Sequence[int], state: int, symbols: Sequence[int]) -> int:
+    """The state a walk over ``nxt`` reaches from ``state``, with no output."""
+    for a in symbols:
+        state = nxt[state + a]
+    return state
+
+
+def _walk(nxt: Sequence[int], out: Sequence, state: int, symbols: Sequence[int], push) -> int:
+    """Push each step's ``out`` entry on a walk over ``nxt`` from ``state``;
+    return the state reached."""
+    for a in symbols:
+        i = state + a
+        push(out[i])
+        state = nxt[i]
+    return state
+
+
+# A b-letter block table holds S*k**b entries, and a run of n letters takes
+# blocks of b letters only where it holds at most n / BLOCK_LETTERS_PER_ENTRY
+# of them, so building it costs a small share of the walk it shortens.
+# Measured in-process with the 27-state rule-110 filter (k = 2, CSV texts,
+# best of 40-200 runs on a 2-core VM under CPython 3.11): over 20 000 noise
+# letters the one-letter walk took 1.70 ms, b = 2 0.96 ms, b = 4 0.74 ms
+# (its 432-entry table built in the 0.26 ms included) and b = 8 1.44 ms
+# (1.7 ms of table); over 2000 letters b = 4 took 0.21 ms against 0.17 ms.
+BLOCK_LETTERS_PER_ENTRY = 32
+
+
+def block_length(n: int, state_count: int, k: int) -> int:
+    """Letters per block for a run of ``n`` letters: the largest b in 1, 2,
+    4, 8 whose block index fits a byte (k**b <= 256) and whose table of
+    ``state_count * k**b`` entries holds at most n / BLOCK_LETTERS_PER_ENTRY."""
+    b = 1
+    while b < 8 and k ** (2 * b) <= 256 and BLOCK_LETTERS_PER_ENTRY * state_count * k ** (2 * b) <= n:
+        b *= 2
+    return b
+
+
+def _block_table(
+    t: Transducer, texts: Sequence[str], sep: str, b: int
+) -> tuple[list[int], list[str]]:
+    """The filter composed with itself over b-letter blocks (b a power of
+    two): entry ``state*k**b + block``, whose index reads the block's
+    letters as base-k digits, first letter highest, holds the target state
+    times k**b and the block's per-arc ``texts`` joined by ``sep``.  Built
+    by doubling the block length from the one-letter table."""
+    k = size = len(t.alphabet)
+    nxt, out = [d // k for d in t.next], list(texts)  # unscaled targets, while the table grows
+    while size < k**b:
+        grown_next: list[int] = []
+        grown_out: list[str] = []
+        for i in range(len(nxt)):  # entry i = state*size + first half, then every second half
+            mid, head = nxt[i] * size, out[i] + sep
+            grown_next += nxt[mid : mid + size]
+            grown_out += [head + tail for tail in out[mid : mid + size]]
+        nxt, out, size = grown_next, grown_out, size * size
+    return [d * size for d in nxt], out
+
+
+def walk_text(
+    t: Transducer, symbols: Sequence[int], circular: bool, texts: Sequence[str], sep: str
+) -> str:
+    """``sep.join(walk_codes(t, symbols, circular, texts))``, where ``texts``
+    is a per-arc table of output texts, walked ``block_length`` letters at
+    a time: one lane sum over the symbol bytes (``k**b <= 256``, so no lane
+    carries) gives every block's index into ``_block_table``, and the one-letter
+    walk reads the last n mod b letters from the state the blocks reach.
+    Circular mode's warm-up lap reads next states only."""
+    n, k = len(symbols), len(t.alphabet)
+    b = block_length(n, t.state_count, k)
+    if b == 1:
+        return sep.join(walk_codes(t, symbols, circular, texts))
+    size, m = k**b, n - n % b
+    nxt, out = _block_table(t, texts, sep, b)
+    lanes = 0
+    for j in range(b):  # lane j holds letter j of every block
+        lanes = lanes * k + int.from_bytes(symbols[j:m:b], "little")
+    blocks, tail = lanes.to_bytes(m // b, "little"), symbols[m:]
+    state = t.start * size
+    if circular:
+        state = _lap(t.next, _lap(nxt, state, blocks) // size * k, tail) // k * size
+    cells: list[str] = []
+    state = _walk(nxt, out, state, blocks, cells.append)
+    _walk(t.next, texts, state // size * k, tail, cells.append)
+    return sep.join(cells)
+
+
+def _encode(t: Transducer, sigma: str | Sequence[str], mode: str) -> Sequence[int]:
+    """The symbol indices of a string to run in ``mode``."""
     if mode not in ("linear", "circular"):
         raise ValueError(f"bad mode {mode!r}")
     symbols = t.alphabet.encode(sigma)
     if mode == "circular" and not symbols:
         raise ValueError("circular mode needs a non-empty string")
-    return walk_codes(t, symbols, mode == "circular", code)
+    return symbols
+
+
+def transduce_codes(t: Transducer, sigma: str | Sequence[str], mode: str = "linear") -> list[int]:
+    """Run the filter over a string: one wire code per input letter."""
+    return walk_codes(t, _encode(t, sigma, mode), mode == "circular")
+
+
+def transduce_text(
+    t: Transducer, sigma: str | Sequence[str], mode: str, texts: Sequence[str], sep: str
+) -> str:
+    """Run the filter over a string as text: each letter's entry of the
+    per-arc table ``texts``, joined by ``sep`` (``walk_text``)."""
+    return walk_text(t, _encode(t, sigma, mode), mode == "circular", texts, sep)
 
 
 def transduce(

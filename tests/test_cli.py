@@ -1,4 +1,5 @@
 from pathlib import Path
+from random import Random
 from time import perf_counter
 
 import pytest
@@ -9,9 +10,15 @@ from apdfilter.automata import MAX_SUBSETS, reverse_domain
 from apdfilter.ca import evolve, random_row, rule_from_number
 from apdfilter.cli import main
 from apdfilter.domspec import parse_domain_spec
-from apdfilter.render import symbol_code
+from apdfilter.render import code_texts, gray, plain_pgm, symbol_code
 from apdfilter.tdx import load_transducer, save_transducer
-from apdfilter.transducer import MAX_RESYNC_WALK, bidirectional, build_filter
+from apdfilter.transducer import (
+    MAX_RESYNC_WALK,
+    bidirectional,
+    block_length,
+    build_filter,
+    transduce_codes,
+)
 
 D18_ONLY = """\
 alphabet 0 1
@@ -89,6 +96,27 @@ class TestBuildRun:
         )
         assert code == 0
         assert stdout.strip() == "1,1,1,1,1,1"
+
+    @pytest.mark.parametrize("fmt", ["csv", "pgm"])
+    @pytest.mark.parametrize("mode", ["linear", "circular"])
+    def test_run_long_input_is_the_letter_walk(self, tmp_path, capsys, fmt, mode):
+        # 10^5 letters walk the 27-state rule-110 filter 4 letters a time,
+        # and 2 letters past the last block one at a time; the output is
+        # the text of the one-letter walk's codes
+        tdx = GOLDEN / "rule110.tdx"
+        t, _digest = load_transducer(tdx.read_text())
+        rng = Random(110)
+        text = "".join(rng.choice("01") for _ in range(100_002))
+        assert block_length(len(text), t.state_count, 2) == 4
+        path = tmp_path / "s.txt"
+        path.write_text(text)
+        codes = transduce_codes(t, text, mode)
+        n = t.domain_count
+        texts = code_texts((lambda c: str(gray(c, n))) if fmt == "pgm" else str, max(t.code), len(t.breaks))
+        row = [texts[c] for c in codes]
+        want = plain_pgm([" ".join(row)], len(row)).decode() if fmt == "pgm" else ",".join(row) + "\n"
+        argv = ["run", "--filter", str(tdx), "--input", f"@{path}", "--format", fmt]
+        assert run_cli(capsys, *argv, *["--circular"] * (mode == "circular")) == (0, want, "")
 
     def test_run_bidi_needs_domains(self, tmp_path, capsys, d18_file):
         out = tmp_path / "f.tdx"

@@ -49,11 +49,19 @@ from apdfilter.automata import (
 from apdfilter import cli, stackfilter
 from apdfilter.ca import MAX_RULE_TABLE, CodedDiagram, evolve, filter_diagram, rule_from_number
 from apdfilter.domspec import ParsedDomain, format_domain_spec, parse_domain_spec, spec_digest
-from apdfilter.optimizer import optimize, past_automaton
+from apdfilter.optimizer import OptimizeError, optimize, past_automaton
 from apdfilter.render import emit_pgm, gray
 from apdfilter.stackfilter import FilterStats, filter_global, filter_local
 from apdfilter.tdx import load_transducer, save_transducer
-from apdfilter.transducer import bidirectional, bidirectional_filters, build_filter, transduce_codes
+from apdfilter.transducer import (
+    BLOCK_LETTERS_PER_ENTRY,
+    bidirectional,
+    bidirectional_filters,
+    build_filter,
+    transduce_codes,
+    walk_codes,
+    walk_text,
+)
 
 ALPHA012 = Alphabet(("0", "1", "2"))
 ALPHABETS = st.sampled_from([ALPHA01, ALPHA012])
@@ -413,6 +421,47 @@ def test_run_writes_the_coded_diagram(tmp_path_factory, case, mode, fmt):
             assert parse_pgm(want) == [[gray(c, n) for c in codes]]
         else:
             assert want == (",".join(map(str, codes)) + "\n").encode()
+
+
+@st.composite
+def block_walks(draw):
+    """A filter and a string of a length where ``block_length`` doubles (up
+    to 25 000 letters) plus 7, so that its prefixes from one letter short of
+    that length meet every remainder of every block length b <= 8 (each
+    such length is a multiple of 32).  The filter is the 3-state d18
+    filter, which reaches b = 2, 4 and 8, or one built from 1-3
+    ``random_domain`` domains, plain or optimized."""
+    if draw(st.booleans()):
+        t = GOLDEN_FILTERS[0]
+    else:
+        alphabet = draw(ALPHABETS)
+        seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3))
+        domains = [random_domain(Random(seed), alphabet) for seed in seeds]
+        try:
+            domains = [sd.domain for sd in optimize(domains)] if draw(st.booleans()) else domains
+        except OptimizeError:
+            pass
+        t = build_filter(domains)
+    k = len(t.alphabet)
+    entries = [t.state_count * k**b for b in (2, 4, 8) if k**b <= 256]
+    doublings = [BLOCK_LETTERS_PER_ENTRY * e for e in entries if BLOCK_LETTERS_PER_ENTRY * e <= 25_000] or [1]
+    n = draw(st.sampled_from(doublings)) + 7
+    rng = Random(draw(st.integers(0, 2**32 - 1)))
+    return t, rng.randbytes(n).translate(bytes(i % k for i in range(256)))
+
+
+@settings(max_examples=40)
+@given(case=block_walks(), sep=st.sampled_from([",", " "]))
+def test_block_walk_is_the_letter_walk(case, sep):
+    # the filter composed over b-letter blocks, a tail of n mod b letters
+    # walked one at a time from where the blocks end, and in circular mode
+    # a warm-up lap over both: the joined texts of the one-letter walk
+    t, word = case
+    texts = [f"{c}:{i}" for i, c in enumerate(t.code)]  # one text per arc, so a wrong state shows
+    for symbols in (word[:n] for n in range(len(word) - 8, len(word) + 1)):
+        for circular in (False, True):
+            want = sep.join(walk_codes(t, symbols, circular, texts))
+            assert walk_text(t, symbols, circular, texts, sep) == want, (len(symbols), circular)
 
 
 def _reversible(d: Domain) -> bool:

@@ -1,3 +1,4 @@
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -23,6 +24,7 @@ from apdfilter.automata import (
 from apdfilter.domspec import parse_domain_spec
 from apdfilter.optimizer import OptimizeError, optimize
 from apdfilter.stackfilter import filter_global, filter_local
+from apdfilter.tdx import load_transducer
 from apdfilter.transducer import (
     AMBIGUOUS,
     DomainBreak,
@@ -359,6 +361,16 @@ class TestIntegerLoop:
         out = transduce(t, "0110100101")
         assert all(o is t.symbols[code] for o, code in zip(out, transduce_codes(t, "0110100101")))
         assert {symbol_code(o) for o in t.symbols.values()} == {1, 0, -1}
+
+    def test_a_declared_domain_count_builds_no_symbols(self):
+        # d18.tdx declaring 99999999999 domains: the symbols are those of
+        # the codes the table emits, so the run is d18's
+        data = Path(__file__).resolve().parent / "data"
+        huge = load_transducer((data / "hostile" / "huge-domains.tdx").read_text())[0]
+        d18 = load_transducer((data / "golden" / "d18.tdx").read_text())[0]
+        one, jump = DomainLabel(1), DomainBreak(*d18.breaks[0])
+        assert transduce(huge, "0110") == [one, one, jump, one] == transduce(d18, "0110")
+        assert set(huge.symbols) == {0, 1, -1}
 
     def test_unknown_letter_and_bad_mode(self, d18):
         t = build_filter([d18])
