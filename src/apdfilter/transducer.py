@@ -287,11 +287,17 @@ def walk_codes(t: Transducer, symbols: Sequence[int], circular: bool = False, co
     Circular mode first walks the string once without output (the
     warm-up lap), then records the second lap.
     """
+    nxt, code = t.next, t.code if code is None else code
     state = t.start * len(t.alphabet)
-    if circular:
-        state = _lap(t.next, state, symbols)
     out: list = []
-    _walk(t.next, t.code if code is None else code, state, symbols, out.append)
+    push = out.append
+    if circular:
+        for a in symbols:
+            state = nxt[state + a]
+    for a in symbols:
+        i = state + a
+        push(code[i])
+        state = nxt[i]
     return out
 
 
@@ -326,9 +332,11 @@ BLOCK_LETTERS_PER_ENTRY = 32
 def block_length(n: int, state_count: int, k: int) -> int:
     """Letters per block for a run of ``n`` letters: the largest b in 1, 2,
     4, 8 whose block index fits a byte (k**b <= 256) and whose table of
-    ``state_count * k**b`` entries holds at most n / BLOCK_LETTERS_PER_ENTRY."""
+    ``state_count * k**b`` entries holds at most n / BLOCK_LETTERS_PER_ENTRY.
+    A one-letter alphabet keeps b = 1: its blocks all have index 0, so the
+    table cannot grow past one letter per entry."""
     b = 1
-    while b < 8 and k ** (2 * b) <= 256 and BLOCK_LETTERS_PER_ENTRY * state_count * k ** (2 * b) <= n:
+    while b < 8 and k > 1 and k ** (2 * b) <= 256 and BLOCK_LETTERS_PER_ENTRY * state_count * k ** (2 * b) <= n:
         b *= 2
     return b
 
@@ -395,14 +403,6 @@ def _encode(t: Transducer, sigma: str | Sequence[str], mode: str) -> Sequence[in
 def transduce_codes(t: Transducer, sigma: str | Sequence[str], mode: str = "linear") -> list[int]:
     """Run the filter over a string: one wire code per input letter."""
     return walk_codes(t, _encode(t, sigma, mode), mode == "circular")
-
-
-def transduce_text(
-    t: Transducer, sigma: str | Sequence[str], mode: str, texts: Sequence[str], sep: str
-) -> str:
-    """Run the filter over a string as text: each letter's entry of the
-    per-arc table ``texts``, joined by ``sep`` (``walk_text``)."""
-    return walk_text(t, _encode(t, sigma, mode), mode == "circular", texts, sep)
 
 
 def transduce(

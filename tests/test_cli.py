@@ -99,15 +99,23 @@ class TestBuildRun:
 
     @pytest.mark.parametrize("fmt", ["csv", "pgm"])
     @pytest.mark.parametrize("mode", ["linear", "circular"])
-    def test_run_long_input_is_the_letter_walk(self, tmp_path, capsys, fmt, mode):
+    @pytest.mark.parametrize("letters, b", [("01", 4), ("0", 1)])
+    def test_run_long_input_is_the_letter_walk(self, tmp_path, capsys, fmt, mode, letters, b):
         # 10^5 letters walk the 27-state rule-110 filter 4 letters a time,
-        # and 2 letters past the last block one at a time; the output is
-        # the text of the one-letter walk's codes
-        tdx = GOLDEN / "rule110.tdx"
+        # and 2 letters past the last block one at a time, and a one-letter
+        # alphabet's filter one letter a time; the output is the text of
+        # the one-letter walk's codes
+        if letters == "0":
+            dom = tmp_path / "z.dom"
+            dom.write_text("alphabet 0\ndomain Z cyclic 0\n")
+            tdx = tmp_path / "z.tdx"
+            assert run_cli(capsys, "build", "--domains", str(dom), "-o", str(tdx))[0] == 0
+        else:
+            tdx = GOLDEN / "rule110.tdx"
         t, _digest = load_transducer(tdx.read_text())
         rng = Random(110)
-        text = "".join(rng.choice("01") for _ in range(100_002))
-        assert block_length(len(text), t.state_count, 2) == 4
+        text = "".join(rng.choice(letters) for _ in range(100_002))
+        assert block_length(len(text), t.state_count, len(letters)) == b
         path = tmp_path / "s.txt"
         path.write_text(text)
         codes = transduce_codes(t, text, mode)

@@ -429,10 +429,14 @@ def block_walks(draw):
     to 25 000 letters) plus 7, so that its prefixes from one letter short of
     that length meet every remainder of every block length b <= 8 (each
     such length is a multiple of 32).  The filter is the 3-state d18
-    filter, which reaches b = 2, 4 and 8, or one built from 1-3
+    filter, which reaches b = 2, 4 and 8, the one-state filter over a
+    one-letter alphabet, which stays at b = 1, or one built from 1-3
     ``random_domain`` domains, plain or optimized."""
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["d18", "unary", "random"]))
+    if kind == "d18":
         t = GOLDEN_FILTERS[0]
+    elif kind == "unary":
+        t = build_filter([cyclic_domain("0", Alphabet(("0",)))])
     else:
         alphabet = draw(ALPHABETS)
         seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3))
