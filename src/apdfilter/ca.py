@@ -14,6 +14,7 @@ and ``FROM_TEXT`` maps them back.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -22,6 +23,8 @@ if TYPE_CHECKING:  # filter_diagram imports the filter modules its method runs
     from .transducer import Transducer
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # splitmix64's state increment
+RANDOM_CHUNK = 4096  # cells random_row mixes in one big-int pass
 MAX_RULE_TABLE = 2**20  # bits of a rule number: k**(2r+1) entries of log2(k) bits
 MAX_DIAGRAM_CELLS = 2**30  # cells of one evolved diagram, its initial row included
 TO_TEXT = bytes.maketrans(bytes(range(10)), b"0123456789")
@@ -197,19 +200,36 @@ def random_row(k: int, width: int, seed: int) -> bytes:
     """Reproducible uniform initial row, one byte per cell (so k is at
     most 256).  The row is allocated before the generator runs.
 
-    Generator: splitmix64 seeded with the given value; each cell is the
-    next output modulo k.
+    Generator: splitmix64 seeded with the given value; cell i is the mix
+    of the state ``seed + (i + 1) * GAMMA`` (mod 2**64), modulo k.  The
+    cells are mixed ``RANDOM_CHUNK`` at a time: one int holds a 128-bit
+    lane per cell, its state in the low word, so that a 64-bit value
+    times a 64-bit constant cannot carry into the next lane, and every
+    lane's state steps on by ``RANDOM_CHUNK * GAMMA`` to the next chunk.
     """
-    if k > 256:
-        raise ValueError(f"k={k}: a row holds one byte per cell, so k is at most 256")
+    if not 1 <= k <= 256:
+        raise ValueError(f"k={k}: a row holds one byte per cell, so k is between 1 and 256")
     row = bytearray(width)
-    state = seed & _MASK64
-    for i in range(width):
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        row[i] = (z ^ (z >> 31)) % k
+    n = min(width, RANDOM_CHUNK)
+    # the lanes' low words, little-endian on every host: a cast view copies 8-byte
+    # words byte for byte, and only this format reads their values (big-endian
+    # hosts are untested: CI runs on little-endian ones only)
+    words = f"<{n}Q"
+    ones = int.from_bytes(b"\1".ljust(16, b"\0") * n, "little")  # 1 in every lane
+    lanes = ones * _MASK64  # the low word of every lane
+    index = bytearray(16 * n)  # lane i is words 2i (low) and 2i + 1 (high, zero)
+    memoryview(index).cast("Q")[::2] = memoryview(struct.pack(words, *range(1, n + 1))).cast("Q")
+    state = (int.from_bytes(index, "little") * _GAMMA + (seed & _MASK64) * ones) & lanes
+    advance = (n * _GAMMA & _MASK64) * ones
+    for lo in range(0, width, RANDOM_CHUNK):
+        if width - lo < n:  # a shorter last chunk: drop the lanes past the row's end
+            state &= (1 << 128 * (width - lo)) - 1
+        z = ((state ^ (state >> 30) & lanes) * 0xBF58476D1CE4E5B9) & lanes
+        z = ((z ^ (z >> 27) & lanes) * 0x94D049BB133111EB) & lanes
+        z ^= z >> 31 & lanes
+        low = memoryview(z.to_bytes(16 * n, "little")).cast("Q")[::2].tobytes()
+        row[lo : lo + n] = bytes(map(k.__rmod__, struct.unpack(words, low)[: width - lo]))
+        state = (state + advance) & lanes
     return bytes(row)
 
 

@@ -152,12 +152,9 @@ def refine(part: PastPartition) -> PastPartition:
         if not moves:
             blocks.append(row)
             continue
-        nexts = [(part.succ[sym], part.blocks[dst]) for sym, dst in moves]
-        blocks.append(
-            first_occurrence(
-                (b, tuple(there[succ[p]] for succ, there in nexts)) for p, b in enumerate(row)
-            )
-        )
+        # per move s --a--> s', the block at s' of every P-state's a-successor
+        nexts = (map(part.blocks[dst].__getitem__, part.succ[sym]) for sym, dst in moves)
+        blocks.append(first_occurrence(zip(row, *nexts)))
     return replace(part, blocks=tuple(blocks))
 
 

@@ -14,7 +14,7 @@ reference for ``optimizer.past_automaton``, which reads the same automaton
 off the tracker's step table.  ``stack_letter_outputs`` reads the stack
 filter's output per letter off ``filter_local``, which the properties
 check against ``brute_maximal_cover``, with breaks where the filter
-transducer puts them.  There are six exceptions.
+transducer puts them.  There are seven exceptions.
 ``reference_scan`` is the pair-stack scan with one dict of live pairs
 per letter, the reference for the configuration automaton, and
 ``filter_global_full_window`` is the periodic stack cover without its
@@ -26,7 +26,9 @@ representatives off the scan's last period.
 rescan of every layer per forbidden pair, the reference for the one-pass
 tables of ``transducer.resync``.  ``reference_evolve`` is the CA step
 with one rolling neighborhood index per cell, on tuples, the reference
-for ``evolve``'s byte lanes.  ``reference_bidirectional`` combines two
+for ``evolve``'s byte lanes, and ``reference_random_row`` is splitmix64
+one step per cell, the reference for ``random_row``'s 128-bit lanes.
+``reference_bidirectional`` combines two
 passes of ``walk_transitions`` position by position, walking from each
 backward break to its gap's end, the reference for ``bidirectional``'s
 one loop.  The
@@ -497,6 +499,21 @@ def reference_evolve(rule: CARule, initial: Sequence[int], steps: int) -> list[t
             idx = idx * k + v
         rows.append(tuple([table[idx := idx * k % size + v] for v in ext[2 * r :]]))
     return rows
+
+
+def reference_random_row(k: int, width: int, seed: int) -> bytes:
+    """The row of ``random_row``, one Python splitmix64 step per cell: the
+    state steps by the golden gamma, each cell is the mixed state modulo k."""
+    mask = (1 << 64) - 1
+    row = bytearray(width)
+    state = seed & mask
+    for i in range(width):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        row[i] = (z ^ (z >> 31)) % k
+    return bytes(row)
 
 
 def number_from_table(k: int, r: int, table: Sequence[int]) -> int:

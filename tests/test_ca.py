@@ -2,7 +2,7 @@ import math
 from random import Random
 
 import pytest
-from helpers import ALPHA01, number_from_table, orbit_multiplicity_at
+from helpers import ALPHA01, number_from_table, orbit_multiplicity_at, reference_random_row
 
 from apdfilter.automata import Alphabet, build_tracker, cyclic_domain
 from apdfilter.ca import (
@@ -166,6 +166,16 @@ class TestEvolve:
         assert a == random_row(2, 64, 42)
         assert a != random_row(2, 64, 43)
         assert set(a) <= {0, 1}
+        # the first cells of seed 42, pinned so that a change to the
+        # reference generator itself shows
+        first = bytes([1, 1, 0, 0, 0, 0, 1, 0, 1, 0, 1, 0, 0, 1, 0, 0])
+        assert a[:16] == reference_random_row(2, 16, 42) == first
+        assert random_row(10, 16, 42) == bytes([3, 1, 8, 4, 0, 2, 5, 8, 5, 4, 7, 6, 8, 5, 6, 0])
+
+    @pytest.mark.parametrize("k", [0, -2, 257])
+    def test_random_row_refuses_bad_k(self, k):
+        with pytest.raises(ValueError, match=f"k={k}: a row holds one byte per cell"):
+            random_row(k, 8, 1)
 
 
 class TestFilterDiagram:

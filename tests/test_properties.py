@@ -24,6 +24,7 @@ from helpers import (
     reference_bidirectional,
     reference_determinize,
     reference_evolve,
+    reference_random_row,
     sigma_star_prefix,
     stack_letter_outputs,
     tracker_dfa,
@@ -47,7 +48,15 @@ from apdfilter.automata import (
     reverse_domain,
 )
 from apdfilter import cli, stackfilter
-from apdfilter.ca import MAX_RULE_TABLE, CodedDiagram, evolve, filter_diagram, rule_from_number
+from apdfilter.ca import (
+    MAX_RULE_TABLE,
+    RANDOM_CHUNK,
+    CodedDiagram,
+    evolve,
+    filter_diagram,
+    random_row,
+    rule_from_number,
+)
 from apdfilter.domspec import ParsedDomain, format_domain_spec, parse_domain_spec, spec_digest
 from apdfilter.optimizer import OptimizeError, optimize, past_automaton
 from apdfilter.render import emit_pgm, gray
@@ -185,6 +194,16 @@ def test_evolve_is_the_rolling_index(case):
     for width in range(1, len(row) + 1):
         rows = evolve(rule, row[:width], steps).rows
         assert rows == tuple(map(bytes, reference_evolve(rule, row[:width], steps))), width
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 10, 255, 256])
+def test_random_row_is_splitmix64(k):
+    # widths on both sides of one and two chunk edges; seeds past both ends
+    # of the 64-bit state
+    widths = [1, 2, RANDOM_CHUNK - 1, RANDOM_CHUNK, RANDOM_CHUNK + 1, 2 * RANDOM_CHUNK + 3]
+    for width in widths:
+        for seed in [0, 1, -5, 2**64 - 1, 2**64 + 3]:
+            assert random_row(k, width, seed) == reference_random_row(k, width, seed), (width, seed)
 
 
 @settings(max_examples=300)
