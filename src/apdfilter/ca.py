@@ -292,6 +292,8 @@ def filter_diagram(
     if method not in ("bidi", "stack"):
         raise ValueError(f"unknown method {method!r}")
     domains = list(source)
+    if not domains:
+        raise ValueError("need at least one domain")
     tokens = list(domains[0].alphabet.symbols)  # a bound list __getitem__ calls faster than a tuple's
     rows = [list(map(tokens.__getitem__, row)) for row in _symbol_rows(diagram, domains[0].alphabet)]
     if method == "bidi":

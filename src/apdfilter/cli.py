@@ -152,13 +152,12 @@ def _cmd_run(args) -> int:
         labeled = CodedDiagram((tuple(map(symbol_code, out)),), t.domain_count, 1)
         data = emit_pgm(labeled) if pgm else _csv(labeled)
     else:  # one walk emits each letter's text straight from a per-arc text table, blocks at a time
-        from .transducer import _encode, walk_text
+        from .transducer import walk_text
 
         n = t.domain_count  # the shade spread; the texts run up to the largest label
         text = code_texts((lambda c: str(gray(c, n))) if pgm else str, max(t.code), len(t.breaks))
-        symbols = _encode(t, sigma, mode)
-        row = walk_text(t, symbols, mode == "circular", list(map(text.__getitem__, t.code)), " " if pgm else ",")
-        data = plain_pgm([row], len(symbols)) if pgm else row + "\n"
+        row = walk_text(t, sigma, mode, list(map(text.__getitem__, t.code)), " " if pgm else ",")
+        data = plain_pgm([row], len(sigma)) if pgm else row + "\n"  # a string is read one letter per character
     _write(args.output, data)
     return 0
 

@@ -21,11 +21,11 @@ table, written to and read from ``.tdx`` as is (a file that leaves an arc
 out fails to load), and run as is: for ``i = state*k + symbol``,
 ``next[i]`` is the target state times k and ``code[i]`` the wire code of
 the arc's output (``symbol_code``), with break code -j naming the
-(source, target) pair ``breaks[j - 1]``.  ``walk_codes`` is the one-letter
-loop over it; ``transduce`` maps its codes to the filter's shared output
-symbols (``Transducer.symbols``).  Text output on long strings
-(``walk_text``) walks the filter composed with itself over blocks of
-letters and ends with the one-letter loop.  Every code lies in
+(source, target) pair ``breaks[j - 1]``.  ``_lap`` and ``_walk`` are the
+letter loops over it: ``walk_codes`` emits codes, one letter a step, and
+``transduce`` maps them to the filter's shared output symbols
+(``Transducer.symbols``); ``walk_text`` emits text, blocks at a time, over
+the filter composed with itself (``_block_table``).  Every code lies in
 ``-len(breaks)..domain_count``; outputs without break identity (the
 two-pass combination and the stack cover) code every break as -1.
 """
@@ -279,28 +279,6 @@ def symbol_code(symbol: OutputSymbol) -> int:
     raise ValueError(f"not an output symbol: {symbol!r}")
 
 
-def walk_codes(t: Transducer, symbols: Sequence[int], circular: bool = False, code=None) -> list:
-    """Wire codes of one run over symbol indices (each in ``0..k-1``), or
-    each letter's entry of a per-arc table ``code`` given in place of
-    ``t.code``: one table lookup per letter, as every (state, letter) has its arc.
-
-    Circular mode first walks the string once without output (the
-    warm-up lap), then records the second lap.
-    """
-    nxt, code = t.next, t.code if code is None else code
-    state = t.start * len(t.alphabet)
-    out: list = []
-    push = out.append
-    if circular:
-        for a in symbols:
-            state = nxt[state + a]
-    for a in symbols:
-        i = state + a
-        push(code[i])
-        state = nxt[i]
-    return out
-
-
 def _lap(nxt: Sequence[int], state: int, symbols: Sequence[int]) -> int:
     """The state a walk over ``nxt`` reaches from ``state``, with no output."""
     for a in symbols:
@@ -316,6 +294,21 @@ def _walk(nxt: Sequence[int], out: Sequence, state: int, symbols: Sequence[int],
         push(out[i])
         state = nxt[i]
     return state
+
+
+def walk_codes(t: Transducer, symbols: Sequence[int], circular: bool = False) -> list[int]:
+    """Wire codes of one run over symbol indices (each in ``0..k-1``): one
+    table lookup per letter, as every (state, letter) has its arc.
+
+    Circular mode first walks the string once without output (the
+    warm-up lap), then records the second lap.
+    """
+    state = t.start * len(t.alphabet)
+    if circular:
+        state = _lap(t.next, state, symbols)
+    out: list[int] = []
+    _walk(t.next, t.code, state, symbols, out.append)
+    return out
 
 
 # A b-letter block table holds S*k**b entries, and a run of n letters takes
@@ -362,27 +355,27 @@ def _block_table(
     return [d * size for d in nxt], out
 
 
-def walk_text(
-    t: Transducer, symbols: Sequence[int], circular: bool, texts: Sequence[str], sep: str
-) -> str:
-    """``sep.join(walk_codes(t, symbols, circular, texts))``, where ``texts``
-    is a per-arc table of output texts, walked ``block_length`` letters at
-    a time: one lane sum over the symbol bytes (``k**b <= 256``, so no lane
-    carries) gives every block's index into ``_block_table``, and the one-letter
-    walk reads the last n mod b letters from the state the blocks reach.
-    Circular mode's warm-up lap reads next states only."""
+def walk_text(t: Transducer, sigma: str | Sequence[str], mode: str, texts: Sequence[str], sep: str) -> str:
+    """The per-arc ``texts`` of a run in ``mode``, one per letter, joined
+    by ``sep``, walked ``block_length`` letters at a time.  Over b > 1, one
+    lane sum over the symbol bytes (``k**b <= 256``, so no lane carries)
+    gives every block's index into ``_block_table``, and the one-letter
+    walk reads the last n mod b letters from the state the blocks reach;
+    over b = 1 the blocks are the letters.  Circular mode's warm-up lap
+    reads next states only."""
+    symbols = _encode(t, sigma, mode)
     n, k = len(symbols), len(t.alphabet)
     b = block_length(n, t.state_count, k)
-    if b == 1:
-        return sep.join(walk_codes(t, symbols, circular, texts))
     size, m = k**b, n - n % b
     nxt, out = _block_table(t, texts, sep, b)
-    lanes = 0
-    for j in range(b):  # lane j holds letter j of every block
-        lanes = lanes * k + int.from_bytes(symbols[j:m:b], "little")
-    blocks, tail = lanes.to_bytes(m // b, "little"), symbols[m:]
+    blocks, tail = symbols, symbols[m:]
+    if b > 1:
+        lanes = 0
+        for j in range(b):  # lane j holds letter j of every block
+            lanes = lanes * k + int.from_bytes(symbols[j:m:b], "little")
+        blocks = lanes.to_bytes(m // b, "little")
     state = t.start * size
-    if circular:
+    if mode == "circular":
         state = _lap(t.next, _lap(nxt, state, blocks) // size * k, tail) // k * size
     cells: list[str] = []
     state = _walk(nxt, out, state, blocks, cells.append)

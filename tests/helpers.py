@@ -624,6 +624,23 @@ def walk_transitions(t, tokens, circular: bool = False):
     return outputs
 
 
+def walk_arc_table(t, symbols: Sequence[int], table: Sequence, circular: bool = False) -> list:
+    """Each letter's entry of a per-arc ``table`` on a walk over symbol
+    indices, one arc of ``t.next`` at a time.  Circular mode walks twice
+    from the start and keeps the second lap.
+    """
+    k = len(t.alphabet)
+    state = t.start
+    entries = []
+    for _lap in range(2 if circular else 1):
+        entries = []
+        for a in symbols:
+            i = state * k + a
+            entries.append(table[i])
+            state = t.next[i] // k
+    return entries
+
+
 def reference_bidirectional(filters, sigma: str, mode: str = "linear") -> list:
     """Two-pass combination from its definition.  A position holds the
     forward pass's break, else the backward pass's break, else a gap break,

@@ -275,10 +275,16 @@ class TestFilterDiagram:
         assert list(labeled.codes) == want
 
     def test_unknown_method(self):
+        # and the domain methods without a domain, as build_tracker fails
         dom = cyclic_domain("0", ALPHA01)
         diag = SpaceTimeDiagram(k=2, rows=((0, 0),))
-        with pytest.raises(ValueError, match="unknown method"):
-            filter_diagram("nope", [dom], diag)
+        for method, source, message in (
+            ("nope", [dom], "unknown method"),
+            ("bidi", [], "^need at least one domain$"),
+            ("stack", [], "^need at least one domain$"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                filter_diagram(method, source, diag)
 
 
 class TestDiagramTypes:

@@ -30,6 +30,7 @@ domain D18
 end
 """
 
+WIDE_LETTERS = "".join(chr(0x100 + i) for i in range(300))
 HOSTILE = Path(__file__).resolve().parent / "data" / "hostile"
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
@@ -99,15 +100,18 @@ class TestBuildRun:
 
     @pytest.mark.parametrize("fmt", ["csv", "pgm"])
     @pytest.mark.parametrize("mode", ["linear", "circular"])
-    @pytest.mark.parametrize("letters, b", [("01", 4), ("0", 1)])
+    @pytest.mark.parametrize(
+        "letters, b", [("01", 4), ("0", 1), pytest.param(WIDE_LETTERS, 1, id="300letters-1")]
+    )
     def test_run_long_input_is_the_letter_walk(self, tmp_path, capsys, fmt, mode, letters, b):
         # 10^5 letters walk the 27-state rule-110 filter 4 letters a time,
-        # and 2 letters past the last block one at a time, and a one-letter
-        # alphabet's filter one letter a time; the output is the text of
-        # the one-letter walk's codes
-        if letters == "0":
+        # and 2 letters past the last block one at a time, and the filters
+        # over one letter and over 300 (read into a list, not bytes; the PGM
+        # width is the character count) one letter a time; the output is
+        # the text of the one-letter walk's codes
+        if letters != "01":
             dom = tmp_path / "z.dom"
-            dom.write_text("alphabet 0\ndomain Z cyclic 0\n")
+            dom.write_text(f"alphabet {' '.join(letters)}\ndomain Z cyclic {letters[:2]}\n")
             tdx = tmp_path / "z.tdx"
             assert run_cli(capsys, "build", "--domains", str(dom), "-o", str(tdx))[0] == 0
         else:

@@ -28,6 +28,7 @@ from helpers import (
     sigma_star_prefix,
     stack_letter_outputs,
     tracker_dfa,
+    walk_arc_table,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -442,20 +443,30 @@ def test_run_writes_the_coded_diagram(tmp_path_factory, case, mode, fmt):
             assert want == (",".join(map(str, codes)) + "\n").encode()
 
 
+# a filter over 300 letters: ``Alphabet.encode`` reads its strings into a
+# list, not bytes, and its walks keep one letter a block
+WIDE_ALPHABET = Alphabet(tuple(chr(0x100 + i) for i in range(300)))
+WIDE_FILTER = build_filter([cyclic_domain(WIDE_ALPHABET.symbols[:2], WIDE_ALPHABET)])
+
+
 @st.composite
 def block_walks(draw):
     """A filter and a string of a length where ``block_length`` doubles (up
     to 25 000 letters) plus 7, so that its prefixes from one letter short of
     that length meet every remainder of every block length b <= 8 (each
-    such length is a multiple of 32).  The filter is the 3-state d18
-    filter, which reaches b = 2, 4 and 8, the one-state filter over a
-    one-letter alphabet, which stays at b = 1, or one built from 1-3
-    ``random_domain`` domains, plain or optimized."""
-    kind = draw(st.sampled_from(["d18", "unary", "random"]))
+    such length is a multiple of 32), as symbol indices and as text.  The
+    filter is the 3-state d18 filter, which reaches b = 2, 4 and 8, the
+    one-state filter over a one-letter alphabet, which stays at b = 1, the
+    300-letter ``WIDE_FILTER``, which no block length fits (its strings
+    have 107 letters), or one built from 1-3 ``random_domain`` domains,
+    plain or optimized."""
+    kind = draw(st.sampled_from(["d18", "unary", "wide", "random"]))
     if kind == "d18":
         t = GOLDEN_FILTERS[0]
     elif kind == "unary":
         t = build_filter([cyclic_domain("0", Alphabet(("0",)))])
+    elif kind == "wide":
+        t = WIDE_FILTER
     else:
         alphabet = draw(ALPHABETS)
         seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3))
@@ -467,10 +478,11 @@ def block_walks(draw):
         t = build_filter(domains)
     k = len(t.alphabet)
     entries = [t.state_count * k**b for b in (2, 4, 8) if k**b <= 256]
-    doublings = [BLOCK_LETTERS_PER_ENTRY * e for e in entries if BLOCK_LETTERS_PER_ENTRY * e <= 25_000] or [1]
+    doublings = [BLOCK_LETTERS_PER_ENTRY * e for e in entries if BLOCK_LETTERS_PER_ENTRY * e <= 25_000] or [100]
     n = draw(st.sampled_from(doublings)) + 7
     rng = Random(draw(st.integers(0, 2**32 - 1)))
-    return t, rng.randbytes(n).translate(bytes(i % k for i in range(256)))
+    symbols = [rng.randrange(k) for _ in range(n)]
+    return t, symbols, "".join(map(t.alphabet.symbols.__getitem__, symbols))
 
 
 @settings(max_examples=40)
@@ -478,13 +490,17 @@ def block_walks(draw):
 def test_block_walk_is_the_letter_walk(case, sep):
     # the filter composed over b-letter blocks, a tail of n mod b letters
     # walked one at a time from where the blocks end, and in circular mode
-    # a warm-up lap over both: the joined texts of the one-letter walk
-    t, word = case
+    # a warm-up lap over both: the joined texts of a walk one arc at a
+    # time; the codes of ``walk_codes`` are that walk's too
+    t, symbols, word = case
     texts = [f"{c}:{i}" for i, c in enumerate(t.code)]  # one text per arc, so a wrong state shows
-    for symbols in (word[:n] for n in range(len(word) - 8, len(word) + 1)):
-        for circular in (False, True):
-            want = sep.join(walk_codes(t, symbols, circular, texts))
-            assert walk_text(t, symbols, circular, texts, sep) == want, (len(symbols), circular)
+    for n in range(len(word) - 8, len(word) + 1):
+        for circular in (False, True)[: 1 + (n > 0)]:  # circular mode needs a letter
+            mode = "circular" if circular else "linear"
+            want = sep.join(walk_arc_table(t, symbols[:n], texts, circular))
+            assert walk_text(t, word[:n], mode, texts, sep) == want, (n, mode)
+            codes = walk_codes(t, t.alphabet.encode(word[:n]), circular)
+            assert codes == walk_arc_table(t, symbols[:n], t.code, circular), (n, mode)
 
 
 def _reversible(d: Domain) -> bool:
