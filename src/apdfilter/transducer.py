@@ -361,15 +361,15 @@ def walk_text(t: Transducer, sigma: str | Sequence[str], mode: str, texts: Seque
     lane sum over the symbol bytes (``k**b <= 256``, so no lane carries)
     gives every block's index into ``_block_table``, and the one-letter
     walk reads the last n mod b letters from the state the blocks reach;
-    over b = 1 the blocks are the letters.  Circular mode's warm-up lap
-    reads next states only."""
+    over b = 1 the blocks are the letters and the table is the filter's.
+    Circular mode's warm-up lap reads next states only."""
     symbols = _encode(t, sigma, mode)
     n, k = len(symbols), len(t.alphabet)
     b = block_length(n, t.state_count, k)
     size, m = k**b, n - n % b
-    nxt, out = _block_table(t, texts, sep, b)
-    blocks, tail = symbols, symbols[m:]
+    nxt, out, blocks, tail = t.next, texts, symbols, symbols[m:]  # b = 1: the filter's own table
     if b > 1:
+        nxt, out = _block_table(t, texts, sep, b)
         lanes = 0
         for j in range(b):  # lane j holds letter j of every block
             lanes = lanes * k + int.from_bytes(symbols[j:m:b], "little")
