@@ -609,21 +609,6 @@ def filter_arcs(t) -> dict[tuple[int, int], tuple[int, int]]:
     return {divmod(i, k): (c, d // k) for i, (d, c) in enumerate(zip(t.next, t.code))}
 
 
-def walk_transitions(t, tokens, circular: bool = False):
-    """Outputs of a filter over ``tokens`` by a direct walk over its arcs.
-    Circular mode walks twice from the start and keeps the second lap.
-    """
-    arcs = filter_arcs(t)
-    state = t.start
-    outputs = []
-    for _lap in range(2 if circular else 1):
-        outputs = []
-        for tok in tokens:
-            code, state = arcs[state, t.alphabet.index(tok)]
-            outputs.append(t.symbols[code])
-    return outputs
-
-
 def walk_arc_table(t, symbols: Sequence[int], table: Sequence, circular: bool = False) -> list:
     """Each letter's entry of a per-arc ``table`` on a walk over symbol
     indices, one arc of ``t.next`` at a time.  Circular mode walks twice
@@ -639,6 +624,12 @@ def walk_arc_table(t, symbols: Sequence[int], table: Sequence, circular: bool = 
             entries.append(table[i])
             state = t.next[i] // k
     return entries
+
+
+def walk_transitions(t, tokens, circular: bool = False):
+    """Outputs of a filter over ``tokens`` by a direct walk over its arcs."""
+    symbols = [t.alphabet.index(tok) for tok in tokens]
+    return walk_arc_table(t, symbols, [t.symbols[c] for c in t.code], circular)
 
 
 def reference_bidirectional(filters, sigma: str, mode: str = "linear") -> list:
