@@ -567,13 +567,3 @@ def reverse_domain(d: Domain) -> Domain:
         raise ValueError("domain not reversible; use stack filter")
     return Domain(rev)
 
-
-def replace_finals(fa: FiniteAutomaton, finals: Iterable[int]) -> FiniteAutomaton:
-    return FiniteAutomaton(
-        alphabet=fa.alphabet,
-        state_count=fa.state_count,
-        starts=fa.starts,
-        finals=frozenset(finals),
-        transitions=fa.transitions,
-        state_tags=fa.state_tags,
-    )

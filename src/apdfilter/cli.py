@@ -145,12 +145,12 @@ def _cmd_run(args) -> int:
                 f"--domains has {len(parsed)} domain(s) over {' '.join(alphabet.symbols)}, "
                 f"the filter {t.domain_count} over {' '.join(t.alphabet.symbols)}"
             )
-        if digest is not None and spec_digest(text) != digest:
-            print("warning: filter was built from a different domain file", file=sys.stderr)
         reverse = build_filter([reverse_domain(pd.domain) for pd in parsed])
         out = bidirectional((t, reverse), sigma, mode)
         labeled = CodedDiagram((tuple(map(symbol_code, out)),), t.domain_count, 1)
         data = emit_pgm(labeled) if pgm else _csv(labeled)
+        if digest is not None and spec_digest(text) != digest:  # after the run, so an error is the one line
+            print("warning: filter was built from a different domain file", file=sys.stderr)
     else:  # one walk emits each letter's text straight from a per-arc text table, blocks at a time
         from .transducer import walk_text
 

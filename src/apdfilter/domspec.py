@@ -14,12 +14,12 @@ explicit state/transition blocks or through the ``cyclic`` shorthand::
       trans q 1 p
     end
 
-Lines starting with ``#`` are comments.  Parse errors carry line numbers;
-invariant violations name the domain and the failed property.
+``#`` starts a comment line; ``end`` takes no arguments.  Parse errors carry
+line numbers; invariant violations name the domain and the failed property.
 
 Split domains written by the optimizer keep their non-recurrent states, so
-their blocks carry a ``nonrecurrent`` marker line that waives the strong
-connectivity check on re-parse.
+their blocks carry a ``nonrecurrent`` marker line, with no arguments, that
+waives the strong connectivity check on re-parse.
 """
 
 from __future__ import annotations
@@ -50,132 +50,107 @@ def _fail(line_no: int, message: str):
     raise DomainSpecError(f"line {line_no}: {message}")
 
 
-def _validate(name: str, fa: FiniteAutomaton, line_no: int, nonrecurrent: bool) -> Domain:
-    try:
-        domain = Domain(fa)
-    except ValueError as e:
-        _fail(line_no, f"domain {name}: {e}")
-    if not nonrecurrent and not is_strongly_connected(fa):
-        _fail(line_no, f"domain {name}: not strongly connected")
-    return domain
+# block directives with a fixed argument count, and the message when it differs
+_ARITY = {
+    "trans": (3, "trans needs: source symbol target"),
+    "end": (0, "end takes no arguments"),
+    "nonrecurrent": (0, "nonrecurrent takes no arguments"),
+}
+
+
+@dataclass
+class _Block:  # the open domain block; a start or final mark of None is every state
+    name: str
+    states: dict[str, int]  # numbered as declared
+    starts: set[int] | None
+    finals: set[int] | None
+    arcs: set[tuple[int, int, int]]
+    nonrecurrent: bool
 
 
 def parse_domain_spec(text: str) -> tuple[Alphabet, list[ParsedDomain]]:
     alphabet: Alphabet | None = None
-    parsed: list[ParsedDomain] = []
-    names = set()
-    block: dict | None = None
-
-    def close_block(line_no: int):
-        nonlocal block
-        assert block is not None
-        if not block["states"]:
-            _fail(line_no, f"domain {block['name']}: no states declared")
-        order = block["states"]
-        index = {s: i for i, s in enumerate(order)}
-        starts = block["starts"] if block["starts"] is not None else set(order)
-        finals = block["finals"] if block["finals"] is not None else set(order)
-        fa = FiniteAutomaton(
-            alphabet=alphabet,
-            state_count=len(order),
-            starts=frozenset(index[s] for s in starts),
-            finals=frozenset(index[s] for s in finals),
-            transitions=frozenset(
-                (index[s], sym, index[d]) for (s, sym, d) in block["trans"]
-            ),
-        )
-        parsed.append(
-            ParsedDomain(
-                name=block["name"],
-                domain=_validate(block["name"], fa, line_no, block["nonrecurrent"]),
-                state_names=tuple(order),
-            )
-        )
-        block = None
-
+    parsed: dict[str, ParsedDomain] = {}
+    block: _Block | None = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
             continue
-        fields = line.split()
         word, args = fields[0], fields[1:]
-        if block is not None:
-            if word == "state":
-                for s in args:
-                    if s in block["states"]:
-                        _fail(line_no, f"duplicate state {s}")
-                    block["states"].append(s)
-            elif word in ("start", "final"):
-                key = word + "s"
-                unknown = [s for s in args if s not in block["states"]]
-                if unknown:
-                    _fail(line_no, f"unknown state {unknown[0]}")
-                block[key] = set(args) if block[key] is None else block[key] | set(args)
-            elif word == "trans":
-                if len(args) != 3:
-                    _fail(line_no, "trans needs: source symbol target")
-                s, tok, d = args
-                for st in (s, d):
-                    if st not in block["states"]:
-                        _fail(line_no, f"unknown state {st}")
-                if tok not in alphabet:
-                    _fail(line_no, f"symbol {tok} not in the alphabet")
-                block["trans"].append((s, alphabet.indices[tok], d))
-            elif word == "nonrecurrent":
-                block["nonrecurrent"] = True
-            elif word == "end":
-                close_block(line_no)
-            else:
-                _fail(line_no, f"unexpected {word!r} inside a domain block")
-            continue
-        if word == "alphabet":
-            if alphabet is not None:
-                _fail(line_no, "alphabet declared twice")
-            try:
-                alphabet = Alphabet(tuple(args))
-            except ValueError as e:
-                _fail(line_no, str(e))
-        elif word == "domain":
-            if alphabet is None:
-                _fail(line_no, "alphabet must be declared before domains")
-            if not args:
-                _fail(line_no, "domain needs a name")
-            name = args[0]
-            if name in names:
-                _fail(line_no, f"duplicate domain {name}")
-            names.add(name)
-            if len(args) >= 2:
+        if block is None:
+            if word == "alphabet":
+                if alphabet is not None:
+                    _fail(line_no, "alphabet declared twice")
+                try:
+                    alphabet = Alphabet(tuple(args))
+                except ValueError as e:
+                    _fail(line_no, str(e))
+            elif word == "domain":
+                if alphabet is None:
+                    _fail(line_no, "alphabet must be declared before domains")
+                if not args:
+                    _fail(line_no, "domain needs a name")
+                name = args[0]
+                if name in parsed:
+                    _fail(line_no, f"duplicate domain {name}")
+                if len(args) == 1:
+                    block = _Block(name, {}, None, None, set(), False)
+                    continue
                 if args[1] != "cyclic" or len(args) != 3:
                     _fail(line_no, "expected: domain NAME cyclic WORD")
                 for c in args[2]:
                     if c not in alphabet:
                         _fail(line_no, f"symbol {c} not in the alphabet")
                 dom = cyclic_domain(args[2], alphabet)
-                parsed.append(
-                    ParsedDomain(
-                        name=name,
-                        domain=dom,
-                        state_names=tuple(str(i) for i in range(dom.fa.state_count)),
-                    )
-                )
+                parsed[name] = ParsedDomain(name, dom, tuple(map(str, range(dom.fa.state_count))))
             else:
-                block = {
-                    "name": name,
-                    "states": [],
-                    "starts": None,
-                    "finals": None,
-                    "trans": [],
-                    "nonrecurrent": False,
-                }
+                _fail(line_no, f"unknown directive {word!r}")
+            continue
+        if word in _ARITY and len(args) != _ARITY[word][0]:
+            _fail(line_no, _ARITY[word][1])
+        states = block.states
+        for s in args[::2] if word == "trans" else args if word in ("start", "final") else ():
+            if s not in states:
+                _fail(line_no, f"unknown state {s}")
+        if word == "state":
+            for s in args:
+                if s in states:
+                    _fail(line_no, f"duplicate state {s}")
+                states[s] = len(states)
+        elif word == "start":
+            block.starts = (block.starts or set()) | {states[s] for s in args}
+        elif word == "final":
+            block.finals = (block.finals or set()) | {states[s] for s in args}
+        elif word == "trans":
+            s, tok, d = args
+            if tok not in alphabet:
+                _fail(line_no, f"symbol {tok} not in the alphabet")
+            block.arcs.add((states[s], alphabet.indices[tok], states[d]))
+        elif word == "nonrecurrent":
+            block.nonrecurrent = True
+        elif word == "end":
+            if not states:
+                _fail(line_no, f"domain {block.name}: no states declared")
+            every = frozenset(range(len(states)))
+            starts, finals = (every if m is None else frozenset(m) for m in (block.starts, block.finals))
+            fa = FiniteAutomaton(alphabet, len(states), starts, finals, frozenset(block.arcs))
+            try:
+                domain = Domain(fa)
+            except ValueError as e:
+                _fail(line_no, f"domain {block.name}: {e}")
+            if not block.nonrecurrent and not is_strongly_connected(fa):
+                _fail(line_no, f"domain {block.name}: not strongly connected")
+            parsed[block.name] = ParsedDomain(block.name, domain, tuple(states))
+            block = None
         else:
-            _fail(line_no, f"unknown directive {word!r}")
+            _fail(line_no, f"unexpected {word!r} inside a domain block")
     if block is not None:
-        _fail(len(text.splitlines()), f"domain {block['name']}: missing end")
+        _fail(line_no, f"domain {block.name}: missing end")
     if alphabet is None:
         _fail(1, "no alphabet declared")
     if not parsed:
         _fail(1, "no domains declared")
-    return alphabet, parsed
+    return alphabet, list(parsed.values())
 
 
 def format_domain_spec(

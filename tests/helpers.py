@@ -37,9 +37,10 @@ by language algebra, one coarsest common refinement of minimized
 languages per union state and pass, which the optimizer itself replaced
 by block refinement over one past automaton.  ``past_classes`` turns the
 optimizer's blocks into the same canonical class automata, and
-``check_partition`` checks a class tuple by language algebra.  Two small
+``check_partition`` checks a class tuple by language algebra.  Three small
 tools only the tests use close the file: ``parse_pgm`` reads a plain PGM
-back into gray levels, and ``canonical_key`` orders minimized automata.
+back into gray levels, ``canonical_key`` orders minimized automata, and
+``replace_finals`` copies an automaton with other final states.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import itertools
 import logging
 from collections import deque
 from random import Random
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from apdfilter.automata import (
     Alphabet,
@@ -61,7 +62,6 @@ from apdfilter.automata import (
     intersect,
     is_empty,
     minimize,
-    replace_finals,
     universal,
 )
 from apdfilter.ca import CARule
@@ -905,3 +905,15 @@ def parse_pgm(data: bytes) -> list[list[int]]:
 def canonical_key(fa: FiniteAutomaton):
     """Deterministic sort key for minimized automata."""
     return (fa.state_count, sorted(fa.finals), sorted(fa.transitions))
+
+
+def replace_finals(fa: FiniteAutomaton, finals: Iterable[int]) -> FiniteAutomaton:
+    """``fa`` with ``finals`` as its final states."""
+    return FiniteAutomaton(
+        alphabet=fa.alphabet,
+        state_count=fa.state_count,
+        starts=fa.starts,
+        finals=frozenset(finals),
+        transitions=fa.transitions,
+        state_tags=fa.state_tags,
+    )

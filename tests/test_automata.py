@@ -7,6 +7,7 @@ from helpers import (
     language,
     random_nfa,
     reference_determinize,
+    replace_finals,
     sigma_star_prefix,
     tracker_dfa,
     unconcat_last,
@@ -32,7 +33,6 @@ from apdfilter.automata import (
     is_empty,
     is_strongly_connected,
     minimize,
-    replace_finals,
     reverse_domain,
     universal,
 )

@@ -178,6 +178,16 @@ class TestBuildRun:
         assert code == 0
         assert stdout == ",".join(str(symbol_code(s)) for s in expected) + "\n"
 
+    def test_bidi_error_after_digest_mismatch_is_one_line(self, capsys):
+        # the filter was built from runs.dom, and these split domains cannot
+        # be reversed: the error is the one line, with no warning before it
+        code, _stdout, err = run_cli(
+            capsys,
+            "run", "--filter", str(GOLDEN / "optimized-runs.tdx"), "--input", "0110",
+            "--bidi", "--domains", str(GOLDEN / "optimize-runs.dom"),
+        )
+        assert (code, err) == (2, "error: domain not reversible; use stack filter\n")
+
     @pytest.mark.parametrize(
         "spec, shape",
         [

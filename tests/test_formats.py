@@ -106,6 +106,11 @@ class TestDomainSpec:
             ("alphabet 0 1\ndomain D\n state p\n trans p 0 q\nend\n", "line 4: unknown state q"),
             ("alphabet 0 1\ndomain D\n state p\n trans q 0 p\nend\n", "line 4: unknown state q"),
             ("alphabet 0 1\ndomain D\n state p\n trans p 0\nend\n", "line 4: trans needs: source symbol target"),
+            ("alphabet 0 1\ndomain D\n state p\n trans p 0 p\nend 0x1\n", "line 5: end takes no arguments"),
+            (
+                "alphabet 0 1\ndomain D\n nonrecurrent junk\n state p\n trans p 0 p\nend\n",
+                "line 3: nonrecurrent takes no arguments",
+            ),
             (
                 "alphabet 0 1\ndomain D\n state p\ndomain E cyclic 0\n",
                 "line 4: unexpected 'domain' inside a domain block",

@@ -570,3 +570,103 @@ def test_encode_reads_a_string_as_its_characters(case):
     assert encoded(text) == encoded(list(text))
     if len(alphabet) <= 256 and not isinstance(encoded(text), str):
         assert isinstance(alphabet.encode(text), bytes)
+
+
+# the inputs a mutation starts from, each with the commands that read it:
+# (golden file name, its text, argv) for a file and (None, the string,
+# argv) for an --init string; {in} is the mutated file's path or the
+# mutated string, {g} the golden directory
+DIAGRAM = "{g}/ca-rule110.txt"
+GOLDEN_PAIRS = [  # a golden domain file and the filter built from it
+    ("d18.dom", "d18.tdx"), ("runs.dom", "runs.tdx"), ("rule110.dom", "rule110.tdx"),
+    ("optimize-runs.dom", "optimized-runs.tdx"),
+]
+MUTATION_SOURCES = [
+    *(
+        (dom, (GOLDEN / dom).read_text(), [
+            ["build", "--domains", "{in}"],
+            ["optimize", "--domains", "{in}"],
+            ["stack", "--domains", "{in}", "--input", "0110"],
+            ["stack", "--domains", "{in}", "--input", "0110", "--periodic"],
+            ["run", "--filter", f"{{g}}/{tdx}", "--input", "0110", "--bidi", "--domains", "{in}"],
+            ["ca-filter", "--method", "stack", "--domains", "{in}", "--input", DIAGRAM],
+            ["ca-filter", "--method", "bidi", "--domains", "{in}", "--input", DIAGRAM],
+        ])
+        for dom, tdx in GOLDEN_PAIRS
+    ),
+    *(
+        (tdx, (GOLDEN / tdx).read_text(), [
+            ["run", "--filter", "{in}", "--input", "0110"],
+            ["run", "--filter", "{in}", "--input", "0110", "--circular", "--format", "pgm"],
+            ["run", "--filter", "{in}", "--input", "0110", "--bidi", "--domains", f"{{g}}/{dom}"],
+            ["ca-filter", "--method", "transducer", "--filter", "{in}", "--input", DIAGRAM],
+        ])
+        for dom, tdx in GOLDEN_PAIRS
+    ),
+    ("ca-rule110.txt", (GOLDEN / "ca-rule110.txt").read_text(), [
+        ["ca-filter", "--method", "transducer", "--filter", "{g}/rule110.tdx", "--input", "{in}"],
+        ["ca-filter", "--method", "stack", "--domains", "{g}/rule110.dom", "--input", "{in}"],
+        ["ca-filter", "--method", "bidi", "--domains", "{g}/rule110.dom", "--input", "{in}"],
+        ["ca", "--rule", "110", "--steps", "1", "--init", "@{in}"],
+    ]),
+    (None, "random:7", [["ca", "--rule", "110", "--steps", "2", "--width", "16", "--init={in}"]]),
+    (None, "word:0110^3", [["ca", "--rule", "110", "--steps", "2", "--init={in}"]]),
+    (None, "word:0121", [["ca", "--k", "3", "--rule", "5", "--steps", "2", "--init={in}"]]),
+]
+# fields and characters a mutation puts in: words of every input format,
+# numbers in and out of range, and characters no format reads
+MUTATION_FIELDS = [
+    "", "x", "0", "1", "2", "9", "-1", "99999999999", "p", "q", "end", "state", "start", "final",
+    "trans", "domain", "cyclic", "nonrecurrent", "alphabet", "states", "domains", "hash", "brk1",
+    "brk99", "d1", "d9", "lam", "#",
+]
+MUTATION_CHARS = "01289x #\n\r\t^:-@é٠\x00\udcff"
+
+
+@st.composite
+def mutated_inputs(draw):
+    """A golden input and one of its commands, with 1-3 mutations of the
+    input: a line deleted or duplicated, a field replaced or inserted, or a
+    character spliced in (``\\udcff`` is written as the byte 0xff)."""
+    name, text, commands = draw(st.sampled_from(MUTATION_SOURCES))
+    fields = st.sampled_from(MUTATION_FIELDS + text.split())
+    for _ in range(draw(st.integers(1, 3))):
+        lines = text.split("\n")
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i].split()
+        op = draw(st.sampled_from(["delete", "duplicate", "replace", "insert", "splice"]))
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "replace" and line:
+            line[draw(st.integers(0, len(line) - 1))] = draw(fields)
+            lines[i] = " ".join(line)
+        elif op == "insert":
+            line.insert(draw(st.integers(0, len(line))), draw(fields))
+            lines[i] = " ".join(line)
+        text = "\n".join(lines)
+        if op == "splice":
+            j = draw(st.integers(0, len(text)))
+            text = text[:j] + draw(st.sampled_from(MUTATION_CHARS)) + text[j:]
+    return name, text, draw(st.sampled_from(commands))
+
+
+@settings(max_examples=200)
+@given(case=mutated_inputs())
+def test_mutated_inputs_exit_with_one_line(tmp_path_factory, case):
+    # a mutated domain file, filter, diagram or --init string never lets an
+    # exception out of the CLI: it exits 0, or 1 or 2 with one line of error
+    name, text, argv = case
+    tmp = tmp_path_factory.mktemp("mutated")
+    source = text
+    if name is not None:
+        source = str(tmp / name)
+        Path(source).write_bytes(text.encode(errors="surrogateescape"))
+    argv = [a.replace("{g}", str(GOLDEN)).replace("{in}", source) for a in argv]
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main([*argv, "-o", str(tmp / "out")])
+    assert code in (0, 1, 2)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert err.getvalue() == lines[0] + "\n" and lines[0].startswith(("error: ", "usage error: "))
