@@ -174,15 +174,15 @@ def evolve(rule: CARule, initial: Sequence[int], steps: int) -> SpaceTimeDiagram
     lo, hi = laps * n - r, (laps + 1) * n + r  # cells -r..n+r-1 of the repeated row
     if size <= 256:
         lookup = bytes(table).ljust(256, b"\0")
-        mask = (1 << 8 * n) - 1
         for _ in range(steps):
             x = int.from_bytes((row * (2 * laps + 1))[lo:hi], "little")
             # byte i of x >> 8d is cell i - r + d, so byte i of the sum is
             # cell i's neighborhood index; each is below 256, so none carries
+            # past the n + 2r bytes of x, and bytes n.. are dropped
             idx = x
             for d in range(1, 2 * r + 1):
                 idx = idx * k + (x >> 8 * d)
-            row = (idx & mask).to_bytes(n, "little").translate(lookup)
+            row = idx.to_bytes(n + 2 * r, "little")[:n].translate(lookup)
             rows.append(row)
     else:
         for _ in range(steps):

@@ -1,25 +1,26 @@
 """Text serialization of filter transducers (``.tdx``).
 
 Header lines give the alphabet, state count, start state, and domain
-count; each transition line is ``trans s a OUT s'`` with OUT one of
-``d<i>`` (domain label), ``brk<j>`` (break code), or ``lam`` (ambiguity).
-A trailing table maps each ``brk<j>`` back to its state pair.  An optional
-``hash`` line carries the digest of the domain file the filter was built
-from, so later runs can flag a mismatched domain set.
+count; each transition line is ``trans s a OUT s'`` with the output field
+OUT one of ``lam`` (ambiguity), ``d<i>`` (domain label) or ``brk<j>``
+(break code).  A trailing table maps each ``brk<j>`` back to its state
+pair.  An optional ``hash`` line carries the digest of the domain file
+the filter was built from, so later runs can flag a mismatched domain set.
 
 Every line but ``alphabet`` has a fixed number of fields, each header
 line (``alphabet``, ``states``, ``start``, ``domains``, ``hash``)
-appears at most once, and a filter has at least one domain.  A filter
-has exactly one arc per (state, letter), so a file has one ``trans``
-line for each.  Saving writes the filter's table in index order: one
-``trans`` line per arc in (state, letter) order, then ``brk1``,
-``brk2``, ... .  Loading fills the table directly.  It refuses a file
-with fewer ``trans`` lines than states times letters before allocating
-the table, and checks that every state, label and break pair is in
-range, that every transition letter is in the alphabet, that no (state,
-letter) has two transition lines and that each ``brk<j>`` is declared
-once; so a partial file fails to load, and a loaded filter runs without
-a check per letter.
+appears at most once and anywhere in the file, and a filter has at
+least one domain.  A filter has exactly one arc per (state, letter), so
+a file has one ``trans`` line for each.  Saving writes the filter's
+table in index order: one ``trans`` line per arc in (state, letter)
+order, then ``brk1``, ``brk2``, ... .  Loading reads every line once,
+then fills the table, since a header line may follow the arcs.  It
+refuses a file with fewer ``trans`` lines than states times letters
+before allocating the table, and checks that every state, label and
+break pair is in range, that every transition letter is in the
+alphabet, that no (state, letter) has two transition lines and that
+each ``brk<j>`` is declared once; so a partial file fails to load, and a
+loaded filter runs without a check per letter.
 Break codes are renumbered by first use in (state, letter) order: a pair
 declared under two numbers becomes one code, and unused declarations are
 dropped.
@@ -28,6 +29,7 @@ dropped.
 from __future__ import annotations
 
 import re
+from typing import Any
 
 from .automata import Alphabet
 from .transducer import Transducer
@@ -37,10 +39,9 @@ class TdxError(ValueError):
     pass
 
 
-_OUTPUT_CODE = re.compile(r"lam|d\d+|brk\d+")
-# fields per line, directive included; ``alphabet`` takes any number
-_FIELD_COUNTS = {"states": 2, "start": 2, "domains": 2, "hash": 2, "trans": 5, "brk": 3}
-_HEADER_WORDS = frozenset({"alphabet", "states", "start", "domains", "hash"})  # once per file
+# arguments per directive (``brk<j>`` under ``brk``); ``alphabet`` takes any number
+_ARGS = {"alphabet": None, "states": 1, "start": 1, "domains": 1, "hash": 1, "trans": 4, "brk": 2}
+_OUTPUT = re.compile(r"lam|d(\d+)|brk(\d+)")  # groups: domain label, break number
 
 
 def _output_word(code: int) -> str:
@@ -69,55 +70,49 @@ def save_transducer(t: Transducer, domains_digest: str | None = None) -> str:
 
 
 def load_transducer(text: str) -> tuple[Transducer, str | None]:
-    alphabet: Alphabet | None = None
-    state_count = start = domains = None
-    digest = None
-    arcs: list[tuple[int, int, str, str, int]] = []  # (line, s, token, output, s')
+    header: dict[str, Any] = {}  # directive -> value, each header line at most once
+    arcs: list[tuple[int, int, str, re.Match[str], int]] = []  # (line, s, token, output, s')
     pairs: dict[int, tuple[int, int]] = {}
-    headers: set[str] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
             continue
-        fields = line.split()
         word = fields[0]
-        if len(fields) != _FIELD_COUNTS.get("brk" if word.startswith("brk") else word, len(fields)):
+        kind = "brk" if word.startswith("brk") else word
+        if kind not in _ARGS:
+            raise TdxError(f"line {line_no}: unknown directive {word!r}")
+        count = _ARGS[kind]
+        if count is not None and len(fields) != count + 1:
             raise TdxError(f"line {line_no}: malformed {word!r} line")
-        if word in _HEADER_WORDS:
-            if word in headers:
-                raise TdxError(f"line {line_no}: duplicate {word!r} line")
-            headers.add(word)
         try:
-            if word == "alphabet":
-                alphabet = Alphabet(tuple(fields[1:]))
-            elif word == "states":
-                state_count = int(fields[1])
-            elif word == "start":
-                start = int(fields[1])
-            elif word == "domains":
-                domains = int(fields[1])
-                if domains < 1:
-                    raise TdxError(f"line {line_no}: domains {domains}: a filter has at least one")
-            elif word == "hash":
-                digest = fields[1]
-            elif word == "trans":
-                s, tok, code, d = fields[1], fields[2], fields[3], fields[4]
-                if not _OUTPUT_CODE.fullmatch(code):
-                    raise TdxError(f"line {line_no}: bad output code {code!r}")
-                arcs.append((line_no, int(s), tok, code, int(d)))
-            elif word.startswith("brk"):
+            if kind == "trans":
+                _, s, tok, out, d = fields
+                output = _OUTPUT.fullmatch(out)
+                if not output:
+                    raise TdxError(f"line {line_no}: bad output code {out!r}")
+                arcs.append((line_no, int(s), tok, output, int(d)))
+            elif kind == "brk":
                 number = int(word[3:])
                 if number in pairs:
                     raise TdxError(f"line {line_no}: duplicate {word!r} declaration")
                 pairs[number] = (int(fields[1]), int(fields[2]))
-            else:
-                raise TdxError(f"line {line_no}: unknown directive {word!r}")
-        except (IndexError, ValueError) as e:
-            if isinstance(e, TdxError):
-                raise
+            elif word in header:
+                raise TdxError(f"line {line_no}: duplicate {word!r} line")
+            elif word == "alphabet":
+                header[word] = Alphabet(tuple(fields[1:]))
+            elif word == "hash":
+                header[word] = fields[1]
+            else:  # states, start, domains
+                header[word] = int(fields[1])
+                if word == "domains" and header[word] < 1:
+                    raise TdxError(f"line {line_no}: domains {header[word]}: a filter has at least one")
+        except TdxError:
+            raise
+        except ValueError:
             raise TdxError(f"line {line_no}: malformed {word!r} line") from None
-    if alphabet is None or state_count is None or start is None:
+    if not header.keys() >= {"alphabet", "states", "start"}:
         raise TdxError("missing header line")
+    alphabet, state_count, start = header["alphabet"], header["states"], header["start"]
     k = len(alphabet)
     # Checked before the table is allocated.  Each arc below lands in its
     # own in-range slot (range and duplicate checks), so with at least
@@ -137,25 +132,25 @@ def load_transducer(text: str) -> tuple[Transducer, str | None]:
     code = [0] * (state_count * k)
     broken: dict[int, tuple[int, int]] = {}  # table index -> break pair
     labels = set()
-    for line_no, s, tok, out, d in arcs:
+    for line_no, s, tok, output, d in arcs:
         if tok not in alphabet:
             raise TdxError(f"line {line_no}: unknown symbol {tok!r}")
         if not (0 <= s <= top and 0 <= d <= top):
-            raise TdxError(f"trans {s} {tok} {out} {d}: outside the states 0..{top}")
+            raise TdxError(f"trans {s} {tok} {output[0]} {d}: outside the states 0..{top}")
         i = s * k + alphabet.indices[tok]
         if nxt[i] is not None:
             raise TdxError(f"line {line_no}: second transition from state {s} on {tok!r}")
         nxt[i] = d * k
-        if out.startswith("brk"):
-            number = int(out[3:])
+        label, brk = output.groups()
+        if brk:
+            number = int(brk)
             if number not in pairs:
                 raise TdxError(f"undeclared break code brk{number}")
             broken[i] = pairs[number]
-        elif out != "lam":
-            code[i] = int(out[1:])
+        elif label:
+            code[i] = int(label)
             labels.add(code[i])
-    if domains is None:
-        domains = max(labels, default=1)
+    domains = header.get("domains") or max(labels, default=1)
     for index in sorted(labels):
         if not 1 <= index <= domains:
             raise TdxError(f"domain label d{index} outside the domains 1..{domains}")
@@ -170,4 +165,4 @@ def load_transducer(text: str) -> tuple[Transducer, str | None]:
         breaks=tuple(breaks),
         domain_count=domains,
     )
-    return t, digest
+    return t, header.get("hash")

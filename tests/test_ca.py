@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from random import Random
 
 import pytest
@@ -160,6 +161,21 @@ class TestEvolve:
             for t in range(6):
                 assert doubled.rows[t][:n] == once.rows[t]
                 assert doubled.rows[t][n:] == once.rows[t]
+
+    def test_wide_row_costs_no_row_sized_temporary_before_its_first_step(self):
+        # evolve's own allocations for zero steps, measured above those of
+        # the diagram it returns, stay far below one more copy of the row
+        rule = rule_from_number(2, 1, 110)
+        row = random_row(2, 10**6, 1)
+        peaks = []
+        for make in (lambda: SpaceTimeDiagram(2, (row,)), lambda: evolve(rule, row, 0)):
+            tracemalloc.start()
+            try:
+                make()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < len(row) // 4
 
     def test_random_row_reproducible(self):
         a = random_row(2, 64, 42)

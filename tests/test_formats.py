@@ -171,6 +171,13 @@ class TestTdx:
         t, digest = load_transducer(text)
         assert save_transducer(t, domains_digest=digest) == text
 
+    @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.tdx")))
+    def test_golden_files_load_with_lines_reversed(self, name):
+        # header lines may come after the arcs and break declarations
+        text = (GOLDEN / name).read_text()
+        t, digest = load_transducer("\n".join(reversed(text.splitlines())))
+        assert (t, digest) == load_transducer(text)
+
     def test_serialized_shape(self, runs01):
         t = build_filter(runs01)
         lines = save_transducer(t).splitlines()

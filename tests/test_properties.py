@@ -626,19 +626,21 @@ MUTATION_CHARS = "01289x #\n\r\t^:-@é٠\x00\udcff"
 @st.composite
 def mutated_inputs(draw):
     """A golden input and one of its commands, with 1-3 mutations of the
-    input: a line deleted or duplicated, a field replaced or inserted, or a
-    character spliced in (``\\udcff`` is written as the byte 0xff)."""
+    input: a line deleted, duplicated or moved, a field replaced or inserted,
+    or a character spliced in (``\\udcff`` is written as the byte 0xff)."""
     name, text, commands = draw(st.sampled_from(MUTATION_SOURCES))
     fields = st.sampled_from(MUTATION_FIELDS + text.split())
     for _ in range(draw(st.integers(1, 3))):
         lines = text.split("\n")
         i = draw(st.integers(0, len(lines) - 1))
         line = lines[i].split()
-        op = draw(st.sampled_from(["delete", "duplicate", "replace", "insert", "splice"]))
+        op = draw(st.sampled_from(["delete", "duplicate", "move", "replace", "insert", "splice"]))
         if op == "delete":
             del lines[i]
         elif op == "duplicate":
             lines.insert(i, lines[i])
+        elif op == "move":
+            lines.insert(draw(st.integers(0, len(lines) - 1)), lines.pop(i))
         elif op == "replace" and line:
             line[draw(st.integers(0, len(line) - 1))] = draw(fields)
             lines[i] = " ".join(line)
