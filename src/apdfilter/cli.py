@@ -167,7 +167,7 @@ def _csv(labeled: CodedDiagram) -> str:
     from .render import diagram_texts
 
     text = diagram_texts(str, labeled)
-    return "\n".join([",".join(map(text.__getitem__, row)) for row in labeled.codes]) + "\n"
+    return "\n".join([",".join(map(text.__getitem__, row)) for row in labeled.rows]) + "\n"
 
 
 def _parse_int(text: str, init: str) -> int:

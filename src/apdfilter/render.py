@@ -27,19 +27,26 @@ def gray(code: int, domain_count: int) -> int:
 
 
 def code_texts(text: Callable[[int], str], top: int, break_count: int) -> list[str]:
-    """``text(c)`` at list index c for every wire code c up to label ``top``
-    (breaks, below 0, from the end)."""
-    return [text(c) for c in (*range(top + 1), *range(-break_count, 0))]
+    """``text(c)`` at list index c for every wire code c from 0 up to label
+    ``top`` (breaks, below 0, from the end), padded to at least 256 entries,
+    so that a code's byte ``c mod 256`` indexes its text too where
+    ``top + break_count < 256``."""
+    labels = list(map(text, range(max(top, 0) + 1)))
+    breaks = list(map(text, range(-break_count, 0)))
+    return labels + [""] * (256 - len(labels) - len(breaks)) + breaks
 
 
 def diagram_texts(text: Callable[[int], str], diagram: CodedDiagram) -> list[str]:
     """``code_texts`` for a coded diagram, up to its domain count, or up to
-    its largest code where that count passes its cell count: a declared
+    a smaller bound on its labels: ``255 - break_count`` on byte rows, and
+    its largest code where the count passes its cell count.  So a declared
     count costs at most one pass over the cells, never a table of its size."""
-    top, rows = diagram.domain_count, diagram.codes
+    top, b, rows = diagram.domain_count, diagram.break_count, diagram.rows
+    if rows and isinstance(rows[0], bytes):
+        top = min(top, 255 - b)
     if top > sum(map(len, rows)):
-        top = max(chain.from_iterable(rows), default=0)
-    return code_texts(text, top, diagram.break_count)
+        top = max(chain.from_iterable(diagram.codes), default=0)
+    return code_texts(text, top, b)
 
 
 def plain_pgm(lines: Sequence[str], width: int) -> bytes:
@@ -56,7 +63,7 @@ def emit_pgm(diagram: CodedDiagram | SpaceTimeDiagram) -> bytes:
     from .ca import CodedDiagram  # here, so that ``run`` does not load the CA layer
 
     if isinstance(diagram, CodedDiagram):
-        n, rows = diagram.domain_count, diagram.codes
+        n, rows = diagram.domain_count, diagram.rows
         shade = diagram_texts(lambda c: str(gray(c, n)), diagram)
     else:
         top = max(1, diagram.k - 1)  # a one-symbol diagram is all white

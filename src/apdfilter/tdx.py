@@ -7,6 +7,8 @@ OUT one of ``lam`` (ambiguity), ``d<i>`` (domain label) or ``brk<j>``
 pair.  An optional ``hash`` line carries the digest of the domain file
 the filter was built from, so later runs can flag a mismatched domain set.
 
+The numbers of ``d<i>`` and ``brk<j>`` are ASCII digits, and every number
+is converted as its line is read, so a bad one fails with its line number.
 Every line but ``alphabet`` has a fixed number of fields, each header
 line (``alphabet``, ``states``, ``start``, ``domains``, ``hash``)
 appears at most once and anywhere in the file, and a filter has at
@@ -41,7 +43,9 @@ class TdxError(ValueError):
 
 # arguments per directive (``brk<j>`` under ``brk``); ``alphabet`` takes any number
 _ARGS = {"alphabet": None, "states": 1, "start": 1, "domains": 1, "hash": 1, "trans": 4, "brk": 2}
-_OUTPUT = re.compile(r"lam|d(\d+)|brk(\d+)")  # groups: domain label, break number
+# label and break numbers are ASCII digits (``\d`` and ``int`` take any Unicode
+# digit, ``int`` also signs and underscores), converted inside the per-line ``try``
+_OUTPUT = re.compile(r"lam|d([0-9]+)|brk([0-9]+)")  # groups: domain label, break number
 
 
 def _output_word(code: int) -> str:
@@ -71,7 +75,8 @@ def save_transducer(t: Transducer, domains_digest: str | None = None) -> str:
 
 def load_transducer(text: str) -> tuple[Transducer, str | None]:
     header: dict[str, Any] = {}  # directive -> value, each header line at most once
-    arcs: list[tuple[int, int, str, re.Match[str], int]] = []  # (line, s, token, output, s')
+    # (line, s, token, output field, its domain label or None, its break number or None, s')
+    arcs: list[tuple[int, int, str, str, int | None, int | None, int]] = []
     pairs: dict[int, tuple[int, int]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
@@ -90,9 +95,13 @@ def load_transducer(text: str) -> tuple[Transducer, str | None]:
                 output = _OUTPUT.fullmatch(out)
                 if not output:
                     raise TdxError(f"line {line_no}: bad output code {out!r}")
-                arcs.append((line_no, int(s), tok, output, int(d)))
+                label, brk = output.groups()
+                arcs.append((line_no, int(s), tok, out, label and int(label), brk and int(brk), int(d)))
             elif kind == "brk":
-                number = int(word[3:])
+                declared = _OUTPUT.fullmatch(word)  # word starts with brk: a match is a brk<j>
+                if not declared:
+                    raise ValueError(word)
+                number = int(declared[2])
                 if number in pairs:
                     raise TdxError(f"line {line_no}: duplicate {word!r} declaration")
                 pairs[number] = (int(fields[1]), int(fields[2]))
@@ -132,24 +141,23 @@ def load_transducer(text: str) -> tuple[Transducer, str | None]:
     code = [0] * (state_count * k)
     broken: dict[int, tuple[int, int]] = {}  # table index -> break pair
     labels = set()
-    for line_no, s, tok, output, d in arcs:
-        if tok not in alphabet:
+    indices = alphabet.indices
+    for line_no, s, tok, out, label, brk, d in arcs:
+        if tok not in indices:
             raise TdxError(f"line {line_no}: unknown symbol {tok!r}")
         if not (0 <= s <= top and 0 <= d <= top):
-            raise TdxError(f"trans {s} {tok} {output[0]} {d}: outside the states 0..{top}")
-        i = s * k + alphabet.indices[tok]
+            raise TdxError(f"trans {s} {tok} {out} {d}: outside the states 0..{top}")
+        i = s * k + indices[tok]
         if nxt[i] is not None:
             raise TdxError(f"line {line_no}: second transition from state {s} on {tok!r}")
         nxt[i] = d * k
-        label, brk = output.groups()
-        if brk:
-            number = int(brk)
-            if number not in pairs:
-                raise TdxError(f"undeclared break code brk{number}")
-            broken[i] = pairs[number]
-        elif label:
-            code[i] = int(label)
-            labels.add(code[i])
+        if brk is not None:
+            if brk not in pairs:
+                raise TdxError(f"undeclared break code brk{brk}")
+            broken[i] = pairs[brk]
+        elif label is not None:
+            code[i] = label
+            labels.add(label)
     domains = header.get("domains") or max(labels, default=1)
     for index in sorted(labels):
         if not 1 <= index <= domains:

@@ -25,7 +25,9 @@ the arc's output (``symbol_code``), with break code -j naming the
 letter loops over it: ``walk_codes`` emits codes, one letter a step, and
 ``transduce`` maps them to the filter's shared output symbols
 (``Transducer.symbols``); ``walk_text`` emits text, blocks at a time, over
-the filter composed with itself (``_block_table``).  Every code lies in
+the filter composed with itself (``_block_table``).  ``walk_lanes`` walks
+many strings of one length at once, one byte lane each, a letter of every
+string a step, where the table fits a byte.  Every code lies in
 ``-len(breaks)..domain_count``; outputs without break identity (the
 two-pass combination and the stack cover) code every break as -1.
 """
@@ -294,6 +296,36 @@ def _walk(nxt: Sequence[int], out: Sequence, state: int, symbols: Sequence[int],
         push(out[i])
         state = nxt[i]
     return state
+
+
+def walk_lanes(t: Transducer, rows: Sequence[bytes], circular: bool = False) -> list[bytes]:
+    """Wire codes of one run per row, as ``walk_codes`` gives them, each
+    code as its byte ``code mod 256``.  The rows are ``bytes`` of symbol
+    indices, all of one width; the table must fit a byte
+    (``len(t.next) <= 256``).
+
+    Every row is one byte lane, walked one column a step: one lane sum of
+    the states (times k) and the column's symbols gives every row's arc
+    index, which cannot carry past its byte, and one ``translate`` each
+    reads the next states and the codes off the table.  Circular mode's
+    warm-up lap reads next states only.
+    """
+    count, width = len(rows), len(rows[0])
+    flat = b"".join(rows)
+    columns = [int.from_bytes(flat[j::width], "little") for j in range(width)]
+    nxt = bytes(t.next).ljust(256, b"\0")
+    out = bytes(c % 256 for c in t.code).ljust(256, b"\0")
+    state = int.from_bytes(bytes([t.start * len(t.alphabet)]) * count, "little")
+    if circular:
+        for column in columns:
+            state = int.from_bytes((state + column).to_bytes(count, "little").translate(nxt), "little")
+    codes = []
+    for column in columns:
+        arcs = (state + column).to_bytes(count, "little")
+        codes.append(arcs.translate(out))
+        state = int.from_bytes(arcs.translate(nxt), "little")
+    flat = b"".join(codes)  # column by column, so row i is every count-th byte from i
+    return [flat[i::count] for i in range(count)]
 
 
 def walk_codes(t: Transducer, symbols: Sequence[int], circular: bool = False) -> list[int]:

@@ -279,6 +279,29 @@ class TestTdxValidation:
         with pytest.raises(TdxError, match="^line 5: malformed 'hash' line$"):
             load_transducer(VALID_TDX.replace("domains 1\n", "domains 1\nhash ab cd\n"))
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            # label and break numbers are ASCII digits: other Unicode digits,
+            # signs and underscores are refused with the line, not read as numbers
+            ("trans 1 0 d1 0", "trans 1 0 d\u0661 0", "^line 7: bad output code 'd\u0661'$"),
+            ("trans 0 1 brk1 0", "trans 0 1 brk\u0661 0", "^line 6: bad output code 'brk\u0661'$"),
+            ("brk1 0 0", "brk1 0 0\nbrk-1 0 0", "^line 10: malformed 'brk-1' line$"),
+            ("brk1 0 0", "brk1 0 0\nbrk1_0 0 1", "^line 10: malformed 'brk1_0' line$"),
+            ("brk1 0 0", "brk1 0 0\nbrk\u0661 0 0", "^line 10: malformed 'brk\u0661' line$"),
+            # past Python's limit on int strings: the line, not int()'s own message
+            ("trans 1 0 d1 0", "trans 1 0 d" + "1" * 5000 + " 0", "^line 7: malformed 'trans' line$"),
+            ("trans 0 1 brk1 0", "trans 0 1 brk" + "1" * 5000 + " 0", "^line 6: malformed 'trans' line$"),
+        ],
+        ids=[
+            "arabic-indic-label", "arabic-indic-break", "signed-brk", "underscored-brk",
+            "arabic-indic-brk", "long-label", "long-break",
+        ],
+    )
+    def test_label_and_break_numbers_are_ascii_digits(self, old, new, message):
+        with pytest.raises(TdxError, match=message):
+            load_transducer(VALID_TDX.replace(old, new))
+
     def test_unknown_directive_refused(self):
         with pytest.raises(TdxError, match="^line 10: unknown directive 'state'$"):
             load_transducer(VALID_TDX + "state 2\n")

@@ -66,6 +66,15 @@ CASES = [
     ("ca-filter-rule110.csv",
      ["ca-filter", "--method", "transducer", "--filter", "{g}/rule110.tdx",
       "--input", "{g}/ca-rule110.txt", "--format", "csv"]),
+    # 48 rows: at least twice ``ca.LANE_ROWS``, so the filter walks the rows as byte lanes
+    ("ca-rule110-tall.txt",
+     ["ca", "--rule", "110", "--width", "40", "--steps", "47", "--init", "random:5"]),
+    ("ca-filter-rule110-tall.pgm",
+     ["ca-filter", "--method", "transducer", "--filter", "{g}/rule110.tdx",
+      "--input", "{g}/ca-rule110-tall.txt"]),
+    ("ca-filter-rule110-tall.csv",
+     ["ca-filter", "--method", "transducer", "--filter", "{g}/rule110.tdx",
+      "--input", "{g}/ca-rule110-tall.txt", "--format", "csv"]),
     ("run-d18-bidi.pgm",
      ["run", "--filter", "{g}/d18.tdx", "--input", "0100100110001011010000100111",
       "--bidi", "--domains", "{g}/d18.dom", "--format", "pgm"]),

@@ -50,9 +50,11 @@ from apdfilter.automata import (
 )
 from apdfilter import cli, stackfilter
 from apdfilter.ca import (
+    LANE_ROWS,
     MAX_RULE_TABLE,
     RANDOM_CHUNK,
     CodedDiagram,
+    SpaceTimeDiagram,
     evolve,
     filter_diagram,
     random_row,
@@ -65,6 +67,7 @@ from apdfilter.stackfilter import FilterStats, filter_global, filter_local
 from apdfilter.tdx import load_transducer, save_transducer
 from apdfilter.transducer import (
     BLOCK_LETTERS_PER_ENTRY,
+    Transducer,
     bidirectional,
     bidirectional_filters,
     build_filter,
@@ -501,6 +504,68 @@ def test_block_walk_is_the_letter_walk(case, sep):
             assert walk_text(t, word[:n], mode, texts, sep) == want, (n, mode)
             codes = walk_codes(t, t.alphabet.encode(word[:n]), circular)
             assert codes == walk_arc_table(t, symbols[:n], t.code, circular), (n, mode)
+
+
+# a filter over the 300 tokens "0".."299", so that diagram cells are its
+# letters: ``_symbol_rows`` then gives lists, not bytes, and the rows walk
+WIDE_DIGITS = Alphabet(tuple(map(str, range(300))))
+WIDE_DIGIT_FILTER = build_filter([cyclic_domain(("0", "1"), WIDE_DIGITS)])
+
+
+def random_table(rng: Random, alphabet: Alphabet, states: int, top: int, breaks: int, domains: int) -> Transducer:
+    """A filter table drawn at random, with labels up to ``top``, codes of
+    ``breaks`` breaks, and every one of them on some arc."""
+    k, size = len(alphabet), states * len(alphabet)
+    code = [rng.randint(-breaks, top) for _ in range(size)]
+    code[0], code[-1] = top, -breaks or top
+    pairs = tuple((rng.randrange(states), rng.randrange(states)) for _ in range(breaks))
+    nxt = tuple(rng.randrange(states) * k for _ in range(size))
+    return Transducer(alphabet, rng.randrange(states), nxt, tuple(code), pairs, domains)
+
+
+@st.composite
+def lane_diagrams(draw):
+    """A filter and a diagram of 1-40 rows of 1-30 cells over its first
+    letters (up to 3), often just at either side of ``LANE_ROWS``.  The
+    filter comes from 1-3 ``random_domain`` domains, or is ``WIDE_DIGIT_FILTER``,
+    or a random table at each side of the byte limits: 128 or 129 states
+    over 2 letters, or labels and breaks that reach 255 or 256 codes, with
+    the declared domain count at, past or far past the largest label."""
+    kind = draw(st.sampled_from(["random", "random", "wide", "states", "codes"]))
+    rng = Random(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        alphabet = draw(ALPHABETS)
+        t = build_filter([random_domain(rng, alphabet) for _ in range(draw(st.integers(1, 3)))])
+    elif kind == "wide":
+        t = WIDE_DIGIT_FILTER
+    elif kind == "states":
+        t = random_table(rng, ALPHA01, draw(st.sampled_from([128, 129])), 2, 5, 2)
+    else:
+        breaks = draw(st.integers(0, 255))
+        top = draw(st.sampled_from([255, 256])) - breaks
+        t = random_table(rng, ALPHA012, 3, top, breaks, draw(st.sampled_from([max(top, 1), top + 50, 10**11])))
+    rows = draw(st.sampled_from([LANE_ROWS, 40, LANE_ROWS - 1, 1]) | st.integers(1, 40))
+    width, k = draw(st.integers(1, 30)), min(3, len(t.alphabet))
+    return t, SpaceTimeDiagram(k, [[rng.randrange(k) for _ in range(width)] for _ in range(rows)])
+
+
+@settings(max_examples=150)
+@given(case=lane_diagrams())
+def test_lane_walk_is_the_row_walk(case):
+    # byte lanes where the diagram has LANE_ROWS rows and the table and
+    # its codes fit a byte, the row walk elsewhere: either gives each row's
+    # circular walk one arc at a time, and its PGM and CSV are those of
+    # the same codes as tuples
+    t, diagram = case
+    labeled = filter_diagram("transducer", t, diagram)
+    symbols = [[int(v) for v in row] for row in diagram.rows]  # cell v is token str(v), index v
+    want = tuple(tuple(walk_arc_table(t, row, t.code, circular=True)) for row in symbols)
+    assert labeled.codes == want
+    fits = len(t.alphabet) <= 256 and len(t.next) <= 256 and max(t.code) + len(t.breaks) < 256
+    assert isinstance(labeled.rows[0], bytes) == (len(diagram.rows) >= LANE_ROWS and fits)
+    tuples = CodedDiagram(want, t.domain_count, len(t.breaks))
+    assert emit_pgm(labeled) == emit_pgm(tuples)
+    assert cli._csv(labeled) == cli._csv(tuples)
 
 
 def _reversible(d: Domain) -> bool:
