@@ -317,7 +317,7 @@ def filter_diagram(
         rows, breaks = _symbol_rows(diagram, t.alphabet), len(t.breaks)
         lanes = len(rows) >= LANE_ROWS and isinstance(rows[0], bytes) and len(t.next) <= 256
         if lanes and max(t.code) + breaks < 256:  # and every code fits a byte
-            coded = tuple(walk_lanes(t, rows, circular=True))
+            coded = tuple(walk_lanes(t, rows))
         else:
             coded = tuple(tuple(walk_codes(t, row, circular=True)) for row in rows)
         return CodedDiagram(coded, t.domain_count, breaks)

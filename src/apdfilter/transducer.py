@@ -298,17 +298,17 @@ def _walk(nxt: Sequence[int], out: Sequence, state: int, symbols: Sequence[int],
     return state
 
 
-def walk_lanes(t: Transducer, rows: Sequence[bytes], circular: bool = False) -> list[bytes]:
-    """Wire codes of one run per row, as ``walk_codes`` gives them, each
-    code as its byte ``code mod 256``.  The rows are ``bytes`` of symbol
-    indices, all of one width; the table must fit a byte
-    (``len(t.next) <= 256``).
+def walk_lanes(t: Transducer, rows: Sequence[bytes]) -> list[bytes]:
+    """Wire codes of one circular run per row, as circular ``walk_codes``
+    gives them, each code as its byte ``code mod 256``.  The rows are
+    ``bytes`` of symbol indices, all of one width; the table must fit a
+    byte (``len(t.next) <= 256``).
 
     Every row is one byte lane, walked one column a step: one lane sum of
     the states (times k) and the column's symbols gives every row's arc
     index, which cannot carry past its byte, and one ``translate`` each
-    reads the next states and the codes off the table.  Circular mode's
-    warm-up lap reads next states only.
+    reads the next states and the codes off the table.  The warm-up lap,
+    as in circular ``walk_codes``, reads next states only.
     """
     count, width = len(rows), len(rows[0])
     flat = b"".join(rows)
@@ -316,9 +316,8 @@ def walk_lanes(t: Transducer, rows: Sequence[bytes], circular: bool = False) -> 
     nxt = bytes(t.next).ljust(256, b"\0")
     out = bytes(c % 256 for c in t.code).ljust(256, b"\0")
     state = int.from_bytes(bytes([t.start * len(t.alphabet)]) * count, "little")
-    if circular:
-        for column in columns:
-            state = int.from_bytes((state + column).to_bytes(count, "little").translate(nxt), "little")
+    for column in columns:
+        state = int.from_bytes((state + column).to_bytes(count, "little").translate(nxt), "little")
     codes = []
     for column in columns:
         arcs = (state + column).to_bytes(count, "little")

@@ -8,6 +8,7 @@ from helpers import ALPHA01, number_from_table, orbit_multiplicity_at, reference
 from apdfilter.automata import Alphabet, build_tracker, cyclic_domain
 from apdfilter.ca import (
     MAX_RULE_TABLE,
+    CodedDiagram,
     SpaceTimeDiagram,
     evolve,
     filter_diagram,
@@ -289,6 +290,14 @@ class TestFilterDiagram:
         labeled = filter_diagram("transducer", t, SpaceTimeDiagram(k=2, rows=rows))
         want = [tuple(transduce_codes(t, [str(v) for v in row], "circular")) for row in rows]
         assert list(labeled.codes) == want
+
+    def test_coded_diagram_by_keyword(self):
+        # a row is a tuple of codes or bytes of code mod 256; with two
+        # breaks, bytes 255 and 254 are codes -1 and -2
+        rows = (b"\x01\x00\xff", (2, -2, 1), b"\xfe\x02\x01")
+        coded = CodedDiagram(rows=rows, domain_count=2, break_count=2)
+        assert coded.rows == rows
+        assert coded.codes == ((1, 0, -1), (2, -2, 1), (-2, 2, 1))
 
     def test_unknown_method(self):
         # and the domain methods without a domain, as build_tracker fails
