@@ -6,18 +6,19 @@ re-deriving it: determinization tags each state with its source subset,
 intersection with the contributing pair, disjoint union with
 ``(input index, original state)``.
 
-There is one subset construction, ``SubsetSteps`` over bitmask state sets:
-``accepts`` fills its rows lazily; ``determinize``, ``build_tracker``,
-``minimize`` and ``complement`` explore it eagerly, the last two through
-one complete DFA with a sink; and ``MAX_SUBSETS`` bounds every exploration.
+There is one subset construction, ``SubsetSteps`` over bitmask state sets,
+and its table is the one an automaton keeps: ``accepts`` fills its rows
+lazily; ``determinize``, ``build_tracker``, ``minimize`` and ``complement``
+explore it eagerly, the last two through one complete DFA with a sink;
+``intersect`` pairs two automata's ``targets`` masks; ``MAX_SUBSETS``
+bounds every exploration.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, product
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -26,6 +27,12 @@ if TYPE_CHECKING:
 Transition = tuple[int, int, int]  # (source, symbol index, target)
 
 MAX_SUBSETS = 2**15  # reachable nonempty sets one subset construction may number
+
+
+def clip(field: object) -> str:
+    """``field`` as an error line echoes it: at most 40 characters, then ``…``."""
+    text = str(field)
+    return text if len(text) <= 40 else text[:40] + "…"
 
 
 class _Translation(dict):
@@ -49,7 +56,7 @@ class Alphabet:
             raise ValueError("alphabet has duplicate symbols")
         for tok in self.symbols:
             if not tok or not tok.isprintable() or any(c.isspace() for c in tok):
-                raise ValueError(f"bad alphabet token {tok!r}")
+                raise ValueError(f"bad alphabet token {clip(tok)!r}")
 
     def __len__(self):
         return len(self.symbols)
@@ -115,17 +122,6 @@ class FiniteAutomaton:
                 raise ValueError(f"transition {(src, sym, dst)} references bad state")
             if not 0 <= sym < k:
                 raise ValueError(f"transition {(src, sym, dst)} references bad symbol")
-
-    @cached_property
-    def transition_table(self) -> dict[int, dict[int, tuple[int, ...]]]:
-        """Per-state map symbol index -> sorted target states."""
-        raw: dict[int, dict[int, set[int]]] = {s: {} for s in range(self.state_count)}
-        for (src, sym, dst) in self.transitions:
-            raw[src].setdefault(sym, set()).add(dst)
-        return {
-            s: {sym: tuple(sorted(dsts)) for sym, dsts in row.items()}
-            for s, row in raw.items()
-        }
 
     @property
     def semi_deterministic(self) -> bool:
@@ -311,42 +307,29 @@ def build_tracker(domains: Sequence[Domain]) -> Tracker:
 
 
 def intersect(a: FiniteAutomaton, b: FiniteAutomaton) -> FiniteAutomaton:
-    """Product construction over reachable state pairs, tagged ``(left, right)``."""
+    """Product construction over reachable state pairs, tagged ``(left, right)``,
+    numbered breadth-first from the sorted start pairs as ``explore`` numbers
+    sets: a pair's successors pair the bits of its states' ``targets`` masks."""
     if a.alphabet != b.alphabet:
         raise ValueError("alphabet mismatch")
-    k = len(a.alphabet)
-    ta, tb = a.transition_table, b.transition_table
-    start_pairs = sorted((p, q) for p in a.starts for q in b.starts)
-    ids: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
-    queue: deque[tuple[int, int]] = deque()
-    for pair in start_pairs:
-        ids[pair] = len(order)
-        order.append(pair)
-        queue.append(pair)
+    steps = tuple(zip(a.subset_steps.targets, b.subset_steps.targets))
+    pairs = sorted((p, q) for p in a.starts for q in b.starts)
+    ids = {pair: i for i, pair in enumerate(pairs)}
     transitions: set[Transition] = set()
-    while queue:
-        (p, q) = queue.popleft()
-        cid = ids[(p, q)]
-        for sym in range(k):
-            for pp in ta[p].get(sym, ()):
-                for qq in tb[q].get(sym, ()):
-                    pair = (pp, qq)
-                    if pair not in ids:
-                        ids[pair] = len(order)
-                        order.append(pair)
-                        queue.append(pair)
-                    transitions.add((cid, sym, ids[pair]))
-    finals = frozenset(
-        i for i, (p, q) in enumerate(order) if p in a.finals and q in b.finals
-    )
+    for i, (p, q) in enumerate(pairs):  # grows while it is walked: the BFS queue
+        for sym, (ta, tb) in enumerate(steps):
+            for pair in product(bits(ta[p]), bits(tb[q])):
+                if pair not in ids:
+                    ids[pair] = len(pairs)
+                    pairs.append(pair)
+                transitions.add((i, sym, ids[pair]))
     return FiniteAutomaton(
         alphabet=a.alphabet,
-        state_count=len(order),
-        starts=frozenset(range(len(start_pairs))),
-        finals=finals,
+        state_count=len(pairs),
+        starts=frozenset(range(len(a.starts) * len(b.starts))),
+        finals=frozenset(i for i, (p, q) in enumerate(pairs) if p in a.finals and q in b.finals),
         transitions=frozenset(transitions),
-        state_tags=tuple(order),
+        state_tags=tuple(pairs),
     )
 
 
@@ -432,8 +415,6 @@ def complement(fa: FiniteAutomaton) -> FiniteAutomaton:
 
 
 def difference(a: FiniteAutomaton, b: FiniteAutomaton) -> FiniteAutomaton:
-    if a.alphabet != b.alphabet:
-        raise ValueError("alphabet mismatch")
     return intersect(a, complement(b))
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .ca import CodedDiagram, SpaceTimeDiagram
+    from .ca import SpaceTimeDiagram
     from .domspec import ParsedDomain
 
 
@@ -123,7 +123,7 @@ def _cmd_stack(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from .render import code_texts, emit_pgm, gray, plain_pgm
+    from .render import code_texts, emit_csv, emit_pgm, gray, plain_pgm
     from .tdx import load_transducer
 
     t, digest = load_transducer(_read_text(args.filter))
@@ -148,7 +148,7 @@ def _cmd_run(args) -> int:
         reverse = build_filter([reverse_domain(pd.domain) for pd in parsed])
         out = bidirectional((t, reverse), sigma, mode)
         labeled = CodedDiagram((tuple(map(symbol_code, out)),), t.domain_count, 1)
-        data = emit_pgm(labeled) if pgm else _csv(labeled)
+        data = emit_pgm(labeled) if pgm else emit_csv(labeled)
         if digest is not None and spec_digest(text) != digest:  # after the run, so an error is the one line
             print("warning: filter was built from a different domain file", file=sys.stderr)
     else:  # one walk emits each letter's text straight from a per-arc text table, blocks at a time
@@ -162,19 +162,20 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _csv(labeled: CodedDiagram) -> str:
-    """One line of wire codes per row, one precomputed string per code."""
-    from .render import diagram_texts
-
-    text = diagram_texts(str, labeled)
-    return "\n".join([",".join(map(text.__getitem__, row)) for row in labeled.rows]) + "\n"
+def _integer(text: str) -> int:
+    """An optional ``-`` and ASCII digits, of any length, as an int (``int``
+    alone also reads other Unicode digits, ``+``, underscores and spaces)."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    return -_decimal(digits) if digits != text else _decimal(digits)
 
 
 def _parse_int(text: str, init: str) -> int:
     try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"bad --init {init!r}: {text!r} is not an integer") from None
+        return _integer(text)
+    except argparse.ArgumentTypeError as e:
+        raise UsageError(f"bad --init {init!r}: {e}") from None
 
 
 def _parse_init(init: str, k: int, width: int | None) -> bytes:
@@ -281,7 +282,7 @@ def _read_diagram(path: str) -> SpaceTimeDiagram:
 
 def _cmd_ca_filter(args) -> int:
     from .ca import filter_diagram
-    from .render import emit_pgm
+    from .render import emit_csv, emit_pgm
 
     diagram = _read_diagram(args.input)
     if args.method == "transducer":
@@ -296,7 +297,7 @@ def _cmd_ca_filter(args) -> int:
         _text, parsed = _load_domains(args.domains)
         source = [pd.domain for pd in parsed]
     labeled = filter_diagram(args.method, source, diagram)
-    _write(args.output, _csv(labeled) if args.format == "csv" else emit_pgm(labeled))
+    _write(args.output, emit_csv(labeled) if args.format == "csv" else emit_pgm(labeled))
     return 0
 
 
@@ -334,11 +335,11 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("ca", help="evolve a cellular automaton")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--r", type=int, default=1)
+    p.add_argument("--k", type=_integer, default=2)
+    p.add_argument("--r", type=_integer, default=1)
     p.add_argument("--rule", required=True, help="rule number, in decimal")
-    p.add_argument("--width", type=int)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--width", type=_integer)
+    p.add_argument("--steps", type=_integer, required=True)
     p.add_argument("--init", required=True, help="random:SEED, word:W[^N], or @FILE")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_ca)

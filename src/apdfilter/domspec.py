@@ -15,7 +15,8 @@ explicit state/transition blocks or through the ``cyclic`` shorthand::
     end
 
 ``#`` starts a comment line; ``end`` takes no arguments.  Parse errors carry
-line numbers; invariant violations name the domain and the failed property.
+line numbers, and echo fields cut short by ``clip``; invariant violations
+name the domain and the failed property.
 
 Split domains written by the optimizer keep their non-recurrent states, so
 their blocks carry a ``nonrecurrent`` marker line, with no arguments, that
@@ -30,6 +31,7 @@ from .automata import (
     Alphabet,
     Domain,
     FiniteAutomaton,
+    clip,
     cyclic_domain,
     is_strongly_connected,
 )
@@ -92,7 +94,7 @@ def parse_domain_spec(text: str) -> tuple[Alphabet, list[ParsedDomain]]:
                     _fail(line_no, "domain needs a name")
                 name = args[0]
                 if name in parsed:
-                    _fail(line_no, f"duplicate domain {name}")
+                    _fail(line_no, f"duplicate domain {clip(name)}")
                 if len(args) == 1:
                     block = _Block(name, {}, None, None, set(), False)
                     continue
@@ -104,18 +106,18 @@ def parse_domain_spec(text: str) -> tuple[Alphabet, list[ParsedDomain]]:
                 dom = cyclic_domain(args[2], alphabet)
                 parsed[name] = ParsedDomain(name, dom, tuple(map(str, range(dom.fa.state_count))))
             else:
-                _fail(line_no, f"unknown directive {word!r}")
+                _fail(line_no, f"unknown directive {clip(word)!r}")
             continue
         if word in _ARITY and len(args) != _ARITY[word][0]:
             _fail(line_no, _ARITY[word][1])
         states = block.states
         for s in args[::2] if word == "trans" else args if word in ("start", "final") else ():
             if s not in states:
-                _fail(line_no, f"unknown state {s}")
+                _fail(line_no, f"unknown state {clip(s)}")
         if word == "state":
             for s in args:
                 if s in states:
-                    _fail(line_no, f"duplicate state {s}")
+                    _fail(line_no, f"duplicate state {clip(s)}")
                 states[s] = len(states)
         elif word == "start":
             block.starts = (block.starts or set()) | {states[s] for s in args}
@@ -124,28 +126,28 @@ def parse_domain_spec(text: str) -> tuple[Alphabet, list[ParsedDomain]]:
         elif word == "trans":
             s, tok, d = args
             if tok not in alphabet:
-                _fail(line_no, f"symbol {tok} not in the alphabet")
+                _fail(line_no, f"symbol {clip(tok)} not in the alphabet")
             block.arcs.add((states[s], alphabet.indices[tok], states[d]))
         elif word == "nonrecurrent":
             block.nonrecurrent = True
         elif word == "end":
             if not states:
-                _fail(line_no, f"domain {block.name}: no states declared")
+                _fail(line_no, f"domain {clip(block.name)}: no states declared")
             every = frozenset(range(len(states)))
             starts, finals = (every if m is None else frozenset(m) for m in (block.starts, block.finals))
             fa = FiniteAutomaton(alphabet, len(states), starts, finals, frozenset(block.arcs))
             try:
                 domain = Domain(fa)
             except ValueError as e:
-                _fail(line_no, f"domain {block.name}: {e}")
+                _fail(line_no, f"domain {clip(block.name)}: {e}")
             if not block.nonrecurrent and not is_strongly_connected(fa):
-                _fail(line_no, f"domain {block.name}: not strongly connected")
+                _fail(line_no, f"domain {clip(block.name)}: not strongly connected")
             parsed[block.name] = ParsedDomain(block.name, domain, tuple(states))
             block = None
         else:
-            _fail(line_no, f"unexpected {word!r} inside a domain block")
+            _fail(line_no, f"unexpected {clip(word)!r} inside a domain block")
     if block is not None:
-        _fail(line_no, f"domain {block.name}: missing end")
+        _fail(line_no, f"domain {clip(block.name)}: missing end")
     if alphabet is None:
         _fail(1, "no alphabet declared")
     if not parsed:

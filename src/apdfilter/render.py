@@ -4,8 +4,8 @@ A filtered diagram's wire codes shade themselves (``gray``): domain
 labels spread over light grays (domain 1 is white), every break is
 black, ambiguity is mid gray.  Raw diagrams render with 0 white and the
 highest symbol black, matching the usual space-time convention.  The
-CSV wire code, ``symbol_code``, lives with the filter transducer in
-``transducer`` and is re-exported here.
+writers share one row loop.  The CSV wire code, ``symbol_code``, lives
+with the filter transducer in ``transducer`` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -56,6 +56,11 @@ def plain_pgm(lines: Sequence[str], width: int) -> bytes:
     return "\n".join(["P2", f"{width} {len(lines)}", "255", *lines, ""]).encode("ascii")
 
 
+def _lines(texts: list[str], rows, sep: str) -> list[str]:
+    """One line per row: each cell's text, at its code or symbol, ``sep`` between."""
+    return [sep.join(map(texts.__getitem__, row)) for row in rows]
+
+
 def emit_pgm(diagram: CodedDiagram | SpaceTimeDiagram) -> bytes:
     """Plain (P2) PGM; byte-identical output for identical input.
 
@@ -68,5 +73,9 @@ def emit_pgm(diagram: CodedDiagram | SpaceTimeDiagram) -> bytes:
     else:
         top = max(1, diagram.k - 1)  # a one-symbol diagram is all white
         shade, rows = [str(255 - v * 255 // top) for v in range(diagram.k)], diagram.rows
-    return plain_pgm([" ".join(map(shade.__getitem__, row)) for row in rows], len(rows[0]) if rows else 0)
+    return plain_pgm(_lines(shade, rows, " "), len(rows[0]) if rows else 0)
 
+
+def emit_csv(diagram: CodedDiagram) -> str:
+    """One line of wire codes per row, each cell indexing one list of code texts."""
+    return "\n".join(_lines(diagram_texts(str, diagram), diagram.rows, ",")) + "\n"

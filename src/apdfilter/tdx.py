@@ -7,8 +7,8 @@ OUT one of ``lam`` (ambiguity), ``d<i>`` (domain label) or ``brk<j>``
 pair.  An optional ``hash`` line carries the digest of the domain file
 the filter was built from, so later runs can flag a mismatched domain set.
 
-The numbers of ``d<i>`` and ``brk<j>`` are ASCII digits, and every number
-is converted as its line is read, so a bad one fails with its line number.
+Every number is ASCII digits, converted as its line is read, so a bad one
+fails with its line number; an error echoes a field cut short by ``clip``.
 Every line but ``alphabet`` has a fixed number of fields, each header
 line (``alphabet``, ``states``, ``start``, ``domains``, ``hash``)
 appears at most once and anywhere in the file, and a filter has at
@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 from typing import Any
 
-from .automata import Alphabet
+from .automata import Alphabet, clip
 from .transducer import Transducer
 
 
@@ -43,8 +43,8 @@ class TdxError(ValueError):
 
 # arguments per directive (``brk<j>`` under ``brk``); ``alphabet`` takes any number
 _ARGS = {"alphabet": None, "states": 1, "start": 1, "domains": 1, "hash": 1, "trans": 4, "brk": 2}
-# label and break numbers are ASCII digits (``\d`` and ``int`` take any Unicode
-# digit, ``int`` also signs and underscores), converted inside the per-line ``try``
+# every number is ASCII digits (``\d`` and ``int`` take any Unicode digit, ``int``
+# also signs and underscores), converted inside the per-line ``try``
 _OUTPUT = re.compile(r"lam|d([0-9]+)|brk([0-9]+)")  # groups: domain label, break number
 
 
@@ -85,25 +85,29 @@ def load_transducer(text: str) -> tuple[Transducer, str | None]:
         word = fields[0]
         kind = "brk" if word.startswith("brk") else word
         if kind not in _ARGS:
-            raise TdxError(f"line {line_no}: unknown directive {word!r}")
+            raise TdxError(f"line {line_no}: unknown directive {clip(word)!r}")
         count = _ARGS[kind]
         if count is not None and len(fields) != count + 1:
-            raise TdxError(f"line {line_no}: malformed {word!r} line")
+            raise TdxError(f"line {line_no}: malformed {clip(word)!r} line")
         try:
             if kind == "trans":
                 _, s, tok, out, d = fields
+                numbers = s + d  # one check per line
+                if not (numbers.isdigit() and numbers.isascii()):
+                    raise ValueError(numbers)
                 output = _OUTPUT.fullmatch(out)
                 if not output:
-                    raise TdxError(f"line {line_no}: bad output code {out!r}")
+                    raise TdxError(f"line {line_no}: bad output code {clip(out)!r}")
                 label, brk = output.groups()
                 arcs.append((line_no, int(s), tok, out, label and int(label), brk and int(brk), int(d)))
             elif kind == "brk":
                 declared = _OUTPUT.fullmatch(word)  # word starts with brk: a match is a brk<j>
-                if not declared:
+                numbers = fields[1] + fields[2]
+                if not (declared and numbers.isdigit() and numbers.isascii()):
                     raise ValueError(word)
                 number = int(declared[2])
                 if number in pairs:
-                    raise TdxError(f"line {line_no}: duplicate {word!r} declaration")
+                    raise TdxError(f"line {line_no}: duplicate {clip(word)!r} declaration")
                 pairs[number] = (int(fields[1]), int(fields[2]))
             elif word in header:
                 raise TdxError(f"line {line_no}: duplicate {word!r} line")
@@ -112,13 +116,15 @@ def load_transducer(text: str) -> tuple[Transducer, str | None]:
             elif word == "hash":
                 header[word] = fields[1]
             else:  # states, start, domains
+                if not (fields[1].isdigit() and fields[1].isascii()):
+                    raise ValueError(fields[1])
                 header[word] = int(fields[1])
                 if word == "domains" and header[word] < 1:
                     raise TdxError(f"line {line_no}: domains {header[word]}: a filter has at least one")
         except TdxError:
             raise
         except ValueError:
-            raise TdxError(f"line {line_no}: malformed {word!r} line") from None
+            raise TdxError(f"line {line_no}: malformed {clip(word)!r} line") from None
     if not header.keys() >= {"alphabet", "states", "start"}:
         raise TdxError("missing header line")
     alphabet, state_count, start = header["alphabet"], header["states"], header["start"]
@@ -128,15 +134,15 @@ def load_transducer(text: str) -> tuple[Transducer, str | None]:
     # state_count * k arcs every slot of the table is filled.
     if len(arcs) < state_count * k:
         raise TdxError(
-            f"states {state_count} over {k} letters need {state_count * k} trans lines, "
+            f"states {clip(state_count)} over {k} letters need {clip(state_count * k)} trans lines, "
             f"found {len(arcs)}"
         )
     top = state_count - 1
     if not 0 <= start <= top:
-        raise TdxError(f"start state {start} outside the states 0..{top}")
+        raise TdxError(f"start state {clip(start)} outside the states 0..{top}")
     for number, (source, target) in sorted(pairs.items()):
         if not (0 <= source <= top and 0 <= target <= top):
-            raise TdxError(f"brk{number} {source} {target}: outside the states 0..{top}")
+            raise TdxError(f"brk{clip(number)} {clip(source)} {clip(target)}: outside the states 0..{top}")
     nxt: list[int | None] = [None] * (state_count * k)
     code = [0] * (state_count * k)
     broken: dict[int, tuple[int, int]] = {}  # table index -> break pair
@@ -144,16 +150,16 @@ def load_transducer(text: str) -> tuple[Transducer, str | None]:
     indices = alphabet.indices
     for line_no, s, tok, out, label, brk, d in arcs:
         if tok not in indices:
-            raise TdxError(f"line {line_no}: unknown symbol {tok!r}")
+            raise TdxError(f"line {line_no}: unknown symbol {clip(tok)!r}")
         if not (0 <= s <= top and 0 <= d <= top):
-            raise TdxError(f"trans {s} {tok} {out} {d}: outside the states 0..{top}")
+            raise TdxError(f"trans {clip(s)} {clip(tok)} {clip(out)} {clip(d)}: outside the states 0..{top}")
         i = s * k + indices[tok]
         if nxt[i] is not None:
-            raise TdxError(f"line {line_no}: second transition from state {s} on {tok!r}")
+            raise TdxError(f"line {line_no}: second transition from state {s} on {clip(tok)!r}")
         nxt[i] = d * k
         if brk is not None:
             if brk not in pairs:
-                raise TdxError(f"undeclared break code brk{brk}")
+                raise TdxError(f"undeclared break code brk{clip(brk)}")
             broken[i] = pairs[brk]
         elif label is not None:
             code[i] = label
@@ -161,7 +167,7 @@ def load_transducer(text: str) -> tuple[Transducer, str | None]:
     domains = header.get("domains") or max(labels, default=1)
     for index in sorted(labels):
         if not 1 <= index <= domains:
-            raise TdxError(f"domain label d{index} outside the domains 1..{domains}")
+            raise TdxError(f"domain label d{clip(index)} outside the domains 1..{clip(domains)}")
     breaks: dict[tuple[int, int], int] = {}  # pair -> code, by first use
     for i in sorted(broken):
         code[i] = breaks.setdefault(broken[i], -len(breaks) - 1)

@@ -1,13 +1,17 @@
 """Brute-force oracles shared by the test modules.
 
 Everything here works by direct enumeration or simulation so it stays
-independent of the constructions under test.  Sets of states are
-frozensets stepped by ``set_step``, not the package's bitmask subset
-construction: membership is ``reference_accepts``, the set simulation that
-``automata.accepts`` replaced with a table over bitmask sets, and
-``reference_determinize`` is the frozenset breadth-first subset
-construction that ``automata.determinize`` and ``build_tracker`` replaced
-with ``SubsetSteps.explore``; ``tracker_dfa`` is that construction of a
+independent of the constructions under test.  Arcs are read off per-state
+tables, ``transition_table``, built once per automaton from its
+transitions, and sets of states are frozensets stepped by ``set_step``,
+not the package's bitmask subset construction: membership is
+``reference_accepts``, the set simulation that ``automata.accepts``
+replaced with a table over bitmask sets, ``reference_determinize`` is the
+frozenset breadth-first subset construction that ``automata.determinize``
+and ``build_tracker`` replaced with ``SubsetSteps.explore``, and
+``reference_intersect`` the queue-driven product construction that
+``automata.intersect`` replaced with a walk over ``SubsetSteps.targets``;
+``tracker_dfa`` is the subset construction of a
 tracker as a ``FiniteAutomaton``, which the package no longer builds, and
 ``sigma_star_prefix`` puts a hub before an automaton: the two make the
 reference for ``optimizer.past_automaton``, which reads the same automaton
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import weakref
 from collections import deque
 from random import Random
 from typing import Iterable, Sequence
@@ -87,9 +92,26 @@ def all_words(alphabet: Alphabet, max_len: int, min_len: int = 0):
             yield "".join(combo)
 
 
+_TABLES: dict[int, dict[int, dict[int, tuple[int, ...]]]] = {}  # live automaton's id -> its table
+
+
+def transition_table(fa: FiniteAutomaton) -> dict[int, dict[int, tuple[int, ...]]]:
+    """Per-state map symbol index -> sorted target states, built once per
+    automaton and dropped with it (an id lookup, not a hash of its fields)."""
+    table = _TABLES.get(id(fa))
+    if table is None:
+        raw: dict[int, dict[int, set[int]]] = {s: {} for s in range(fa.state_count)}
+        for (src, sym, dst) in fa.transitions:
+            raw[src].setdefault(sym, set()).add(dst)
+        table = {s: {sym: tuple(sorted(dsts)) for sym, dsts in row.items()} for s, row in raw.items()}
+        _TABLES[id(fa)] = table
+        weakref.finalize(fa, _TABLES.pop, id(fa))
+    return table
+
+
 def set_step(fa: FiniteAutomaton, states, sym: int) -> frozenset[int]:
     """The states some ``sym``-arc leads to from a state in ``states``."""
-    table = fa.transition_table
+    table = transition_table(fa)
     out: set[int] = set()
     for s in states:
         out.update(table[s].get(sym, ()))
@@ -128,6 +150,48 @@ def reference_determinize(fa: FiniteAutomaton) -> FiniteAutomaton:
     )
 
 
+def reference_intersect(a: FiniteAutomaton, b: FiniteAutomaton) -> FiniteAutomaton:
+    """Product construction by a breadth-first search over state pairs with
+    a queue, arcs read off per-state tables: the reference for
+    ``automata.intersect`` (same numbering, finals and tags)."""
+    if a.alphabet != b.alphabet:
+        raise ValueError("alphabet mismatch")
+    k = len(a.alphabet)
+    ta, tb = transition_table(a), transition_table(b)
+    start_pairs = sorted((p, q) for p in a.starts for q in b.starts)
+    ids: dict[tuple[int, int], int] = {}
+    order: list[tuple[int, int]] = []
+    queue: deque[tuple[int, int]] = deque()
+    for pair in start_pairs:
+        ids[pair] = len(order)
+        order.append(pair)
+        queue.append(pair)
+    transitions: set[tuple[int, int, int]] = set()
+    while queue:
+        (p, q) = queue.popleft()
+        cid = ids[(p, q)]
+        for sym in range(k):
+            for pp in ta[p].get(sym, ()):
+                for qq in tb[q].get(sym, ()):
+                    pair = (pp, qq)
+                    if pair not in ids:
+                        ids[pair] = len(order)
+                        order.append(pair)
+                        queue.append(pair)
+                    transitions.add((cid, sym, ids[pair]))
+    finals = frozenset(
+        i for i, (p, q) in enumerate(order) if p in a.finals and q in b.finals
+    )
+    return FiniteAutomaton(
+        alphabet=a.alphabet,
+        state_count=len(order),
+        starts=frozenset(range(len(start_pairs))),
+        finals=finals,
+        transitions=frozenset(transitions),
+        state_tags=tuple(order),
+    )
+
+
 def tracker_dfa(tracker: Tracker) -> FiniteAutomaton:
     """The tracker as a ``FiniteAutomaton`` tagged with frozensets, numbered
     as its step table is."""
@@ -147,7 +211,7 @@ def sigma_star_prefix(fa: FiniteAutomaton) -> FiniteAutomaton:
     hub = fa.state_count
     transitions = set(fa.transitions)
     transitions.update((hub, sym, hub) for sym in range(k))
-    table = fa.transition_table
+    table = transition_table(fa)
     for s in fa.starts:
         for sym, dsts in table[s].items():
             transitions.update((hub, sym, d) for d in dsts)
@@ -542,7 +606,7 @@ def orbit_multiplicity_at(cover, position: int) -> tuple[int, list[int]]:
 
 def step_det(fa: FiniteAutomaton, state: int, sym: int) -> int | None:
     """Unique successor in a semi-deterministic automaton, or None."""
-    dsts = fa.transition_table[state].get(sym)
+    dsts = transition_table(fa)[state].get(sym)
     if dsts is None:
         return None
     if len(dsts) != 1:
@@ -557,7 +621,7 @@ def forbidden_pairs(fa: FiniteAutomaton) -> list[tuple[int, int]]:
         (s, sym)
         for s in range(fa.state_count)
         for sym in range(k)
-        if sym not in fa.transition_table[s]
+        if sym not in transition_table(fa)[s]
     ]
 
 
@@ -746,7 +810,7 @@ def resync_pasts(
     if union.starts != frozenset(range(union.state_count)):
         raise ValueError("every union state must be a start")
     sym = union.alphabet.index(symbol)
-    if sym in union.transition_table[state]:
+    if sym in transition_table(union)[state]:
         raise ValueError(f"({state}, {symbol!r}) is not forbidden in the union")
     if not 0 <= target < tracker.state_count:
         raise ValueError(f"bad tracker state {target}")
@@ -795,7 +859,7 @@ def initial_classes(domains: Sequence[Domain]) -> ClassMap:
     out: ClassMap = {}
     for s in range(union.state_count):
         forbidden = [
-            sym for sym in range(len(alphabet)) if sym not in union.transition_table[s]
+            sym for sym in range(len(alphabet)) if sym not in transition_table(union)[s]
         ]
         if not forbidden:
             out[s] = (everything,)
@@ -832,7 +896,7 @@ def refine_classes(
     changed: dict[int, bool] = {}
     for s in range(fa.state_count):
         pieces: list[FiniteAutomaton] = []
-        for sym, dsts in sorted(fa.transition_table[s].items()):
+        for sym, dsts in sorted(transition_table(fa)[s].items()):
             token = fa.alphabet.symbols[sym]
             for dst in dsts:
                 for nxt in classes[dst]:

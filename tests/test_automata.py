@@ -10,6 +10,7 @@ from helpers import (
     replace_finals,
     sigma_star_prefix,
     tracker_dfa,
+    transition_table,
     unconcat_last,
     zero_cycle_domain,
 )
@@ -83,7 +84,7 @@ class TestDeterminize:
         assert det.state_tags[0] == frozenset({0, 1})
         # ({pair-boundary}, 1) has no transition
         boundary = det.state_tags.index(frozenset({0}))
-        assert 1 not in det.transition_table[boundary]
+        assert 1 not in transition_table(det)[boundary]
 
     def test_already_deterministic_fixpoint(self):
         fa = word_automaton(["01", "00"])

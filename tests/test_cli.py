@@ -447,6 +447,30 @@ class TestCa:
             assert (code, out) == (1, ""), bad
             assert err == "usage error: --rule is not a non-negative decimal integer\n", bad
 
+    def test_ca_integers_are_ascii(self, capsys):
+        # --k, --r, --width, --steps and the numbers of --init are an optional
+        # - and ASCII digits; int() alone also reads other Unicode digits,
+        # signs, underscores and spaces
+        argv = {"--rule": "110", "--width": "4", "--steps": "1", "--init": "random:1"}
+        for option, bad in (
+            ("--width", "\u0664"), ("--steps", "\u0661"), ("--k", "\u0662"), ("--r", "\u0661"),
+            ("--width", "+4"), ("--steps", "0_1"), ("--k", " 2"), ("--r", "\uff11"),
+        ):
+            args = [a for pair in {**argv, option: bad}.items() for a in pair]
+            code, out, err = run_cli(capsys, "ca", *args)
+            assert (code, out) == (1, ""), (option, bad)
+            assert err == f"usage error: argument {option}: {bad!r} is not an integer\n", (option, bad)
+        for init, bad in (
+            ("random:\uff11", "\uff11"), ("random:1_0", "1_0"), ("random:+1", "+1"), ("random:-", "-"),
+            ("word:01^+2", "+2"), ("word:01^\u0663", "\u0663"), ("word:01^2_0", "2_0"),
+        ):
+            code, out, err = run_cli(capsys, "ca", "--rule", "110", "--width", "4", "--steps", "1", "--init", init)
+            assert (code, out) == (1, ""), init
+            assert err == f"usage error: bad --init {init!r}: {bad!r} is not an integer\n", init
+        # a negative seed is still a seed
+        code, out, err = run_cli(capsys, "ca", "--rule", "110", "--width", "4", "--steps", "0", "--init", "random:-5")
+        assert (code, err) == (0, "") and out == "".join(map(str, random_row(2, 4, -5))) + "\n"
+
     def test_ca_huge_word_repeat(self, capsys):
         # the width is checked against len(W)*N before the row is built, and
         # a repeat that cannot be built is one usage error, not a traceback
@@ -629,11 +653,11 @@ class TestErrors:
             assert code == 2, new
             assert out == "" and err.count("\n") == 1 and err.startswith("error: "), new
         # a domain count below 1, on a filter whose arcs carry no label
-        bad.write_text(valid.replace(" d1 ", " lam ").replace("domains 1", "domains -5"))
+        bad.write_text(valid.replace(" d1 ", " lam ").replace("domains 1", "domains 0"))
         code, out, err = run_cli(
             capsys, "run", "--filter", str(bad), "--input", "0101", "--format", "pgm"
         )
-        assert (code, out, err) == (2, "", "error: line 4: domains -5: a filter has at least one\n")
+        assert (code, out, err) == (2, "", "error: line 4: domains 0: a filter has at least one\n")
         # a malformed output code names its line
         for code_text in ("d", "dx", "brkx"):
             bad.write_text(valid.replace("trans 1 0 d1 0", f"trans 1 0 {code_text} 0"))
@@ -672,6 +696,16 @@ class TestErrors:
         dup = str(HOSTILE / "dup-header.tdx")
         code, out, err = run_cli(capsys, "run", "--filter", dup, "--input", "0101")
         assert (code, out, err) == (2, "", "error: line 12: duplicate 'start' line\n")
+
+    def test_hostile_number_and_directive_fixtures(self, capsys):
+        # the fixtures that CI also runs through the installed CLI: a state
+        # count in Arabic-Indic digits, and a directive whose echo is clipped
+        for name, line in (
+            ("arabic-states.tdx", "line 4: malformed 'states' line"),
+            ("long-directive.tdx", f"line 15: unknown directive '{'x' * 40}…'"),
+        ):
+            code, out, err = run_cli(capsys, "run", "--filter", str(HOSTILE / name), "--input", "0101")
+            assert (code, out, err) == (2, "", f"error: {line}\n"), name
 
     def test_huge_declared_domain_count_costs_nothing(self, capsys):
         # d18.tdx declaring 99999999999 domains: the text tables run up to

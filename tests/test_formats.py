@@ -138,6 +138,34 @@ class TestDomainSpec:
             parse_domain_spec(text)
         assert str(error.value) == message
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("alphabet 0 1\n" + "x" * 5000 + " 1\n", f"line 2: unknown directive '{'x' * 40}…'"),
+            ("alphabet 0 1\ndomain D\n state p\n start " + "q" * 5000 + "\nend\n", f"line 4: unknown state {'q' * 40}…"),
+            ("alphabet 0 1\ndomain D\n state p " + "r" * 50 + " " + "r" * 50 + "\nend\n",
+             f"line 3: duplicate state {'r' * 40}…"),
+            ("alphabet 0 1\ndomain D\n state p\n trans p " + "2" * 50 + " p\nend\n",
+             f"line 4: symbol {'2' * 40}… not in the alphabet"),
+            ("alphabet 0 1\ndomain D\n state p\n " + "y" * 50 + "\nend\n",
+             f"line 4: unexpected '{'y' * 40}…' inside a domain block"),
+            ("alphabet 0 1\ndomain " + "N" * 50 + " cyclic 0\ndomain " + "N" * 50 + " cyclic 1\n",
+             f"line 3: duplicate domain {'N' * 40}…"),
+            ("alphabet 0 1\ndomain " + "M" * 50 + "\nend\n", f"line 3: domain {'M' * 40}…: no states declared"),
+            ("alphabet 0 1\ndomain " + "L" * 50 + "\n state p\n", f"line 3: domain {'L' * 40}…: missing end"),
+            ("alphabet 0 " + "\x01" * 50 + "\n", "line 1: bad alphabet token '" + "\\x01" * 40 + "…'"),
+        ],
+        ids=[
+            "long-directive", "long-start-state", "long-duplicate-state", "long-symbol", "long-block-word",
+            "long-duplicate-domain", "long-empty-domain", "long-open-domain", "long-alphabet-token",
+        ],
+    )
+    def test_error_lines_echo_a_clipped_field(self, text, message):
+        # an echoed field is cut to 40 characters and an ellipsis
+        with pytest.raises(DomainSpecError) as error:
+            parse_domain_spec(text)
+        assert str(error.value) == message
+
     def test_round_trip(self):
         alphabet, parsed = parse_domain_spec(D18_SPEC)
         text = format_domain_spec(alphabet, parsed)
@@ -302,6 +330,60 @@ class TestTdxValidation:
         with pytest.raises(TdxError, match=message):
             load_transducer(VALID_TDX.replace(old, new))
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            # state and count numbers are ASCII digits too, with no sign
+            ("states 2", "states \u0663", "^line 2: malformed 'states' line$"),
+            ("states 2", "states +2", "^line 2: malformed 'states' line$"),
+            ("start 0", "start +0", "^line 3: malformed 'start' line$"),
+            ("start 0", "start \uff10", "^line 3: malformed 'start' line$"),
+            ("domains 1", "domains 0_1", "^line 4: malformed 'domains' line$"),
+            ("trans 0 0 d1 1", "trans 0 0 d1 +1", "^line 5: malformed 'trans' line$"),
+            ("trans 0 0 d1 1", "trans \u0660 0 d1 1", "^line 5: malformed 'trans' line$"),
+            ("trans 1 1 d1 0", "trans 1 1 d1 -0", "^line 8: malformed 'trans' line$"),
+            ("brk1 0 0", "brk1 0 1_0", "^line 9: malformed 'brk1' line$"),
+            ("brk1 0 0", "brk1 -0 0", "^line 9: malformed 'brk1' line$"),
+            ("brk1 0 0", "brk1 0 \u0661", "^line 9: malformed 'brk1' line$"),
+        ],
+        ids=[
+            "arabic-indic-states", "signed-states", "signed-start", "fullwidth-start",
+            "underscored-domains", "signed-trans-target", "arabic-indic-trans-source",
+            "signed-trans-target-zero", "underscored-brk-state", "signed-brk-state",
+            "arabic-indic-brk-state",
+        ],
+    )
+    def test_state_and_count_numbers_are_ascii_digits(self, old, new, message):
+        with pytest.raises(TdxError, match=message):
+            load_transducer(VALID_TDX.replace(old, new))
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("brk1 0 0", "brk1 0 0\nbrk" + "1" * 5000 + " 0 0", f"line 10: malformed 'brk{'1' * 37}…' line"),
+            ("trans 1 0 d1 0", "trans 1 0 x" + "y" * 5000 + " 0", f"line 7: bad output code 'x{'y' * 39}…'"),
+            ("brk1 0 0", "brk1 0 0\n" + "z" * 5000 + " 1", f"line 10: unknown directive '{'z' * 40}…'"),
+            ("brk1 0 0", "brk1 0 0\nbrk" + "2" * 50 + " 0 0\nbrk" + "2" * 50 + " 0 0",
+             f"line 11: duplicate 'brk{'2' * 37}…' declaration"),
+            ("trans 1 1 d1 0", "trans 1 " + "w" * 5000 + " d1 0", f"line 8: unknown symbol '{'w' * 40}…'"),
+            ("trans 1 1 d1 0", "trans 1 1 d1 " + "9" * 4000, f"trans 1 1 d1 {'9' * 40}…: outside the states 0..1"),
+            ("brk1 0 0", "brk1 " + "8" * 4000 + " 0", f"brk1 {'8' * 40}… 0: outside the states 0..1"),
+            ("start 0", "start " + "7" * 4000, f"start state {'7' * 40}… outside the states 0..1"),
+            ("trans 0 1 brk1 0", "trans 0 1 brk" + "6" * 4000 + " 0", f"undeclared break code brk{'6' * 40}…"),
+            ("trans 1 0 d1 0", "trans 1 0 d" + "5" * 4000 + " 0", f"domain label d{'5' * 40}… outside the domains 1..1"),
+        ],
+        ids=[
+            "long-brk-declaration", "long-output", "long-directive", "long-duplicate-brk",
+            "long-symbol", "long-trans-state", "long-brk-state", "long-start", "long-break-code",
+            "long-label",
+        ],
+    )
+    def test_error_lines_echo_a_clipped_field(self, old, new, message):
+        # an echoed field is cut to 40 characters and an ellipsis
+        with pytest.raises(TdxError) as error:
+            load_transducer(VALID_TDX.replace(old, new))
+        assert str(error.value) == message
+
     def test_unknown_directive_refused(self):
         with pytest.raises(TdxError, match="^line 10: unknown directive 'state'$"):
             load_transducer(VALID_TDX + "state 2\n")
@@ -315,10 +397,11 @@ class TestTdxValidation:
         # every arc ambiguous, so no label bounds the count from below
         lam_only = VALID_TDX.replace(" d1 ", " lam ")
         assert load_transducer(lam_only)[0].domain_count == 1
-        for count in (0, -5):
-            message = f"^line 4: domains {count}: a filter has at least one$"
-            with pytest.raises(TdxError, match=message):
-                load_transducer(lam_only.replace("domains 1", f"domains {count}"))
+        with pytest.raises(TdxError, match="^line 4: domains 0: a filter has at least one$"):
+            load_transducer(lam_only.replace("domains 1", "domains 0"))
+        # a count below 0 has a sign, which no number of the format has
+        with pytest.raises(TdxError, match="^line 4: malformed 'domains' line$"):
+            load_transducer(lam_only.replace("domains 1", "domains -5"))
 
 
 class TestRender:

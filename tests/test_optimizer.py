@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 from pathlib import Path
 from random import Random
@@ -356,16 +357,18 @@ class TestOptimize:
         (nfa,) = determinize_calls
         assert nfa.state_count == len(build_tracker([d18, *runs01]).masks) + 1
 
-    def test_domains_build_no_transition_table(self):
-        # validation reads a domain's arcs as they stand: no parsed, split or
-        # reversed domain of a build keeps a per-state table
+    def test_domains_build_no_memo_cache(self):
+        # validation reads a domain's arcs as they stand, and a build reads
+        # them off its union: no parsed, split or reversed domain of a build
+        # keeps a memo cache, so each holds its dataclass fields alone
         _alphabet, parsed = parse_domain_spec((GOLDEN / "rule110.dom").read_text())
         domains = [pd.domain for pd in parsed]
         split = [sd.domain for sd in optimize(domains)]
         build_filter(domains)
         build_filter(split)
+        fields = {f.name for f in dataclasses.fields(FiniteAutomaton)}
         for d in domains + split + [reverse_domain(d) for d in domains]:
-            assert "transition_table" not in vars(d.fa)
+            assert vars(d.fa).keys() == fields
 
     def test_strict_growth_with_ambiguous_third_domain(self, runs01):
         doms = runs01 + [cyclic_domain("01", ALPHA01)]

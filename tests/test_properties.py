@@ -24,10 +24,12 @@ from helpers import (
     reference_bidirectional,
     reference_determinize,
     reference_evolve,
+    reference_intersect,
     reference_random_row,
     sigma_star_prefix,
     stack_letter_outputs,
     tracker_dfa,
+    transition_table,
     walk_arc_table,
 )
 from hypothesis import given, settings
@@ -44,6 +46,7 @@ from apdfilter.automata import (
     determinize,
     disjoint_union,
     equivalent,
+    intersect,
     is_strongly_connected,
     minimize,
     reverse_domain,
@@ -62,7 +65,7 @@ from apdfilter.ca import (
 )
 from apdfilter.domspec import ParsedDomain, format_domain_spec, parse_domain_spec, spec_digest
 from apdfilter.optimizer import OptimizeError, optimize, past_automaton
-from apdfilter.render import emit_pgm, gray
+from apdfilter.render import emit_csv, emit_pgm, gray
 from apdfilter.stackfilter import FilterStats, filter_global, filter_local
 from apdfilter.tdx import load_transducer, save_transducer
 from apdfilter.transducer import (
@@ -237,6 +240,38 @@ def test_determinize_is_the_frozenset_construction(case):
 
 
 @st.composite
+def nfa_pairs(draw) -> tuple[FiniteAutomaton, FiniteAutomaton]:
+    """Two automata of 0-6 states over one alphabet of 1-3 letters, with
+    any number of starts; now and then their arcs share no letter, so no
+    pair has a successor."""
+    alphabet = Alphabet(tuple("012"[: draw(st.integers(1, 3))]))
+    k = len(alphabet)
+    split = draw(st.integers(0, k)) if draw(st.booleans()) else None
+
+    def nfa(letters: range) -> FiniteAutomaton:
+        n = draw(st.integers(0, 6))
+        state = st.integers(0, n - 1) if n else st.nothing()
+        letter = st.sampled_from(letters) if letters else st.nothing()
+        arcs = draw(st.frozensets(st.tuples(state, letter, state)))
+        return FiniteAutomaton(alphabet, n, draw(st.frozensets(state)), draw(st.frozensets(state)), arcs)
+
+    if split is None:
+        return nfa(range(k)), nfa(range(k))
+    return nfa(range(split)), nfa(range(split, k))
+
+
+@settings(max_examples=200)
+@given(nfa_pairs())
+def test_intersect_is_the_queue_construction(pair):
+    a, b = pair
+    got, want = intersect(a, b), reference_intersect(a, b)
+    assert got.state_count == want.state_count
+    assert (got.starts, got.finals) == (want.starts, want.finals)
+    assert got.transitions == want.transitions
+    assert got.state_tags == want.state_tags
+
+
+@st.composite
 def machine(draw) -> FiniteAutomaton:
     """A ``random_nfa`` machine, the same with no start state, or a random
     complete DFA, which needs no sink."""
@@ -263,7 +298,7 @@ def test_tracker_is_the_frozenset_construction(case):
     domains, _word = case
     tracker = build_tracker(domains)
     ref = reference_determinize(tracker.union)
-    table, origin = ref.transition_table, tracker.union.state_tags
+    table, origin = transition_table(ref), tracker.union.state_tags
     assert tracker.step == tuple(
         tuple(table[q][sym][0] if sym in table[q] else None for q in range(ref.state_count))
         for sym in range(len(tracker.alphabet))
@@ -430,7 +465,7 @@ def test_run_writes_the_coded_diagram(tmp_path_factory, case, mode, fmt):
     tdx.write_text(save_transducer(t))
     try:
         labeled = CodedDiagram((tuple(transduce_codes(t, word, mode)),), t.domain_count, len(t.breaks))
-        want, message = emit_pgm(labeled) if fmt == "pgm" else cli._csv(labeled).encode(), ""
+        want, message = emit_pgm(labeled) if fmt == "pgm" else emit_csv(labeled).encode(), ""
     except ValueError as e:
         want, message = None, f"error: {e}\n"
     argv = ["run", "--filter", str(tdx), "--input", word, "--format", fmt, "-o", str(out)]
@@ -565,7 +600,7 @@ def test_lane_walk_is_the_row_walk(case):
     assert isinstance(labeled.rows[0], bytes) == (len(diagram.rows) >= LANE_ROWS and fits)
     tuples = CodedDiagram(want, t.domain_count, len(t.breaks))
     assert emit_pgm(labeled) == emit_pgm(tuples)
-    assert cli._csv(labeled) == cli._csv(tuples)
+    assert emit_csv(labeled) == emit_csv(tuples)
 
 
 def _reversible(d: Domain) -> bool:
