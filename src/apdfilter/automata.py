@@ -16,6 +16,7 @@ bounds every exploration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
@@ -30,7 +31,13 @@ MAX_SUBSETS = 2**15  # reachable nonempty sets one subset construction may numbe
 
 
 def clip(field: object) -> str:
-    """``field`` as an error line echoes it: at most 40 characters, then ``…``."""
+    """``field`` as an error line echoes it: at most 40 characters, then ``…``.
+    An int of more than 60 digits shows its leading digits, formed from its
+    quotient by a power of ten, so one past Python's limit on int strings
+    echoes too."""
+    if isinstance(field, int) and field.bit_length() > 200:
+        scale = int(field.bit_length() * math.log10(2)) - 45  # leaves 45 to 47 digits
+        return clip(f"{'-' * (field < 0)}{abs(field) // 10**scale}")
     text = str(field)
     return text if len(text) <= 40 else text[:40] + "…"
 

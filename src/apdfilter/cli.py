@@ -31,6 +31,19 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def _check_value(self, action, value):  # argparse's own message echoes the whole value
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(action, f"invalid choice: {_clip(value)!r} (choose from {choices})")
+
+
+def _clip(field: object) -> str:
+    """``automata.clip``, imported when an error line needs it, so that
+    importing ``cli`` loads no filter module."""
+    from .automata import clip
+
+    return clip(field)
+
 
 def _read_text(path: str) -> str:
     return Path(path).read_text()
@@ -167,15 +180,20 @@ def _integer(text: str) -> int:
     alone also reads other Unicode digits, ``+``, underscores and spaces)."""
     digits = text.removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        raise argparse.ArgumentTypeError(f"{_clip(text)!r} is not an integer")
     return -_decimal(digits) if digits != text else _decimal(digits)
+
+
+def _shown(init: str) -> str:
+    """``--init`` as an error line echoes it: a file name whole, anything else cut short."""
+    return init if init.startswith("@") else _clip(init)
 
 
 def _parse_int(text: str, init: str) -> int:
     try:
         return _integer(text)
     except argparse.ArgumentTypeError as e:
-        raise UsageError(f"bad --init {init!r}: {e}") from None
+        raise UsageError(f"bad --init {_shown(init)!r}: {e}") from None
 
 
 def _parse_init(init: str, k: int, width: int | None) -> bytes:
@@ -185,42 +203,44 @@ def _parse_init(init: str, k: int, width: int | None) -> bytes:
         if width is None:
             raise UsageError("random initial conditions need --width")
         if width < 1:
-            raise UsageError(f"--width {width} is not a positive integer")
+            raise UsageError(f"--width {_clip(width)} is not a positive integer")
         seed = _parse_int(init.split(":", 1)[1], init)
         try:  # the row is allocated first: one that cannot be built fails before the generator runs
             return random_row(k, width, seed)
         except (MemoryError, OverflowError):
-            raise UsageError(f"--width {width}: the initial row does not fit in memory") from None
+            raise UsageError(f"--width {_clip(width)}: the initial row does not fit in memory") from None
     if init.startswith("word:"):
         word, _, reps = init.split(":", 1)[1].partition("^")
         # argv holds undecodable bytes as surrogates; the digit check refuses them
-        text = _digits(word.encode(errors="surrogateescape"), f"bad --init {init!r}") if word else b""
+        text = word.encode(errors="surrogateescape")
+        if word and not text.isdigit():  # on bytes, only b"0".."9" are digits
+            raise _not_digits(f"bad --init {_shown(init)!r}", text)
         row = text.translate(FROM_TEXT)
         count = _parse_int(reps, init) if reps else 1
         # both checks come before the repeat, whose row may not fit in memory
         if not row or count < 1:
-            raise UsageError(f"bad --init {init!r}: the initial row is empty")
+            raise UsageError(f"bad --init {_shown(init)!r}: the initial row is empty")
         _check_symbols(row, k, init)
         if width is not None and width != len(row) * count:
-            raise UsageError(f"--width {width} does not match initial row length {len(row) * count}")
+            raise UsageError(f"--width {_clip(width)} does not match initial row length {_clip(len(row) * count)}")
         try:
             return row * count
         except (MemoryError, OverflowError):
-            raise UsageError(f"bad --init {init!r}: {len(row) * count} cells do not fit in memory") from None
+            raise UsageError(f"bad --init {_shown(init)!r}: {_clip(len(row) * count)} cells do not fit in memory") from None
     if not init.startswith("@"):
-        raise UsageError(f"bad --init {init!r}; use random:SEED, word:W[^N], or @FILE")
+        raise UsageError(f"bad --init {_shown(init)!r}; use random:SEED, word:W[^N], or @FILE")
     row, *more = _read_diagram(init[1:]).rows
     if more:
-        raise UsageError(f"bad --init {init!r}: the file holds {len(more) + 1} rows, not one")
+        raise UsageError(f"bad --init {_shown(init)!r}: the file holds {len(more) + 1} rows, not one")
     if width is not None and width != len(row):
-        raise UsageError(f"--width {width} does not match initial row length {len(row)}")
+        raise UsageError(f"--width {_clip(width)} does not match initial row length {len(row)}")
     _check_symbols(row, k, init)
     return row
 
 
 def _check_symbols(row: bytes, k: int, init: str):
     if max(row) >= k:
-        raise UsageError(f"bad --init {init!r}: digit {max(row)} is not a symbol of k={k}")
+        raise UsageError(f"bad --init {_shown(init)!r}: digit {max(row)} is not a symbol of k={k}")
 
 
 def _cmd_ca(args) -> int:
@@ -229,7 +249,7 @@ def _cmd_ca(args) -> int:
     if args.k > 10:
         raise UsageError("text output supports k up to 10")
     if args.steps < 0:
-        raise UsageError(f"--steps {args.steps} is negative")
+        raise UsageError(f"--steps {_clip(args.steps)} is negative")
     rule = rule_from_number(args.k, args.r, _rule_number(args.rule, args.k, args.r))
     row = _parse_init(args.init, args.k, args.width)
     diagram = evolve(rule, row, args.steps)
@@ -260,23 +280,25 @@ def _decimal(digits: str) -> int:
     return _decimal(digits[:-low]) * 10**low + _decimal(digits[-low:])
 
 
-def _digits(text: bytes, where: str) -> bytes:
-    """``text`` if it is one row of ASCII digits; anything else is a usage error."""
-    if not text.isdigit():  # on bytes, only b"0".."9" are digits
-        raise UsageError(f"{where}: {text.decode(errors='replace')!r} is not a row of digits")
-    return text
+def _not_digits(where: str, text: bytes) -> UsageError:
+    """The usage error of a row that is not ASCII digits."""
+    return UsageError(f"{where}: {_clip(text.decode(errors='replace'))!r} is not a row of digits")
 
 
 def _read_diagram(path: str) -> SpaceTimeDiagram:
-    """One row per line (LF, CRLF or CR ends); blank lines are skipped."""
+    """One row per line (LF, CRLF or CR ends); blank lines are skipped.
+    One check finds a cell that is no ASCII digit, and one ``translate``
+    reads every row."""
     from .ca import FROM_TEXT, SpaceTimeDiagram
 
-    lines = map(bytes.strip, Path(path).read_bytes().splitlines())
-    rows = tuple(
-        _digits(line, f"{path}: line {n}").translate(FROM_TEXT) for n, line in enumerate(lines, 1) if line
-    )
-    if not rows:
+    lines = [line.strip() for line in Path(path).read_bytes().splitlines()]
+    text = b"\n".join(filter(None, lines))
+    if not text:
         raise UsageError(f"{path}: empty diagram")
+    if text.translate(None, b"0123456789\n"):  # the first line that is no row of digits fails
+        n, line = next((n, line) for n, line in enumerate(lines, 1) if line and not line.isdigit())
+        raise _not_digits(f"{path}: line {n}", line)
+    rows = tuple(text.translate(FROM_TEXT).split(b"\n"))  # a digit becomes byte 0-9, never 10
     return SpaceTimeDiagram(k=max(max(map(max, rows)) + 1, 2), rows=rows)
 
 

@@ -618,6 +618,30 @@ class TestErrors:
         ):
             assert run_cli(capsys, *argv) == (1, "", f"usage error: {message}\n"), argv
 
+    def test_usage_errors_echo_a_clipped_value(self, capsys):
+        # a long argument is echoed as its first 40 characters and an ellipsis
+        x, y, z, n = "x" * 300, "y" * 300, "z" * 300, "9" * 300
+        ca = ["ca", "--rule", "110", "--steps", "1"]
+        for argv, message in (
+            (ca + ["--width", "4", "--init", f"random:{x}"],
+             f"bad --init 'random:{'x' * 33}…': '{'x' * 40}…' is not an integer"),
+            (ca + ["--width", x, "--init", "random:1"], f"argument --width: '{'x' * 40}…' is not an integer"),
+            (ca + ["--init", x], f"bad --init '{'x' * 40}…'; use random:SEED, word:W[^N], or @FILE"),
+            (ca + ["--init", f"word:{z}"], f"bad --init 'word:{'z' * 35}…': '{'z' * 40}…' is not a row of digits"),
+            (["ca-filter", "--method", y, "--input", "x"],
+             f"argument --method: invalid choice: '{'y' * 40}…' (choose from 'stack', 'transducer', 'bidi')"),
+            (["run", "--filter", "x", "--input", "0", "--format", y],
+             f"argument --format: invalid choice: '{'y' * 40}…' (choose from 'csv', 'pgm')"),
+            (["ca", "--rule", "110", "--steps", f"-{n}", "--width", "3", "--init", "random:1"],
+             f"--steps -{'9' * 39}… is negative"),
+            (ca + ["--width", f"-{n}", "--init", "random:1"], f"--width -{'9' * 39}… is not a positive integer"),
+            (ca + ["--width", n, "--init", "word:01"], f"--width {'9' * 40}… does not match initial row length 2"),
+        ):
+            assert run_cli(capsys, *argv) == (1, "", f"usage error: {message}\n"), argv
+        # a rule table past its limit echoes the radius cut short too
+        code, out, err = run_cli(capsys, *ca, "--r", n, "--width", "3", "--init", "random:1")
+        assert (code, out, err) == (2, "", f"error: rule table for k=2, r={'9' * 40}… exceeds 1048576 bits\n")
+
     def test_unknown_flag(self, capsys):
         code, _o, err = run_cli(capsys, "stack", "--nope")
         assert code == 1
@@ -703,6 +727,7 @@ class TestErrors:
         for name, line in (
             ("arabic-states.tdx", "line 4: malformed 'states' line"),
             ("long-directive.tdx", f"line 15: unknown directive '{'x' * 40}…'"),
+            ("long-states.tdx", f"states {'9' * 40}… over 2 letters need {'1' + '9' * 39}… trans lines, found 6"),
         ):
             code, out, err = run_cli(capsys, "run", "--filter", str(HOSTILE / name), "--input", "0101")
             assert (code, out, err) == (2, "", f"error: {line}\n"), name

@@ -253,6 +253,17 @@ class TestTdxValidation:
             with pytest.raises(TdxError, match=message):
                 load_transducer(VALID_TDX.replace("states 2", f"states {states}"))
 
+    def test_state_count_past_the_int_string_limit(self):
+        # 4300 nines, the longest count int() reads, times 2 letters has
+        # 4301 digits: the line echoes the leading digits of both, as at
+        # 4299 nines, not Python's own message on int strings
+        for digits in (4299, 4300):
+            text = VALID_TDX.replace("states 2", "states " + "9" * digits)
+            with pytest.raises(TdxError) as error:
+                load_transducer(text)
+            need = "1" + "9" * 39
+            assert str(error.value) == f"states {'9' * 40}… over 2 letters need {need}… trans lines, found 4"
+
     def test_missing_arc_refused(self):
         for line in [l for l in VALID_TDX.splitlines() if l.startswith("trans ")]:
             with pytest.raises(TdxError, match="need 4 trans lines, found 3"):

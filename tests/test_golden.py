@@ -96,6 +96,20 @@ CASES = [
     ("ca-filter-rule110-bidi.csv",
      ["ca-filter", "--method", "bidi", "--domains", "{g}/rule110.dom",
       "--input", "{g}/ca-rule110.txt", "--format", "csv"]),
+    # 48 rows: both passes walk the rows as byte lanes; with runs.dom's three
+    # domains the passes agree, disagree and leave gaps that wrap
+    ("ca-filter-rule110-tall-bidi-runs.pgm",
+     ["ca-filter", "--method", "bidi", "--domains", "{g}/runs.dom",
+      "--input", "{g}/ca-rule110-tall.txt"]),
+    ("ca-filter-rule110-tall-bidi-runs.csv",
+     ["ca-filter", "--method", "bidi", "--domains", "{g}/runs.dom",
+      "--input", "{g}/ca-rule110-tall.txt", "--format", "csv"]),
+    ("ca-filter-rule110-tall-bidi-rule110.pgm",
+     ["ca-filter", "--method", "bidi", "--domains", "{g}/rule110.dom",
+      "--input", "{g}/ca-rule110-tall.txt"]),
+    ("ca-filter-rule110-tall-bidi-rule110.csv",
+     ["ca-filter", "--method", "bidi", "--domains", "{g}/rule110.dom",
+      "--input", "{g}/ca-rule110-tall.txt", "--format", "csv"]),
     ("ca-rule232.txt",
      ["ca", "--rule", "232", "--width", "24", "--steps", "8", "--init", "random:5"]),
     ("ca-filter-rule232-stack.pgm",
