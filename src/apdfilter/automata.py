@@ -313,6 +313,12 @@ def build_tracker(domains: Sequence[Domain]) -> Tracker:
     return Tracker(tuple(domains), union, tuple(map(tuple, succ)), state_domains, tuple(masks))
 
 
+def label_code(domains: frozenset[int]) -> int:
+    """Wire code of a ``state_domains`` entry: its one domain's index, or 0
+    (ambiguity) when it straddles several."""
+    return next(iter(domains)) if len(domains) == 1 else 0
+
+
 def intersect(a: FiniteAutomaton, b: FiniteAutomaton) -> FiniteAutomaton:
     """Product construction over reachable state pairs, tagged ``(left, right)``,
     numbered breadth-first from the sorted start pairs as ``explore`` numbers

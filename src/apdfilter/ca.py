@@ -3,19 +3,13 @@
 Rules are numbered by reading the outputs over all neighborhoods, highest
 neighborhood first, as a base-k integer.  Evolution uses periodic
 boundaries; rows of the resulting diagram are filtered independently by
-any of the three methods.  Every method returns a ``CodedDiagram``: wire
-codes per cell and the domain and break counts that bound them.  The
-transducer method walks diagrams of at least ``LANE_ROWS`` rows with every
-row as a byte lane (``walk_lanes``), where the filter's table and codes fit
-a byte, and keeps the coded rows as ``bytes`` through to the writers;
-other diagrams walk row by row.  The bidi method does the same with both
-of its passes where both filters fit a byte and there are at most 254
-domains, and combines them and fills their gaps over the whole diagram at
-once (``_bidi_lanes``); on other diagrams it runs ``bidirectional`` per
-row and codes its outputs with ``symbol_code``.  The stack method builds
-one tracker per diagram and codes its rows directly.  Diagram
-text is one ASCII digit codec: ``TO_TEXT`` maps cell bytes 0-9 to ``0``-``9``
-and ``FROM_TEXT`` maps them back.
+any of the three methods: ``filter_diagram`` turns the cells into symbol
+indices and wraps the codes of the method's own coder
+(``transducer.circular_codes``, ``transducer.bidi_circular_codes`` or
+``stackfilter.periodic_codes``) in a ``CodedDiagram``: wire codes per
+cell, as tuples or byte rows, and the domain and break counts that bound
+them.  Diagram text is one ASCII digit codec: ``TO_TEXT`` maps cell bytes
+0-9 to ``0``-``9`` and ``FROM_TEXT`` maps them back.
 """
 
 from __future__ import annotations
@@ -35,16 +29,6 @@ _GAMMA = 0x9E3779B97F4A7C15  # splitmix64's state increment
 RANDOM_CHUNK = 4096  # cells random_row mixes in one big-int pass
 MAX_RULE_TABLE = 2**20  # bits of a rule number: k**(2r+1) entries of log2(k) bits
 MAX_DIAGRAM_CELLS = 2**30  # cells of one evolved diagram, its initial row included
-# Diagrams of at least LANE_ROWS rows walk the filter with all rows as byte
-# lanes (``walk_lanes``), shorter ones row by row (``walk_codes``): one
-# column of lanes costs about as much as 12 letters of row walk.  Measured
-# in-process on rule-110 diagrams (width x rows) with the 27-state rule-110
-# filter, best of 5 x 200 runs on a 2-core VM under CPython 3.11, rows then
-# lanes: 256x4 0.071 / 0.188 ms, 256x8 0.144 / 0.204, 256x12 0.212 / 0.214,
-# 256x16 0.269 / 0.220, 128x32 0.303 / 0.132 and 100x100 0.741 / 0.180 ms.
-# The bidi method takes the same bound, though its two lane walks beat its
-# per-row ``bidirectional`` from about 3 rows (256x4: 0.66 / 0.40 ms).
-LANE_ROWS = 12
 TO_TEXT = bytes.maketrans(bytes(range(10)), b"0123456789")
 FROM_TEXT = bytes.maketrans(b"0123456789", bytes(range(10)))
 
@@ -277,144 +261,39 @@ def _symbol_rows(diagram: SpaceTimeDiagram, alphabet: Alphabet) -> list:
     return [row.translate(lookup) for row in diagram.rows]
 
 
-def _stack_codes(domains: Sequence[Domain], rows: list[list[str]]) -> tuple[tuple[int, ...], ...]:
-    """Wire codes of rows of tokens, one tracker for all: a cell's owner's
-    label where exactly one shifted maximal substring covers it; a break
-    (-1) where several overlap or none covers it, a defect cell."""
-    from .automata import build_tracker
-    from .stackfilter import filter_global, orbit_multiplicity
-    from .transducer import label_code
-
-    tracker = build_tracker(domains)
-    codes = []
-    for row in rows:
-        cover = filter_global(tracker, row)
-        if cover.whole_string:
-            codes.append((label_code(cover.whole_domains),) * len(row))
-            continue
-        labels = [label_code(doms) for doms in cover.domain_sets]
-        counts, owners = orbit_multiplicity(cover)
-        codes.append(tuple(labels[o] if c == 1 else -1 for c, o in zip(counts, owners)))
-    return tuple(codes)
-
-
-def _lanes_fit(t: Transducer, rows: list) -> bool:
-    """Whether ``walk_lanes`` runs ``t`` over ``rows``: at least
-    ``LANE_ROWS`` rows of ``bytes``, a table that fits a byte and codes
-    whose bytes each name one code."""
-    return (
-        len(rows) >= LANE_ROWS
-        and isinstance(rows[0], bytes)
-        and len(t.next) <= 256
-        and max(t.code) + len(t.breaks) < 256
-    )
-
-
-# tables over the two passes' bytes (see ``_bidi_lanes``)
-_SAME = bytes([255]).ljust(256, b"\0")  # a zero byte of their XOR: both passes agree
-_FLAG = bytes([0, 1, 2, 2]).ljust(256, b"\0")  # a forward break, where both passes break
-_OPEN = bytes([255, 255]).ljust(256, b"\0")  # no forward break: a gap carries on
-_START = bytes([0, 1]).ljust(256, b"\0")  # a backward-only break opens a gap
-_MARKED = bytes([0]).ljust(256, b"\xff")  # a break or a gap
-
-
-def _bidi_lanes(filters: tuple[Transducer, Transducer], rows: list[bytes]) -> list[bytes]:
-    """The circular two-pass codes of ``bidirectional`` for every row, as
-    bytes of ``code mod 256`` with one break code (byte 255).
-
-    Each pass walks all rows as byte lanes, the backward one over the
-    reversed rows, and whole-diagram integer and ``translate`` operations
-    combine them: a break in either pass is a break, a label both passes
-    share stays, and anything else is ambiguity.  A flag row marks each
-    backward-only break 1 and each forward break 2; turned to end at its
-    last forward break, every gap, the one that wraps round the row's end
-    included, runs from a 1 up to the next 2, and one big-int sum fills
-    all of them: a 1 added to a run of 255s (no forward break) carries
-    through it up to the next forward break, zeroing every byte on its
-    way.  A row with no forward break has no gap.
-    """
-    from .transducer import walk_lanes
-
-    forward_t, backward_t = filters
-    width, size = len(rows[0]), len(rows) * len(rows[0])
-    offsets = range(0, size, width)
-    flat = b"".join(rows)[::-1]  # every row reversed, the rows in reverse order
-    backward = b"".join(walk_lanes(backward_t, [flat[i : i + width] for i in offsets]))[::-1]
-    labels, flags = [], 0
-    for t, coded, flag in ((forward_t, b"".join(walk_lanes(forward_t, rows)), 2), (backward_t, backward, 1)):
-        b = len(t.breaks)  # label bytes stay and break bytes become 255; a break flags its pass
-        labels.append(int.from_bytes(coded.translate(bytes(range(256 - b)) + b"\xff" * b), "little"))
-        flags |= int.from_bytes(coded.translate(bytes(256 - b) + bytes([flag]) * b), "little")
-    forward, backward = labels
-    flags = flags.to_bytes(size, "little").translate(_FLAG)
-    turned, cuts = [], []  # each row turned to end at its last forward break, blank with none
-    for i in offsets:
-        row = flags[i : i + width]
-        cuts.append(cut := row.rfind(2) + 1)
-        turned.append(row[cut:] + row[:cut] if cut else bytes(width))
-    flat = b"".join(turned)
-    run = int.from_bytes(flat.translate(_OPEN), "little")
-    flat = (run & ~(run + int.from_bytes(flat.translate(_START), "little"))).to_bytes(size, "little")  # the gaps
-    gaps = b"".join(  # each row turned back
-        [flat[i + width - cut : i + width] + flat[i : i + width - cut] for i, cut in zip(offsets, cuts)]
-    )
-    marked = (int.from_bytes(gaps, "little") | int.from_bytes(flags, "little")).to_bytes(size, "little")
-    same = (forward ^ backward).to_bytes(size, "little").translate(_SAME)
-    out = forward & int.from_bytes(same, "little") | int.from_bytes(marked.translate(_MARKED), "little")
-    out = out.to_bytes(size, "little")
-    return [out[i : i + width] for i in offsets]
-
-
 def filter_diagram(
     method: str,
     source: Transducer | Sequence[Domain],
     diagram: SpaceTimeDiagram,
 ) -> CodedDiagram:
-    """Filter every row of a diagram independently.
+    """Filter every row of a diagram independently, circularly, on its
+    cells' symbol indices, with the coder of the method's module.
 
-    ``transducer`` takes a built filter and runs it circularly per row on
-    the cells' symbol indices, keeping the filter's break codes; ``bidi``
-    combines circular passes in both directions as ``bidirectional``
-    does; ``stack`` covers each row as one period of an infinite string
-    and marks cells by their cover multiplicity (one cover: its label;
-    overlap or no cover: a break).  Both take domains and code every
-    break as -1.  The transducer and bidi methods walk all rows at once
-    as byte rows (``walk_lanes``) where there are at least ``LANE_ROWS``
-    of them, the symbol indices are ``bytes``, and every filter's table
-    and codes fit a byte (for bidi, with at most 254 domains, so that
-    every label has its own byte below the break's 255); other diagrams
-    walk row by row and give tuples.
+    ``transducer`` runs a built filter and keeps its break codes
+    (``transducer.circular_codes``); ``bidi`` combines passes in both
+    directions (``transducer.bidi_circular_codes``); ``stack`` marks cells
+    by their cover multiplicity (``stackfilter.periodic_codes``); these
+    two take domains and code every break as -1.
     """
     if method == "transducer":
-        from .transducer import Transducer, walk_codes, walk_lanes
+        from .transducer import Transducer, circular_codes
 
         t = source
         if not isinstance(t, Transducer):
             raise ValueError("transducer method needs a built filter")
-        rows = _symbol_rows(diagram, t.alphabet)
-        if _lanes_fit(t, rows):
-            coded = tuple(walk_lanes(t, rows))
-        else:
-            coded = tuple(tuple(walk_codes(t, row, circular=True)) for row in rows)
-        return CodedDiagram(coded, t.domain_count, len(t.breaks))
+        return CodedDiagram(circular_codes(t, _symbol_rows(diagram, t.alphabet)), t.domain_count, len(t.breaks))
     if method not in ("bidi", "stack"):
         raise ValueError(f"unknown method {method!r}")
     domains = list(source)
     if not domains:
         raise ValueError("need at least one domain")
-    alphabet = domains[0].alphabet
-    symbols = _symbol_rows(diagram, alphabet)
-    tokens = list(alphabet.symbols)  # a bound list __getitem__ calls faster than a tuple's
+    rows = _symbol_rows(diagram, domains[0].alphabet)
     if method == "bidi":
-        from .transducer import bidirectional, bidirectional_filters, symbol_code
+        from .transducer import bidi_circular_codes, bidirectional_filters
 
-        filters = bidirectional_filters(domains)
-        if len(domains) <= 254 and all(_lanes_fit(t, symbols) for t in filters):
-            return CodedDiagram(tuple(_bidi_lanes(filters, symbols)), len(domains), 1)
-        codes = tuple(
-            tuple(map(symbol_code, bidirectional(filters, list(map(tokens.__getitem__, row)), "circular")))
-            for row in symbols
-        )
+        codes = bidi_circular_codes(bidirectional_filters(domains), rows)
     else:
-        codes = _stack_codes(domains, [list(map(tokens.__getitem__, row)) for row in symbols])
+        from .stackfilter import periodic_codes
+
+        codes = periodic_codes(domains, rows)
     return CodedDiagram(codes, len(domains), 1)

@@ -35,7 +35,8 @@ scan that never stops is exactly the whole-string case: the pair begun
 at letter 1 then never dies and only grows older.  The representatives'
 domain sets come from running every domain over their text.
 ``orbit_multiplicity`` counts, in one sweep, how many shifted
-representatives cover each position of the period.
+representatives cover each position of the period, from which
+``periodic_codes`` codes a diagram's rows for ``ca.filter_diagram``.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from operator import itemgetter
 from threading import Lock
 from typing import Sequence
 
-from .automata import Domain, Tracker, accepts
+from .automata import Domain, Tracker, accepts, build_tracker, label_code
 
 MAX_SCAN_CONFIGS = 2**14  # configurations a kept scan automaton may hold when a call starts
 
@@ -342,3 +343,21 @@ def orbit_multiplicity(cover: MaximalCover) -> tuple[list[int], list[int]]:
     count_diff[0] += lap_count
     owner_diff[0] += lap_owner
     return list(accumulate(count_diff[:n])), list(accumulate(owner_diff[:n]))
+
+
+def periodic_codes(domains: Sequence[Domain], rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Wire codes of rows of symbol indices, each one period, with one
+    tracker for all: the ``label_code`` of a cell's one covering maximal
+    substring; a break (-1) where several overlap or none covers it."""
+    tracker = build_tracker(domains)
+    tokens = list(tracker.alphabet.symbols)  # a bound list __getitem__ calls faster than a tuple's
+    codes = []
+    for row in rows:
+        cover = filter_global(tracker, list(map(tokens.__getitem__, row)))
+        if cover.whole_string:
+            codes.append((label_code(cover.whole_domains),) * len(row))
+            continue
+        labels = [label_code(doms) for doms in cover.domain_sets]
+        counts, owners = orbit_multiplicity(cover)
+        codes.append(tuple(labels[o] if c == 1 else -1 for c, o in zip(counts, owners)))
+    return tuple(codes)

@@ -66,6 +66,7 @@ from apdfilter.automata import (
     disjoint_union,
     intersect,
     is_empty,
+    label_code,
     minimize,
     universal,
 )
@@ -78,7 +79,7 @@ from apdfilter.optimizer import (
     refine,
 )
 from apdfilter.stackfilter import FilterStats, MaximalCover, filter_local
-from apdfilter.transducer import AMBIGUOUS, DomainBreak, DomainLabel, ResyncReport, label_code
+from apdfilter.transducer import AMBIGUOUS, DomainBreak, DomainLabel, ResyncReport
 
 log = logging.getLogger(__name__)
 
@@ -544,6 +545,25 @@ def reference_resync(tracker: Tracker) -> tuple[ResyncReport, ...]:
                 )
             )
     return tuple(reports)
+
+
+def resync_walk_size(tracker: Tracker) -> int:
+    """Elements over all layers of ``resync``'s walk, the count its
+    ``MAX_RESYNC_WALK`` budget bounds: layers of (past subset, tracker
+    state) elements, one per word of each length from the empty word (every
+    tracker state, the start), up to the first empty or repeated layer."""
+    layer = frozenset([(frozenset(range(len(tracker.masks))), 0)])
+    seen, total = set(), 0
+    while layer and layer not in seen:
+        seen.add(layer)
+        total += len(layer)
+        layer = frozenset(
+            (frozenset(row[q] for q in past if row[q] is not None), row[t])
+            for past, t in layer
+            for row in tracker.step
+            if row[t] is not None
+        )
+    return total
 
 
 def reference_evolve(rule: CARule, initial: Sequence[int], steps: int) -> list[tuple[int, ...]]:

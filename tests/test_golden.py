@@ -66,7 +66,7 @@ CASES = [
     ("ca-filter-rule110.csv",
      ["ca-filter", "--method", "transducer", "--filter", "{g}/rule110.tdx",
       "--input", "{g}/ca-rule110.txt", "--format", "csv"]),
-    # 48 rows: at least twice ``ca.LANE_ROWS``, so the filter walks the rows as byte lanes
+    # 48 rows: at least twice ``transducer.LANE_ROWS``, so the filter walks the rows as byte lanes
     ("ca-rule110-tall.txt",
      ["ca", "--rule", "110", "--width", "40", "--steps", "47", "--init", "random:5"]),
     ("ca-filter-rule110-tall.pgm",

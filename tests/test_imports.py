@@ -72,6 +72,18 @@ class TestStartup:
         assert loaded & unused == set()
         assert out.stat().st_size > 0
 
+    def test_the_stack_method_loads_no_transducer_code(self):
+        # the stack cover codes its rows with ``automata.label_code``, so
+        # filtering a diagram by it loads neither the transducer nor its file format
+        code = """import apdfilter
+alphabet = apdfilter.Alphabet(("0", "1"))
+domains = [apdfilter.cyclic_domain("0", alphabet), apdfilter.cyclic_domain("01", alphabet)]
+diagram = apdfilter.SpaceTimeDiagram(2, [[0] * 6, [0, 1] * 3, [0, 0, 0, 1, 0, 1]])
+coded = apdfilter.filter_diagram("stack", domains, diagram)
+assert coded.codes == ((1,) * 6, (2,) * 6, (-1, 1, -1, 2, 2, 2)), coded.codes"""
+        loaded = loaded_after(code)
+        assert "stackfilter" in loaded and loaded & {"transducer", "tdx"} == set()
+
     def test_a_public_name_loads_its_module_on_first_use(self):
         loaded = loaded_after("import apdfilter\napdfilter.build_filter")
         assert "transducer" in loaded and "optimizer" not in loaded

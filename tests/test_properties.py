@@ -26,11 +26,13 @@ from helpers import (
     reference_evolve,
     reference_intersect,
     reference_random_row,
+    resync_walk_size,
     sigma_star_prefix,
     stack_letter_outputs,
     tracker_dfa,
     transition_table,
     walk_arc_table,
+    zero_cycle_domain,
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -53,28 +55,29 @@ from apdfilter.automata import (
 )
 from apdfilter import cli, stackfilter
 from apdfilter.ca import (
-    LANE_ROWS,
     MAX_RULE_TABLE,
     RANDOM_CHUNK,
     CodedDiagram,
     SpaceTimeDiagram,
-    _bidi_lanes,
     evolve,
     filter_diagram,
     random_row,
     rule_from_number,
 )
 from apdfilter.domspec import ParsedDomain, format_domain_spec, parse_domain_spec, spec_digest
-from apdfilter.optimizer import OptimizeError, optimize, past_automaton
+from apdfilter.optimizer import OptimizeError, class_fixpoint, initial_partition, optimize, past_automaton
 from apdfilter.render import emit_csv, emit_pgm, gray
 from apdfilter.stackfilter import FilterStats, filter_global, filter_local
 from apdfilter.tdx import load_transducer, save_transducer
 from apdfilter.transducer import (
     BLOCK_LETTERS_PER_ENTRY,
+    LANE_ROWS,
     Transducer,
+    _bidi_lanes,
     bidirectional,
     bidirectional_filters,
     build_filter,
+    resync,
     symbol_code,
     transduce_codes,
     walk_codes,
@@ -872,3 +875,129 @@ def test_mutated_inputs_exit_with_one_line(tmp_path_factory, case):
     if code:
         lines = err.getvalue().splitlines()
         assert err.getvalue() == lines[0] + "\n" and lines[0].startswith(("error: ", "usage error: "))
+
+
+def _cli(argv: list[str]) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of one ``cli.main`` run."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _domain_file(path: Path, domains: list[Domain]) -> list[Domain]:
+    """Write ``domains`` as a ``.dom`` file at ``path``; return the domains
+    the CLI reads back from it."""
+    parsed = [
+        ParsedDomain(f"D{i}", d, tuple(f"q{s}" for s in range(d.fa.state_count)))
+        for i, d in enumerate(domains, 1)
+    ]
+    nonrecurrent = not all(is_strongly_connected(d.fa) for d in domains)
+    text = format_domain_spec(domains[0].alphabet, parsed, nonrecurrent)
+    path.write_text(text)
+    return [pd.domain for pd in parse_domain_spec(text)[1]]
+
+
+@st.composite
+def budget_domains(draw) -> list[Domain]:
+    """1-3 generated domains, or a zero-cycle domain of 4-10 states, whose
+    tracker and resync walk grow fast (up to some 300 states and 10^4
+    elements)."""
+    if draw(st.booleans()):
+        return draw(domains_and_word(max_size=0))[0]
+    return [zero_cycle_domain(Random(draw(st.integers(0, 2**32 - 1))), draw(st.integers(4, 10)))]
+
+
+@settings(max_examples=80)
+@given(domains=budget_domains(), data=st.data())
+def test_subset_construction_fails_past_its_cap(tmp_path_factory, domains, data):
+    # a cap below the tracker's state count stops every command that builds
+    # the tracker with its one error line and exit 2; at the count it builds
+    tmp = tmp_path_factory.mktemp("subsets")
+    domains = _domain_file(tmp / "d.dom", domains)
+    (tmp / "d.txt").write_text("01\n10\n")
+    n = len(build_tracker(domains).masks)
+    assume(n > 1)  # the start set is numbered under any cap
+    cap = data.draw(st.integers(1, n - 1), label="cap")
+    argv = data.draw(st.sampled_from([
+        ["build", "--domains", str(tmp / "d.dom")],
+        ["stack", "--domains", str(tmp / "d.dom"), "--input", "01"],
+        ["ca-filter", "--method", "stack", "--domains", str(tmp / "d.dom"), "--input", str(tmp / "d.txt")],
+    ]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("apdfilter.automata.MAX_SUBSETS", cap)
+        assert _cli([*argv, "-o", str(tmp / "out")]) == (2, "", f"error: subset construction exceeds {cap} states\n")
+        patch.setattr("apdfilter.automata.MAX_SUBSETS", n)
+        assert len(build_tracker(domains).masks) == n
+
+
+@settings(max_examples=80)
+@given(domains=budget_domains(), data=st.data())
+def test_resync_walk_fails_past_its_cap(tmp_path_factory, domains, data):
+    # a cap below the walk's element count (the reference's) stops ``build``
+    # with its one error line and exit 2; at the count the walk runs to its end
+    tmp = tmp_path_factory.mktemp("resync")
+    domains = _domain_file(tmp / "d.dom", domains)
+    tracker = build_tracker(domains)
+    size = resync_walk_size(tracker)
+    cap = data.draw(st.integers(0, size - 1), label="cap")
+    want = resync(tracker)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("apdfilter.transducer.MAX_RESYNC_WALK", cap)
+        got = _cli(["build", "--domains", str(tmp / "d.dom"), "-o", str(tmp / "out")])
+        assert got == (2, "", f"error: resync walk exceeds {cap} elements\n")
+        patch.setattr("apdfilter.transducer.MAX_RESYNC_WALK", size)
+        assert resync(tracker) == want
+
+
+@st.composite
+def refined_domains(draw) -> list[Domain]:
+    """1-3 generated domains, or 2-3 cycles of 1-6 letters over 0/1, whose
+    past classes can take several refinement passes."""
+    if draw(st.booleans()):
+        return draw(domains_and_word(max_size=0))[0]
+    cycles = st.text(st.sampled_from("01"), min_size=1, max_size=6).map(lambda w: cyclic_domain(w, ALPHA01))
+    return draw(st.lists(cycles, min_size=2, max_size=3))
+
+
+@settings(max_examples=60)
+@given(domains=refined_domains(), data=st.data())
+def test_refinement_fails_past_its_pass_cap(tmp_path_factory, domains, data):
+    # a cap below the passes the past classes take to settle stops
+    # ``optimize`` and ``build --optimize`` with their one error line and
+    # exit 2; at the pass count the classes settle
+    tmp = tmp_path_factory.mktemp("passes")
+    domains = _domain_file(tmp / "d.dom", domains)
+    part = initial_partition(domains)
+    want, passes = class_fixpoint(part)
+    cap = data.draw(st.integers(0, passes - 1), label="cap")
+    argv = data.draw(st.sampled_from([["optimize"], ["build", "--optimize"]]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("apdfilter.optimizer.MAX_PASSES", cap)
+        got = _cli([*argv, "--domains", str(tmp / "d.dom"), "-o", str(tmp / "out")])
+        assert got == (2, "", f"error: class refinement did not stabilize within {cap} passes\n")
+        patch.setattr("apdfilter.optimizer.MAX_PASSES", passes)
+        assert class_fixpoint(part) == (want, passes)
+
+
+@settings(max_examples=100)
+@given(
+    cap=st.integers(1, 200),
+    width=st.integers(1, 40),
+    extra=st.integers(0, 200) | st.integers(0, 10**15),
+)
+def test_diagram_budget_fails_past_its_cap(tmp_path_factory, cap, width, extra):
+    # a diagram of more cells than the cap, however many steps it asks
+    # for, fails before its first step with one error line and exit 2; a
+    # diagram of at most the cap evolves
+    steps = cap // width + extra  # (steps + 1) * width > cap
+    out = tmp_path_factory.mktemp("cells") / "out"
+    rule, row = rule_from_number(2, 1, 110), random_row(2, width, 1)
+    message = f"{steps + 1} rows of {width} cells exceed {cap} cells"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("apdfilter.ca.MAX_DIAGRAM_CELLS", cap)
+        argv = ["ca", "--rule", "110", "--width", str(width), "--steps", str(steps), "--init", "random:1"]
+        assert _cli([*argv, "-o", str(out)]) == (2, "", f"error: {message}\n")
+        with pytest.raises(ValueError, match=message):
+            evolve(rule, row, steps)
+        if cap >= width:
+            assert len(evolve(rule, row, cap // width - 1).rows) == cap // width
