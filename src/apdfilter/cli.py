@@ -148,7 +148,7 @@ def _cmd_run(args) -> int:
         from .automata import reverse_domain
         from .ca import CodedDiagram
         from .domspec import spec_digest
-        from .transducer import bidirectional, build_filter, symbol_code
+        from .transducer import bidi_codes, build_filter
 
         text, parsed = _load_domains(args.domains)
         alphabet = parsed[0].domain.alphabet
@@ -159,8 +159,7 @@ def _cmd_run(args) -> int:
                 f"the filter {t.domain_count} over {' '.join(t.alphabet.symbols)}"
             )
         reverse = build_filter([reverse_domain(pd.domain) for pd in parsed])
-        out = bidirectional((t, reverse), sigma, mode)
-        labeled = CodedDiagram((tuple(map(symbol_code, out)),), t.domain_count, 1)
+        labeled = CodedDiagram((bidi_codes((t, reverse), sigma, mode),), t.domain_count, 1)
         data = emit_pgm(labeled) if pgm else emit_csv(labeled)
         if digest is not None and spec_digest(text) != digest:  # after the run, so an error is the one line
             print("warning: filter was built from a different domain file", file=sys.stderr)

@@ -5,7 +5,8 @@ labels spread over light grays (domain 1 is white), every break is
 black, ambiguity is mid gray.  Raw diagrams render with 0 white and the
 highest symbol black, matching the usual space-time convention.  The
 writers share one row loop.  The CSV wire code, ``symbol_code``, lives
-with the filter transducer in ``transducer`` and is re-exported here.
+with the filter transducer in ``transducer`` and is re-exported here on
+first use (PEP 562), so rendering loads no transducer code.
 """
 
 from __future__ import annotations
@@ -13,10 +14,17 @@ from __future__ import annotations
 from itertools import chain
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .transducer import symbol_code  # noqa: F401  (re-exported: the CSV wire code)
-
 if TYPE_CHECKING:
     from .ca import CodedDiagram, SpaceTimeDiagram
+
+
+def __getattr__(name: str):
+    if name != "symbol_code":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .transducer import symbol_code
+
+    globals()[name] = symbol_code  # later lookups skip this hook
+    return symbol_code
 
 
 def gray(code: int, domain_count: int) -> int:

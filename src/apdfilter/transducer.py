@@ -31,7 +31,11 @@ string a step, where the table fits a byte.  Every code lies in
 ``-len(breaks)..domain_count``; outputs without break identity (the
 two-pass combination and the stack cover) code every break as -1.
 ``circular_codes`` and ``bidi_circular_codes`` code ``ca.filter_diagram``'s
-rows, as byte lanes where ``_lanes_fit``, otherwise row by row.
+rows, as byte lanes where ``_lanes_fit``, otherwise row by row;
+``bidi_codes`` codes one string's two-pass run with two ``walk_text``
+passes.  The lane and string paths share one byte combination of the two
+passes (``_bidi_combine``); ``bidirectional``'s object loop serves short
+diagrams and domain sets too large for a byte.
 """
 
 from __future__ import annotations
@@ -486,7 +490,9 @@ def bidirectional(
     forward break closes it: the cells between them sit inside a defect
     that neither pass saw whole.  A gap still open at the end stays
     unfilled in linear mode and wraps around to the first forward break in
-    circular mode.
+    circular mode.  ``bidi_codes`` and ``_bidi_lanes`` give the same
+    combination as bytes; this loop serves the rows of diagrams shorter
+    than ``LANE_ROWS`` and filters of more than 254 domains.
     """
     forward_t, backward_t = filters
     forward = transduce(forward_t, sigma, mode)
@@ -522,12 +528,58 @@ def bidirectional_filters(domains: Sequence[Domain]) -> tuple[Transducer, Transd
     return build_filter(domains), build_filter(reversed_domains)
 
 
-# tables over the two passes' bytes (see ``_bidi_lanes``)
+# tables over the two passes' bytes (see ``_bidi_combine``)
 _SAME = bytes([255]).ljust(256, b"\0")  # a zero byte of their XOR: both passes agree
+_FORWARD_BREAK = bytes(255) + b"\x02"  # a forward break flags 2
+_BACKWARD_BREAK = bytes(255) + b"\x01"  # a backward break flags 1
 _FLAG = bytes([0, 1, 2, 2]).ljust(256, b"\0")  # a forward break, where both passes break
 _OPEN = bytes([255, 255]).ljust(256, b"\0")  # no forward break: a gap carries on
 _START = bytes([0, 1]).ljust(256, b"\0")  # a backward-only break opens a gap
 _MARKED = bytes([0]).ljust(256, b"\xff")  # a break or a gap
+
+
+def _bidi_combine(forward: bytes, backward: bytes, width: int, circular: bool) -> bytes:
+    """``bidirectional``'s combination of the two passes' codes over rows of
+    ``width`` letters laid end to end, each pass as bytes of its labels
+    with every break as byte 255 (so at most 254 labels).
+
+    Whole-string integer and ``translate`` operations combine them: a
+    break in either pass is a break, a label both passes share stays, and
+    anything else is ambiguity (0).  A flag row marks each backward-only
+    break 1 and each forward break 2.  In circular mode each row is turned
+    to end at its last forward break, so every gap, the one that wraps
+    round the row's end included, runs from a 1 up to the next 2; in
+    linear mode each row keeps its part up to its last forward break and
+    blanks the rest, so a gap still open at the end stays unfilled.  Then
+    one big-int sum fills all gaps: a 1 added to a run of 255s (no forward
+    break) carries through it up to the next forward break, zeroing every
+    byte on its way.  A row with no forward break has no gap.
+    """
+    size = len(forward)
+    offsets = range(0, size, width)
+    flags = int.from_bytes(forward.translate(_FORWARD_BREAK), "little")
+    flags |= int.from_bytes(backward.translate(_BACKWARD_BREAK), "little")
+    flags = flags.to_bytes(size, "little").translate(_FLAG)
+    turned, cuts = [], []  # each row ending at its last forward break, blank with none
+    for i in offsets:
+        row = flags[i : i + width]
+        cuts.append(cut := row.rfind(2) + 1)
+        if circular:
+            turned.append(row[cut:] + row[:cut] if cut else bytes(width))
+        else:  # blank after the last forward break
+            turned.append(row[:cut].ljust(width, b"\0"))
+    flat = b"".join(turned)
+    run = int.from_bytes(flat.translate(_OPEN), "little")
+    gaps = (run & ~(run + int.from_bytes(flat.translate(_START), "little"))).to_bytes(size, "little")
+    if circular:  # each row turned back
+        gaps = b"".join(
+            [gaps[i + width - cut : i + width] + gaps[i : i + width - cut] for i, cut in zip(offsets, cuts)]
+        )
+    marked = (int.from_bytes(gaps, "little") | int.from_bytes(flags, "little")).to_bytes(size, "little")
+    forward, backward = int.from_bytes(forward, "little"), int.from_bytes(backward, "little")
+    same = (forward ^ backward).to_bytes(size, "little").translate(_SAME)
+    out = forward & int.from_bytes(same, "little") | int.from_bytes(marked.translate(_MARKED), "little")
+    return out.to_bytes(size, "little")
 
 
 def _bidi_lanes(filters: tuple[Transducer, Transducer], rows: list[bytes]) -> list[bytes]:
@@ -535,44 +587,42 @@ def _bidi_lanes(filters: tuple[Transducer, Transducer], rows: list[bytes]) -> li
     bytes of ``code mod 256`` with one break code (byte 255).
 
     Each pass walks all rows as byte lanes, the backward one over the
-    reversed rows, and whole-diagram integer and ``translate`` operations
-    combine them: a break in either pass is a break, a label both passes
-    share stays, and anything else is ambiguity.  A flag row marks each
-    backward-only break 1 and each forward break 2; turned to end at its
-    last forward break, every gap, the one that wraps round the row's end
-    included, runs from a 1 up to the next 2, and one big-int sum fills
-    all of them: a 1 added to a run of 255s (no forward break) carries
-    through it up to the next forward break, zeroing every byte on its
-    way.  A row with no forward break has no gap.
+    reversed rows; each break byte of a pass becomes 255, and
+    ``_bidi_combine`` combines the two in circular mode.
     """
     forward_t, backward_t = filters
     width, size = len(rows[0]), len(rows) * len(rows[0])
     offsets = range(0, size, width)
     flat = b"".join(rows)[::-1]  # every row reversed, the rows in reverse order
     backward = b"".join(walk_lanes(backward_t, [flat[i : i + width] for i in offsets]))[::-1]
-    labels, flags = [], 0
-    for t, coded, flag in ((forward_t, b"".join(walk_lanes(forward_t, rows)), 2), (backward_t, backward, 1)):
-        b = len(t.breaks)  # label bytes stay and break bytes become 255; a break flags its pass
-        labels.append(int.from_bytes(coded.translate(bytes(range(256 - b)) + b"\xff" * b), "little"))
-        flags |= int.from_bytes(coded.translate(bytes(256 - b) + bytes([flag]) * b), "little")
-    forward, backward = labels
-    flags = flags.to_bytes(size, "little").translate(_FLAG)
-    turned, cuts = [], []  # each row turned to end at its last forward break, blank with none
-    for i in offsets:
-        row = flags[i : i + width]
-        cuts.append(cut := row.rfind(2) + 1)
-        turned.append(row[cut:] + row[:cut] if cut else bytes(width))
-    flat = b"".join(turned)
-    run = int.from_bytes(flat.translate(_OPEN), "little")
-    flat = (run & ~(run + int.from_bytes(flat.translate(_START), "little"))).to_bytes(size, "little")  # the gaps
-    gaps = b"".join(  # each row turned back
-        [flat[i + width - cut : i + width] + flat[i : i + width - cut] for i, cut in zip(offsets, cuts)]
+    forward, backward = (
+        coded.translate(bytes(range(256 - len(t.breaks))) + b"\xff" * len(t.breaks))
+        for t, coded in ((forward_t, b"".join(walk_lanes(forward_t, rows))), (backward_t, backward))
     )
-    marked = (int.from_bytes(gaps, "little") | int.from_bytes(flags, "little")).to_bytes(size, "little")
-    same = (forward ^ backward).to_bytes(size, "little").translate(_SAME)
-    out = forward & int.from_bytes(same, "little") | int.from_bytes(marked.translate(_MARKED), "little")
-    out = out.to_bytes(size, "little")
+    out = _bidi_combine(forward, backward, width, circular=True)
     return [out[i : i + width] for i in offsets]
+
+
+def bidi_codes(
+    filters: tuple[Transducer, Transducer], sigma: str | Sequence[str], mode: str = "linear"
+) -> bytes | tuple[int, ...]:
+    """``bidirectional``'s codes, every break -1, as bytes of ``code mod
+    256``: each pass is one ``walk_text`` whose per-arc text is the
+    character of its label (or of 0 for ambiguity) and ``"\\xff"`` for any
+    break, and ``_bidi_combine`` combines the two.  The backward pass
+    walks the reversed string and its bytes are reversed back; each
+    filter reads the string in its own alphabet.  Over more than 254
+    domains, where a label byte would meet the break's 255, the codes of
+    ``bidirectional`` come back as a tuple."""
+    if filters[0].domain_count > 254:
+        return tuple(map(symbol_code, bidirectional(filters, sigma, mode)))
+    forward, backward = (
+        walk_text(t, text, mode, [chr(c) if c >= 0 else "\xff" for c in t.code], "").encode("latin-1")
+        for t, text in zip(filters, (sigma, sigma[::-1]))
+    )
+    if not forward:  # the empty string, in linear mode
+        return forward
+    return _bidi_combine(forward, backward[::-1], len(forward), mode == "circular")
 
 
 def bidi_circular_codes(filters: tuple[Transducer, Transducer], rows: Sequence[Sequence[int]]) -> tuple:

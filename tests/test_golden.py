@@ -25,6 +25,14 @@ R110_STRING = "00010011011111" * 2 + "0110" + "00010011011111" * 2 + "1" + "0001
 # runs-of-zeros, runs-of-ones and alternation with breaks between: the bidi
 # passes disagree in places (ambiguity codes), and the circular gap wraps
 RUNS_STRING = "0000001111110101010100000011111"
+# rule-110 stretches around 64 noise letters, ending in a d18 stretch: run by
+# the d18 filter forward and the reversed rule-110 filter backward, the
+# backward pass breaks in the d18 tail and the forward pass does not, so a
+# linear gap stays open at the end and a circular one wraps round
+NOISE_STRING = (
+    "00010011011111" * 4 + "0010111100101101100100001010011010011010010110111101011011010011"
+    + "00010011011111" * 4 + "0100010001010000"
+)
 
 # (output file, argv); ``{g}`` is the golden directory
 CASES = [
@@ -118,6 +126,11 @@ CASES = [
     ("ca-filter-rule232-stack.csv",
      ["ca-filter", "--method", "stack", "--domains", "{g}/runs.dom",
       "--input", "{g}/ca-rule232.txt", "--format", "csv"]),
+    ("run-noise-bidi.csv",
+     ["run", "--filter", "{g}/d18.tdx", "--input", NOISE_STRING, "--bidi", "--domains", "{g}/rule110.dom"]),
+    ("run-noise-bidi-circular.csv",
+     ["run", "--filter", "{g}/d18.tdx", "--input", NOISE_STRING, "--bidi", "--domains", "{g}/rule110.dom",
+      "--circular"]),
 ]
 
 

@@ -64,7 +64,12 @@ class TestStartup:
           "--domains", str(GOLDEN / "rule110.dom")], {"optimizer", "stackfilter"}),
         (["ca", "--rule", "110", "--width", "8", "--steps", "2", "--init", "random:1"],
          {"automata", "domspec", "optimizer", "render", "stackfilter", "tdx", "transducer"}),
-    ], ids=["build", "run", "run-bidi", "ca"])
+        # the stack cover writes through ``render``, which loads ``transducer`` only for ``symbol_code``
+        (["ca-filter", "--method", "stack", "--domains", str(GOLDEN / "rule110.dom"),
+          "--input", str(GOLDEN / "ca-rule110.txt")], {"optimizer", "tdx", "transducer"}),
+        (["stack", "--domains", str(GOLDEN / "rule110.dom"), "--input", "0110"],
+         {"ca", "optimizer", "render", "tdx", "transducer"}),
+    ], ids=["build", "run", "run-bidi", "ca", "ca-filter-stack", "stack"])
     def test_a_command_loads_only_what_it_runs(self, argv, unused, tmp_path):
         out = tmp_path / "out"
         code = f"from apdfilter.cli import main\nassert main({[*argv, '-o', str(out)]!r}) == 0"
@@ -83,6 +88,19 @@ coded = apdfilter.filter_diagram("stack", domains, diagram)
 assert coded.codes == ((1,) * 6, (2,) * 6, (-1, 1, -1, 2, 2, 2)), coded.codes"""
         loaded = loaded_after(code)
         assert "stackfilter" in loaded and loaded & {"transducer", "tdx"} == set()
+
+    def test_render_loads_symbol_code_on_first_use(self):
+        assert "transducer" not in loaded_after("import apdfilter.render")
+        code = """from apdfilter import render, transducer
+from apdfilter.render import symbol_code
+assert symbol_code is getattr(render, "symbol_code") is transducer.symbol_code
+try:
+    render.no_such_name
+except AttributeError as e:
+    assert "no_such_name" in str(e)
+else:
+    raise AssertionError("no AttributeError")"""
+        assert "transducer" in loaded_after(code)
 
     def test_a_public_name_loads_its_module_on_first_use(self):
         loaded = loaded_after("import apdfilter\napdfilter.build_filter")

@@ -15,6 +15,7 @@ from helpers import (
     accepting_domains,
     all_words,
     brute_maximal_cover,
+    d18_domain,
     filter_global_full_window,
     language,
     parse_pgm,
@@ -74,6 +75,7 @@ from apdfilter.transducer import (
     LANE_ROWS,
     Transducer,
     _bidi_lanes,
+    bidi_codes,
     bidirectional,
     bidirectional_filters,
     build_filter,
@@ -646,6 +648,22 @@ def test_bidirectional_is_the_gap_walk(case):
     assert bidirectional(filters, word, mode) == reference_bidirectional(filters, word, mode)
 
 
+def _wire_codes(filters, word, mode: str) -> bytes | tuple[int, ...]:
+    """``reference_bidirectional``'s wire codes as ``bidi_codes`` returns
+    them: bytes of each code mod 256, a tuple past 254 domains."""
+    codes = tuple(map(symbol_code, reference_bidirectional(filters, word, mode)))
+    return bytes(c % 256 for c in codes) if filters[0].domain_count <= 254 else codes
+
+
+@settings(max_examples=150)
+@given(bidi_runs())
+def test_bidi_codes_are_the_gap_walk(case):
+    # the two walk_text passes and the shared byte combination give the
+    # codes of the combination's definition, linear and circular
+    filters, word, mode = case
+    assert bidi_codes(filters, word, mode) == _wire_codes(filters, word, mode)
+
+
 def _cycle(word: str) -> Domain:
     return cyclic_domain(tuple(word), ALPHA01)
 
@@ -664,6 +682,41 @@ BIDI_EDGE_SETS = [
     [_cycle("01")] * 253 + [FULL_SHIFT],
     [_cycle("01")] * 254 + [FULL_SHIFT],
 ]
+
+
+# (forward domains, backward domains before reversal, string, mode): the
+# edge cases of ``bidi_codes``
+_D18, _R110 = [d18_domain()], [_cycle("00010011011111")]
+BIDI_CODE_CASES = {
+    "empty": (_D18, _D18, "", "linear"),
+    "one-letter-linear": (_D18, _D18, "1", "linear"),
+    "one-letter-circular": (_D18, _D18, "1", "circular"),
+    # no forward break: the backward breaks of another set open no gap
+    "no-forward-break-linear": (_D18, _R110, "0100010001010000" * 3, "linear"),
+    "no-forward-break-circular": (_D18, _R110, "0100010001010000" * 3, "circular"),
+    # the d18 tail breaks the backward rule-110 pass, not the forward d18 one
+    "open-gap-at-end-linear": (_D18, _R110, "00010011011111" * 4 + "0100010001010000", "linear"),
+    "wrapping-gap-circular": (_D18, _R110, "00010011011111" * 4 + "0100010001010000", "circular"),
+    # 5680 letters: both passes walk blocks of letters
+    "blocks-linear": (_R110, _R110, ("00010011011111" * 20 + "0110") * 20, "linear"),
+    "blocks-circular": (_R110, _D18, ("00010011011111" * 20 + "0110") * 20, "circular"),
+    # 255 domains: label 255 meets the break byte, so the codes come from ``bidirectional``
+    "255-domains": ([_cycle("01")] * 254 + [FULL_SHIFT],) * 2 + ("0110100", "circular"),
+}
+
+
+@pytest.mark.parametrize("case", BIDI_CODE_CASES.values(), ids=BIDI_CODE_CASES)
+def test_bidi_codes_edge_cases(case):
+    domains, other, word, mode = case
+    filters = build_filter(domains), build_filter([reverse_domain(d) for d in other])
+    got = bidi_codes(filters, word, mode)
+    assert got == _wire_codes(filters, word, mode)
+    assert isinstance(got, bytes) == (len(domains) <= 254)
+
+
+def test_bidi_codes_refuse_an_empty_circular_string():
+    with pytest.raises(ValueError, match="circular mode needs a non-empty string"):
+        bidi_codes(bidirectional_filters([d18_domain()]), "", "circular")
 
 
 @st.composite
