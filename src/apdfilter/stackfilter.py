@@ -21,19 +21,26 @@ and the domain set of an emitted interval is the dying pair's
 
 The global variant handles periodic two-way infinite strings through a
 pumping-bound window of (m+1)*N letters (m the largest domain state
-count, N the period), scanned one period at a time until the live pairs,
-with their ages, repeat at a period boundary kN.  The configuration at
-(k-1)N is then the true one for the infinite string: it repeats at
-every later boundary, as the infinite string's does, and past m*N the
-two agree, since a pair begun before letter 1 would be longer than m*N,
-which pumps to the whole string.  From (k-1)N on the scan is the
-infinite string's scan, which emits every maximal interval once, at its
-death, so the last period's emissions are one maximal interval per
-orbit; each shifted to start in 1..N is a representative, and maximal
-intervals never nest, so no orbit needs deduplicating or reducing.  A
-scan that never stops is exactly the whole-string case: the pair begun
-at letter 1 then never dies and only grows older.  The representatives'
-domain sets come from running every domain over their text.
+count, N the period), scanned until, at a step j past the first period,
+every live pair began after N.  The live pairs at j then read the same
+letters as those at j - N, shifted by N, so the scan repeats every N
+letters from j - N on; past m*N it agrees with the infinite string's
+scan, since a pair begun before letter 1 would be longer than m*N, which
+pumps to the whole string, and two scans that both repeat every N
+letters and agree somewhere agree from j - N on.  The infinite string's
+scan emits every maximal interval once, at its death, so the emissions
+at steps (j - N, j] are one maximal interval per orbit; each shifted to
+start in 1..N is a representative, and maximal intervals never nest, so
+no orbit needs deduplicating or reducing.  A scan that never stops is
+exactly the whole-string case: the pair begun at letter 1 then never
+dies.  Otherwise the scan stops at the first emission or period
+boundary past N by which every pair begun in the first period has died,
+so it costs one period plus the letters until the bottom pair is
+younger than a period.  It stops no later than a repeat of the
+configuration, ages included, at boundaries (k-1)N and kN (k >= 2) would
+show the scan periodic: every age at (k-1)N is below (k-1)N, so every
+pair live at kN then began after N.  The representatives' domain sets
+come from running every domain over their text.
 ``orbit_multiplicity`` counts, in one sweep, how many shifted
 representatives cover each position of the period, from which
 ``periodic_codes`` codes a diagram's rows for ``ca.filter_diagram``.
@@ -41,6 +48,7 @@ representatives cover each position of the period, from which
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
@@ -172,8 +180,8 @@ class ScanAutomaton:
 
 def _scan(
     tracker: Tracker, syms: Sequence[int], repeats: int = 1, stats: FilterStats | None = None
-) -> tuple[list[tuple[int, int]], list[frozenset[int]], slice, bool]:
-    """``filter_local``'s scan over ``repeats`` copies of the symbol indices.
+) -> tuple[list[tuple[int, int]], list[frozenset[int]], slice, int]:
+    """``filter_local``'s scan over ``repeats`` copies of the N symbol indices.
 
     The live pairs' tracker states, oldest first, form a configuration
     that depends only on the one before and the letter; only their begins
@@ -191,53 +199,58 @@ def _scan(
     state 0.  Surviving pairs are an increasing subsequence of these, the
     oldest of those landing in each state.
 
-    After each copy, at step j, the ordered live configuration
-    ``[(state, j - begin), ...]`` is compared with the one after the copy
-    before (empty before the first letter); on equality the scan stops
-    there.  It flushes its bottom pair at j, so the intervals and domain
-    sets it returns are the cover of the scanned prefix.  It also returns
-    the slice of them that the last scanned copy emitted, the flush left
-    out, and whether a repeated configuration stopped the scan.
+    The scan stops at the first step j > N at which no pair is live or the
+    bottom pair began after N: every live pair then began after N, so the
+    configuration at j is the one at j - N shifted by N, and the scan is
+    N-periodic from j - N on.  The bottom pair changes only when it dies,
+    which emits, or when no pair was live, so the stop is checked on
+    emission steps and at the end of each copy; once it holds it holds at
+    every later step.  A single copy never stops, since every begin is at
+    most j <= N.  The scan flushes its bottom pair at j, so the intervals
+    and domain sets it returns are the cover of the scanned prefix.  It
+    also returns the slice of them emitted at steps (j - N, j], the flush
+    left out, and j, or 0 where it ran every copy without stopping.
     """
     automaton = tracker.scan_automaton
     tables = automaton.start()
     configs, _ids, table = tables
     state_domains = tracker.state_domains
     k = len(tracker.step)
+    n = len(syms)
     base = 0  # the current configuration's id times k
     begins: tuple[int, ...] = ()
     emitted: list[tuple[int, int]] = []
     domain_sets: list[frozenset[int]] = []
     advances = 0
-    j = first = 0
-    previous: list[tuple[int, int]] = []
-    stopped = False
+    j = stop = 0
     for copy in range(repeats):
-        first = len(emitted)
-        for j, sym in enumerate(syms, start=copy * len(syms) + 1):
+        for j, sym in enumerate(syms, start=copy * n + 1):
             entry = table[base + sym]
             if entry is None:
                 entry = automaton.fill(tables, base // k, sym)
             base, remap, dying, moved = entry
-            if dying is not None:
+            advances += moved
+            if dying is None:
+                begins = remap(begins + (j,))
+            else:
                 # non-bottom pairs die silently: their intervals are
                 # contained in the bottom pair's
                 emitted.append((begins[0], j - 1))
                 domain_sets.append(dying)
-            begins = remap(begins + (j,))
-            advances += moved
-        config = [(state, j - begin) for state, begin in zip(configs[base // k], begins)]
-        if config == previous:
-            stopped = True
+                begins = remap(begins + (j,))
+                if (begins[0] if begins else j) > n:
+                    break
+        if (begins[0] if begins else j) > n:
+            stop = j
             break
-        previous = config
-    last = slice(first, len(emitted))
+    # an emission at step s ends at s - 1
+    last = slice(bisect_left(emitted, j - n, key=itemgetter(1)), len(emitted))
     if begins:
         emitted.append((begins[0], j))
         domain_sets.append(state_domains[configs[base // k][0]])
     if stats is not None:
         stats.pair_advances += advances
-    return emitted, domain_sets, last, stopped
+    return emitted, domain_sets, last, stop
 
 
 def filter_local(
@@ -268,25 +281,32 @@ def filter_global(
 
     A maximal substring longer than m*N (m the largest domain state count)
     pumps to the whole string.  The scan runs over a window of (m+1)*N
-    letters and stops at the first period boundary kN whose live
-    configuration, as (state, kN - begin) pairs, repeats the one at
-    (k-1)N:
+    letters and stops at the first step j > N, checked where the bottom
+    pair dies and at period boundaries, at which every live pair began
+    after N:
 
-    - the configuration after letter j depends only on the one after j-1
-      and on letter j, and the letters repeat every N, so from (k-1)N on
-      every period repeats the configuration;
-    - the infinite string's configuration is the same at every boundary,
-      and from mN on it is the scan's, since a pair begun before letter 1
-      would be longer than m*N; so unless the string is whole the scan's
-      configuration at (k-1)N, repeated at every later boundary, is the
-      infinite string's, and the scan stops by the window's end;
+    - a pair begun at b is live at step t exactly when the tracker has a
+      state after letters b..t, the same letters as b+N..t+N, and of the
+      pairs in one state the oldest is kept; so when none live at j
+      began by N, the configuration at j is the one at j - N shifted by
+      N, and from j - N on the scan repeats every N letters;
+    - the infinite string's scan is the one-way scan wherever no pair
+      begun before letter 1 is live, which unless the string is whole
+      holds from m*N on; both repeat every N letters from j - N on, so
+      they agree there; and the scan stops no later than the first
+      boundary kN (k >= 2) whose configuration, ages included, repeats
+      the one at (k-1)N: every age at (k-1)N is below (k-1)N, so then
+      every begin at kN is above N;
     - the infinite string's scan emits each maximal interval once, when
-      its bottom pair dies, so the emissions in ((k-1)N, kN] are one
+      its bottom pair dies, so the emissions at steps (j - N, j] are one
       maximal interval per orbit, and shifted to start in 1..N they are
       the representatives; maximal intervals never nest, so sorted by
       start their ends increase too;
-    - in the whole-string case the pair begun at letter 1 never dies and
-      grows older every period, so the scan never stops.
+    - in the whole-string case the pair begun at letter 1 never dies, so
+      the scan never stops.
+
+    The cost is one period plus the letters until the bottom pair is
+    younger than a period; only whole-string rows scan all (m+1)*N.
     """
     if not period_word:
         raise ValueError("empty period word")
@@ -295,8 +315,8 @@ def filter_global(
     m = max(d.fa.state_count for d in domains)
     window = period_word * (m + 1)
     syms = tracker.alphabet.encode(period_word)
-    intervals, _, last, stopped = _scan(tracker, syms, repeats=m + 1, stats=stats)
-    if not stopped:
+    intervals, _, last, stop = _scan(tracker, syms, repeats=m + 1, stats=stats)
+    if not stop:
         return MaximalCover(
             (),
             whole_string=True,

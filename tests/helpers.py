@@ -20,12 +20,14 @@ filter's output per letter off ``filter_local``, which the properties
 check against ``brute_maximal_cover``, with breaks where the filter
 transducer puts them.  There are seven exceptions.
 ``reference_scan`` is the pair-stack scan with one dict of live pairs
-per letter, the reference for the configuration automaton, and
-``filter_global_full_window`` is the periodic stack cover without its
-early stop: ``reference_scan`` over the whole pumping window, reduced to
-orbit representatives by ``canonical_representatives``, the dedup and
-containment pass that ``filter_global`` replaced by reading the
-representatives off the scan's last period.
+per letter, the reference for the configuration automaton and for its
+early stop, which it checks on every live pair, not only the bottom one;
+``scan_trace`` records the same scan's live pairs after every letter;
+and ``filter_global_full_window`` is the periodic stack cover without
+its early stop: ``reference_scan`` over the whole pumping window,
+reduced to orbit representatives by ``canonical_representatives``, the
+dedup and containment pass that ``filter_global`` replaced by reading
+the representatives off the scan's last period.
 ``reference_resync`` is the one-walk resync with frozenset pasts and a
 rescan of every layer per forbidden pair, the reference for the one-pass
 tables of ``transducer.resync``.  ``reference_evolve`` is the CA step
@@ -305,34 +307,33 @@ def stack_letter_outputs(tracker: Tracker, word: str) -> list[int]:
 
 def reference_scan(
     tracker, syms: Sequence[int], repeats: int = 1, stats: FilterStats | None = None
-) -> tuple[list[tuple[int, int]], list[frozenset[int]], slice, bool]:
+) -> tuple[list[tuple[int, int]], list[frozenset[int]], slice, int]:
     """The pair-stack scan one letter at a time: a dict of live pairs,
     state -> oldest begin in age order, rebuilt for every letter.  The
     reference for ``stackfilter._scan``, which runs the same steps
     through its configuration automaton, and returns the same four
     things: the intervals and their domain sets, the flushed bottom pair
-    last, the slice of them the last scanned copy emitted, and whether a
-    repeated configuration stopped the scan.
+    last, the slice of them emitted in the last N steps, and the step the
+    scan stopped at (0 where it ran every copy).
 
-    Over ``repeats`` copies of the symbol indices it stops after the first
-    copy whose ordered ``[(state, j - begin), ...]`` equals the one after
-    the copy before, and flushes its bottom pair at j.
+    Over ``repeats`` copies of the N symbol indices it stops at the first
+    step j > N, among the steps that emit and the ends of copies, at which
+    every live pair began after N, and flushes its bottom pair at j.
     """
     step, state_domains = tracker.step, tracker.state_domains
+    n = len(syms)
     live: dict[int, int] = {}
     emitted: list[tuple[int, int]] = []
     domain_sets: list[frozenset[int]] = []
     advances = 0
-    j = first = 0
-    previous: list[tuple[int, int]] = []
-    stopped = False
+    j = stop = 0
     for k in range(repeats):
-        first = len(emitted)
-        for j, sym in enumerate(syms, start=k * len(syms) + 1):
+        for j, sym in enumerate(syms, start=k * n + 1):
             row = step[sym]
             live.setdefault(0, j)  # the fresh pair at the tracker start
             survivors: dict[int, int] = {}
             bottom = True
+            emits = False
             for state, begin in live.items():
                 nxt = row[state]
                 if nxt is None:
@@ -340,17 +341,21 @@ def reference_scan(
                     if bottom and begin < j:
                         emitted.append((begin, j - 1))
                         domain_sets.append(state_domains[state])
+                        emits = True
                 else:
                     advances += 1
                     if nxt not in survivors:
                         survivors[nxt] = begin
                 bottom = False
             live = survivors
-        config = [(state, j - begin) for state, begin in live.items()]
-        if config == previous:
-            stopped = True
+            if emits and j > n and all(begin > n for begin in live.values()):
+                break
+        if j > n and all(begin > n for begin in live.values()):
+            stop = j
             break
-        previous = config
+    first = 0
+    while first < len(emitted) and emitted[first][1] < j - n:
+        first += 1
     last = slice(first, len(emitted))
     if live:
         state, begin = next(iter(live.items()))
@@ -358,7 +363,26 @@ def reference_scan(
         domain_sets.append(state_domains[state])
     if stats is not None:
         stats.pair_advances += advances
-    return emitted, domain_sets, last, stopped
+    return emitted, domain_sets, last, stop
+
+
+def scan_trace(tracker, syms: Sequence[int]) -> list[list[tuple[int, int]]]:
+    """The live pairs of the pair-stack scan after each letter, one letter
+    at a time, as ``(state, age)`` lists oldest first, the age of a pair
+    begun at b after letter j being j - b: entry j is the list after
+    letter j, entry 0 the empty one before the first."""
+    live: dict[int, int] = {}
+    trace: list[list[tuple[int, int]]] = [[]]
+    for j, sym in enumerate(syms, start=1):
+        row = tracker.step[sym]
+        live.setdefault(0, j)  # the fresh pair at the tracker start
+        survivors: dict[int, int] = {}
+        for state, begin in live.items():
+            if row[state] is not None:
+                survivors.setdefault(row[state], begin)
+        live = survivors
+        trace.append([(state, j - begin) for state, begin in live.items()])
+    return trace
 
 
 def reference_local(tracker, syms: Sequence[int], stats: FilterStats | None = None):

@@ -92,6 +92,9 @@ CASES = [
      ["stack", "--domains", "{g}/rule110.dom", "--input", "00010011011111", "--periodic"]),
     ("stack-d18-periodic.txt",
      ["stack", "--domains", "{g}/d18.dom", "--input", "0100100111", "--periodic"]),
+    # the periodic scan stops only in the third copy of 00010
+    ("stack-d18-periodic-late.txt",
+     ["stack", "--periodic", "--domains", "{g}/d18.dom", "--input", "00010"]),
     ("ca-filter-rule110-stack.pgm",
      ["ca-filter", "--method", "stack", "--domains", "{g}/rule110.dom",
       "--input", "{g}/ca-rule110.txt"]),
@@ -117,6 +120,13 @@ CASES = [
       "--input", "{g}/ca-rule110-tall.txt"]),
     ("ca-filter-rule110-tall-bidi-rule110.csv",
      ["ca-filter", "--method", "bidi", "--domains", "{g}/rule110.dom",
+      "--input", "{g}/ca-rule110-tall.txt", "--format", "csv"]),
+    # 48 rows of 40 cells, each row scanned as the period of its own periodic stack cover
+    ("ca-filter-rule110-tall-stack-runs.csv",
+     ["ca-filter", "--method", "stack", "--domains", "{g}/runs.dom",
+      "--input", "{g}/ca-rule110-tall.txt", "--format", "csv"]),
+    ("ca-filter-rule110-tall-stack-rule110.csv",
+     ["ca-filter", "--method", "stack", "--domains", "{g}/rule110.dom",
       "--input", "{g}/ca-rule110-tall.txt", "--format", "csv"]),
     ("ca-rule232.txt",
      ["ca", "--rule", "232", "--width", "24", "--steps", "8", "--init", "random:5"]),

@@ -28,6 +28,7 @@ from helpers import (
     reference_intersect,
     reference_random_row,
     resync_walk_size,
+    scan_trace,
     sigma_star_prefix,
     stack_letter_outputs,
     tracker_dfa,
@@ -374,19 +375,45 @@ def test_filter_global_early_stop_is_the_full_window(case):
 
 @settings(max_examples=200)
 @given(domains_and_word(min_size=1, max_size=9))
-def test_filter_global_reads_the_last_scanned_period(case):
-    # the cover is whole exactly when the scan ran all m+1 copies without
-    # stopping, and then its domains are the flushed pair's; otherwise each
-    # representative is an emission of the last scanned copy, shifted to
-    # start in 1..N, and its domains are the dying set the scan recorded
+def test_filter_global_stops_where_the_scan_turns_periodic(case):
+    # over the whole window, at the scan's stop step j the live pairs with
+    # their ages are the ones at j - N, so the scan repeats every N letters
+    # from j - N on; the scan stops exactly when some boundary kN (k >= 2)
+    # repeats the configuration, ages included, of (k-1)N, and j is no
+    # later than the first such boundary
     domains, period_word = case
     tracker = build_tracker(domains)
     n, m = len(period_word), max(d.fa.state_count for d in domains)
     syms = tracker.alphabet.encode(period_word)
-    intervals, domain_sets, last, stopped = stackfilter._scan(tracker, syms, repeats=m + 1)
+    trace = scan_trace(tracker, list(syms) * (m + 1))
+    stop = stackfilter._scan(tracker, syms, repeats=m + 1)[3]
+    repeat = next((k * n for k in range(2, m + 2) if trace[k * n] == trace[(k - 1) * n]), 0)
+    assert bool(stop) == bool(repeat)
+    if stop:
+        assert n < stop <= repeat
+        assert trace[stop] == trace[stop - n]
+
+
+@settings(max_examples=200)
+@given(domains_and_word(min_size=1, max_size=9))
+def test_filter_global_reads_the_last_scanned_period(case):
+    # the cover is whole exactly when the scan ran all m+1 copies without
+    # stopping, and then its domains are the flushed pair's; otherwise each
+    # representative is an emission of the last N steps the scan ran,
+    # shifted to start in 1..N, and its domains are the dying set the scan
+    # recorded
+    domains, period_word = case
+    tracker = build_tracker(domains)
+    n, m = len(period_word), max(d.fa.state_count for d in domains)
+    syms = tracker.alphabet.encode(period_word)
+    intervals, domain_sets, last, stop = stackfilter._scan(tracker, syms, repeats=m + 1)
     cover = filter_global(tracker, period_word)
-    assert cover.whole_string == (not stopped)
-    if not stopped:
+    j = stop or (m + 1) * n
+    # an emission at step s ends at s - 1
+    assert all(b < j - n for (_a, b) in intervals[: last.start])
+    assert all(j - n <= b < j for (_a, b) in intervals[last])
+    assert cover.whole_string == (not stop)
+    if not stop:
         assert intervals == [(1, (m + 1) * n)]
         assert cover.whole_domains == domain_sets[-1]
     shifted = sorted(

@@ -17,6 +17,7 @@ from helpers import (
 
 from apdfilter import stackfilter
 from apdfilter.automata import Alphabet, build_tracker, cyclic_domain
+from apdfilter.ca import evolve, random_row, rule_from_number
 from apdfilter.domspec import parse_domain_spec
 from apdfilter.optimizer import optimize
 from apdfilter.stackfilter import (
@@ -191,15 +192,28 @@ class TestEarlyStop:
         assert not cover.whole_string and cover.intervals
         assert 0 < early.pair_advances < full.pair_advances
 
+    def test_rule110_rows_stop_in_the_second_copy(self):
+        # every row of a 100 x 100 rule-110 diagram stops within its second
+        # copy, with its bottom pair flushed there, short of scanning two
+        # whole copies
+        tracker = build_tracker(rule110_domains())
+        m = max(d.fa.state_count for d in tracker.domains)
+        diagram = evolve(rule_from_number(2, 1, 110), random_row(2, 100, 1), 99)
+        for row in diagram.rows:
+            syms = tracker.alphabet.encode("".join(map(str, row)))
+            intervals, _, _, stop = _scan(tracker, syms, repeats=m + 1)
+            assert 100 < stop < 200, row
+            assert intervals[-1][1] == stop, row
 
     def test_stops_on_the_last_copy(self, d18):
-        # found by a search over short words: d18 (m = 2) on 00010 repeats
-        # its configuration only at 3N, the window's end, and the one
-        # orbit's representative is 9 letters long, near the m*N = 10 bound
+        # found by a search over short words: d18 (m = 2) on 00010 keeps a
+        # pair begun in the first period live into the third copy, so the
+        # scan stops at 14 of the 15-letter window, and the one orbit's
+        # representative is 9 letters long, near the m*N = 10 bound
         tracker = build_tracker([d18])
         syms = tracker.alphabet.encode("00010")
         assert not _scan(tracker, syms, repeats=2)[3]
-        assert _scan(tracker, syms, repeats=3)[3]
+        assert _scan(tracker, syms, repeats=3)[3] == 14
         cover = filter_global(tracker, "00010")
         assert cover == filter_global_full_window(tracker, "00010")
         assert cover.intervals == ((5, 13),)
