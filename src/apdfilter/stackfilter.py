@@ -40,7 +40,11 @@ younger than a period.  It stops no later than a repeat of the
 configuration, ages included, at boundaries (k-1)N and kN (k >= 2) would
 show the scan periodic: every age at (k-1)N is below (k-1)N, so every
 pair live at kN then began after N.  The representatives' domain sets
-come from running every domain over their text.
+come from running every domain over their text, once per distinct text:
+a label memo kept beside the scan table maps a text's exact letters to
+its set, so the rows of a diagram, which repeat a few hundred texts,
+run ``accepts`` only on a text's first sight.  A call that finds more
+than ``MAX_LABEL_LETTERS`` key letters kept starts a fresh memo.
 ``orbit_multiplicity`` counts, in one sweep, how many shifted
 representatives cover each position of the period, from which
 ``periodic_codes`` codes a diagram's rows for ``ca.filter_diagram``.
@@ -53,11 +57,12 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
 from threading import Lock
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .automata import Domain, Tracker, accepts, build_tracker, label_code
 
 MAX_SCAN_CONFIGS = 2**14  # configurations a kept scan automaton may hold when a call starts
+MAX_LABEL_LETTERS = 2**20  # key letters a kept label memo may hold when a call starts
 
 
 @dataclass(frozen=True)
@@ -118,17 +123,31 @@ class ScanAutomaton:
     fresh table; a call adds at most one configuration per letter, so the
     kept table holds at most the cap plus one call's letters.
 
-    Threads may share a tracker: a call keeps the three lists it started
-    with, so a reset by another call does not mix tables; a configuration
-    gets its id under a lock, its row and its place in ``configs`` before
-    ``ids`` publishes it; and two threads filling one entry store equal
-    values.
+    ``labels`` is ``filter_global``'s label memo: a text's exact letters (a
+    ``str``, or a tuple of tokens) to the set of domains accepting it, and
+    ``label_letters`` the letters of its keys.  An entry depends only on
+    its key too.  A call that finds more than ``MAX_LABEL_LETTERS`` key
+    letters kept starts a fresh memo, and a call adds at most its
+    representatives' letters, so the kept memo holds at most the cap plus
+    one call's representatives: (m+1)*N letters for a whole string, and
+    otherwise at most m*N per representative (m the largest domain state
+    count, N the period).
+
+    Threads may share a tracker: a call keeps the three lists and the memo
+    it started with, so a reset by another call does not mix tables; a
+    configuration gets its id under a lock, its row and its place in
+    ``configs`` before ``ids`` publishes it; the memo is reset and its
+    letters counted under the same lock; and two threads filling one entry
+    store equal values.
     """
 
     def __init__(self, tracker: Tracker):
         self.step, self.state_domains = tracker.step, tracker.state_domains
+        self.domains = tracker.domains
         self.lock = Lock()
         self.reset()
+        self.labels: dict[str | tuple[str, ...], frozenset[int]] = {}
+        self.label_letters = 0
 
     def reset(self) -> None:
         """Start a fresh table: the empty configuration, its row unfilled."""
@@ -139,6 +158,26 @@ class ScanAutomaton:
         if len(self.tables[0]) > MAX_SCAN_CONFIGS:
             self.reset()
         return self.tables
+
+    def domain_sets(self, texts: Iterable[str | tuple[str, ...]]) -> list[frozenset[int]]:
+        """The domains accepting each text, from the kept label memo, or a
+        fresh one past the cap: ``accepts`` runs on a text's first sight only."""
+        with self.lock:
+            if self.label_letters > MAX_LABEL_LETTERS:
+                self.labels, self.label_letters = {}, 0
+            labels = self.labels
+        sets = []
+        added = 0
+        for text in texts:
+            domains = labels.get(text)
+            if domains is None:
+                domains = labels[text] = _accepting_domains(self.domains, text)
+                added += len(text)
+            sets.append(domains)
+        if added:
+            with self.lock:
+                self.label_letters += added
+        return sets
 
     def fill(self, tables, cfg: int, sym: int) -> tuple:
         """Entry cfg*k + sym of ``tables``: one step of the pair scan from
@@ -310,26 +349,26 @@ def filter_global(
     """
     if not period_word:
         raise ValueError("empty period word")
-    domains = tracker.domains
     n = len(period_word)
-    m = max(d.fa.state_count for d in domains)
-    window = period_word * (m + 1)
+    m = max(d.fa.state_count for d in tracker.domains)
     syms = tracker.alphabet.encode(period_word)
     intervals, _, last, stop = _scan(tracker, syms, repeats=m + 1, stats=stats)
+    # the label memo's keys are the letters themselves: a string's slices,
+    # or a tuple's
+    word = period_word if isinstance(period_word, str) else tuple(period_word)
+    label = tracker.scan_automaton.domain_sets
     if not stop:
-        return MaximalCover(
-            (),
-            whole_string=True,
-            period=n,
-            whole_domains=_accepting_domains(domains, window),
-        )
+        (whole_domains,) = label((word * (m + 1),))
+        return MaximalCover((), whole_string=True, period=n, whole_domains=whole_domains)
     reps = sorted((a - (a - 1) // n * n, b - (a - 1) // n * n) for (a, b) in intervals[last])
+    # ends increase with starts, so the window need reach the last end only
+    window = word * -(-reps[-1][1] // n) if reps else ()
     # the dying sets the scan recorded for these emissions (``_`` above)
-    # are the same domain sets; they take over from ``accepts`` once the
-    # benchmark stops counting its calls
+    # are the same domain sets; they take over from the memo and its
+    # ``accepts`` calls once the benchmark stops counting those
     return MaximalCover(
         intervals=tuple(reps),
-        domain_sets=tuple(_accepting_domains(domains, window[a - 1 : b]) for (a, b) in reps),
+        domain_sets=tuple(label(window[a - 1 : b] for (a, b) in reps)),
         period=n,
     )
 
@@ -365,19 +404,28 @@ def orbit_multiplicity(cover: MaximalCover) -> tuple[list[int], list[int]]:
     return list(accumulate(count_diff[:n])), list(accumulate(owner_diff[:n]))
 
 
+class _LabelCodes(dict):
+    """``label_code`` of each domain set, computed on its first lookup."""
+
+    def __missing__(self, domains: frozenset[int]) -> int:
+        code = self[domains] = label_code(domains)
+        return code
+
+
 def periodic_codes(domains: Sequence[Domain], rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """Wire codes of rows of symbol indices, each one period, with one
     tracker for all: the ``label_code`` of a cell's one covering maximal
     substring; a break (-1) where several overlap or none covers it."""
     tracker = build_tracker(domains)
     tokens = list(tracker.alphabet.symbols)  # a bound list __getitem__ calls faster than a tuple's
+    code_of = _LabelCodes()
     codes = []
     for row in rows:
-        cover = filter_global(tracker, list(map(tokens.__getitem__, row)))
+        cover = filter_global(tracker, tuple(map(tokens.__getitem__, row)))
         if cover.whole_string:
-            codes.append((label_code(cover.whole_domains),) * len(row))
+            codes.append((code_of[cover.whole_domains],) * len(row))
             continue
-        labels = [label_code(doms) for doms in cover.domain_sets]
+        labels = list(map(code_of.__getitem__, cover.domain_sets))
         counts, owners = orbit_multiplicity(cover)
         codes.append(tuple(labels[o] if c == 1 else -1 for c, o in zip(counts, owners)))
     return tuple(codes)

@@ -27,7 +27,9 @@ and ``filter_global_full_window`` is the periodic stack cover without
 its early stop: ``reference_scan`` over the whole pumping window,
 reduced to orbit representatives by ``canonical_representatives``, the
 dedup and containment pass that ``filter_global`` replaced by reading
-the representatives off the scan's last period.
+the representatives off the scan's last period; ``full_window_codes``
+codes a diagram row from that cover, the reference for
+``periodic_codes``.
 ``reference_resync`` is the one-walk resync with frozenset pasts and a
 rescan of every layer per forbidden pair, the reference for the one-pass
 tables of ``transducer.resync``.  ``reference_evolve`` is the CA step
@@ -80,7 +82,7 @@ from apdfilter.optimizer import (
     initial_partition,
     refine,
 )
-from apdfilter.stackfilter import FilterStats, MaximalCover, filter_local
+from apdfilter.stackfilter import FilterStats, MaximalCover, filter_local, orbit_multiplicity
 from apdfilter.transducer import AMBIGUOUS, DomainBreak, DomainLabel, ResyncReport
 
 log = logging.getLogger(__name__)
@@ -442,6 +444,18 @@ def filter_global_full_window(
         domain_sets=tuple(accepting_domains(domains, window[a - 1 : b]) for (a, b) in reps),
         period=n,
     )
+
+
+def full_window_codes(tracker, word: str) -> tuple[int, ...]:
+    """``periodic_codes``' codes of one row by ``filter_global_full_window``:
+    the ``label_code`` of a cell's one covering interval, -1 where several
+    or none cover it."""
+    cover = filter_global_full_window(tracker, word)
+    if cover.whole_string:
+        return (label_code(cover.whole_domains),) * len(word)
+    labels = [label_code(doms) for doms in cover.domain_sets]
+    counts, owners = orbit_multiplicity(cover)
+    return tuple(labels[o] if c == 1 else -1 for c, o in zip(counts, owners))
 
 
 def brute_resync_candidates(

@@ -17,6 +17,7 @@ from helpers import (
     brute_maximal_cover,
     d18_domain,
     filter_global_full_window,
+    full_window_codes,
     language,
     parse_pgm,
     random_domain,
@@ -139,6 +140,26 @@ def domains_and_calls(draw) -> tuple[list[Domain], list[tuple[bool, str]]]:
     domains = draw(st.lists(domain(alphabet), min_size=1, max_size=3))
     calls = st.tuples(st.booleans(), words(alphabet, min_size=1, max_size=12))
     return domains, draw(st.lists(calls, min_size=1, max_size=8))
+
+
+@st.composite
+def domains_and_diagrams(draw) -> tuple[list[Domain], list[SpaceTimeDiagram]]:
+    """A seeded ``random_domain`` set of 1-3 domains and 1-3 small CA
+    diagrams over its alphabet: rule tables at r = 1, 1-10 cells, 0-5
+    steps, so that rows and their representatives repeat."""
+    alphabet = draw(ALPHABETS)
+    k = len(alphabet)
+    rng = Random(draw(st.integers(0, 2**32 - 1)))
+    domains = [random_domain(rng, alphabet) for _ in range(draw(st.integers(1, 3)))]
+    diagrams = [
+        evolve(
+            rule_from_number(k, 1, draw(st.integers(0, k ** k**3 - 1))),
+            random_row(k, draw(st.integers(1, 10)), draw(st.integers(0, 2**16))),
+            draw(st.integers(0, 5)),
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return domains, diagrams
 
 
 @st.composite
@@ -437,6 +458,26 @@ def test_shared_tracker_gives_fresh_tracker_covers(case, cap):
             got, want = FilterStats(), FilterStats()
             assert cover(shared, word, got) == cover(build_tracker(domains), word, want), word
             assert got.pair_advances == want.pair_advances, word
+
+
+@settings(max_examples=200)
+@given(domains_and_diagrams(), st.sampled_from([1, 16, stackfilter.MAX_LABEL_LETTERS]))
+def test_kept_label_memo_gives_the_full_window_codes(case, cap):
+    # several diagrams coded through one kept tracker, its label memo
+    # filled and read across them and reset at any cap: every row's codes
+    # are the full window's, and every memo entry is its key's domain set
+    domains, diagrams = case
+    tracker = build_tracker(domains)
+    tokens = tracker.alphabet.symbols
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stackfilter, "MAX_LABEL_LETTERS", cap)
+        patch.setattr(stackfilter, "build_tracker", lambda _domains: tracker)
+        for diagram in diagrams:
+            words = ("".join(map(tokens.__getitem__, row)) for row in diagram.rows)
+            want = tuple(full_window_codes(tracker, word) for word in words)
+            assert stackfilter.periodic_codes(domains, diagram.rows) == want
+    for text, doms in tracker.scan_automaton.labels.items():
+        assert doms == accepting_domains(domains, text), text
 
 
 @settings(max_examples=40)

@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 from pathlib import Path
 from random import Random
 from threading import Thread
@@ -9,6 +10,7 @@ from helpers import (
     accepting_domains,
     brute_maximal_cover,
     filter_global_full_window,
+    full_window_codes,
     orbit_multiplicity_at,
     random_domain,
     reference_local,
@@ -16,7 +18,7 @@ from helpers import (
 )
 
 from apdfilter import stackfilter
-from apdfilter.automata import Alphabet, build_tracker, cyclic_domain
+from apdfilter.automata import Alphabet, accepts, build_tracker, cyclic_domain
 from apdfilter.ca import evolve, random_row, rule_from_number
 from apdfilter.domspec import parse_domain_spec
 from apdfilter.optimizer import optimize
@@ -27,6 +29,7 @@ from apdfilter.stackfilter import (
     filter_global,
     filter_local,
     orbit_multiplicity,
+    periodic_codes,
 )
 
 
@@ -289,26 +292,34 @@ class TestConfigurationAutomaton:
 
     @pytest.mark.parametrize("cap", [8, stackfilter.MAX_SCAN_CONFIGS])
     def test_threads_share_one_kept_table(self, monkeypatch, cap):
-        # more threads than cores fill, and below the rule-110 tracker's 27
-        # configurations also reset, one kept table, switching as often as
-        # the interpreter allows: every cover is the reference scan's, and
-        # every configuration keeps the one id its table row was made for
+        # more threads than cores fill one kept table and one kept label
+        # memo, and at a cap of 8 (configurations, below the rule-110
+        # tracker's 27, and key letters) also reset them, switching as often
+        # as the interpreter allows: every cover is the reference scan's,
+        # every configuration keeps the one id its table row was made for,
+        # and every memo entry is its key's domain set, with its letters
+        # counted
         monkeypatch.setattr(stackfilter, "MAX_SCAN_CONFIGS", cap)
-        tracker = build_tracker(rule110_domains())
+        monkeypatch.setattr(stackfilter, "MAX_LABEL_LETTERS", cap)
+        domains = rule110_domains()
+        tracker = build_tracker(domains)
         rng = Random(149)
         words = ["".join(rng.choice("01") for _ in range(rng.randint(1, 40))) for _ in range(60)]
-        want = [reference_local(tracker, tracker.alphabet.encode(w)) for w in words]
+        periods = ["".join(rng.choice("01") for _ in range(rng.randint(1, 12))) for _ in range(30)]
+        calls = [(filter_local, w, reference_local(tracker, tracker.alphabet.encode(w))) for w in words]
+        calls += [(filter_global, w, filter_global_full_window(tracker, w)) for w in periods]
         failures = []
 
         def scan_all(order):
             try:
                 for i in order:
-                    if filter_local(tracker, words[i]) != want[i]:
-                        failures.append(words[i])
+                    cover, word, want = calls[i]
+                    if cover(tracker, word) != want:
+                        failures.append(word)
             except Exception as e:  # reported by the main thread
                 failures.append(e)
 
-        orders = [rng.sample(range(len(words)), len(words)) for _ in range(6)]
+        orders = [rng.sample(range(len(calls)), len(calls)) for _ in range(6)]
         threads = [Thread(target=scan_all, args=(order,)) for order in orders]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -321,9 +332,83 @@ class TestConfigurationAutomaton:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
-        configs, ids, table = tracker.scan_automaton.tables
+        automaton = tracker.scan_automaton
+        configs, ids, table = automaton.tables
         assert [ids[c] for c in configs] == list(range(len(configs)))
         assert len(ids) == len(configs) and len(table) == len(configs) * len(tracker.step)
+        assert automaton.labels
+        for text, doms in automaton.labels.items():
+            assert doms == accepting_domains(domains, text), text
+        assert automaton.label_letters >= sum(map(len, automaton.labels))
+
+
+class TestLabelMemo:
+    def test_accepts_runs_once_per_distinct_text(self, monkeypatch):
+        # the seed-1 100 x 100 rule-110 diagram's rows have 3661
+        # representatives in all but only 178 distinct texts, counted from
+        # the full window's covers: periodic_codes runs accepts once per
+        # domain on each of those texts and on no other, and gives the full
+        # window's codes
+        domains = rule110_domains()
+        tracker = build_tracker(domains)
+        m = max(d.fa.state_count for d in domains)
+        diagram = evolve(rule_from_number(2, 1, 110), random_row(2, 100, 1), 99)
+        words = ["".join(map(str, row)) for row in diagram.rows]
+        texts = set()
+        representatives = 0
+        for word in words:
+            window = word * (m + 1)
+            cover = filter_global_full_window(tracker, word)
+            if cover.whole_string:
+                texts.add(window)
+            texts.update(window[a - 1 : b] for (a, b) in cover.intervals)
+            representatives += len(cover.intervals) or 1
+        calls = Counter()
+
+        def counted(fa, word):
+            calls["".join(word)] += 1
+            return accepts(fa, word)
+
+        monkeypatch.setattr(stackfilter, "accepts", counted)
+        codes = periodic_codes(domains, diagram.rows)
+        assert (representatives, len(texts)) == (3661, 178)
+        assert calls == dict.fromkeys(texts, len(domains))
+        assert codes == tuple(map(full_window_codes, [tracker] * len(words), words))
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_cap_resets_the_kept_memo(self, monkeypatch, cap):
+        # filter_global calls on shared trackers, with the cap on kept key
+        # letters below what most calls add: a call that starts above the
+        # cap starts a fresh memo, every cover is the full window's, every
+        # memo entry is its key's domain set, and the kept memo never holds
+        # more than the cap plus the letters of one call's representatives
+        monkeypatch.setattr(stackfilter, "MAX_LABEL_LETTERS", cap)
+        rng = Random(151)
+        sets = [rule110_domains()] + [
+            [random_domain(rng, ALPHA01, 5) for _ in range(rng.randint(1, 3))] for _ in range(8)
+        ]
+        resets = kept = 0
+        for domains in sets:
+            tracker = build_tracker(domains)
+            automaton = tracker.scan_automaton
+            m = max(d.fa.state_count for d in domains)
+            for _ in range(12):
+                word = "".join(rng.choice("01") for _ in range(rng.randint(1, 6)))
+                labels = automaton.labels
+                fresh = automaton.label_letters > cap
+                cover = filter_global(tracker, word)
+                assert cover == filter_global_full_window(tracker, word), word
+                assert (automaton.labels is not labels) == fresh, word
+                resets += fresh
+                kept += not fresh
+                if cover.whole_string:
+                    letters = (m + 1) * len(word)
+                else:
+                    letters = sum(b - a + 1 for (a, b) in cover.intervals)
+                assert automaton.label_letters == sum(map(len, automaton.labels)) <= cap + letters
+                for text, doms in automaton.labels.items():
+                    assert doms == accepting_domains(domains, text), (word, text)
+        assert resets > 50 and kept > 0
 
 
 class TestOrbitMultiplicity:
