@@ -136,17 +136,18 @@ def _cmd_stack(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from .render import code_texts, emit_csv, emit_pgm, gray, plain_pgm
+    from .render import code_texts, gray, plain_pgm
     from .tdx import load_transducer
 
     t, digest = load_transducer(_read_text(args.filter))
     sigma = _read_input(args.input)
     mode, pgm = "circular" if args.circular else "linear", args.format == "pgm"
+    n, sep = t.domain_count, " " if pgm else ","  # n: the shade spread
+    shade = (lambda c: str(gray(c, n))) if pgm else str
     if args.bidi:
         if not args.domains:
             raise UsageError("--bidi needs --domains (the reverse filter is built from them)")
         from .automata import reverse_domain
-        from .ca import CodedDiagram
         from .domspec import spec_digest
         from .transducer import bidi_codes, build_filter
 
@@ -159,18 +160,16 @@ def _cmd_run(args) -> int:
                 f"the filter {t.domain_count} over {' '.join(t.alphabet.symbols)}"
             )
         reverse = build_filter([reverse_domain(pd.domain) for pd in parsed])
-        labeled = CodedDiagram((bidi_codes((t, reverse), sigma, mode),), t.domain_count, 1)
-        data = emit_pgm(labeled) if pgm else emit_csv(labeled)
+        texts = code_texts(shade, n, 1)  # one break text, at -1 of the tuple fallback and at byte 255
+        row = sep.join(map(texts.__getitem__, bidi_codes((t, reverse), sigma, mode)))
         if digest is not None and spec_digest(text) != digest:  # after the run, so an error is the one line
             print("warning: filter was built from a different domain file", file=sys.stderr)
     else:  # one walk emits each letter's text straight from a per-arc text table, blocks at a time
         from .transducer import walk_text
 
-        n = t.domain_count  # the shade spread; the texts run up to the largest label
-        text = code_texts((lambda c: str(gray(c, n))) if pgm else str, max(t.code), len(t.breaks))
-        row = walk_text(t, sigma, mode, list(map(text.__getitem__, t.code)), " " if pgm else ",")
-        data = plain_pgm([row], len(sigma)) if pgm else row + "\n"  # a string is read one letter per character
-    _write(args.output, data)
+        texts = code_texts(shade, max(t.code), len(t.breaks))  # up to the largest label, not n
+        row = walk_text(t, sigma, mode, list(map(texts.__getitem__, t.code)), sep)
+    _write(args.output, plain_pgm([row], len(sigma)) if pgm else row + "\n")  # width: one letter per character
     return 0
 
 

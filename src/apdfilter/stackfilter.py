@@ -12,12 +12,12 @@ first, depends only on the tuple before and the letter, and only the
 begin indices are unbounded memory.  The scan therefore runs an
 automaton over these tuples, built lazily and kept with the tracker
 (``ScanAutomaton``), so every call on one tracker, every row of a
-diagram included, reads and fills one table; a call that finds more
-than ``MAX_SCAN_CONFIGS`` configurations kept starts a fresh one.  Each
-letter costs one table lookup plus one remap of the begins tuple.  Both
-variants take a prebuilt ``Tracker``: the scan follows its step table,
-and the domain set of an emitted interval is the dying pair's
-``state_domains`` entry.
+diagram included, reads and fills one table, calls from several threads
+taking turns; a call that finds more than ``MAX_SCAN_CONFIGS``
+configurations kept starts a fresh one.  Each letter costs one table
+lookup plus one remap of the begins tuple.  Both variants take a
+prebuilt ``Tracker``: the scan follows its step table, and the domain
+set of an emitted interval is the dying pair's ``state_domains`` entry.
 
 The global variant handles periodic two-way infinite strings through a
 pumping-bound window of (m+1)*N letters (m the largest domain state
@@ -133,12 +133,9 @@ class ScanAutomaton:
     otherwise at most m*N per representative (m the largest domain state
     count, N the period).
 
-    Threads may share a tracker: a call keeps the three lists and the memo
-    it started with, so a reset by another call does not mix tables; a
-    configuration gets its id under a lock, its row and its place in
-    ``configs`` before ``ids`` publishes it; the memo is reset and its
-    letters counted under the same lock; and two threads filling one entry
-    store equal values.
+    Threads may share a tracker: each use of the kept state, a ``_scan``
+    or a ``domain_sets`` call, holds ``lock`` from start to end, so calls
+    on one tracker take turns.
     """
 
     def __init__(self, tracker: Tracker):
@@ -154,7 +151,8 @@ class ScanAutomaton:
         self.tables = ([()], {(): 0}, [None] * len(self.step))
 
     def start(self) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int], list]:
-        """The tables for one call: the kept ones, or fresh ones past the cap."""
+        """The tables for one call, which holds ``lock``: the kept ones, or
+        fresh ones past the cap."""
         if len(self.tables[0]) > MAX_SCAN_CONFIGS:
             self.reset()
         return self.tables
@@ -165,24 +163,19 @@ class ScanAutomaton:
         with self.lock:
             if self.label_letters > MAX_LABEL_LETTERS:
                 self.labels, self.label_letters = {}, 0
-            labels = self.labels
-        sets = []
-        added = 0
-        for text in texts:
-            domains = labels.get(text)
-            if domains is None:
-                domains = labels[text] = _accepting_domains(self.domains, text)
-                added += len(text)
-            sets.append(domains)
-        if added:
-            with self.lock:
-                self.label_letters += added
+            labels, sets = self.labels, []
+            for text in texts:
+                domains = labels.get(text)
+                if domains is None:
+                    domains = labels[text] = _accepting_domains(self.domains, text)
+                    self.label_letters += len(text)
+                sets.append(domains)
         return sets
 
-    def fill(self, tables, cfg: int, sym: int) -> tuple:
-        """Entry cfg*k + sym of ``tables``: one step of the pair scan from
-        configuration cfg on letter sym."""
-        configs, ids, table = tables
+    def fill(self, cfg: int, sym: int) -> tuple:
+        """Entry cfg*k + sym of the kept table: one step of the pair scan
+        from configuration cfg on letter sym, for a call that holds ``lock``."""
+        configs, ids, table = self.tables
         k = len(self.step)
         states = configs[cfg]
         row = self.step[sym]
@@ -205,12 +198,9 @@ class ScanAutomaton:
         nxt_states = tuple(survivors)
         target = ids.get(nxt_states)
         if target is None:
-            with self.lock:
-                target = ids.get(nxt_states)
-                if target is None:
-                    table += [None] * k
-                    configs.append(nxt_states)
-                    target = ids[nxt_states] = len(configs) - 1
+            table += [None] * k
+            configs.append(nxt_states)
+            target = ids[nxt_states] = len(configs) - 1
         # a dying fresh pair (empty configuration) emits nothing
         dying = self.state_domains[states[0]] if states and row[states[0]] is None else None
         entry = table[cfg * k + sym] = (target * k, remap, dying, moved)
@@ -251,8 +241,6 @@ def _scan(
     left out, and j, or 0 where it ran every copy without stopping.
     """
     automaton = tracker.scan_automaton
-    tables = automaton.start()
-    configs, _ids, table = tables
     state_domains = tracker.state_domains
     k = len(tracker.step)
     n = len(syms)
@@ -262,31 +250,33 @@ def _scan(
     domain_sets: list[frozenset[int]] = []
     advances = 0
     j = stop = 0
-    for copy in range(repeats):
-        for j, sym in enumerate(syms, start=copy * n + 1):
-            entry = table[base + sym]
-            if entry is None:
-                entry = automaton.fill(tables, base // k, sym)
-            base, remap, dying, moved = entry
-            advances += moved
-            if dying is None:
-                begins = remap(begins + (j,))
-            else:
-                # non-bottom pairs die silently: their intervals are
-                # contained in the bottom pair's
-                emitted.append((begins[0], j - 1))
-                domain_sets.append(dying)
-                begins = remap(begins + (j,))
-                if (begins[0] if begins else j) > n:
-                    break
-        if (begins[0] if begins else j) > n:
-            stop = j
-            break
-    # an emission at step s ends at s - 1
-    last = slice(bisect_left(emitted, j - n, key=itemgetter(1)), len(emitted))
-    if begins:
-        emitted.append((begins[0], j))
-        domain_sets.append(state_domains[configs[base // k][0]])
+    with automaton.lock:
+        configs, _ids, table = automaton.start()
+        for copy in range(repeats):
+            for j, sym in enumerate(syms, start=copy * n + 1):
+                entry = table[base + sym]
+                if entry is None:
+                    entry = automaton.fill(base // k, sym)
+                base, remap, dying, moved = entry
+                advances += moved
+                if dying is None:
+                    begins = remap(begins + (j,))
+                else:
+                    # non-bottom pairs die silently: their intervals are
+                    # contained in the bottom pair's
+                    emitted.append((begins[0], j - 1))
+                    domain_sets.append(dying)
+                    begins = remap(begins + (j,))
+                    if (begins[0] if begins else j) > n:
+                        break
+            if (begins[0] if begins else j) > n:
+                stop = j
+                break
+        # an emission at step s ends at s - 1
+        last = slice(bisect_left(emitted, j - n, key=itemgetter(1)), len(emitted))
+        if begins:
+            emitted.append((begins[0], j))
+            domain_sets.append(state_domains[configs[base // k][0]])
     if stats is not None:
         stats.pair_advances += advances
     return emitted, domain_sets, last, stop

@@ -1,6 +1,8 @@
 import math
 import tracemalloc
+from pathlib import Path
 from random import Random
+from statistics import linear_regression
 
 import pytest
 from helpers import ALPHA01, number_from_table, orbit_multiplicity_at, reference_random_row
@@ -17,7 +19,10 @@ from apdfilter.ca import (
     table_size,
 )
 from apdfilter.stackfilter import filter_global
+from apdfilter.tdx import load_transducer
 from apdfilter.transducer import build_filter, transduce_codes
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 
 class TestRules:
@@ -310,6 +315,26 @@ class TestFilterDiagram:
         ):
             with pytest.raises(ValueError, match=message):
                 filter_diagram(method, source, diag)
+
+    def test_rule_18_defects_annihilate_as_inverse_square_root(self):
+        # Grassberger (1984): rule 18's domain walls random-walk and
+        # annihilate in pairs, so their density decays as t^(-1/2).  The
+        # d18 filter's break cells, averaged over seeds 1-8 of 2000-cell
+        # rows run 1000 steps, fall with a log-log slope over t = 30-1000
+        # within 0.1 of -1/2 (the spread of three seed blocks at this size
+        # was -0.426 to -0.496)
+        t, _digest = load_transducer((GOLDEN / "d18.tdx").read_text())
+        rule, width, steps, seeds = rule_from_number(2, 1, 18), 2000, 1000, range(1, 9)
+        breaks = [0] * (steps + 1)
+        for seed in seeds:
+            coded = filter_diagram("transducer", t, evolve(rule, random_row(2, width, seed), steps))
+            below_zero = range(256 - coded.break_count, 256)  # the bytes of the codes below 0
+            for row, codes in enumerate(coded.rows):
+                breaks[row] += sum(map(codes.count, below_zero))
+        fit = range(30, steps + 1)
+        density = [math.log(breaks[row] / (width * len(seeds))) for row in fit]
+        slope = linear_regression(list(map(math.log, fit)), density).slope
+        assert -0.60 <= slope <= -0.40, slope
 
 
 class TestDiagramTypes:

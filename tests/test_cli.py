@@ -157,6 +157,31 @@ class TestBuildRun:
         )
         assert stdout.strip() == "1,-1,-1,-1,-1,1,1"
 
+    def test_run_bidi_writes_every_code_through_one_text_table(self, tmp_path, capsys):
+        # over 254 domains the codes come back as a tuple, every break -1,
+        # and at most 254 as bytes, every break 255: both index the break's
+        # text, and the last domain's label indexes its own, as each
+        # letter's code of ``bidirectional`` does; an empty linear string
+        # is one empty line, and no grid
+        for count in (4, 256):
+            spec = tmp_path / f"{count}.dom"
+            alts = "".join(f"domain alt{i} cyclic 01\n" for i in range(count - 3))
+            spec.write_text(f"alphabet 0 1\ndomain zeros cyclic 0\ndomain ones cyclic 1\n{alts}domain last cyclic 001\n")
+            tdx = tmp_path / f"{count}.tdx"
+            assert run_cli(capsys, "build", "--domains", str(spec), "-o", str(tdx))[0] == 0
+            domains = [pd.domain for pd in parse_domain_spec(spec.read_text())[1]]
+            filters = (load_transducer(tdx.read_text())[0], build_filter([reverse_domain(d) for d in domains]))
+            argv = ["run", "--filter", str(tdx), "--bidi", "--domains", str(spec), "--input"]
+            for mode in ("linear", "circular"):
+                codes = list(map(symbol_code, bidirectional(filters, "0000011111001001001", mode)))
+                assert {-1, count} <= set(codes), (count, mode)
+                run = [*argv, "0000011111001001001", *["--circular"] * (mode == "circular")]
+                assert run_cli(capsys, *run) == (0, ",".join(map(str, codes)) + "\n", "")
+                pgm = plain_pgm([" ".join(str(gray(c, count)) for c in codes)], len(codes)).decode()
+                assert run_cli(capsys, *run, "--format", "pgm") == (0, pgm, "")
+            assert run_cli(capsys, *argv, "") == (0, "\n", "")
+            assert run_cli(capsys, *argv, "", "--format", "pgm") == (2, "", "error: empty grid\n")
+
     def test_bidi_warns_on_digest_mismatch(self, tmp_path, capsys, d18_file):
         # same shape as the d18 file (one domain over 0 1), other domain
         alt = tmp_path / "alt.dom"

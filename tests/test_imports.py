@@ -61,7 +61,7 @@ class TestStartup:
         (["run", "--filter", str(GOLDEN / "rule110.tdx"), "--input", "0110"],
          {"ca", "domspec", "optimizer", "stackfilter"}),
         (["run", "--filter", str(GOLDEN / "rule110.tdx"), "--input", "0110", "--bidi",
-          "--domains", str(GOLDEN / "rule110.dom")], {"optimizer", "stackfilter"}),
+          "--domains", str(GOLDEN / "rule110.dom")], {"ca", "optimizer", "stackfilter"}),
         (["ca", "--rule", "110", "--width", "8", "--steps", "2", "--init", "random:1"],
          {"automata", "domspec", "optimizer", "render", "stackfilter", "tdx", "transducer"}),
         # the stack cover writes through ``render``, which loads ``transducer`` only for ``symbol_code``

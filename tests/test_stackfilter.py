@@ -2,7 +2,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 from random import Random
-from threading import Thread
+from threading import Event, Thread
 
 import pytest
 from helpers import (
@@ -340,6 +340,47 @@ class TestConfigurationAutomaton:
         for text, doms in automaton.labels.items():
             assert doms == accepting_domains(domains, text), text
         assert automaton.label_letters >= sum(map(len, automaton.labels))
+
+    def test_calls_on_one_tracker_take_turns(self, monkeypatch):
+        # a filter_global call held inside its labelling, by an accepts
+        # that waits on its first call, keeps a filter_local call on the
+        # same fresh tracker waiting: each use of the kept state holds the
+        # automaton's lock from start to end; once released, both covers
+        # are the reference ones
+        tracker = build_tracker(rule110_domains())
+        period, word = "0001001101111100110", "00010011011111" * 3
+        want = {
+            filter_global: filter_global_full_window(tracker, period),
+            filter_local: reference_local(tracker, tracker.alphabet.encode(word)),
+        }
+        labelling, release = Event(), Event()
+
+        def waiting_accepts(fa, text):
+            if not labelling.is_set():
+                labelling.set()
+                release.wait(timeout=60)
+            return accepts(fa, text)
+
+        monkeypatch.setattr(stackfilter, "accepts", waiting_accepts)
+        covers = {}
+
+        def run(cover, text):
+            covers[cover] = cover(tracker, text)
+
+        labeller = Thread(target=run, args=(filter_global, period))
+        scanner = Thread(target=run, args=(filter_local, word))
+        labeller.start()
+        try:
+            assert labelling.wait(timeout=60)
+            scanner.start()
+            scanner.join(timeout=0.3)
+            waited = scanner.is_alive()
+        finally:
+            release.set()
+            labeller.join(timeout=60)
+        scanner.join(timeout=60)
+        assert waited
+        assert covers == want
 
 
 class TestLabelMemo:
